@@ -15,6 +15,12 @@ only "holds on these samples": they can refute, never prove.  A value is
 a violation only when it is below -(atol + rtol * scale) with scale the
 larger magnitude of the two inequality sides at the witness; near-zero
 negatives inside that band are reported as warnings.
+
+Each check is one pass over its plan: a generated loop evaluates f and g
+(or the one function) once per point and reduces every statement the
+check reports.  check_dominated takes g's gate from that pass, and in
+equivalence_report the l/k reports are the g + f / g - f reports, since
+decompose() builds those same trees.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomcertError
-from .expr import EvalError, Expr, combine, constant
+from .expr import _EVAL_ENV, EvalError, Expr, _emit, _nonfinite, combine, constant
 from .geometry import AffineMap, Interval
 from .kernels import Kernel, chebyshev_points
 
@@ -120,9 +126,9 @@ class EquivalenceReport:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise defects.  The grid sweeps below cache per-axis products but MUST
-# keep the same operation order as these scalar forms so that a reported
-# witness re-evaluates bit-identically.
+# Pointwise defects.  The sweep engine below caches per-axis products but
+# MUST keep the same operation order as these scalar forms so that a
+# reported witness re-evaluates bit-identically.
 # ---------------------------------------------------------------------------
 
 
@@ -224,220 +230,208 @@ def _random_triples(plan: SamplePlan, interval: Interval) -> list[tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# The sweep engine writes one loop for the statements a check asks for,
+# with the expression bodies inlined, then compiles and runs it once.
+# Statements "u", "f", "g", "l", "k" are the defect of that function, with
+# l = g + f and k = g - f formed from the cached g and f values (the op
+# order of the trees decompose() builds); "gap" is defect_g - |defect_f|.
+# The loop keeps the op order of the scalar forms above and the evaluation
+# order of the separate sweeps it replaced, so reductions, witnesses, rows
+# and the fault reported first are unchanged.
 # ---------------------------------------------------------------------------
+
+_DERIVED = {"l": "+", "k": "-"}
+
+
+def _sides(stat: str) -> tuple[str, str, str]:
+    """Loop variables holding (value, lhs, rhs) of a statement."""
+    if stat == "gap":
+        return "gap", "a_f", "d_g"
+    return f"d_{stat}", f"{stat}m", f"r_{stat}"
+
+
+def _annotate(exc: EvalError, x, y, t) -> EvalError:
+    return EvalError(exc.kind, f"{exc} while checking sample (x={x!r}, y={y!r}, t={t!r})")
+
+
+_SWEEP_ENV = {
+    **_EVAL_ENV,
+    "EvalError": EvalError,
+    "INF": math.inf,
+    "NAN": math.nan,
+    "_annotate": _annotate,
+    "_nonfinite": _nonfinite,
+    "abs": abs,
+    "min": min,
+    "zip": zip,
+}
+
+
+def _sweep_source(roots: dict, stats: tuple[str, ...], grid: bool, rows: bool) -> str:
+    """Source of _sweep: one pass reducing stats, roots mapping names to trees."""
+    base = list(roots)  # "u" alone, or "f" then "g": the order of evaluation
+    derived = [n for n in _DERIVED if n in stats]
+    fns = base + derived
+    defects = [n for n in fns if n in stats or (n in "fg" and "gap" in stats)]
+    lines: list[str] = []
+
+    def put(depth: int, *code: str) -> None:
+        lines.extend("    " * depth + c for c in code)
+
+    def evaluate(depth: int, n: str, at: str, p: str) -> None:
+        """Value of n at the point p into the variable n + at.
+
+        v - v is 0.0 for finite v and nan (truthy) for inf or nan: the
+        isfinite check of Expr.evaluate without a call.
+        """
+        dst = n + at
+        if n in roots:
+            put(depth, f"{dst} = {_emit(roots[n], p)}",
+                f"if {dst} - {dst}: raise _nonfinite({p})")
+        else:  # a fault here is raised after the pass: these sweeps ran last
+            put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
+                f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t)")
+
+    def per_sample(depth: int, weighted: dict) -> None:
+        for n in fns:
+            evaluate(depth, n, "m", "p")
+        for n in fns:
+            put(depth, f"if {n}m < 0.0: neg_{n} = True")
+        for n in defects:
+            put(depth, f"r_{n} = {weighted[n]}", f"d_{n} = r_{n} - {n}m")
+        if "gap" in stats:
+            put(depth, "a_f = abs(d_f)", "gap = d_g - a_f")
+        for s in stats:
+            v, lhs, rhs = _sides(s)
+            put(depth, f"if {v} <= w_{s} and ({v} < w_{s} or (x, y, t) < wit_{s}):",
+                f"    w_{s}, wit_{s}, wl_{s}, wr_{s} = {v}, (x, y, t), {lhs}, {rhs}")
+        if rows:  # a convexity row carries the defect alone
+            row = _sides(stats[-1]) if "gap" in stats else ("d_u",)
+            put(depth, f"emit((x, y, t, {', '.join(row)}))")
+
+    if grid:
+        put(0, "def _sweep(xs, ys, ts, pxs, pys, hv, emit):")
+    else:
+        put(0, "def _sweep(triples, apply, hv, emit):")
+    put(1, "x = y = t = None")
+    for s in stats:
+        put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s} = INF, (NAN, NAN, NAN), NAN, NAN")
+    put(1, *(f"fail_{n} = None" for n in derived), "try:")
+    if grid:
+        for n in fns:  # each function over the x axis, then over the y axis
+            for a in "xy":
+                points = f"p{a}s" if n in roots else f"zip(p{a}s, f_{a}, g_{a})"
+                names = "p" if n in roots else "p, f_v, g_v"
+                put(2, f"{n}_{a} = []", f"for {names} in {points}:")
+                evaluate(3, n, "_v", "p")
+                put(3, f"{n}_{a}.append({n}_v)")
+        put(2, *(f"neg_{n} = min({n}_x) < 0.0 or min({n}_y) < 0.0" for n in fns))
+        put(2, "omts = [1.0 - tv for tv in ts]",
+            "hts = [hv(tv) for tv in ts]",
+            "h1ts = [hv(ov) for ov in omts]",
+            "tys = [[ov * py for ov in omts] for py in pys]")
+        put(2, *(f"h{n}_y = [[h1 * v for h1 in h1ts] for v in {n}_y]" for n in defects))
+
+        def loop(depth: int, names: list[str], lists: list[str]) -> None:
+            put(depth, f"for {', '.join(names)} in zip({', '.join(lists)}):")
+
+        loop(2, ["x", "px", *(f"{n}_xi" for n in defects)],
+             ["xs", "pxs", *(f"{n}_x" for n in defects)])
+        put(3, "txs = [tv * px for tv in ts]")
+        put(3, *(f"h{n}_xi = [ht * {n}_xi for ht in hts]" for n in defects))
+        loop(3, ["y", "tys_j", *(f"h{n}_yj" for n in defects)],
+             ["ys", "tys", *(f"h{n}_y" for n in defects)])
+        loop(4, ["t", "tx", "ty", *(f"h{n}{a}" for n in defects for a in "xy")],
+             ["ts", "txs", "tys_j", *(f"h{n}_{a}" for n in defects for a in ("xi", "yj"))])
+        put(5, "p = tx + ty")
+        per_sample(5, {n: f"h{n}x + h{n}y" for n in defects})
+    else:
+        put(2, *(f"neg_{n} = False" for n in fns), "for x, y, t in triples:")
+        put(3, "omt = 1.0 - t")
+        kernel = ("ht = hv(t)", "h1t = hv(omt)")
+        if len(base) == 2:  # the pair sweep read the kernel first
+            put(3, *kernel)
+        put(3, "px = apply(x)", "py = apply(y)")
+        for n in fns:
+            evaluate(3, n, "px", "px")
+            evaluate(3, n, "py", "py")
+        if len(base) == 1:  # the single-function sweep read it after u(px), u(py)
+            put(3, *kernel)
+        put(3, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in fns))
+        put(3, "p = t * px + omt * py")
+        per_sample(3, {n: f"ht * {n}px + h1t * {n}py" for n in defects})
+    put(1, "except EvalError as exc:", "    raise _annotate(exc, x, y, t) from exc")
+    put(1, "return {%s}, {%s}, {%s}" % (
+        ", ".join(f"{s!r}: (w_{s}, wit_{s}, wl_{s}, wr_{s})" for s in stats),
+        ", ".join(f"{n!r}: neg_{n}" for n in fns),
+        ", ".join(f"{n!r}: fail_{n}" for n in derived)))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
 class _SweepData:
-    worst: float
-    witness: tuple[float, float, float]
-    lhs: float
-    rhs: float
     samples: int
-    neg_f: bool
-    neg_g: bool
-    rows: list | None
+    worst: dict  # statement -> (worst value, witness, lhs, rhs)
+    neg: dict  # function -> whether it took a negative sampled value
 
 
-def _convexity_sweep(
-    u: Expr,
+def _plan_sweep(
+    fns: tuple[Expr, ...],
+    stats: tuple[str, ...],
     h: Kernel,
     phi: AffineMap,
     interval: Interval,
     plan: SamplePlan,
-    collect: bool = False,
+    emit=None,
 ) -> _SweepData:
-    ev = u.evaluate
-    hv = h.value
-    worst = math.inf
-    wit = (math.nan, math.nan, math.nan)
-    wl = wr = math.nan
-    neg = False
-    rows: list | None = [] if collect else None
-    samples = 0
-    x = y = t = None
-    try:
-        if plan.strategy == "grid":
-            xs, ys, ts = grid_axes(plan, interval)
-            pxs = [phi.apply(v) for v in xs]
-            pys = [phi.apply(v) for v in ys]
-            ux = [ev(p) for p in pxs]
-            uy = [ev(p) for p in pys]
-            if min(ux) < 0.0 or min(uy) < 0.0:
-                neg = True
-            omts = [1.0 - tv for tv in ts]
-            hts = [hv(tv) for tv in ts]
-            h1ts = [hv(ov) for ov in omts]
-            n_t = range(len(ts))
-            tys = [[omts[k] * py for k in n_t] for py in pys]
-            hys = [[h1ts[k] * vy for k in n_t] for vy in uy]
-            for i, x in enumerate(xs):
-                px, vx = pxs[i], ux[i]
-                txi = [ts[k] * px for k in n_t]
-                hxi = [hts[k] * vx for k in n_t]
-                for j, y in enumerate(ys):
-                    tyj = tys[j]
-                    hyj = hys[j]
-                    for k in n_t:
-                        t = ts[k]
-                        lhs = ev(txi[k] + tyj[k])
-                        d = (hxi[k] + hyj[k]) - lhs
-                        if lhs < 0.0:
-                            neg = True
-                        if d < worst or (d == worst and (x, y, t) < wit):
-                            worst, wit = d, (x, y, t)
-                            wl, wr = lhs, hxi[k] + hyj[k]
-                        if collect:
-                            rows.append((x, y, t, d))
-                        samples += 1
-        else:
-            for x, y, t in _random_triples(plan, interval):
-                omt = 1.0 - t
-                px, py = phi.apply(x), phi.apply(y)
-                vpx, vpy = ev(px), ev(py)
-                if vpx < 0.0 or vpy < 0.0:
-                    neg = True
-                d, lhs, rhs = _defect_parts(ev, hv(t), hv(omt), t, omt, px, py, vpx, vpy)
-                if lhs < 0.0:
-                    neg = True
-                if d < worst or (d == worst and (x, y, t) < wit):
-                    worst, wit, wl, wr = d, (x, y, t), lhs, rhs
-                if collect:
-                    rows.append((x, y, t, d))
-                samples += 1
-    except EvalError as exc:
-        raise EvalError(
-            exc.kind, f"{exc} while checking sample (x={x!r}, y={y!r}, t={t!r})"
-        ) from exc
-    return _SweepData(worst, wit, wl, wr, samples, neg, False, rows)
+    """One pass over the plan reducing every statement in stats.
+
+    fns is (u,) for the statement "u", else (f, g).  emit, when given,
+    is called with one row per sample: (x, y, t, value, lhs, rhs) of the
+    last statement, or (x, y, t, defect) for "u".
+    """
+    grid = plan.strategy == "grid"
+    env = dict(_SWEEP_ENV)
+    roots = dict(zip("u" if len(fns) == 1 else "fg", (e.root for e in fns)))
+    source = _sweep_source(roots, stats, grid, emit is not None)
+    exec(compile(source, "<sweep>", "exec"), env)
+    if grid:
+        xs, ys, ts = grid_axes(plan, interval)
+        pxs = [phi.apply(v) for v in xs]
+        pys = [phi.apply(v) for v in ys]
+        worst, neg, fails = env["_sweep"](xs, ys, ts, pxs, pys, h.value, emit)
+        samples = len(xs) * len(ys) * len(ts)
+    else:
+        triples = _random_triples(plan, interval)
+        worst, neg, fails = env["_sweep"](triples, phi.apply, h.value, emit)
+        samples = len(triples)
+    for n in _DERIVED:  # the sum sweep ran before the difference sweep
+        if fails.get(n):
+            p, x, y, t = fails[n]
+            raise _annotate(_nonfinite(p), x, y, t)
+    return _SweepData(samples, worst, neg)
 
 
-def _dominance_sweep(
-    pair: FunctionPair,
-    h: Kernel,
-    phi: AffineMap,
-    interval: Interval,
-    plan: SamplePlan,
-    collect: bool = False,
-) -> _SweepData:
-    fe, ge = pair.f.evaluate, pair.g.evaluate
-    hv = h.value
-    worst = math.inf
-    wit = (math.nan, math.nan, math.nan)
-    wl = wr = math.nan
-    neg_f = neg_g = False
-    rows: list | None = [] if collect else None
-    samples = 0
-    x = y = t = None
-    try:
-        if plan.strategy == "grid":
-            xs, ys, ts = grid_axes(plan, interval)
-            pxs = [phi.apply(v) for v in xs]
-            pys = [phi.apply(v) for v in ys]
-            fx = [fe(p) for p in pxs]
-            fy = [fe(p) for p in pys]
-            gx = [ge(p) for p in pxs]
-            gy = [ge(p) for p in pys]
-            if min(fx) < 0.0 or min(fy) < 0.0:
-                neg_f = True
-            if min(gx) < 0.0 or min(gy) < 0.0:
-                neg_g = True
-            omts = [1.0 - tv for tv in ts]
-            hts = [hv(tv) for tv in ts]
-            h1ts = [hv(ov) for ov in omts]
-            n_t = range(len(ts))
-            tys = [[omts[k] * py for k in n_t] for py in pys]
-            hfy = [[h1ts[k] * vy for k in n_t] for vy in fy]
-            hgy = [[h1ts[k] * vy for k in n_t] for vy in gy]
-            for i, x in enumerate(xs):
-                px = pxs[i]
-                txi = [ts[k] * px for k in n_t]
-                hfx = [hts[k] * fx[i] for k in n_t]
-                hgx = [hts[k] * gx[i] for k in n_t]
-                for j, y in enumerate(ys):
-                    tyj = tys[j]
-                    hfyj = hfy[j]
-                    hgyj = hgy[j]
-                    for k in n_t:
-                        t = ts[k]
-                        mid = txi[k] + tyj[k]
-                        fm = fe(mid)
-                        gm = ge(mid)
-                        if fm < 0.0:
-                            neg_f = True
-                        if gm < 0.0:
-                            neg_g = True
-                        df = (hfx[k] + hfyj[k]) - fm
-                        dg = (hgx[k] + hgyj[k]) - gm
-                        lhs = abs(df)
-                        gap = dg - lhs
-                        if gap < worst or (gap == worst and (x, y, t) < wit):
-                            worst, wit, wl, wr = gap, (x, y, t), lhs, dg
-                        if collect:
-                            rows.append((x, y, t, gap, lhs, dg))
-                        samples += 1
-        else:
-            for x, y, t in _random_triples(plan, interval):
-                omt = 1.0 - t
-                ht, h1t = hv(t), hv(omt)
-                px, py = phi.apply(x), phi.apply(y)
-                fpx, fpy = fe(px), fe(py)
-                gpx, gpy = ge(px), ge(py)
-                if fpx < 0.0 or fpy < 0.0:
-                    neg_f = True
-                if gpx < 0.0 or gpy < 0.0:
-                    neg_g = True
-                mid = t * px + omt * py
-                fm = fe(mid)
-                gm = ge(mid)
-                if fm < 0.0:
-                    neg_f = True
-                if gm < 0.0:
-                    neg_g = True
-                df = (ht * fpx + h1t * fpy) - fm
-                dg = (ht * gpx + h1t * gpy) - gm
-                lhs = abs(df)
-                gap = dg - lhs
-                if gap < worst or (gap == worst and (x, y, t) < wit):
-                    worst, wit, wl, wr = gap, (x, y, t), lhs, dg
-                if collect:
-                    rows.append((x, y, t, gap, lhs, dg))
-                samples += 1
-    except EvalError as exc:
-        raise EvalError(
-            exc.kind, f"{exc} while checking sample (x={x!r}, y={y!r}, t={t!r})"
-        ) from exc
-    return _SweepData(worst, wit, wl, wr, samples, neg_f, neg_g, rows)
-
-
-def _finish_report(data: _SweepData, plan: SamplePlan, neg_roles: list[str]) -> CheckReport:
-    warnings = []
-    for role, flagged in zip(neg_roles, (data.neg_f, data.neg_g)):
-        if flagged:
-            warnings.append(NEG_VALUES_WARNING.format(role=role))
-    threshold = plan.atol + plan.rtol * max(abs(data.lhs), abs(data.rhs))
-    if data.worst < -threshold:
+def _finish_report(
+    data: _SweepData, stat: str, plan: SamplePlan, roles: tuple, rows: list | None = None
+) -> CheckReport:
+    worst, witness, lhs, rhs = data.worst[stat]
+    warnings = [NEG_VALUES_WARNING.format(role=role) for role, n in roles if data.neg[n]]
+    threshold = plan.atol + plan.rtol * max(abs(lhs), abs(rhs))
+    if worst < -threshold:
         verdict = VIOLATED
     else:
         verdict = HOLDS
-        if data.worst < 0.0:
+        if worst < 0.0:
             warnings.append(WITHIN_TOL_WARNING)
-    return CheckReport(
-        verdict,
-        data.samples,
-        data.worst,
-        data.witness,
-        data.lhs,
-        data.rhs,
-        warnings,
-        rows=data.rows,
-    )
+    return CheckReport(verdict, data.samples, worst, witness, lhs, rhs, warnings, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # Public checks
 # ---------------------------------------------------------------------------
+
+_PAIR_ROLES = (("f", "f"), ("g", "g"))
 
 
 def check_phi_h_convex(
@@ -449,20 +443,18 @@ def check_phi_h_convex(
     collect_samples: bool = False,
 ) -> CheckReport:
     """Sample the convexity defect of f; worst_gap is the minimum defect."""
-    data = _convexity_sweep(f, h, phi, interval, plan, collect=collect_samples)
-    return _finish_report(data, plan, ["function"])
+    rows = [] if collect_samples else None
+    emit = None if rows is None else rows.append
+    data = _plan_sweep((f,), ("u",), h, phi, interval, plan, emit)
+    return _finish_report(data, "u", plan, (("function", "u"),), rows)
 
 
-def _dominance_report(
-    pair: FunctionPair,
-    h: Kernel,
-    phi: AffineMap,
-    interval: Interval,
-    plan: SamplePlan,
-    collect_samples: bool = False,
-) -> CheckReport:
-    data = _dominance_sweep(pair, h, phi, interval, plan, collect=collect_samples)
-    return _finish_report(data, plan, ["f", "g"])
+def _require_dominator(gate: CheckReport) -> None:
+    if gate.verdict == VIOLATED:
+        raise PreconditionError(
+            "dominator g fails its convexity check: worst defect "
+            f"{gate.worst_gap!r} at (x, y, t) = {gate.witness!r}"
+        )
 
 
 def check_dominated(
@@ -476,15 +468,19 @@ def check_dominated(
     """Sample the dominance gap of (f, g); g must pass its own convexity check.
 
     Raises PreconditionError when the dominator g is itself refuted on the
-    same plan, since the dominance statement presumes g in the class.
+    same plan, since the dominance statement presumes g in the class.  The
+    gate and the gap come from one pass.
     """
-    gate = check_phi_h_convex(pair.g, h, phi, interval, plan)
-    if gate.verdict == VIOLATED:
-        raise PreconditionError(
-            "dominator g fails its convexity check: worst defect "
-            f"{gate.worst_gap!r} at (x, y, t) = {gate.witness!r}"
-        )
-    return _dominance_report(pair, h, phi, interval, plan, collect_samples)
+    rows = [] if collect_samples else None
+    emit = None if rows is None else rows.append
+    try:
+        data = _plan_sweep((pair.f, pair.g), ("g", "gap"), h, phi, interval, plan, emit)
+    except DomcertError:
+        # g's own fault or refutation outranks a fault of f: decide on g alone
+        _require_dominator(check_phi_h_convex(pair.g, h, phi, interval, plan))
+        raise
+    _require_dominator(_finish_report(data, "g", plan, ()))
+    return _finish_report(data, "gap", plan, _PAIR_ROLES, rows)
 
 
 def decompose(pair: FunctionPair) -> tuple[Expr, Expr]:
@@ -512,25 +508,22 @@ def equivalence_report(
     """Evaluate the three equivalent dominance characterizations on one plan.
 
     Unlike check_dominated, g's own convexity is not a gate here; it is
-    part of what the statements themselves measure.
+    part of what the statements themselves measure.  One pass evaluates f
+    and g once per point and reduces the gap and the defects of g + f and
+    g - f.  decompose() builds those same two trees, so the third
+    statement's reports (l_convex, k_convex) are the second's.
     """
-    dom = _dominance_report(pair, h, phi, interval, plan)
-    sum_check = check_phi_h_convex(combine("+", pair.g, pair.f), h, phi, interval, plan)
-    diff_check = check_phi_h_convex(combine("-", pair.g, pair.f), h, phi, interval, plan)
-    l, k = decompose(pair)
-    l_check = check_phi_h_convex(l, h, phi, interval, plan)
-    k_check = check_phi_h_convex(k, h, phi, interval, plan)
-    statements = (
-        dom.holds(),
-        diff_check.holds() and sum_check.holds(),
-        l_check.holds() and k_check.holds(),
-    )
+    data = _plan_sweep((pair.f, pair.g), ("gap", "l", "k"), h, phi, interval, plan)
+    dom = _finish_report(data, "gap", plan, _PAIR_ROLES)
+    sum_check = _finish_report(data, "l", plan, (("function", "l"),))
+    diff_check = _finish_report(data, "k", plan, (("function", "k"),))
+    convex_both = diff_check.holds() and sum_check.holds()
     return EquivalenceReport(
         dominance=dom,
         sum_convex=sum_check,
         diff_convex=diff_check,
-        l_convex=l_check,
-        k_convex=k_check,
-        statement_holds=statements,
-        agreement=statements[0] == statements[1] == statements[2],
+        l_convex=sum_check,
+        k_convex=diff_check,
+        statement_holds=(dom.holds(), convex_both, convex_both),
+        agreement=dom.holds() == convex_both,
     )

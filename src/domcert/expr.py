@@ -324,22 +324,32 @@ _UNARY_HELPER = {
 }
 
 
-def _emit(node: Node) -> str:
+def _emit(node: Node, var: str = "v") -> str:
+    """Python source for node with the free variable spelled var.
+
+    Sweep loops inline these bodies, so the same source (and so the same
+    floating-point ops in the same order) backs every evaluation path.
+    """
     if isinstance(node, Const):
         literal = repr(node.value)
         return f"({literal})" if literal.startswith("-") else literal
     if isinstance(node, Var):
-        return "v"
+        return var
     if isinstance(node, Unary):
-        inner = _emit(node.arg)
+        inner = _emit(node.arg, var)
         if node.op == "neg":
             return f"(-{inner})"
         return f"{_UNARY_HELPER[node.op]}({inner})"
+    left, right = _emit(node.left, var), _emit(node.right, var)
     if node.op in "+-*":
-        return f"({_emit(node.left)}{node.op}{_emit(node.right)})"
+        return f"({left}{node.op}{right})"
     if node.op == "/":
-        return f"_div({_emit(node.left)},{_emit(node.right)})"
-    return f"_pow({_emit(node.left)},{_emit(node.right)})"
+        return f"_div({left},{right})"
+    return f"_pow({left},{right})"
+
+
+def _nonfinite(value: float) -> EvalError:
+    return EvalError("overflow", f"non-finite result for input {value!r}")
 
 
 def _compile(root: Node):
@@ -424,7 +434,7 @@ class Expr:
     def evaluate(self, value: float) -> float:
         result = self._fn(value)
         if not math.isfinite(result):
-            raise EvalError("overflow", f"non-finite result for input {value!r}")
+            raise _nonfinite(value)
         return result
 
     __call__ = evaluate
@@ -449,10 +459,6 @@ def parse(source: str) -> Expr:
     parser = _Parser(tokens, source)
     root = parser.parse()
     return Expr(root, parser.var, source)
-
-
-def evaluate(e: Expr, value: float) -> float:
-    return e.evaluate(value)
 
 
 def combine(op: str, left: Expr, right: Expr) -> Expr:

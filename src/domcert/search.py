@@ -2,26 +2,24 @@
 
 Sweeps a sample plan, keeps every triple whose gap is below the violation
 threshold, and optionally sharpens the ten worst samples with a clamped
-coordinate-descent (step-halving) refinement.  Everything is deterministic
-for a fixed plan, including the random strategy via its seed.
+coordinate-descent (step-halving) refinement.  Rows stream from the
+sweep, so memory grows with the number of violations, not with the plan.
+Everything is deterministic for a fixed plan, including the random
+strategy via its seed.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .convexity import (
-    FunctionPair,
-    SamplePlan,
-    _dominance_sweep,
-    _gap_parts,
-    _violates,
-)
+from .convexity import FunctionPair, SamplePlan, _gap_parts, _plan_sweep, _violates
 from .geometry import AffineMap, Interval
 from .kernels import Kernel
 
 REFINE_SEEDS = 10
 REFINE_ITERATIONS = 50
+_SEED_BUFFER = 4096  # rows held before trimming to the REFINE_SEEDS smallest
 
 
 @dataclass(frozen=True)
@@ -80,20 +78,27 @@ def search_violations(
     refine: bool = False,
 ) -> list[ViolationRecord]:
     """All sampled violations, sorted by gap then (x, y, t) ascending."""
-    data = _dominance_sweep(pair, h, phi, interval, plan, collect=True)
-    rows = data.rows or []
-
     found: dict[tuple[float, float, float], ViolationRecord] = {}
-    for x, y, t, gap, lhs, rhs in rows:
-        if _violates(gap, lhs, rhs, plan.atol, plan.rtol):
-            found[(x, y, t)] = ViolationRecord(x, y, t, gap, lhs, rhs)
+    seeds: list[tuple] = []
 
-    if refine and rows:
+    def seed_key(row):
+        return row[3], row[0], row[1], row[2]
+
+    def keep(row):
+        if _violates(row[3], row[4], row[5], plan.atol, plan.rtol):
+            found[row[:3]] = ViolationRecord(*row)
+        if refine:
+            seeds.append(row)
+            if len(seeds) >= _SEED_BUFFER:
+                seeds[:] = heapq.nsmallest(REFINE_SEEDS, seeds, key=seed_key)
+
+    _plan_sweep((pair.f, pair.g), ("gap",), h, phi, interval, plan, keep)
+
+    if refine:
         def gap_fn(x, y, t):
             return _gap_parts(pair, h, phi, x, y, t)[0]
 
-        seeds = sorted(rows, key=lambda r: (r[3], r[0], r[1], r[2]))[:REFINE_SEEDS]
-        for sx, sy, st, _, _, _ in seeds:
+        for sx, sy, st, _, _, _ in heapq.nsmallest(REFINE_SEEDS, seeds, key=seed_key):
             rx, ry, rt = _refine_seed(gap_fn, sx, sy, st, interval, plan.t_clamp)
             gap, lhs, rhs = _gap_parts(pair, h, phi, rx, ry, rt)
             if not _violates(gap, lhs, rhs, plan.atol, plan.rtol):

@@ -177,6 +177,22 @@ class TestSubcommandResults:
         code, doc = run_json(capsys, "search", *BASE, "--samples", "64")
         assert doc["inputs"]["plan"]["count"] == 64
 
+    def test_single_point_grid_validates(self, capsys):
+        code, doc = run_json(capsys, "check-convex", "--f", "x^2", "--interval", "0", "1",
+                             "--grid", "1", "1", "1")
+        assert code == 0
+        plan = doc["inputs"]["plan"]
+        assert (plan["n_x"], plan["n_y"], plan["n_t"]) == (1, 1, 1)
+
+    def test_equivalence_accepts_mixed_variable_names(self, capsys):
+        # f in t and g in x are one function each, as check-dominated reads them
+        args = ("--f", "t^2", "--g", "2*x^2", "--interval", "0", "1", "--grid", "5", "5", "5")
+        code, doc = run_json(capsys, "equivalence", *args)
+        _, dom = run_json(capsys, "check-dominated", *args)
+        assert code == 0
+        assert doc["result"]["dominance"] == dom["result"]
+        assert doc["result"]["statement_holds"] == [True, True, True]
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):
@@ -327,3 +343,47 @@ class TestErrorEnvelope:
                              "--interval", "-1", "1", "--grid", "5", "5", "3")
         assert code == 2
         assert "x=" in doc["error"]["message"]
+
+
+class TestErrorPrecedence:
+    """Which fault a check reports when several could be; byte-pinned."""
+
+    LN_ON_AXIS = "ln of a non-positive value while checking sample (x=None, y=None, t=None)"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # the gate outcome on g wins over a fault of f
+            (("check-dominated", "--f", "ln(x)", "--g", "1-x^2"),
+             "dominator g fails its convexity check: worst defect -0.25 at "
+             "(x, y, t) = (0.0, 1.0, 0.5)"),
+            (("check-dominated", "--f", "ln(x)", "--g", "2*x^2"), LN_ON_AXIS),
+            (("equivalence", "--f", "ln(x)", "--g", "1-x^2"), LN_ON_AXIS),
+            # g + f overflows although f and g are finite
+            (("equivalence", "--f", "1e308+x", "--g", "1e308+x"),
+             "non-finite result for input 0.0 while checking sample (x=None, y=None, t=None)"),
+            # g - f overflows on the axes, g + f only inside: the sum is reported
+            (("equivalence", "--f", "0.95e308*(sin(2*pi*x)^2-cos(2*pi*x)^2)", "--g", "0.95e308"),
+             "non-finite result for input 0.25 while checking sample (x=0.0, y=0.5, t=0.5)"),
+        ],
+    )
+    def test_grid(self, capsys, args, message):
+        code, doc = run_json(capsys, *args, "--interval", "0", "1", "--grid", "3", "3", "3")
+        assert code == 2
+        assert doc["error"]["message"] == message
+
+    @pytest.mark.parametrize(
+        "f, g, first",
+        [
+            ("1e308+x", "1e308+x", "0.8444218515250481"),
+            ("0.95e308*(sin(2*pi*x)^2-cos(2*pi*x)^2)", "0.95e308", "0.7579544029403025"),
+        ],
+    )
+    def test_random_reports_first_sample(self, capsys, f, g, first):
+        code, doc = run_json(capsys, "equivalence", "--f", f, "--g", g,
+                             "--interval", "0", "1", "--random", "5")
+        assert code == 2
+        assert doc["error"]["message"] == (
+            f"non-finite result for input {first} while checking sample "
+            "(x=0.8444218515250481, y=0.7579544029403025, t=0.4205717396876833)"
+        )

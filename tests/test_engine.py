@@ -1,0 +1,244 @@
+"""The generated sweep engine against a naive loop over the scalar forms.
+
+The reference walks the same samples (grid_axes or _random_triples) one
+triple at a time through _defect_parts, cross-checked against phi_h_defect
+and dominance_gap; g + f and g - f are the trees combine() and decompose()
+build.  Every worst value, witness, side, warning and row must come out
+bit-identical (compared through repr), so a change in the op order of the
+inlined expression bodies or of the cached per-axis products fails here.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from domcert.convexity import (
+    HOLDS,
+    NEG_VALUES_WARNING,
+    VIOLATED,
+    WITHIN_TOL_WARNING,
+    FunctionPair,
+    PreconditionError,
+    SamplePlan,
+    _defect_parts,
+    _random_triples,
+    check_dominated,
+    check_phi_h_convex,
+    decompose,
+    dominance_gap,
+    equivalence_report,
+    grid_axes,
+    phi_h_defect,
+)
+from domcert.expr import EvalError, combine, parse
+from domcert.geometry import Interval, identity_map, make_affine
+from domcert.kernels import make_kernel
+
+KERNELS = [
+    make_kernel("linear"),
+    make_kernel("power", s=0.5),
+    make_kernel("reciprocal"),
+    make_kernel("one"),
+    make_kernel("custom", expr=parse("1 + t^2")),
+]
+INTERVALS = [Interval(0.0, 1.0), Interval(-1.0, 2.0)]
+
+
+def _wrap(children):
+    two = st.tuples(children, children)
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(lambda a: f"({''.join(a)})"),
+        two.map(lambda a: f"({a[0]}/(abs({a[1]})+0.5))"),
+        st.tuples(children, st.sampled_from(["2", "3", "0.5", "(-1)"])).map(
+            lambda a: f"((abs({a[0]})+1)^{a[1]})"
+        ),
+        children.map(lambda a: f"(-{a})"),
+        children.map(lambda a: f"abs({a})"),
+        children.map(lambda a: f"exp({a})"),
+        children.map(lambda a: f"ln(abs({a})+0.5)"),
+        children.map(lambda a: f"sqrt(abs({a}))"),
+        children.map(lambda a: f"sin({a})"),
+        children.map(lambda a: f"cos({a})"),
+    )
+
+
+_LEAF = st.one_of(
+    st.just("x"),
+    st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: f"({c!r})"),
+)
+EXPRS = st.recursive(_LEAF, _wrap, max_leaves=5).map(parse)
+
+
+@st.composite
+def setups(draw):
+    """(pair, kernel, map, interval, plan) covering both strategies and maps."""
+    interval = draw(st.sampled_from(INTERVALS))
+    phi = draw(
+        st.sampled_from(
+            [
+                identity_map(interval),
+                make_affine(0.5, 0.25, interval),
+                make_affine(-0.5, 0.75, interval),
+            ]
+        )
+    )
+    tol = draw(st.sampled_from([1e-9, 0.0]))
+    if draw(st.booleans()):
+        n = st.integers(1, 5)
+        plan = SamplePlan.grid(draw(n), draw(n), draw(n), atol=tol, rtol=tol)
+    else:
+        plan = SamplePlan.random(
+            draw(st.integers(1, 40)), seed=draw(st.integers(0, 999)), atol=tol, rtol=tol
+        )
+    pair = FunctionPair(draw(EXPRS), draw(EXPRS))
+    return pair, draw(st.sampled_from(KERNELS)), phi, interval, plan
+
+
+def _triples(plan, interval):
+    if plan.strategy == "random":
+        return _random_triples(plan, interval)
+    xs, ys, ts = grid_axes(plan, interval)
+    return [(x, y, t) for x in xs for y in ys for t in ts]
+
+
+def _defects(u, h, phi, triples):
+    """[(triple, defect, lhs, rhs)] and whether u took a negative value."""
+    out, neg = [], False
+    for x, y, t in triples:
+        omt = 1.0 - t
+        px, py = phi.apply(x), phi.apply(y)
+        vpx, vpy = u.evaluate(px), u.evaluate(py)
+        d, lhs, rhs = _defect_parts(
+            u.evaluate, h.value(t), h.value(omt), t, omt, px, py, vpx, vpy
+        )
+        assert repr(d) == repr(phi_h_defect(u, h, phi, x, y, t))
+        neg = neg or min(vpx, vpy, lhs) < 0.0
+        out.append(((x, y, t), d, lhs, rhs))
+    return out, neg
+
+
+def _report(samples, negs, plan):
+    """Report fields: worst sample first by value, then by triple."""
+    xyt, worst, lhs, rhs = min(samples, key=lambda s: (s[1], s[0]))
+    warnings = [NEG_VALUES_WARNING.format(role=role) for role, neg in negs if neg]
+    verdict = HOLDS
+    if worst < -(plan.atol + plan.rtol * max(abs(lhs), abs(rhs))):
+        verdict = VIOLATED
+    elif worst < 0.0:
+        warnings.append(WITHIN_TOL_WARNING)
+    return repr((verdict, len(samples), worst, xyt, lhs, rhs, warnings))
+
+
+def _fields(rep):
+    return repr(
+        (
+            rep.verdict,
+            rep.samples_checked,
+            rep.worst_gap,
+            rep.witness,
+            rep.witness_lhs,
+            rep.witness_rhs,
+            rep.warnings,
+        )
+    )
+
+
+def _gaps(pair, h, phi, triples):
+    """Reference dominance: (samples, f negative, g negative, g's defects)."""
+    fd, neg_f = _defects(pair.f, h, phi, triples)
+    gd, neg_g = _defects(pair.g, h, phi, triples)
+    samples = []
+    for (xyt, df, _, _), (_, dg, _, _) in zip(fd, gd):
+        gap = dg - abs(df)
+        assert repr(gap) == repr(dominance_gap(pair, h, phi, *xyt))
+        samples.append((xyt, gap, abs(df), dg))
+    return samples, neg_f, neg_g, gd
+
+
+def _raises(fn, exc_type):
+    try:
+        fn()
+    except exc_type:
+        return
+    raise AssertionError(f"expected {exc_type.__name__}")
+
+
+SETTINGS = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@SETTINGS
+@given(setups())
+def test_convex_matches_scalar_reference(setup):
+    pair, h, phi, interval, plan = setup
+    triples = _triples(plan, interval)
+    try:
+        samples, neg = _defects(pair.f, h, phi, triples)
+    except EvalError:
+        _raises(lambda: check_phi_h_convex(pair.f, h, phi, interval, plan), EvalError)
+        return
+    rep = check_phi_h_convex(pair.f, h, phi, interval, plan, collect_samples=True)
+    assert _fields(rep) == _report(samples, [("function", neg)], plan)
+    assert repr(rep.rows) == repr([(*xyt, d) for xyt, d, _, _ in samples])
+
+
+@SETTINGS
+@given(setups())
+def test_dominated_matches_scalar_reference(setup):
+    pair, h, phi, interval, plan = setup
+    triples = _triples(plan, interval)
+
+    def run():
+        return check_dominated(pair, h, phi, interval, plan, collect_samples=True)
+
+    # g is checked first and its refutation outranks a fault of f
+    try:
+        gd, _ = _defects(pair.g, h, phi, triples)
+    except EvalError:
+        _raises(run, EvalError)
+        return
+    (xyt, worst, lhs, rhs) = min(gd, key=lambda s: (s[1], s[0]))
+    if worst < -(plan.atol + plan.rtol * max(abs(lhs), abs(rhs))):
+        try:
+            run()
+        except PreconditionError as exc:
+            assert str(exc) == (
+                "dominator g fails its convexity check: worst defect "
+                f"{worst!r} at (x, y, t) = {xyt!r}"
+            )
+            return
+        raise AssertionError("expected PreconditionError")
+    try:
+        samples, neg_f, neg_g, _ = _gaps(pair, h, phi, triples)
+    except EvalError:
+        _raises(run, EvalError)
+        return
+    rep = run()
+    assert _fields(rep) == _report(samples, [("f", neg_f), ("g", neg_g)], plan)
+    assert repr(rep.rows) == repr([(*xyt, gap, a, dg) for xyt, gap, a, dg in samples])
+
+
+@SETTINGS
+@given(setups())
+def test_equivalence_matches_scalar_reference(setup):
+    pair, h, phi, interval, plan = setup
+    triples = _triples(plan, interval)
+    l_tree, k_tree = decompose(pair)
+    try:
+        samples, neg_f, neg_g, _ = _gaps(pair, h, phi, triples)
+        sums, neg_s = _defects(combine("+", pair.g, pair.f), h, phi, triples)
+        diffs, neg_d = _defects(combine("-", pair.g, pair.f), h, phi, triples)
+        ls, _ = _defects(l_tree, h, phi, triples)
+        ks, _ = _defects(k_tree, h, phi, triples)
+    except EvalError:
+        _raises(lambda: equivalence_report(pair, h, phi, interval, plan), EvalError)
+        return
+    rep = equivalence_report(pair, h, phi, interval, plan)
+    assert _fields(rep.dominance) == _report(samples, [("f", neg_f), ("g", neg_g)], plan)
+    assert _fields(rep.sum_convex) == _report(sums, [("function", neg_s)], plan)
+    assert _fields(rep.diff_convex) == _report(diffs, [("function", neg_d)], plan)
+    assert _fields(rep.l_convex) == _report(ls, [("function", neg_s)], plan)
+    assert _fields(rep.k_convex) == _report(ks, [("function", neg_d)], plan)
+    convex = rep.sum_convex.holds() and rep.diff_convex.holds()
+    assert rep.statement_holds == (rep.dominance.holds(), convex, convex)
+    assert rep.agreement == (rep.dominance.holds() == convex)
+
