@@ -36,7 +36,7 @@ from .convexity import (
 from .errors import DomcertError
 from .expr import ParseError, parse
 from .geometry import GeometryError, Interval, affine_from_expr, identity_map
-from .hadamard import hh_endpoint_report, hh_midpoint_report, special_case_report
+from .hadamard import hh_bounds_report, special_case_report
 from .kernels import KernelError, make_kernel
 from .search import search_violations
 
@@ -541,15 +541,9 @@ def _dispatch(ns, built: _Inputs, want_rows: bool):
         return result, (0 if all(rep.statement_holds) else 1), None
 
     if ns.subcommand == "verify-hh":
-        reports = []
-        if ns.bound in ("midpoint", "both"):
-            reports.append(
-                hh_midpoint_report(pair, kernel, phi, ns.quad_tol, ns.atol, ns.rtol)
-            )
-        if ns.bound in ("endpoint", "both"):
-            reports.append(
-                hh_endpoint_report(pair, kernel, phi, ns.quad_tol, ns.atol, ns.rtol)
-            )
+        bounds = ("midpoint", "endpoint") if ns.bound == "both" else (ns.bound,)
+        jobs = [(kernel, bound) for bound in bounds]
+        reports = hh_bounds_report(pair, phi, jobs, ns.quad_tol, ns.atol, ns.rtol)
         code = 0 if all(r.holds for r in reports) else 1
         return {"reports": [_hh_report_dict(r) for r in reports]}, code, None
 

@@ -10,14 +10,18 @@ H = integral of h over (0, 1), the verified statements are
 where mean(u) is the integral average of u over the image of phi.  Both
 right sides can only be trusted when g actually belongs to the kernel's
 convexity class; a negative right side therefore produces a warning, not
-an error.  When H diverges the endpoint statement carries no information
-and the report is marked vacuous with rhs = +inf.
+an error.  The endpoint form needs no symmetric h (the integral of h(1-t)
+is H for every h); a custom kernel's cached H is re-checked against H
+recomputed from h(t).  When H diverges, a side with a nonzero endpoint sum
+is infinite with that sum's sign (lhs = +inf) and a zero sum leaves -mean;
+the report is vacuous, and cannot fail, only when rhs = +inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .convexity import FunctionPair
 from .errors import DomcertError
@@ -98,6 +102,97 @@ def _holds(lhs: float, rhs: float, atol: float, rtol: float) -> tuple[float, boo
     return margin, margin >= -(atol + rtol * scale)
 
 
+def _check_custom_integral(h: Kernel, tol: float, atol: float, rtol: float) -> None:
+    # a Kernel built by hand can carry a wrong H; for one from make_kernel
+    # the same integrand and integrator give back the cached bits
+    recomputed = integrate_open01(h.expr.evaluate, tol)
+    cached, value = h.integral, recomputed.value
+    budget = (
+        h.integral_error + recomputed.error_estimate + atol + rtol * max(abs(cached), abs(value))
+    )
+    # when both diverge the difference is nan, which is agreement
+    if math.isinf(cached) != math.isinf(value) or abs(cached - value) > budget:
+        raise ReportError(
+            "kernel-symmetry",
+            f"cached kernel integral {cached!r} does not match the integral recomputed "
+            f"from h(t), {value!r} (combined error {budget!r})",
+        )
+
+
+def hh_bounds_report(
+    pair: FunctionPair,
+    phi: AffineMap,
+    jobs: Iterable[tuple[Kernel, str]],
+    tol: float = 1e-10,
+    atol: float = 1e-9,
+    rtol: float = 1e-9,
+) -> list[HHReport]:
+    """One report per (kernel, 'midpoint' or 'endpoint') job, in job order.
+
+    f and g are integrated once for all jobs; jobs is consumed lazily after
+    the image bounds are checked.  Each job raises its faults in the order
+    of a lone report: custom-kernel integral check (endpoint), means, f and
+    g at the midpoint or at the endpoints, each computed on first use.
+    """
+    lo, hi = _image_bounds(phi)
+    means = mid = ends = None
+    reports = []
+    for h, bound in jobs:
+        if bound == "endpoint" and h.kind == "custom":
+            _check_custom_integral(h, tol, atol, rtol)
+        if means is None:
+            means = _means(pair, lo, hi, tol / 4.0)
+        mean_f, mean_g, quad_err = means
+        vacuous = False
+        if bound == "midpoint":
+            if mid is None:
+                m = 0.5 * (phi.image_a + phi.image_b)
+                mid = pair.f.evaluate(m), pair.g.evaluate(m)
+            vf, vg = mid
+            c = h.midpoint_coefficient
+            lhs = abs(mean_f - c * vf)
+            rhs = mean_g - c * vg
+        else:
+            if ends is None:
+                ends = (
+                    pair.f.evaluate(phi.image_a) + pair.f.evaluate(phi.image_b),
+                    pair.g.evaluate(phi.image_a) + pair.g.evaluate(phi.image_b),
+                )
+            vf, vg = ends
+            if math.isinf(h.integral):
+                # an endpoint sum of exactly zero kills the divergent term
+                lhs = math.inf if vf != 0.0 else abs(0.0 - mean_f)
+                rhs = math.copysign(math.inf, vg) if vg != 0.0 else 0.0 - mean_g
+                vacuous = rhs == math.inf
+            else:
+                lhs = abs(vf * h.integral - mean_f)
+                rhs = vg * h.integral - mean_g
+                quad_err = quad_err + h.integral_error * (abs(vf) + abs(vg))
+
+        warnings = []
+        if vf < 0.0:
+            warnings.append(NEG_VALUES_WARNING.format(role="f"))
+        if vg < 0.0:
+            warnings.append(NEG_VALUES_WARNING.format(role="g"))
+        if rhs < 0.0:
+            warnings.append(NEGATIVE_RHS_WARNING)
+        margin, holds = _holds(lhs, rhs, atol, rtol)
+        reports.append(
+            HHReport(
+                bound_kind=bound,
+                lhs=lhs,
+                rhs=rhs,
+                margin=margin,
+                holds=holds,
+                vacuous=vacuous,
+                quad_error=quad_err,
+                warnings=warnings,
+                inputs_echo=_echo(pair, h, phi),
+            )
+        )
+    return reports
+
+
 def hh_midpoint_report(
     pair: FunctionPair,
     h: Kernel,
@@ -107,62 +202,7 @@ def hh_midpoint_report(
     rtol: float = 1e-9,
 ) -> HHReport:
     """Check the midpoint-form bound; tol is the total quadrature budget."""
-    lo, hi = _image_bounds(phi)
-    mean_f, mean_g, quad_err = _means(pair, lo, hi, tol / 4.0)
-    m = 0.5 * (phi.image_a + phi.image_b)
-    c = h.midpoint_coefficient
-    fm = pair.f.evaluate(m)
-    gm = pair.g.evaluate(m)
-    lhs = abs(mean_f - c * fm)
-    rhs = mean_g - c * gm
-
-    warnings = []
-    if fm < 0.0:
-        warnings.append(NEG_VALUES_WARNING.format(role="f"))
-    if gm < 0.0:
-        warnings.append(NEG_VALUES_WARNING.format(role="g"))
-    if rhs < 0.0:
-        warnings.append(NEGATIVE_RHS_WARNING)
-    margin, holds = _holds(lhs, rhs, atol, rtol)
-    return HHReport(
-        bound_kind="midpoint",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=holds,
-        vacuous=False,
-        quad_error=quad_err,
-        warnings=warnings,
-        inputs_echo=_echo(pair, h, phi),
-    )
-
-
-def _check_custom_symmetry(h: Kernel, tol: float, atol: float, rtol: float) -> None:
-    # the endpoint weight is derived assuming integral h(t) == integral h(1-t);
-    # true for any integrable h, so a mismatch means the cached integral is bad
-    reflected = integrate_open01(lambda u: h.value(1.0 - u), tol)
-    fwd_div = math.isinf(h.integral)
-    ref_div = math.isinf(reflected.value)
-    if fwd_div and ref_div:
-        return
-    if fwd_div != ref_div:
-        raise ReportError(
-            "kernel-symmetry",
-            "kernel integral and its reflection disagree on divergence: "
-            f"{h.integral!r} vs {reflected.value!r}",
-        )
-    budget = (
-        h.integral_error
-        + reflected.error_estimate
-        + atol
-        + rtol * max(abs(h.integral), abs(reflected.value))
-    )
-    if abs(h.integral - reflected.value) > budget:
-        raise ReportError(
-            "kernel-symmetry",
-            f"kernel integral {h.integral!r} and reflected integral "
-            f"{reflected.value!r} differ beyond combined error {budget!r}",
-        )
+    return hh_bounds_report(pair, phi, [(h, "midpoint")], tol, atol, rtol)[0]
 
 
 def hh_endpoint_report(
@@ -174,45 +214,7 @@ def hh_endpoint_report(
     rtol: float = 1e-9,
 ) -> HHReport:
     """Check the endpoint-form bound; vacuous when the kernel integral diverges."""
-    lo, hi = _image_bounds(phi)
-    if h.kind == "custom":
-        _check_custom_symmetry(h, tol, atol, rtol)
-    mean_f, mean_g, quad_err = _means(pair, lo, hi, tol / 4.0)
-    sf = pair.f.evaluate(phi.image_a) + pair.f.evaluate(phi.image_b)
-    sg = pair.g.evaluate(phi.image_a) + pair.g.evaluate(phi.image_b)
-
-    warnings = []
-    if sf < 0.0:
-        warnings.append(NEG_VALUES_WARNING.format(role="f"))
-    if sg < 0.0:
-        warnings.append(NEG_VALUES_WARNING.format(role="g"))
-
-    if math.isinf(h.integral):
-        # an endpoint sum of exactly zero kills the divergent term (the
-        # weighted integrand is identically zero), otherwise the side is +inf
-        lhs = math.inf if sf > 0.0 else abs(0.0 - mean_f)
-        rhs = math.inf if sg > 0.0 else 0.0 - mean_g
-        vacuous = math.isinf(rhs)
-    else:
-        lhs = abs(sf * h.integral - mean_f)
-        rhs = sg * h.integral - mean_g
-        vacuous = False
-        quad_err = quad_err + h.integral_error * (abs(sf) + abs(sg))
-
-    if rhs < 0.0:
-        warnings.append(NEGATIVE_RHS_WARNING)
-    margin, holds = _holds(lhs, rhs, atol, rtol)
-    return HHReport(
-        bound_kind="endpoint",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=holds,
-        vacuous=vacuous,
-        quad_error=quad_err,
-        warnings=warnings,
-        inputs_echo=_echo(pair, h, phi),
-    )
+    return hh_bounds_report(pair, phi, [(h, "endpoint")], tol, atol, rtol)[0]
 
 
 _SPECIAL_KINDS = ("linear", "power", "reciprocal", "one")
@@ -240,21 +242,15 @@ def special_case_report(
     else:
         raise ValueError(f"unknown special case {which!r}")
 
-    entries = []
-    for kind in kinds:
-        k = make_kernel(kind, s=s if kind == "power" else None)
-        name = f"power(s={k.s!r})" if kind == "power" else kind
-        entries.append(
-            SpecialCaseEntry(
-                label=f"{name}/midpoint",
-                report=hh_midpoint_report(pair, k, phi, tol, atol, rtol),
-            )
-        )
-        if not k.divergent:
-            entries.append(
-                SpecialCaseEntry(
-                    label=f"{name}/endpoint",
-                    report=hh_endpoint_report(pair, k, phi, tol, atol, rtol),
-                )
-            )
-    return entries
+    labels = []
+
+    def jobs():  # kernels are built as the engine pulls them: earlier faults win
+        for kind in kinds:
+            k = make_kernel(kind, s=s if kind == "power" else None)
+            name = f"power(s={k.s!r})" if kind == "power" else kind
+            for bound in ("midpoint",) if k.divergent else ("midpoint", "endpoint"):
+                labels.append(f"{name}/{bound}")
+                yield k, bound
+
+    reports = hh_bounds_report(pair, phi, jobs(), tol, atol, rtol)
+    return [SpecialCaseEntry(label, r) for label, r in zip(labels, reports)]

@@ -155,6 +155,23 @@ class TestSubcommandResults:
         assert rep["vacuous"] is True and rep["holds"] is True
         assert code == 0
 
+    def test_verify_hh_divergent_kernel_negative_sums_fail(self, capsys):
+        code, doc = run_json(capsys, "verify-hh", "--f", "x-2", "--g", "x^2-3",
+                             "--interval", "0", "1", "--h", "1/t", "--bound", "endpoint")
+        rep = doc["result"]["reports"][0]
+        assert (rep["lhs"], rep["rhs"]) == ("inf", "-inf")
+        assert rep["holds"] is False and rep["vacuous"] is False
+        assert code == 1
+
+    @pytest.mark.parametrize("h", ["t^(-1.5)", "t^(-2)"])
+    def test_verify_hh_divergent_custom_kernel_is_vacuous(self, capsys, h):
+        code, doc = run_json(capsys, "verify-hh", *BASE, "--h-custom", h,
+                             "--bound", "endpoint")
+        rep = doc["result"]["reports"][0]
+        assert rep["rhs"] == "inf"
+        assert rep["vacuous"] is True and rep["holds"] is True
+        assert code == 0
+
     def test_special_case_reciprocal_is_midpoint_only(self, capsys):
         code, doc = run_json(capsys, "special-case", *BASE, "--which", "reciprocal")
         labels = [e["label"] for e in doc["result"]["entries"]]
@@ -228,6 +245,35 @@ class TestConfigFile:
         assert code == 2
         msg = json.loads(out)["error"]["message"]
         assert "line 1" in msg and "line 2" in msg
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestPinnedBoundEnvelopes:
+    """Bound envelopes byte for byte.  Products and the kernels t, 1 and 1/t
+    keep libm out of the bytes; power(s=0.5) adds only 2.0**-0.5."""
+
+    CASES = {
+        "verify_hh_both.json": ("verify-hh", "--f", "x*x", "--g", "2*x*x", "--interval",
+                                "0", "1", "--bound", "both"),
+        "verify_hh_both.txt": ("verify-hh", "--f", "x*x+1", "--g", "3*x*x+x+2",
+                               "--interval", "0", "2", "--h", "1", "--bound", "both",
+                               "--format", "text"),
+        "verify_hh_reciprocal_phi.json": ("verify-hh", "--f", "x*x+1", "--g", "2*x*x+3",
+                                          "--interval", "0", "1", "--phi", "0.75-0.5*x",
+                                          "--h", "1/t", "--bound", "both"),
+        "special_case_all.json": ("special-case", "--f", "x*x", "--g", "2*x*x",
+                                  "--interval", "0", "1", "--which", "all", "--s", "0.5"),
+        "verify_hh_degenerate_phi.json": ("verify-hh", "--f", "x*x", "--g", "2*x*x",
+                                          "--interval", "0", "1", "--phi", "0*x+0.5"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, capsys, name):
+        code, out = run(capsys, *self.CASES[name])
+        assert out == (GOLDEN / name).read_text()
+        assert code == (2 if "degenerate" in name else 0)
 
 
 class TestTextFormat:

@@ -9,6 +9,7 @@ frozen; the derivations use only freshman calculus on f = x^2, g = 2x^2:
     f(0)+f(1) = 1, g(0)+g(1) = 2
 """
 
+import json
 import math
 
 import pytest
@@ -20,11 +21,14 @@ from domcert.geometry import Interval, identity_map, make_affine
 from domcert.hadamard import (
     HHReport,
     ReportError,
+    hh_bounds_report,
     hh_endpoint_report,
     hh_midpoint_report,
     special_case_report,
 )
 from domcert.kernels import Kernel, make_kernel
+from domcert.quadrature import QuadratureError
+from domcert import cli
 
 UNIT = Interval(0.0, 1.0)
 IDENT = identity_map(UNIT)
@@ -118,6 +122,14 @@ class TestEndpointClosedForms:
         assert r.vacuous  # dominator sum is still positive
         assert r.holds
 
+    def test_divergent_kernel_with_negative_endpoint_sums(self):
+        # f(0)+f(1) = -3 and g(0)+g(1) = -5 against an infinite H: lhs is
+        # +inf and rhs is -inf, so the bound fails and says something
+        pair = FunctionPair(parse("x - 2"), parse("x^2 - 3"))
+        r = hh_endpoint_report(pair, make_kernel("reciprocal"), IDENT)
+        assert r.lhs == math.inf and r.rhs == -math.inf
+        assert not r.holds and not r.vacuous
+
 
 class TestReportMechanics:
     def test_degenerate_image_rejected(self):
@@ -165,6 +177,14 @@ class TestReportMechanics:
             hh_endpoint_report(PAIR, bad, IDENT)
         assert info.value.reason == "kernel-symmetry"
 
+    def test_custom_kernel_wrongly_cached_as_divergent_rejected(self):
+        # exp(t) integrates to e - 1; a cached +inf would make the report vacuous
+        bad = Kernel("custom", expr=parse("exp(t)"), half_value=math.exp(0.5),
+                     integral=math.inf)
+        with pytest.raises(ReportError) as info:
+            hh_endpoint_report(PAIR, bad, IDENT)
+        assert info.value.reason == "kernel-symmetry"
+
     def test_symmetric_custom_kernel_accepted_for_endpoint(self):
         k = make_kernel("custom", expr=parse("t*(1-t) + 0.25"))
         r = hh_endpoint_report(PAIR, k, IDENT)
@@ -172,6 +192,41 @@ class TestReportMechanics:
         assert _close(r.lhs, 1.0 / 12.0, tol=1e-8)
         assert _close(r.rhs, 1.0 / 6.0, tol=1e-8)
         assert r.holds
+
+
+def _wrong_integral_kernel() -> Kernel:
+    # exp(t) carrying e - 0.75 instead of its integral e - 1
+    return Kernel("custom", expr=parse("exp(t)"), half_value=math.exp(0.5),
+                  integral=math.e - 0.75, integral_error=1e-12)
+
+
+class TestFaultOrder:
+    """Which fault wins when the kernel and f are both bad."""
+
+    FAULTY = FunctionPair(parse("ln(x - 0.5)"), parse("2*x^2"))  # faults in quadrature
+
+    def test_endpoint_checks_the_kernel_integral_before_integrating(self):
+        with pytest.raises(ReportError) as info:
+            hh_endpoint_report(self.FAULTY, _wrong_integral_kernel(), IDENT)
+        assert info.value.reason == "kernel-symmetry"
+
+    def test_both_bounds_integrate_before_checking_the_kernel_integral(self):
+        bad = _wrong_integral_kernel()
+        with pytest.raises(QuadratureError):
+            hh_bounds_report(self.FAULTY, IDENT, [(bad, "midpoint"), (bad, "endpoint")])
+
+    def test_cli_both_bounds_report_the_quadrature_fault(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_kernel", lambda *a, **kw: _wrong_integral_kernel())
+        code = cli.main(["verify-hh", "--f", "ln(x - 0.5)", "--g", "2*x^2", "--interval",
+                         "0", "1", "--h-custom", "exp(t)", "--bound", "both"])
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert code == 2
+        assert message.startswith("integrand failed at x=")
+
+    def test_special_case_integrates_before_building_the_power_kernel(self):
+        # the linear reports run before the missing exponent is noticed
+        with pytest.raises(QuadratureError):
+            special_case_report(self.FAULTY, IDENT, which="all", s=None)
 
 
 class TestClassicalAgreement:
