@@ -258,7 +258,7 @@ def _build_kernel(ns, problems: list[str]):
         return None
     if ns.h_custom is not None:
         e = _parse_expr(ns.h_custom, "--h-custom", problems)
-        if e is None:
+        if e is None or not 0.0 < ns.quad_tol < math.inf:  # a bad tol is reported later
             return None
         try:
             return make_kernel("custom", expr=e, quad_tol=ns.quad_tol)
@@ -333,8 +333,8 @@ def _build_inputs(ns, needs_g: bool, needs_kernel: bool, problems: list[str]) ->
             )
     except ValueError as exc:
         problems.append(f"sampling plan: {exc}")
-    if not ns.quad_tol > 0.0:
-        problems.append(f"--quad-tol must be positive, got {ns.quad_tol!r}")
+    if not 0.0 < ns.quad_tol < math.inf:
+        problems.append(f"--quad-tol must be positive and finite, got {ns.quad_tol!r}")
     return built
 
 
@@ -446,20 +446,28 @@ def render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
+def _csv_writer(header: list[str]):
+    """(buffer, write): write adds one row to the buffer, floats as repr."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
+    return buf, lambda row: w.writerow([repr(c) if isinstance(c, float) else c for c in row])
+
+
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
+    buf, write = _csv_writer(header)
     for row in rows:
-        w.writerow([repr(c) if isinstance(c, float) else c for c in row])
+        write(row)
     return buf.getvalue()
 
 
-def render_csv(subcommand: str, result: dict, raw) -> str:
-    if subcommand == "check-convex":
-        return _csv_text(["x", "y", "t", "defect"], raw or [])
-    if subcommand == "check-dominated":
-        return _csv_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], raw or [])
+_SAMPLE_COLUMNS = {  # the check rows stream from the sweep
+    "check-convex": ["x", "y", "t", "defect"],
+    "check-dominated": ["x", "y", "t", "gap", "lhs_abs", "rhs"],
+}
+
+
+def render_csv(subcommand: str, result: dict) -> str:
     if subcommand == "equivalence":
         rows = []
         for name in ("dominance", "diff_convex", "sum_convex", "l_convex", "k_convex"):
@@ -512,20 +520,20 @@ def render_csv(subcommand: str, result: dict, raw) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(ns, built: _Inputs, want_rows: bool):
-    """Returns (result dict, exit code, raw per-sample rows for csv)."""
+def _dispatch(ns, built: _Inputs, emit):
+    """Returns (result dict, exit code); emit gets the sample rows of check-*."""
     f, g, kernel = built.f, built.g, built.kernel
     phi, interval, plan = built.phi, built.interval, built.plan
 
     if ns.subcommand == "check-convex":
-        rep = check_phi_h_convex(f, kernel, phi, interval, plan, collect_samples=want_rows)
-        return _check_report_dict(rep), (0 if rep.holds() else 1), rep.rows
+        rep = check_phi_h_convex(f, kernel, phi, interval, plan, emit)
+        return _check_report_dict(rep), (0 if rep.holds() else 1)
 
     pair = FunctionPair(f, g) if g is not None else None
 
     if ns.subcommand == "check-dominated":
-        rep = check_dominated(pair, kernel, phi, interval, plan, collect_samples=want_rows)
-        return _check_report_dict(rep), (0 if rep.holds() else 1), rep.rows
+        rep = check_dominated(pair, kernel, phi, interval, plan, emit)
+        return _check_report_dict(rep), (0 if rep.holds() else 1)
 
     if ns.subcommand == "equivalence":
         rep = equivalence_report(pair, kernel, phi, interval, plan)
@@ -538,14 +546,14 @@ def _dispatch(ns, built: _Inputs, want_rows: bool):
             "statement_holds": list(rep.statement_holds),
             "agreement": rep.agreement,
         }
-        return result, (0 if all(rep.statement_holds) else 1), None
+        return result, (0 if all(rep.statement_holds) else 1)
 
     if ns.subcommand == "verify-hh":
         bounds = ("midpoint", "endpoint") if ns.bound == "both" else (ns.bound,)
         jobs = [(kernel, bound) for bound in bounds]
         reports = hh_bounds_report(pair, phi, jobs, ns.quad_tol, ns.atol, ns.rtol)
         code = 0 if all(r.holds for r in reports) else 1
-        return {"reports": [_hh_report_dict(r) for r in reports]}, code, None
+        return {"reports": [_hh_report_dict(r) for r in reports]}, code
 
     if ns.subcommand == "special-case":
         entries = special_case_report(
@@ -557,7 +565,7 @@ def _dispatch(ns, built: _Inputs, want_rows: bool):
                 {"label": e.label, "report": _hh_report_dict(e.report)} for e in entries
             ]
         }
-        return result, code, None
+        return result, code
 
     # search
     records = search_violations(pair, kernel, phi, interval, plan, refine=ns.refine)
@@ -568,7 +576,7 @@ def _dispatch(ns, built: _Inputs, want_rows: bool):
     }
     if not records:
         result["note"] = "no violation found at this sampling density"
-    return result, (1 if records else 0), None
+    return result, (1 if records else 0)
 
 
 _NEEDS_G = ("check-dominated", "equivalence", "verify-hh", "special-case", "search")
@@ -621,13 +629,16 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         return _error_envelope(ns.subcommand, fmt, "invalid configuration", problems)
 
+    rows, emit = None, None
+    if fmt == "csv" and ns.subcommand in _SAMPLE_COLUMNS:
+        rows, emit = _csv_writer(_SAMPLE_COLUMNS[ns.subcommand])
     try:
-        result, code, raw_rows = _dispatch(ns, built, want_rows=(fmt == "csv"))
-    except DomcertError as exc:
+        result, code = _dispatch(ns, built, emit)
+    except DomcertError as exc:  # rows written before the fault are dropped
         return _error_envelope(ns.subcommand, fmt, str(exc), [])
 
     if fmt == "csv":
-        _emit(render_csv(ns.subcommand, result, raw_rows))
+        _emit(rows.getvalue() if rows is not None else render_csv(ns.subcommand, result))
         return code
     envelope = {
         "tool": TOOL,

@@ -30,9 +30,9 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomcertError
-from .expr import _EVAL_ENV, EvalError, Expr, _emit, _nonfinite, combine, constant
+from .expr import _EVAL_ENV, EvalError, Expr, Node, _emit, _nonfinite, combine, constant
 from .geometry import AffineMap, Interval
-from .kernels import Kernel, chebyshev_points
+from .kernels import Kernel, chebyshev_points, outside_error
 
 NEG_VALUES_WARNING = "{role} takes negative sampled values (codomain should be [0, inf))"
 WITHIN_TOL_WARNING = "worst sampled value is negative but within tolerance"
@@ -74,8 +74,8 @@ class SamplePlan:
             raise ValueError("random sample count must be at least 1")
         if not 0.0 < self.t_clamp < 0.5:
             raise ValueError(f"t_clamp must be in (0, 0.5), got {self.t_clamp!r}")
-        if self.atol < 0.0 or self.rtol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.atol < math.inf and 0.0 <= self.rtol < math.inf):
+            raise ValueError(f"tolerances must be finite, >= 0; got {self.atol!r}, {self.rtol!r}")
 
     @classmethod
     def grid(cls, n_x: int = 21, n_y: int = 21, n_t: int = 19, **kw) -> "SamplePlan":
@@ -101,7 +101,6 @@ class CheckReport:
     witness_lhs: float
     witness_rhs: float
     warnings: list[str] = field(default_factory=list)
-    rows: list | None = field(default=None, repr=False, compare=False)
 
     def holds(self) -> bool:
         return self.verdict == HOLDS
@@ -231,7 +230,8 @@ def _random_triples(plan: SamplePlan, interval: Interval) -> list[tuple[float, f
 
 # ---------------------------------------------------------------------------
 # The sweep engine writes one loop for the statements a check asks for,
-# with the expression bodies inlined, then compiles and runs it once.
+# with the bodies of f, g and the kernel h inlined (h with the checks of
+# Kernel.value), then compiles and runs it once.
 # Statements "u", "f", "g", "l", "k" are the defect of that function, with
 # l = g + f and k = g - f formed from the cached g and f values (the op
 # order of the trees decompose() builds); "gap" is defect_g - |defect_f|.
@@ -261,13 +261,14 @@ _SWEEP_ENV = {
     "NAN": math.nan,
     "_annotate": _annotate,
     "_nonfinite": _nonfinite,
+    "_outside": outside_error,
     "abs": abs,
     "min": min,
     "zip": zip,
 }
 
 
-def _sweep_source(roots: dict, stats: tuple[str, ...], grid: bool, rows: bool) -> str:
+def _sweep_source(roots: dict, kernel: Node, stats: tuple, grid: bool, rows: bool) -> str:
     """Source of _sweep: one pass reducing stats, roots mapping names to trees."""
     base = list(roots)  # "u" alone, or "f" then "g": the order of evaluation
     derived = [n for n in _DERIVED if n in stats]
@@ -292,6 +293,12 @@ def _sweep_source(roots: dict, stats: tuple[str, ...], grid: bool, rows: bool) -
             put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
                 f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t)")
 
+    def kernel_at(dst: str, t: str) -> list[str]:
+        return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
+                f"{dst} = {_emit(kernel, t)}",
+                f"if {dst} - {dst}: raise _nonfinite({t})",
+                f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
+
     def per_sample(depth: int, weighted: dict) -> None:
         for n in fns:
             evaluate(depth, n, "m", "p")
@@ -310,9 +317,9 @@ def _sweep_source(roots: dict, stats: tuple[str, ...], grid: bool, rows: bool) -
             put(depth, f"emit((x, y, t, {', '.join(row)}))")
 
     if grid:
-        put(0, "def _sweep(xs, ys, ts, pxs, pys, hv, emit):")
+        put(0, "def _sweep(xs, ys, ts, pxs, pys, emit):")
     else:
-        put(0, "def _sweep(triples, apply, hv, emit):")
+        put(0, "def _sweep(triples, apply, emit):")
     put(1, "x = y = t = None")
     for s in stats:
         put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s} = INF, (NAN, NAN, NAN), NAN, NAN")
@@ -326,10 +333,11 @@ def _sweep_source(roots: dict, stats: tuple[str, ...], grid: bool, rows: bool) -
                 evaluate(3, n, "_v", "p")
                 put(3, f"{n}_{a}.append({n}_v)")
         put(2, *(f"neg_{n} = min({n}_x) < 0.0 or min({n}_y) < 0.0" for n in fns))
-        put(2, "omts = [1.0 - tv for tv in ts]",
-            "hts = [hv(tv) for tv in ts]",
-            "h1ts = [hv(ov) for ov in omts]",
-            "tys = [[ov * py for ov in omts] for py in pys]")
+        put(2, "omts = [1.0 - tv for tv in ts]")
+        for hs, at in (("hts", "ts"), ("h1ts", "omts")):
+            put(2, f"{hs} = []", f"for tv in {at}:")
+            put(3, *kernel_at("h_v", "tv"), f"{hs}.append(h_v)")
+        put(2, "tys = [[ov * py for ov in omts] for py in pys]")
         put(2, *(f"h{n}_y = [[h1 * v for h1 in h1ts] for v in {n}_y]" for n in defects))
 
         def loop(depth: int, names: list[str], lists: list[str]) -> None:
@@ -348,15 +356,15 @@ def _sweep_source(roots: dict, stats: tuple[str, ...], grid: bool, rows: bool) -
     else:
         put(2, *(f"neg_{n} = False" for n in fns), "for x, y, t in triples:")
         put(3, "omt = 1.0 - t")
-        kernel = ("ht = hv(t)", "h1t = hv(omt)")
+        kernel_lines = kernel_at("ht", "t") + kernel_at("h1t", "omt")
         if len(base) == 2:  # the pair sweep read the kernel first
-            put(3, *kernel)
+            put(3, *kernel_lines)
         put(3, "px = apply(x)", "py = apply(y)")
         for n in fns:
             evaluate(3, n, "px", "px")
             evaluate(3, n, "py", "py")
         if len(base) == 1:  # the single-function sweep read it after u(px), u(py)
-            put(3, *kernel)
+            put(3, *kernel_lines)
         put(3, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in fns))
         put(3, "p = t * px + omt * py")
         per_sample(3, {n: f"ht * {n}px + h1t * {n}py" for n in defects})
@@ -391,19 +399,19 @@ def _plan_sweep(
     last statement, or (x, y, t, defect) for "u".
     """
     grid = plan.strategy == "grid"
-    env = dict(_SWEEP_ENV)
+    env = {**_SWEEP_ENV, "_nonpositive": h.nonpositive_error}
     roots = dict(zip("u" if len(fns) == 1 else "fg", (e.root for e in fns)))
-    source = _sweep_source(roots, stats, grid, emit is not None)
+    source = _sweep_source(roots, h.expr.root, stats, grid, emit is not None)
     exec(compile(source, "<sweep>", "exec"), env)
     if grid:
         xs, ys, ts = grid_axes(plan, interval)
         pxs = [phi.apply(v) for v in xs]
         pys = [phi.apply(v) for v in ys]
-        worst, neg, fails = env["_sweep"](xs, ys, ts, pxs, pys, h.value, emit)
+        worst, neg, fails = env["_sweep"](xs, ys, ts, pxs, pys, emit)
         samples = len(xs) * len(ys) * len(ts)
     else:
         triples = _random_triples(plan, interval)
-        worst, neg, fails = env["_sweep"](triples, phi.apply, h.value, emit)
+        worst, neg, fails = env["_sweep"](triples, phi.apply, emit)
         samples = len(triples)
     for n in _DERIVED:  # the sum sweep ran before the difference sweep
         if fails.get(n):
@@ -412,9 +420,7 @@ def _plan_sweep(
     return _SweepData(samples, worst, neg)
 
 
-def _finish_report(
-    data: _SweepData, stat: str, plan: SamplePlan, roles: tuple, rows: list | None = None
-) -> CheckReport:
+def _finish_report(data: _SweepData, stat: str, plan: SamplePlan, roles: tuple) -> CheckReport:
     worst, witness, lhs, rhs = data.worst[stat]
     warnings = [NEG_VALUES_WARNING.format(role=role) for role, n in roles if data.neg[n]]
     threshold = plan.atol + plan.rtol * max(abs(lhs), abs(rhs))
@@ -424,7 +430,7 @@ def _finish_report(
         verdict = HOLDS
         if worst < 0.0:
             warnings.append(WITHIN_TOL_WARNING)
-    return CheckReport(verdict, data.samples, worst, witness, lhs, rhs, warnings, rows=rows)
+    return CheckReport(verdict, data.samples, worst, witness, lhs, rhs, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +446,14 @@ def check_phi_h_convex(
     phi: AffineMap,
     interval: Interval,
     plan: SamplePlan,
-    collect_samples: bool = False,
+    emit=None,
 ) -> CheckReport:
-    """Sample the convexity defect of f; worst_gap is the minimum defect."""
-    rows = [] if collect_samples else None
-    emit = None if rows is None else rows.append
+    """Sample the convexity defect of f; worst_gap is the minimum defect.
+
+    emit, when given, gets the row (x, y, t, defect) of each sample.
+    """
     data = _plan_sweep((f,), ("u",), h, phi, interval, plan, emit)
-    return _finish_report(data, "u", plan, (("function", "u"),), rows)
+    return _finish_report(data, "u", plan, (("function", "u"),))
 
 
 def _require_dominator(gate: CheckReport) -> None:
@@ -463,16 +470,15 @@ def check_dominated(
     phi: AffineMap,
     interval: Interval,
     plan: SamplePlan,
-    collect_samples: bool = False,
+    emit=None,
 ) -> CheckReport:
     """Sample the dominance gap of (f, g); g must pass its own convexity check.
 
     Raises PreconditionError when the dominator g is itself refuted on the
     same plan, since the dominance statement presumes g in the class.  The
-    gate and the gap come from one pass.
+    gate and the gap come from one pass; emit, when given, gets the row
+    (x, y, t, gap, |defect_f|, defect_g) of each sample.
     """
-    rows = [] if collect_samples else None
-    emit = None if rows is None else rows.append
     try:
         data = _plan_sweep((pair.f, pair.g), ("g", "gap"), h, phi, interval, plan, emit)
     except DomcertError:
@@ -480,7 +486,7 @@ def check_dominated(
         _require_dominator(check_phi_h_convex(pair.g, h, phi, interval, plan))
         raise
     _require_dominator(_finish_report(data, "g", plan, ()))
-    return _finish_report(data, "gap", plan, _PAIR_ROLES, rows)
+    return _finish_report(data, "gap", plan, _PAIR_ROLES)
 
 
 def decompose(pair: FunctionPair) -> tuple[Expr, Expr]:

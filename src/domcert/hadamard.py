@@ -11,10 +11,10 @@ where mean(u) is the integral average of u over the image of phi.  Both
 right sides can only be trusted when g actually belongs to the kernel's
 convexity class; a negative right side therefore produces a warning, not
 an error.  The endpoint form needs no symmetric h (the integral of h(1-t)
-is H for every h); a custom kernel's cached H is re-checked against H
-recomputed from h(t).  When H diverges, a side with a nonzero endpoint sum
-is infinite with that sum's sign (lhs = +inf) and a zero sum leaves -mean;
-the report is vacuous, and cannot fail, only when rhs = +inf.
+is H for every h); c and H are fixed when the kernel is built.  When H
+diverges, a side with a nonzero endpoint sum is infinite with that sum's
+sign (lhs = +inf) and a zero sum leaves -mean; the report is vacuous, and
+cannot fail, only when rhs = +inf.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .convexity import FunctionPair
 from .errors import DomcertError
 from .geometry import AffineMap
 from .kernels import Kernel, make_kernel
-from .quadrature import integrate, integrate_open01
+from .quadrature import integrate
 
 NEGATIVE_RHS_WARNING = (
     "right side is negative: the dominator may violate its convexity precondition"
@@ -36,7 +36,7 @@ NEG_VALUES_WARNING = "{role} is negative at a probed point (codomain should be [
 
 
 class ReportError(DomcertError):
-    """reason is 'degenerate' or 'kernel-symmetry'."""
+    """reason is 'degenerate'."""
 
     def __init__(self, reason: str, message: str):
         self.reason = reason
@@ -102,23 +102,6 @@ def _holds(lhs: float, rhs: float, atol: float, rtol: float) -> tuple[float, boo
     return margin, margin >= -(atol + rtol * scale)
 
 
-def _check_custom_integral(h: Kernel, tol: float, atol: float, rtol: float) -> None:
-    # a Kernel built by hand can carry a wrong H; for one from make_kernel
-    # the same integrand and integrator give back the cached bits
-    recomputed = integrate_open01(h.expr.evaluate, tol)
-    cached, value = h.integral, recomputed.value
-    budget = (
-        h.integral_error + recomputed.error_estimate + atol + rtol * max(abs(cached), abs(value))
-    )
-    # when both diverge the difference is nan, which is agreement
-    if math.isinf(cached) != math.isinf(value) or abs(cached - value) > budget:
-        raise ReportError(
-            "kernel-symmetry",
-            f"cached kernel integral {cached!r} does not match the integral recomputed "
-            f"from h(t), {value!r} (combined error {budget!r})",
-        )
-
-
 def hh_bounds_report(
     pair: FunctionPair,
     phi: AffineMap,
@@ -131,15 +114,13 @@ def hh_bounds_report(
 
     f and g are integrated once for all jobs; jobs is consumed lazily after
     the image bounds are checked.  Each job raises its faults in the order
-    of a lone report: custom-kernel integral check (endpoint), means, f and
-    g at the midpoint or at the endpoints, each computed on first use.
+    of a lone report: means, then f and g at the midpoint or at the
+    endpoints, each computed on first use.
     """
     lo, hi = _image_bounds(phi)
     means = mid = ends = None
     reports = []
     for h, bound in jobs:
-        if bound == "endpoint" and h.kind == "custom":
-            _check_custom_integral(h, tol, atol, rtol)
         if means is None:
             means = _means(pair, lo, hi, tol / 4.0)
         mean_f, mean_g, quad_err = means

@@ -1,6 +1,7 @@
 """Weighting kernels h on the open unit interval.
 
-Built-in kinds and their cached constants:
+Every kernel carries its h as an expression in t.  Built-in kinds and
+their constants, fixed when the kernel is built:
 
     kind         h(t)    h(1/2)   1/(2 h(1/2))   integral over (0,1)
     linear       t       1/2      1              1/2
@@ -16,13 +17,11 @@ construction, and the integral is computed numerically (possibly +inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .errors import DomcertError
-from .expr import EvalError, Expr
+from .expr import EvalError, Expr, parse
 from .quadrature import QuadratureError, integrate_open01
-
-KINDS = ("linear", "power", "reciprocal", "one", "custom")
 
 PROBE_POINTS = 4097
 _probe_cache: list[float] | None = None
@@ -52,84 +51,78 @@ def _probe_grid() -> list[float]:
     return _probe_cache
 
 
+# kind -> (h(t), h(1/2), 1 / (2 h(1/2)), integral over (0, 1)) of the table above
+_BUILT_IN = {
+    "linear": lambda s: ("t", 0.5, 1.0, 0.5),
+    "power": lambda s: (f"t^{s!r}", 0.5 ** s, 2.0 ** (s - 1.0), 1.0 / (s + 1.0)),
+    "reciprocal": lambda s: ("1/t", 2.0, 0.25, math.inf),
+    "one": lambda s: ("1", 1.0, 0.5, 1.0),
+}
+
+
+def outside_error(t: float) -> EvalError:
+    return EvalError("domain", f"kernel argument {t!r} outside (0, 1)")
+
+
 @dataclass(frozen=True)
 class Kernel:
+    """h(t) = expr, with its constants fixed here: closed forms for the
+    built-in kinds, computed with quad_tol for a custom expression.  Raises
+    KernelError for an invalid kind, exponent or expression.
+    """
+
     kind: str
     s: float | None = None
     expr: Expr | None = None
-    half_value: float = 1.0
-    integral: float = 1.0
-    integral_error: float = 0.0
+    quad_tol: InitVar[float] = 1e-10
+    half_value: float = field(init=False)
+    midpoint_coefficient: float = field(init=False)  # 1 / (2 h(1/2))
+    integral: float = field(init=False)
+    integral_error: float = field(init=False)
+
+    def __post_init__(self, quad_tol: float) -> None:
+        if self.kind not in (*_BUILT_IN, "custom"):
+            raise KernelError("invalid", f"unknown kernel kind {self.kind!r}")
+        if self.kind != "power":
+            object.__setattr__(self, "s", None)
+        elif self.s is None or not (0.0 < self.s < 1.0):
+            raise KernelError("invalid", f"power kernel needs 0 < s < 1, got {self.s!r}")
+        if self.kind == "custom":
+            expr = self.expr
+            half, coefficient, integral, error = _custom_constants(expr, quad_tol)
+        else:
+            source, half, coefficient, integral = _BUILT_IN[self.kind](self.s)
+            expr, error = parse(source), 0.0
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "half_value", half)
+        object.__setattr__(self, "midpoint_coefficient", coefficient)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "integral_error", error)
 
     def value(self, t: float) -> float:
         """h(t) for t in the open unit interval; always positive."""
         if not 0.0 < t < 1.0:
-            raise EvalError("domain", f"kernel argument {t!r} outside (0, 1)")
-        if self.kind == "linear":
-            return t
-        if self.kind == "power":
-            return t ** self.s
-        if self.kind == "reciprocal":
-            return 1.0 / t
-        if self.kind == "one":
-            return 1.0
+            raise outside_error(t)
         v = self.expr.evaluate(t)
         if v <= 0.0:
-            raise KernelError(
-                "nonpositive", f"custom kernel {self.expr.source!r} is {v!r} at t={t!r}"
-            )
+            raise self.nonpositive_error(v, t)
         return v
 
-    @property
-    def midpoint_coefficient(self) -> float:
-        """1 / (2 h(1/2)), the weight on the midpoint value in the bounds."""
-        if self.kind == "linear":
-            return 1.0
-        if self.kind == "power":
-            return 2.0 ** (self.s - 1.0)
-        if self.kind == "reciprocal":
-            return 0.25
-        if self.kind == "one":
-            return 0.5
-        return 1.0 / (2.0 * self.half_value)
+    def nonpositive_error(self, v: float, t: float) -> KernelError:
+        return KernelError(
+            "nonpositive", f"{self.kind} kernel {self.expr.source!r} is {v!r} at t={t!r}"
+        )
 
     @property
     def divergent(self) -> bool:
         return math.isinf(self.integral)
 
     def describe(self) -> str:
-        if self.kind == "linear":
-            return "linear: h(t) = t"
-        if self.kind == "power":
-            return f"power: h(t) = t^{self.s!r}"
-        if self.kind == "reciprocal":
-            return "reciprocal: h(t) = 1/t"
-        if self.kind == "one":
-            return "one: h(t) = 1"
-        return f"custom: h(t) = {self.expr.source}"
+        return f"{self.kind}: h(t) = {self.expr.source}"
 
 
-def make_kernel(
-    kind: str,
-    s: float | None = None,
-    expr: Expr | None = None,
-    quad_tol: float = 1e-10,
-) -> Kernel:
-    """Construct a kernel; validates parameters and custom positivity."""
-    if kind not in KINDS:
-        raise KernelError("invalid", f"unknown kernel kind {kind!r}")
-
-    if kind == "linear":
-        return Kernel("linear", half_value=0.5, integral=0.5)
-    if kind == "one":
-        return Kernel("one", half_value=1.0, integral=1.0)
-    if kind == "reciprocal":
-        return Kernel("reciprocal", half_value=2.0, integral=math.inf)
-    if kind == "power":
-        if s is None or not (0.0 < s < 1.0):
-            raise KernelError("invalid", f"power kernel needs 0 < s < 1, got {s!r}")
-        return Kernel("power", s=s, half_value=0.5 ** s, integral=1.0 / (s + 1.0))
-
+def _custom_constants(expr: Expr | None, quad_tol: float) -> tuple[float, ...]:
+    """(h(1/2), 1 / (2 h(1/2)), integral, its error) of a custom kernel."""
     if expr is None:
         raise KernelError("invalid", "custom kernel needs an expression")
     if expr.var_name not in (None, "t"):
@@ -157,13 +150,18 @@ def make_kernel(
                 "domain", f"custom kernel {expr.source!r} fails inside (0,1): {exc}"
             ) from exc
         raise
-    return Kernel(
-        "custom",
-        expr=expr,
-        half_value=half,
-        integral=result.value,
-        integral_error=0.0 if math.isinf(result.value) else result.error_estimate,
-    )
+    error = 0.0 if math.isinf(result.value) else result.error_estimate
+    return half, 1.0 / (2.0 * half), result.value, error
+
+
+def make_kernel(
+    kind: str,
+    s: float | None = None,
+    expr: Expr | None = None,
+    quad_tol: float = 1e-10,
+) -> Kernel:
+    """Construct a kernel; s is read only by 'power', expr only by 'custom'."""
+    return Kernel(kind, s, expr, quad_tol)
 
 
 def kernel_value(k: Kernel, t: float) -> float:

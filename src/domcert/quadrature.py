@@ -6,10 +6,15 @@ adaptive driver always splits the panel with the largest estimate (ties go
 to the leftmost), so runs are deterministic.
 
 integrate_open01 handles integrands only defined on the open unit interval
-by integrating over [eps, 1-eps] for a fixed shrinking ladder of eps and
-extrapolating the tail; if the values keep growing (relative change above
-1% at the last refinement) the integral is reported as +inf.  Divergence
-is a value here, not an error.
+by integrating over [eps, 1-eps] for eps = 1e-2, 1e-4, ..., 1e-12.  If the
+last step changed the value by more than 1% the integral is reported as
++inf; otherwise the tail is extrapolated geometrically: with d the last
+two steps and rho = |d_last| / |d_prev| < 0.9, it adds d_last * rho /
+(1 - rho).  Divergence is a value here, not an error.  Known misreadings:
+a convergent t^-p with p above about 0.8 still changes by more than 1% at
+the last step and comes back +inf (t^-0.9, whose integral is 10, does), and
+an integrand that diverges slower than any power of eps can pass as
+convergent with a large error estimate.
 """
 
 from __future__ import annotations

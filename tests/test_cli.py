@@ -113,6 +113,38 @@ class TestValidationCollection:
                              "--h-custom", "t - 0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_atol_must_be_finite(self, capsys, value):
+        # either value once turned a violation into holds-on-samples, and
+        # lhs 1/12 > rhs 1/24 into holds=true
+        for argv in (("check-dominated", "--grid", "5", "5", "5"),
+                     ("verify-hh", "--bound", "midpoint")):
+            code, doc = run_json(capsys, *argv, "--f", "x^2", "--g", "0.5*x^2",
+                                 "--interval", "0", "1", "--atol", value)
+            assert code == 2
+            assert doc["error"]["problems"] == [
+                f"sampling plan: tolerances must be finite, >= 0; got {value}, 1e-09"
+            ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rtol_must_be_finite(self, capsys, value):
+        code, doc = run_json(capsys, "check-dominated", "--f", "x^2", "--g", "0.5*x^2",
+                             "--interval", "0", "1", "--grid", "5", "5", "5", "--rtol", value)
+        assert code == 2
+        assert doc["error"]["problems"] == [
+            f"sampling plan: tolerances must be finite, >= 0; got 1e-09, {value}"
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_quad_tol_must_be_finite_and_positive(self, capsys, value):
+        # with a custom kernel, nan once escaped as a ValueError traceback
+        code, doc = run_json(capsys, "verify-hh", *BASE, "--h-custom", "t",
+                             "--quad-tol", value)
+        assert code == 2
+        assert doc["error"]["problems"] == [
+            f"--quad-tol must be positive and finite, got {float(value)!r}"
+        ]
+
     def test_power_which_needs_s(self, capsys):
         code, doc = run_json(capsys, "special-case", *BASE, "--which", "power")
         assert code == 2
@@ -274,6 +306,28 @@ class TestPinnedBoundEnvelopes:
         code, out = run(capsys, *self.CASES[name])
         assert out == (GOLDEN / name).read_text()
         assert code == (2 if "degenerate" in name else 0)
+
+
+class TestPinnedCsvRows:
+    """Per-sample CSV rows byte for byte, and the bare error envelope when a
+    fault stops the pass after rows were already written."""
+
+    CASES = {
+        "check_convex_grid.csv": (1, ("check-convex", "--f", "x*x*x-x*x", "--interval", "0",
+                                      "1", "--grid", "3", "3", "4", "--h", "1/t")),
+        "check_dominated_random.csv": (0, ("check-dominated", "--f", "x*x-x", "--g",
+                                           "2*x*x+1", "--interval", "-1", "2", "--h", "1",
+                                           "--random", "12", "--seed", "7")),
+        "check_convex_csv_fault.json": (2, ("check-convex", "--f", "ln(x+0.9)", "--interval",
+                                            "-1", "1", "--random", "50", "--seed", "3")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, capsys, name):
+        want_code, argv = self.CASES[name]
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert out == (GOLDEN / name).read_text()
+        assert code == want_code
 
 
 class TestTextFormat:

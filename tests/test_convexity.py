@@ -177,15 +177,18 @@ class TestConvexityCheck:
 
     def test_rows_collected_on_request(self):
         plan = SamplePlan.grid(4, 4, 3)
-        rep = check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, plan, collect_samples=True)
-        assert rep.rows is not None
-        assert len(rep.rows) == rep.samples_checked
-        x, y, t, d = rep.rows[0]
+        rows = []
+        rep = check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, plan, emit=rows.append)
+        assert len(rows) == rep.samples_checked
+        x, y, t, d = rows[0]
         assert phi_h_defect(parse("x^2"), LINEAR, IDENT, x, y, t) == d
 
     def test_rows_not_collected_by_default(self):
-        rep = check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, SamplePlan.grid(4, 4, 3))
-        assert rep.rows is None
+        plan = SamplePlan.grid(4, 4, 3)
+        rep = check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, plan)
+        assert not hasattr(rep, "rows")
+        rows = []
+        assert rep == check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, plan, rows.append)
 
     def test_negative_codomain_warning(self):
         rep = check_phi_h_convex(
@@ -267,11 +270,12 @@ class TestDominatedCheck:
 
     def test_dominance_rows_shape(self):
         pair = FunctionPair(parse("x^2"), parse("2*x^2"))
+        rows = []
         rep = check_dominated(
-            pair, LINEAR, IDENT, UNIT, SamplePlan.grid(3, 3, 3), collect_samples=True
+            pair, LINEAR, IDENT, UNIT, SamplePlan.grid(3, 3, 3), emit=rows.append
         )
-        assert len(rep.rows) == rep.samples_checked
-        assert len(rep.rows[0]) == 6
+        assert len(rows) == rep.samples_checked
+        assert len(rows[0]) == 6
 
 
 class TestDecomposeCompose:

@@ -5,9 +5,11 @@ triple at a time through _defect_parts, cross-checked against phi_h_defect
 and dominance_gap; g + f and g - f are the trees combine() and decompose()
 build.  Every worst value, witness, side, warning and row must come out
 bit-identical (compared through repr), so a change in the op order of the
-inlined expression bodies or of the cached per-axis products fails here.
+inlined bodies of f, g and the kernel h, or of the cached per-axis products,
+fails here.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from domcert.convexity import (
@@ -30,7 +32,7 @@ from domcert.convexity import (
 )
 from domcert.expr import EvalError, combine, parse
 from domcert.geometry import Interval, identity_map, make_affine
-from domcert.kernels import make_kernel
+from domcert.kernels import KernelError, make_kernel
 
 KERNELS = [
     make_kernel("linear"),
@@ -38,7 +40,12 @@ KERNELS = [
     make_kernel("reciprocal"),
     make_kernel("one"),
     make_kernel("custom", expr=parse("1 + t^2")),
+    make_kernel("custom", expr=parse("exp(-t) + t^0.3")),
 ]
+# the loop inlines the kernel body; Kernel.value in the reference must agree
+POWER_KERNELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+    lambda s: make_kernel("power", s=s)
+)
 INTERVALS = [Interval(0.0, 1.0), Interval(-1.0, 2.0)]
 
 
@@ -89,7 +96,8 @@ def setups(draw):
             draw(st.integers(1, 40)), seed=draw(st.integers(0, 999)), atol=tol, rtol=tol
         )
     pair = FunctionPair(draw(EXPRS), draw(EXPRS))
-    return pair, draw(st.sampled_from(KERNELS)), phi, interval, plan
+    h = draw(st.one_of(st.sampled_from(KERNELS), POWER_KERNELS))
+    return pair, h, phi, interval, plan
 
 
 def _triples(plan, interval):
@@ -176,9 +184,10 @@ def test_convex_matches_scalar_reference(setup):
     except EvalError:
         _raises(lambda: check_phi_h_convex(pair.f, h, phi, interval, plan), EvalError)
         return
-    rep = check_phi_h_convex(pair.f, h, phi, interval, plan, collect_samples=True)
+    rows = []
+    rep = check_phi_h_convex(pair.f, h, phi, interval, plan, emit=rows.append)
     assert _fields(rep) == _report(samples, [("function", neg)], plan)
-    assert repr(rep.rows) == repr([(*xyt, d) for xyt, d, _, _ in samples])
+    assert repr(rows) == repr([(*xyt, d) for xyt, d, _, _ in samples])
 
 
 @SETTINGS
@@ -187,8 +196,11 @@ def test_dominated_matches_scalar_reference(setup):
     pair, h, phi, interval, plan = setup
     triples = _triples(plan, interval)
 
+    rows = []
+
     def run():
-        return check_dominated(pair, h, phi, interval, plan, collect_samples=True)
+        rows.clear()
+        return check_dominated(pair, h, phi, interval, plan, emit=rows.append)
 
     # g is checked first and its refutation outranks a fault of f
     try:
@@ -214,7 +226,7 @@ def test_dominated_matches_scalar_reference(setup):
         return
     rep = run()
     assert _fields(rep) == _report(samples, [("f", neg_f), ("g", neg_g)], plan)
-    assert repr(rep.rows) == repr([(*xyt, gap, a, dg) for xyt, gap, a, dg in samples])
+    assert repr(rows) == repr([(*xyt, gap, a, dg) for xyt, gap, a, dg in samples])
 
 
 @SETTINGS
@@ -242,3 +254,49 @@ def test_equivalence_matches_scalar_reference(setup):
     assert rep.statement_holds == (rep.dominance.holds(), convex, convex)
     assert rep.agreement == (rep.dominance.holds() == convex)
 
+
+
+# nonpositive for |t - c| < 1e-4 only, with c halfway between the
+# construction probes next to 1/2 (about 3.8e-4 apart)
+NEAR_ROOT = make_kernel("custom", expr=parse("(t-0.5001917)^2-1e-8"))
+UNIT = Interval(0.0, 1.0)
+
+
+def _first_kernel_fault(ts):
+    for i, t in enumerate(ts):
+        try:
+            NEAR_ROOT.value(t)
+        except KernelError as exc:
+            return i, str(exc)
+    raise AssertionError("the plan misses the nonpositive window")
+
+
+@pytest.mark.parametrize("plan", [SamplePlan.grid(1, 1, 20001), SamplePlan.random(20000, seed=1)])
+def test_kernel_fault_matches_kernel_value(plan):
+    if plan.strategy == "grid":
+        ts = grid_axes(plan, UNIT)[2]
+        order = ts + [1.0 - t for t in ts]  # every h(t), then every h(1-t)
+    else:
+        order = [v for _, _, t in _random_triples(plan, UNIT) for v in (t, 1.0 - t)]
+    _, want = _first_kernel_fault(order)
+    with pytest.raises(KernelError) as info:
+        check_phi_h_convex(parse("x*x"), NEAR_ROOT, identity_map(UNIT), UNIT, plan)
+    assert info.value.reason == "nonpositive"
+    assert str(info.value) == want
+
+
+def test_random_loops_read_the_kernel_where_they_did():
+    # at a sample where h and f both fault, the pair loop reports h (read
+    # first) and the single-function loop reports f (h read after f(px), f(py))
+    plan = SamplePlan.random(20000, seed=1)
+    triples = _random_triples(plan, UNIT)
+    i, want = _first_kernel_fault([v for _, _, t in triples for v in (t, 1.0 - t)])
+    f = parse(f"1/(x-({triples[i // 2][0]!r}))")  # division by zero at that x only
+    pair, ident = FunctionPair(f, parse("x^2")), identity_map(UNIT)
+    with pytest.raises(KernelError) as info:
+        equivalence_report(pair, NEAR_ROOT, ident, UNIT, plan)
+    assert str(info.value) == want
+    with pytest.raises(KernelError):
+        check_dominated(pair, NEAR_ROOT, ident, UNIT, plan)
+    with pytest.raises(EvalError, match="division by zero"):
+        check_phi_h_convex(f, NEAR_ROOT, ident, UNIT, plan)

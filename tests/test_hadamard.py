@@ -166,24 +166,22 @@ class TestReportMechanics:
         assert abs(a.lhs - b.lhs) <= 1e-12
         assert abs(a.rhs - b.rhs) <= 1e-12
 
-    def test_asymmetric_custom_kernel_rejected_for_endpoint(self):
-        # the endpoint form needs the h(t) ~ h(1-t) integral identity; a
-        # synthetic kernel carrying a wrong integral must be refused
-        expr = parse("exp(t)")
-        true_integral = math.e - 1.0
-        bad = Kernel("custom", expr=expr, half_value=math.exp(0.5),
-                     integral=true_integral + 0.25, integral_error=1e-12)
-        with pytest.raises(ReportError) as info:
-            hh_endpoint_report(PAIR, bad, IDENT)
-        assert info.value.reason == "kernel-symmetry"
+    def test_asymmetric_custom_kernel_endpoint_uses_its_integral(self):
+        # exp(t) is not symmetric about 1/2; H = e - 1 either way:
+        # lhs = |(0 + 1) H - 1/3|, rhs = (0 + 2) H - 2/3
+        r = hh_endpoint_report(PAIR, make_kernel("custom", expr=parse("exp(t)")), IDENT)
+        h = math.e - 1.0
+        assert _close(r.lhs, h - 1.0 / 3.0, tol=1e-8)
+        assert _close(r.rhs, 2.0 * h - 2.0 / 3.0, tol=1e-8)
+        assert r.holds and not r.vacuous
 
-    def test_custom_kernel_wrongly_cached_as_divergent_rejected(self):
-        # exp(t) integrates to e - 1; a cached +inf would make the report vacuous
-        bad = Kernel("custom", expr=parse("exp(t)"), half_value=math.exp(0.5),
-                     integral=math.inf)
-        with pytest.raises(ReportError) as info:
-            hh_endpoint_report(PAIR, bad, IDENT)
-        assert info.value.reason == "kernel-symmetry"
+    def test_convergent_custom_kernel_endpoint_is_not_vacuous(self):
+        # exp(t) integrates to e - 1; a kernel taken for divergent would
+        # make the report vacuous
+        k = Kernel("custom", expr=parse("exp(t)"))
+        assert not k.divergent
+        assert abs(k.integral - (math.e - 1.0)) <= max(k.integral_error, 1e-9)
+        assert not hh_endpoint_report(PAIR, k, IDENT).vacuous
 
     def test_symmetric_custom_kernel_accepted_for_endpoint(self):
         k = make_kernel("custom", expr=parse("t*(1-t) + 0.25"))
@@ -194,29 +192,17 @@ class TestReportMechanics:
         assert r.holds
 
 
-def _wrong_integral_kernel() -> Kernel:
-    # exp(t) carrying e - 0.75 instead of its integral e - 1
-    return Kernel("custom", expr=parse("exp(t)"), half_value=math.exp(0.5),
-                  integral=math.e - 0.75, integral_error=1e-12)
-
-
 class TestFaultOrder:
-    """Which fault wins when the kernel and f are both bad."""
+    """Which fault wins when f faults inside the quadrature."""
 
     FAULTY = FunctionPair(parse("ln(x - 0.5)"), parse("2*x^2"))  # faults in quadrature
 
-    def test_endpoint_checks_the_kernel_integral_before_integrating(self):
-        with pytest.raises(ReportError) as info:
-            hh_endpoint_report(self.FAULTY, _wrong_integral_kernel(), IDENT)
-        assert info.value.reason == "kernel-symmetry"
-
-    def test_both_bounds_integrate_before_checking_the_kernel_integral(self):
-        bad = _wrong_integral_kernel()
+    def test_both_bounds_report_the_quadrature_fault(self):
+        k = make_kernel("custom", expr=parse("exp(t)"))
         with pytest.raises(QuadratureError):
-            hh_bounds_report(self.FAULTY, IDENT, [(bad, "midpoint"), (bad, "endpoint")])
+            hh_bounds_report(self.FAULTY, IDENT, [(k, "midpoint"), (k, "endpoint")])
 
-    def test_cli_both_bounds_report_the_quadrature_fault(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "make_kernel", lambda *a, **kw: _wrong_integral_kernel())
+    def test_cli_both_bounds_report_the_quadrature_fault(self, capsys):
         code = cli.main(["verify-hh", "--f", "ln(x - 0.5)", "--g", "2*x^2", "--interval",
                          "0", "1", "--h-custom", "exp(t)", "--bound", "both"])
         message = json.loads(capsys.readouterr().out)["error"]["message"]

@@ -102,6 +102,17 @@ class TestValidation:
             make_kernel("custom", expr=parse("ln(t - 0.5)"))
         assert info.value.reason == "domain"
 
+    @pytest.mark.parametrize(
+        "constant", ["half_value", "midpoint_coefficient", "integral", "integral_error"]
+    )
+    def test_constants_cannot_be_passed_in(self, constant):
+        # a hand-set h(1/2) of 5.0 for h(t) = t once made the midpoint lhs
+        # 0.308 instead of 1/12
+        with pytest.raises(TypeError):
+            Kernel("custom", expr=parse("t"), **{constant: 5.0})
+        with pytest.raises(TypeError):
+            make_kernel("linear", **{constant: 5.0})
+
 
 class TestCustomKernels:
     def test_custom_t_matches_linear(self):
