@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import shlex
 import sys
 
@@ -32,6 +33,7 @@ from .convexity import (
     check_dominated,
     check_phi_h_convex,
     equivalence_report,
+    grid_axes,
 )
 from .errors import DomcertError
 from .expr import ParseError, parse
@@ -368,10 +370,6 @@ def _hh_report_dict(r) -> dict:
     }
 
 
-def _violation_dict(v) -> dict:
-    return {"x": v.x, "y": v.y, "t": v.t, "gap": v.gap, "lhs_abs": v.lhs_abs, "rhs": v.rhs}
-
-
 def _plan_dict(plan: SamplePlan) -> dict:
     base = {"strategy": plan.strategy}
     if plan.strategy == "grid":
@@ -446,25 +444,12 @@ def render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_writer(header: list[str]):
-    """(buffer, write): write adds one row to the buffer, floats as repr."""
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    return buf, lambda row: w.writerow([repr(c) if isinstance(c, float) else c for c in row])
-
-
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    buf, write = _csv_writer(header)
-    for row in rows:
-        write(row)
+    w.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in rows)
     return buf.getvalue()
-
-
-_SAMPLE_COLUMNS = {  # the check rows stream from the sweep
-    "check-convex": ["x", "y", "t", "defect"],
-    "check-dominated": ["x", "y", "t", "gap", "lhs_abs", "rhs"],
-}
 
 
 def render_csv(subcommand: str, result: dict) -> str:
@@ -484,35 +469,94 @@ def render_csv(subcommand: str, result: dict) -> str:
                 )
             )
         return _csv_text(["check", "verdict", "samples_checked", "worst_gap", "x", "y", "t"], rows)
-    if subcommand in ("verify-hh", "special-case"):
-        rows = []
-        if subcommand == "verify-hh":
-            labeled = [(r["bound_kind"], r) for r in result["reports"]]
-        else:
-            labeled = [(e["label"], e["report"]) for e in result["entries"]]
-        for label, r in labeled:
-            rows.append(
-                (
-                    label,
-                    r["bound_kind"],
-                    r["lhs"],
-                    r["rhs"],
-                    r["margin"],
-                    r["holds"],
-                    r["vacuous"],
-                    r["quad_error"],
-                )
-            )
-        return _csv_text(
-            ["label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error"],
-            rows,
-        )
-    # search
+    # verify-hh and special-case: one row per bound
+    if subcommand == "verify-hh":
+        labeled = [(r["bound_kind"], r) for r in result["reports"]]
+    else:
+        labeled = [(e["label"], e["report"]) for e in result["entries"]]
     rows = [
-        (v["x"], v["y"], v["t"], v["gap"], v["lhs_abs"], v["rhs"])
-        for v in result["violations"]
+        (label, r["bound_kind"], r["lhs"], r["rhs"], r["margin"], r["holds"], r["vacuous"],
+         r["quad_error"])
+        for label, r in labeled
     ]
-    return _csv_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], rows)
+    return _csv_text(
+        ["label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error"],
+        rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Sample rows (check-* CSV, search CSV and JSON): one %-format per row with
+# every float as its repr, the text csv and json.dumps write for a float.
+# A coordinate is looked up in a table of the grid axes' reprs first (empty
+# for a random plan).  Zeros stay out of the table: 0.0 and -0.0 are one
+# key but two reprs, and a refined point can be the other zero of an axis.
+# ---------------------------------------------------------------------------
+
+_GAP_HEADER = "x,y,t,gap,lhs_abs,rhs\n"
+_GAP_ROW = "%s,%s,%s,%r,%r,%r\n"
+_JSON_ROW = """      {
+        "x": %s,
+        "y": %s,
+        "t": %s,
+        "gap": %r,
+        "lhs_abs": %r,
+        "rhs": %r
+      }"""
+# inf and nan are the only float reprs with an "n", and no key of _JSON_ROW
+# has one; _sanitize writes them as strings
+_JSON_NONFINITE = re.compile(r": (-?inf|nan)\b")
+_NO_VIOLATIONS = '"violations": []'  # cannot occur unescaped inside a string
+
+
+def _reprs(values) -> dict:
+    return {v: repr(v) for v in values if v}
+
+
+def _coordinate_reprs(plan: SamplePlan, interval: Interval) -> dict:
+    if plan.strategy != "grid":
+        return {}
+    return _reprs(v for axis in grid_axes(plan, interval) for v in axis)
+
+
+def _check_rows(subcommand: str, reprs: dict):
+    """(buffer, emit): emit writes one sample row of check-* into the buffer."""
+    buf = io.StringIO()
+    put, get = buf.write, reprs.get
+    if subcommand == "check-convex":
+        put("x,y,t,defect\n")
+
+        def emit(row):
+            x, y, t, d = row
+            put("%s,%s,%s,%r\n" % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), d))
+    else:
+        put(_GAP_HEADER)
+
+        def emit(row):
+            x, y, t, gap, lhs, rhs = row
+            put(_GAP_ROW % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t),
+                            gap, lhs, rhs))
+    return buf, emit
+
+
+def _gap_lines(template: str, records, reprs: dict) -> list[str]:
+    get = reprs.get
+    return [
+        template % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), gap, lhs, rhs)
+        for x, y, t, gap, lhs, rhs in records
+    ]
+
+
+def _search_csv(records, reprs: dict) -> str:
+    return _GAP_HEADER + "".join(_gap_lines(_GAP_ROW, records, reprs))
+
+
+def _splice_violations(text: str, records, reprs: dict) -> str:
+    """The JSON envelope text with its empty violations list filled in."""
+    body = ",\n".join(_gap_lines(_JSON_ROW, records, reprs))
+    if "n" in body:
+        body = _JSON_NONFINITE.sub(r': "\1"', body)
+    return text.replace(_NO_VIOLATIONS, '"violations": [\n' + body + "\n    ]", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +611,10 @@ def _dispatch(ns, built: _Inputs, emit):
         }
         return result, code
 
-    # search
+    # search: main writes the records in the output format
     records = search_violations(pair, kernel, phi, interval, plan, refine=ns.refine)
     result = {
-        "violations": [_violation_dict(v) for v in records],
+        "violations": records,
         "count": len(records),
         "refined": bool(ns.refine),
     }
@@ -629,16 +673,28 @@ def main(argv: list[str] | None = None) -> int:
     if problems:
         return _error_envelope(ns.subcommand, fmt, "invalid configuration", problems)
 
-    rows, emit = None, None
-    if fmt == "csv" and ns.subcommand in _SAMPLE_COLUMNS:
-        rows, emit = _csv_writer(_SAMPLE_COLUMNS[ns.subcommand])
+    emit = None
+    if fmt == "csv" and ns.subcommand in ("check-convex", "check-dominated"):
+        rows, emit = _check_rows(ns.subcommand, _coordinate_reprs(built.plan, built.interval))
     try:
         result, code = _dispatch(ns, built, emit)
     except DomcertError as exc:  # rows written before the fault are dropped
         return _error_envelope(ns.subcommand, fmt, str(exc), [])
+    if emit is not None:
+        _emit(rows.getvalue())
+        return code
 
+    records = reprs = None
+    if ns.subcommand == "search":
+        records = result["violations"]
+        if fmt == "text":  # the walk takes each row as a dict
+            result["violations"] = [r._asdict() for r in records]
+        else:  # csv and json write each row with one %-format
+            result["violations"] = []
+            reprs = _coordinate_reprs(built.plan, built.interval)
     if fmt == "csv":
-        _emit(rows.getvalue() if rows is not None else render_csv(ns.subcommand, result))
+        _emit(_search_csv(records, reprs) if records is not None
+              else render_csv(ns.subcommand, result))
         return code
     envelope = {
         "tool": TOOL,
@@ -648,7 +704,11 @@ def main(argv: list[str] | None = None) -> int:
         "result": result,
         "exit_code": code,
     }
-    _emit(render_text(envelope) if fmt == "text" else render_json(envelope))
+    if fmt == "text":
+        _emit(render_text(envelope))
+    else:
+        text = render_json(envelope)
+        _emit(_splice_violations(text, records, reprs) if records else text)
     return code
 
 

@@ -45,6 +45,12 @@ class PreconditionError(DomcertError):
     pass
 
 
+def check_tolerances(atol: float, rtol: float) -> None:
+    """Raise ValueError unless atol and rtol are finite and >= 0."""
+    if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf):
+        raise ValueError(f"tolerances must be finite, >= 0; got {atol!r}, {rtol!r}")
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Where a check looks: a full grid or seeded uniform random triples.
@@ -74,8 +80,7 @@ class SamplePlan:
             raise ValueError("random sample count must be at least 1")
         if not 0.0 < self.t_clamp < 0.5:
             raise ValueError(f"t_clamp must be in (0, 0.5), got {self.t_clamp!r}")
-        if not (0.0 <= self.atol < math.inf and 0.0 <= self.rtol < math.inf):
-            raise ValueError(f"tolerances must be finite, >= 0; got {self.atol!r}, {self.rtol!r}")
+        check_tolerances(self.atol, self.rtol)
 
     @classmethod
     def grid(cls, n_x: int = 21, n_y: int = 21, n_t: int = 19, **kw) -> "SamplePlan":

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .convexity import FunctionPair
+from .convexity import FunctionPair, check_tolerances
 from .errors import DomcertError
 from .geometry import AffineMap
 from .kernels import Kernel, make_kernel
@@ -115,8 +115,12 @@ def hh_bounds_report(
     f and g are integrated once for all jobs; jobs is consumed lazily after
     the image bounds are checked.  Each job raises its faults in the order
     of a lone report: means, then f and g at the midpoint or at the
-    endpoints, each computed on first use.
+    endpoints, each computed on first use.  Raises ValueError for atol or
+    rtol not finite and >= 0 and for tol not finite and > 0.
     """
+    check_tolerances(atol, rtol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     lo, hi = _image_bounds(phi)
     means = mid = ends = None
     reports = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 from .errors import DomcertError
 from .expr import EvalError, Expr, parse
@@ -60,6 +61,12 @@ _BUILT_IN = {
 }
 
 
+@lru_cache(maxsize=256)
+def _built_in_expr(source: str) -> Expr:
+    """parse(source), once per source: an Expr is immutable, so kernels share it."""
+    return parse(source)
+
+
 def outside_error(t: float) -> EvalError:
     return EvalError("domain", f"kernel argument {t!r} outside (0, 1)")
 
@@ -92,7 +99,7 @@ class Kernel:
             half, coefficient, integral, error = _custom_constants(expr, quad_tol)
         else:
             source, half, coefficient, integral = _BUILT_IN[self.kind](self.s)
-            expr, error = parse(source), 0.0
+            expr, error = _built_in_expr(source), 0.0
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "half_value", half)
         object.__setattr__(self, "midpoint_coefficient", coefficient)

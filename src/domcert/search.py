@@ -3,15 +3,17 @@
 Sweeps a sample plan, keeps every triple whose gap is below the violation
 threshold, and optionally sharpens the ten worst samples with a clamped
 coordinate-descent (step-halving) refinement.  Rows stream from the
-sweep, so memory grows with the number of violations, not with the plan.
-Everything is deterministic for a fixed plan, including the random
-strategy via its seed.
+sweep, so memory grows with the number of violations, not with the plan;
+a kept row stays the plain tuple the sweep emitted until the sorted list
+is returned as ViolationRecord named tuples.  Everything is deterministic
+for a fixed plan, including the random strategy via its seed.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .convexity import FunctionPair, SamplePlan, _gap_parts, _plan_sweep, _violates
 from .geometry import AffineMap, Interval
@@ -20,10 +22,12 @@ from .kernels import Kernel
 REFINE_SEEDS = 10
 REFINE_ITERATIONS = 50
 _SEED_BUFFER = 4096  # rows held before trimming to the REFINE_SEEDS smallest
+_ORDER = itemgetter(3, 0, 1, 2)  # gap, then (x, y, t)
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
+    """A violating triple with its gap and the two sides |defect_f|, defect_g."""
+
     x: float
     y: float
     t: float
@@ -78,19 +82,16 @@ def search_violations(
     refine: bool = False,
 ) -> list[ViolationRecord]:
     """All sampled violations, sorted by gap then (x, y, t) ascending."""
-    found: dict[tuple[float, float, float], ViolationRecord] = {}
+    found: dict[tuple[float, float, float], tuple] = {}  # (x, y, t) -> row
     seeds: list[tuple] = []
-
-    def seed_key(row):
-        return row[3], row[0], row[1], row[2]
 
     def keep(row):
         if _violates(row[3], row[4], row[5], plan.atol, plan.rtol):
-            found[row[:3]] = ViolationRecord(*row)
+            found[row[:3]] = row
         if refine:
             seeds.append(row)
             if len(seeds) >= _SEED_BUFFER:
-                seeds[:] = heapq.nsmallest(REFINE_SEEDS, seeds, key=seed_key)
+                seeds[:] = heapq.nsmallest(REFINE_SEEDS, seeds, key=_ORDER)
 
     _plan_sweep((pair.f, pair.g), ("gap",), h, phi, interval, plan, keep)
 
@@ -98,7 +99,7 @@ def search_violations(
         def gap_fn(x, y, t):
             return _gap_parts(pair, h, phi, x, y, t)[0]
 
-        for sx, sy, st, _, _, _ in heapq.nsmallest(REFINE_SEEDS, seeds, key=seed_key):
+        for sx, sy, st, _, _, _ in heapq.nsmallest(REFINE_SEEDS, seeds, key=_ORDER):
             rx, ry, rt = _refine_seed(gap_fn, sx, sy, st, interval, plan.t_clamp)
             gap, lhs, rhs = _gap_parts(pair, h, phi, rx, ry, rt)
             if not _violates(gap, lhs, rhs, plan.atol, plan.rtol):
@@ -106,6 +107,6 @@ def search_violations(
             if (rx, ry, rt) != (sx, sy, st):
                 # the refined point replaces the seed it sharpened
                 found.pop((sx, sy, st), None)
-            found[(rx, ry, rt)] = ViolationRecord(rx, ry, rt, gap, lhs, rhs)
+            found[(rx, ry, rt)] = (rx, ry, rt, gap, lhs, rhs)
 
-    return sorted(found.values(), key=lambda r: (r.gap, r.x, r.y, r.t))
+    return list(map(ViolationRecord._make, sorted(found.values(), key=_ORDER)))

@@ -320,6 +320,9 @@ class TestPinnedCsvRows:
                                            "--random", "12", "--seed", "7")),
         "check_convex_csv_fault.json": (2, ("check-convex", "--f", "ln(x+0.9)", "--interval",
                                             "-1", "1", "--random", "50", "--seed", "3")),
+        # defects overflow to -inf (f finite): the rows print inf as csv does
+        "check_convex_nonfinite.csv": (0, ("check-convex", "--f=-1.7e308*x*x", "--h", "1",
+                                           "--interval", "-1", "1", "--grid", "3", "3", "3")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -328,6 +331,58 @@ class TestPinnedCsvRows:
         code, out = run(capsys, *argv, "--format", "csv")
         assert out == (GOLDEN / name).read_text()
         assert code == want_code
+
+
+_SEARCH = ("search", "--f", "2*x*x", "--g", "x*x", "--interval", "0", "1")
+_SEARCH_RANDOM = ("search", "--f", "x*x*x*x", "--g", "0.5*x*x", "--interval", "-1", "2",
+                  "--h", "1", "--random", "25", "--seed", "11")
+# the grid's x and y axes end at -0.0; refined rows also reach +0.0
+_SEARCH_NEGZERO = ("search", "--f", "x*x*x*x", "--g", "x*x", "--interval", "-1", "-0.0",
+                   "--grid", "3", "3", "3", "--refine")
+# |defect_f| = 1.7e308 and defect_g = -1.7e308 at x = -1, y = 1: the gap is -inf
+_SEARCH_NONFINITE = ("search", "--f", "1.7e308*x*x", "--g=-1.7e308*x*x", "--interval", "-1",
+                     "1", "--grid", "3", "3", "3")
+
+
+class TestPinnedSearchOutput:
+    """search in every format byte for byte: grid and random plans, with and
+    without --refine, an axis ending at -0.0 and a -inf gap."""
+
+    CASES = {
+        "search_grid.json": (1, (*_SEARCH, "--grid", "4", "4", "3")),
+        "search_grid.csv": (1, (*_SEARCH, "--grid", "4", "4", "3", "--format", "csv")),
+        "search_grid_refine.txt": (1, (*_SEARCH, "--grid", "3", "3", "3", "--refine",
+                                       "--format", "text")),
+        "search_random.txt": (1, (*_SEARCH_RANDOM, "--format", "text")),
+        "search_random_refine.json": (1, (*_SEARCH_RANDOM, "--refine")),
+        "search_random_refine.csv": (1, (*_SEARCH_RANDOM, "--refine", "--format", "csv")),
+        "search_negzero_refine.json": (1, _SEARCH_NEGZERO),
+        "search_negzero_refine.csv": (1, (*_SEARCH_NEGZERO, "--format", "csv")),
+        "search_nonfinite.json": (1, _SEARCH_NONFINITE),
+        "search_nonfinite.txt": (1, (*_SEARCH_NONFINITE, "--format", "text")),
+        "search_nonfinite.csv": (1, (*_SEARCH_NONFINITE, "--format", "csv")),
+        "search_clean.json": (0, ("search", "--f", "x*x", "--g", "2*x*x", "--interval", "0",
+                                  "1", "--grid", "3", "3", "3", "--refine")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, capsys, name):
+        want_code, argv = self.CASES[name]
+        code, out = run(capsys, *argv)
+        assert out == (GOLDEN / name).read_text()
+        assert code == want_code
+
+    def test_golden_zeros_keep_their_sign(self):
+        rows = list(csv.reader(io.StringIO((GOLDEN / "search_negzero_refine.csv").read_text())))
+        coordinates = {cell for row in rows[1:] for cell in row[:2]}
+        assert {"0.0", "-0.0"} <= coordinates
+
+    def test_json_goldens_validate(self):
+        # a violation's sides are finite (an infinite side makes the threshold
+        # inf or nan), but their difference can overflow: the gap may be "-inf"
+        for name in self.CASES:
+            if name.endswith(".json"):
+                jsonschema.validate(json.loads((GOLDEN / name).read_text()), SCHEMA)
 
 
 class TestTextFormat:

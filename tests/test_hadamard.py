@@ -192,6 +192,41 @@ class TestReportMechanics:
         assert r.holds
 
 
+class TestToleranceValidation:
+    """Library callers get the checks the CLI makes before any bound runs."""
+
+    @pytest.mark.parametrize("atol,rtol", [(math.inf, 1e-9), (math.nan, 1e-9), (-1e-9, 1e-9),
+                                           (1e-9, math.inf), (1e-9, math.nan), (1e-9, -1.0)])
+    def test_atol_rtol_must_be_finite_and_nonnegative(self, atol, rtol):
+        # atol=inf once made x^2 vs 0.5 x^2 hold with lhs 1/12 > rhs 1/24
+        pair = FunctionPair(parse("x^2"), parse("0.5*x^2"))
+        with pytest.raises(ValueError, match=r"tolerances must be finite, >= 0; got "):
+            hh_midpoint_report(pair, make_kernel("linear"), IDENT, atol=atol, rtol=rtol)
+        with pytest.raises(ValueError, match=r"tolerances must be finite, >= 0; got "):
+            special_case_report(pair, IDENT, which="linear", atol=atol, rtol=rtol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match=r"tol must be positive and finite, got "):
+            hh_endpoint_report(PAIR, make_kernel("linear"), IDENT, tol=tol)
+        with pytest.raises(ValueError, match=r"tol must be positive and finite, got "):
+            hh_bounds_report(PAIR, IDENT, [], tol=tol)
+
+    def test_checked_before_the_image(self):
+        flat = make_affine(0.0, 0.5, UNIT)
+        with pytest.raises(ValueError):
+            hh_midpoint_report(PAIR, make_kernel("linear"), flat, atol=math.inf)
+
+    def test_the_message_is_the_sample_plans(self):
+        from domcert.convexity import SamplePlan
+
+        with pytest.raises(ValueError) as plan_error:
+            SamplePlan.grid(atol=math.inf)
+        with pytest.raises(ValueError) as report_error:
+            hh_midpoint_report(PAIR, make_kernel("linear"), IDENT, atol=math.inf)
+        assert str(report_error.value) == str(plan_error.value)
+
+
 class TestFaultOrder:
     """Which fault wins when f faults inside the quadrature."""
 

@@ -170,6 +170,20 @@ class TestDescribe:
     def test_power_mentions_exponent(self):
         assert "0.5" in make_kernel("power", s=0.5).describe()
 
+    @pytest.mark.parametrize("kind,s", [("linear", None), ("power", 0.37),
+                                        ("reciprocal", None), ("one", None)])
+    def test_built_in_source_parsed_once(self, kind, s):
+        first, second = make_kernel(kind, s=s), make_kernel(kind, s=s)
+        assert second.expr is first.expr
+        assert second == first
+        assert second.expr == parse(first.expr.source)
+
+    def test_power_sources_do_not_share_an_expression(self):
+        a, b = make_kernel("power", s=0.25), make_kernel("power", s=0.75)
+        assert a.describe() == "power: h(t) = t^0.25"
+        assert b.describe() == "power: h(t) = t^0.75"
+        assert a != b and a.value(0.5) != b.value(0.5)
+
     def test_kernel_is_frozen(self):
         k = make_kernel("linear")
         assert isinstance(k, Kernel)

@@ -50,6 +50,13 @@ class TestViolationRecords:
         with pytest.raises(Exception):
             r.gap = 0.0
 
+    def test_records_are_named_tuples(self):
+        r = ViolationRecord(0.0, 1.0, 0.5, -0.25, 0.5, 0.25)
+        assert r == (0.0, 1.0, 0.5, -0.25, 0.5, 0.25)
+        assert r._asdict() == {"x": 0.0, "y": 1.0, "t": 0.5, "gap": -0.25, "lhs_abs": 0.5,
+                               "rhs": 0.25}
+        assert list(r._asdict()) == ["x", "y", "t", "gap", "lhs_abs", "rhs"]
+
     def test_sides_stored_with_each_record(self):
         pair = FunctionPair(parse("2*x^2"), parse("x^2"))
         out = search_violations(pair, LINEAR, IDENT, UNIT, SamplePlan.grid(5, 5, 5))
