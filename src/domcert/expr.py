@@ -17,8 +17,17 @@ parse errors.
 
 Evaluation follows real-valued semantics: ``ln``/``sqrt`` of a negative
 number, division by zero, ``0^negative`` and a negative base with a
-non-integer exponent raise EvalError("domain"); a non-finite result
-raises EvalError("overflow").
+non-integer exponent raise EvalError("domain"); overflow in ``^`` or
+``exp``, ``sin``/``cos`` of an infinite value and a non-finite result
+raise EvalError("overflow").
+
+A tree compiles once to a Python function (Emitter).  An op is guarded
+only where an operand can make it fault: ``^`` with a constant exponent,
+``/`` by a nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
+``ln``/``sqrt`` call their fault helper only on the bad branch.  A subtree
+that occurs more than once is evaluated once per point, also across the
+trees of a sweep (f's tree inside g's).  The fully guarded form is kept as
+the reference the specialized one must match bit for bit.
 """
 
 from __future__ import annotations
@@ -257,8 +266,30 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: the tree is compiled once into a python lambda that calls
-# guard helpers for any op with a domain restriction.
+# Evaluation: a tree compiles to python source.  The guarded form calls a
+# helper for every op that can fault; it is the reference.  The specialized
+# form, the one every path runs, keeps a guard only where an operand can
+# fault:
+#
+#   L^c, c constant     inline ** (float ** and math.pow call the same C
+#                       pow); the helper only where the base can fault: a
+#                       zero base for c < 0, a base <= 0 for c not an
+#                       integer, and 0.0 (_g_pow's +0.0) for a zero base
+#                       when c is a positive integer
+#   L/c, c != 0         plain /; a leaf over any divisor calls the helper
+#                       only for a zero divisor
+#   ln, sqrt            the helper only on the bad branch
+#   exp, sin, cos       the math function itself
+#
+# An inline ** or exp raises OverflowError and sin or cos ValueError.  The
+# caller maps that exception to the EvalError the guarded op raises when
+# one op alone can raise it (Emitter.faults); otherwise it runs the guarded
+# form again, which faults at the same op.  A subtree evaluated more than
+# once at a point is bound to a variable where first evaluated and read
+# from it after: the same source is the same ops on the same constants, so
+# the bits are the same.  Every operand that can hold a shared subtree is
+# evaluated unconditionally, and operands run left to right as in the
+# guarded form, so the first fault is the same too.
 # ---------------------------------------------------------------------------
 
 
@@ -302,58 +333,214 @@ def _g_exp(a):
         raise EvalError("overflow", "overflow in exp") from None
 
 
+def _g_sin(a):
+    try:
+        return math.sin(a)
+    except ValueError:  # an infinite argument; nan passes through
+        raise EvalError("overflow", "sin of an infinite value") from None
+
+
+def _g_cos(a):
+    try:
+        return math.cos(a)
+    except ValueError:
+        raise EvalError("overflow", "cos of an infinite value") from None
+
+
+# op -> (exception its inline form raises, message of the guarded op's
+# fault); the helpers above spell their messages out, as the reference
+_INLINE = {
+    "^": (OverflowError, "overflow in '^'"),
+    "exp": (OverflowError, "overflow in exp"),
+    "sin": (ValueError, "sin of an infinite value"),
+    "cos": (ValueError, "cos of an infinite value"),
+}
+
 _EVAL_ENV = {
     "__builtins__": {},
-    "_div": _g_div,
-    "_pow": _g_pow,
-    "_ln": _g_ln,
-    "_sqrt": _g_sqrt,
-    "_exp": _g_exp,
+    "_g_div": _g_div,
+    "_g_pow": _g_pow,
+    "_g_ln": _g_ln,
+    "_g_sqrt": _g_sqrt,
+    "_g_exp": _g_exp,
+    "_g_sin": _g_sin,
+    "_g_cos": _g_cos,
     "_abs": abs,
+    "_exp": math.exp,
+    "_ln": math.log,
+    "_sqrt": math.sqrt,
     "_sin": math.sin,
     "_cos": math.cos,
 }
 
-_UNARY_HELPER = {
-    "abs": "_abs",
-    "exp": "_exp",
-    "ln": "_ln",
-    "sqrt": "_sqrt",
-    "sin": "_sin",
-    "cos": "_cos",
-}
+
+def _literal(value: float) -> str:
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
 
 
-def _emit(node: Node, var: str = "v") -> str:
-    """Python source for node with the free variable spelled var.
-
-    Sweep loops inline these bodies, so the same source (and so the same
-    floating-point ops in the same order) backs every evaluation path.
-    """
+def _guarded(node: Node, var: str = "v", keys: dict | None = None) -> str:
+    """Source for node with the free variable spelled var and every op that
+    can fault behind its helper; keys, when given, gets the source of each
+    non-leaf subtree by id."""
     if isinstance(node, Const):
-        literal = repr(node.value)
-        return f"({literal})" if literal.startswith("-") else literal
+        return _literal(node.value)
     if isinstance(node, Var):
         return var
     if isinstance(node, Unary):
-        inner = _emit(node.arg, var)
+        inner = _guarded(node.arg, var, keys)
         if node.op == "neg":
-            return f"(-{inner})"
-        return f"{_UNARY_HELPER[node.op]}({inner})"
-    left, right = _emit(node.left, var), _emit(node.right, var)
-    if node.op in "+-*":
-        return f"({left}{node.op}{right})"
-    if node.op == "/":
-        return f"_div({left},{right})"
-    return f"_pow({left},{right})"
+            text = f"(-{inner})"
+        elif node.op == "abs":
+            text = f"_abs({inner})"
+        else:
+            text = f"_g_{node.op}({inner})"
+    else:
+        left, right = _guarded(node.left, var, keys), _guarded(node.right, var, keys)
+        if node.op in "+-*":
+            text = f"({left}{node.op}{right})"
+        else:
+            text = f"_g_{'div' if node.op == '/' else 'pow'}({left},{right})"
+    if keys is not None:
+        keys[id(node)] = text
+    return text
+
+
+class Emitter:
+    """Specialized source for the trees roots, evaluated in that order at
+    each point, with every non-leaf subtree they evaluate more than once at
+    a point bound to a variable (prefix + index + the point's suffix).
+
+    faults maps each exception an inline op of the emitted source can raise
+    to the message of the guarded op's EvalError("overflow", ...), or to
+    None when two ops that raise it disagree.  Emitters passed the same
+    dict collect into it.  guarded=True emits the guarded form instead,
+    with nothing shared.
+    """
+
+    def __init__(self, roots, prefix: str = "_s", faults: dict | None = None,
+                 guarded: bool = False):
+        self.guarded = guarded
+        self.faults = {} if faults is None else faults
+        self._keys: dict[int, str] = {}  # id(node) -> guarded source
+        visits: dict[str, list[int]] = {}  # key -> roots evaluating it
+        for root in () if guarded else roots:
+            _guarded(root, keys=self._keys)
+        if len(set(self._keys.values())) == len(self._keys):
+            roots = ()  # no subtree occurs twice
+        for i, root in enumerate(roots):
+            stack = [root]  # in evaluation order: left operand first
+            while stack:
+                node = stack.pop()
+                key = self._keys.get(id(node))  # None for a leaf
+                if key is None:
+                    continue
+                if key in visits:  # read from its variable: nothing inside runs again
+                    visits[key].append(i)
+                elif isinstance(node, Unary):
+                    visits[key] = [i]
+                    stack.append(node.arg)
+                else:
+                    visits[key] = [i]
+                    stack += (node.right, node.left)
+        shared = [key for key, seen in visits.items() if len(seen) > 1]
+        self._names = {key: f"{prefix}{j}" for j, key in enumerate(shared)}
+        self._visits = {key: visits[key] for key in shared}
+
+    def name(self, node: Node) -> str | None:
+        """The name of node if it is a shared subtree."""
+        return self._names.get(self._keys.get(id(node)))
+
+    def carried(self) -> list[str]:
+        """Shared subtrees the first root evaluates and the second reads."""
+        return [self._names[key] for key, seen in self._visits.items()
+                if seen[0] == 0 and 1 in seen]
+
+    def point(self, var: str, suffix: str = "", bound: dict | None = None):
+        """emit(tree, dst=None): source of each tree in turn at the point var.
+
+        bound maps the names of shared subtrees whose value a variable
+        already holds at this point to that variable.  A shared tree
+        assigned to dst is read from dst after.
+        """
+        if self.guarded:
+            return lambda node, dst=None: _guarded(node, var)
+        seen = dict(bound or {})
+
+        def emit(node: Node, dst: str | None = None) -> str:
+            name = self.name(node)
+            if dst is None or name is None or name in seen:
+                return self._emit(node, var, suffix, seen)
+            seen[name] = dst
+            return self._op(node, var, suffix, seen)
+
+        return emit
+
+    def _emit(self, node: Node, var: str, suffix: str, seen: dict) -> str:
+        if isinstance(node, Const):
+            return _literal(node.value)
+        if isinstance(node, Var):
+            return var
+        name = self.name(node) if self._names else None
+        if name in seen:
+            return seen[name]
+        text = self._op(node, var, suffix, seen)
+        if name is None:
+            return text
+        seen[name] = name + suffix
+        return f"({name}{suffix}:={text})"
+
+    def _raises(self, op: str) -> None:
+        exc, message = _INLINE[op]
+        self.faults[exc] = message if self.faults.get(exc, message) == message else None
+
+    def _op(self, node: Node, var: str, suffix: str, seen: dict) -> str:
+        if isinstance(node, Unary):
+            op = node.op
+            inner = self._emit(node.arg, var, suffix, seen)
+            if op in ("ln", "sqrt"):
+                use, bind = _operand(node.arg, inner, "_a")
+                test = "> 0.0" if op == "ln" else ">= 0.0"
+                return f"(_{op}({use}) if {bind} {test} else _g_{op}({use}))"
+            if op == "neg":
+                return f"(-{inner})"
+            if op in _INLINE:
+                self._raises(op)
+            return f"_{op}({inner})"
+        op, left, right = node.op, node.left, node.right
+        left_text = self._emit(left, var, suffix, seen)
+        right_text = self._emit(right, var, suffix, seen)
+        if op == "^" and isinstance(right, Const) and right.value != 0.0:
+            c = right.value
+            use, bind = _operand(left, left_text, "_b")
+            self._raises("^")
+            if not c.is_integer():
+                return f"({use}**{right_text} if {bind} > 0.0 else _g_pow({use},{right_text}))"
+            zero = "0.0" if c > 0.0 else f"_g_pow({use},{right_text})"
+            return f"({use}**{right_text} if {bind} else {zero})"
+        if op == "/" and isinstance(right, Const) and right.value != 0.0:
+            return f"({left_text}/{right_text})"
+        if op == "/" and isinstance(left, (Const, Var)):
+            use, bind = _operand(right, right_text, "_d")
+            return f"({left_text}/{use} if {bind} else _g_div({left_text},{use}))"
+        if op in "+-*":
+            return f"({left_text}{op}{right_text})"
+        return f"_g_{'div' if op == '/' else 'pow'}({left_text},{right_text})"
+
+
+def _operand(node: Node, text: str, temp: str) -> tuple[str, str]:
+    """(text reading the operand, text evaluating it first): a constant or a
+    variable is read twice, anything else is bound to temp."""
+    if isinstance(node, Const) or text.isidentifier():
+        return text, text
+    return temp, f"({temp}:={text})"
 
 
 def _nonfinite(value: float) -> EvalError:
     return EvalError("overflow", f"non-finite result for input {value!r}")
 
 
-def _compile(root: Node):
-    body = _emit(root)
+def _compile(body: str):
     return eval(compile(f"lambda v: {body}", "<expr>", "eval"), _EVAL_ENV)
 
 
@@ -374,9 +561,8 @@ def _prec(node: Node) -> int:
 
 def _fmt(node: Node) -> str:
     if isinstance(node, Const):
-        text = repr(node.value)
-        # parenthesize so a negative constant survives any surrounding context
-        return f"({text})" if text.startswith("-") else text
+        # parenthesized when negative, so it survives any surrounding context
+        return _literal(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):
@@ -420,22 +606,38 @@ def to_source(node: Node) -> str:
 class Expr:
     """An immutable parsed expression in at most one free variable."""
 
-    __slots__ = ("root", "var_name", "source", "_fn")
+    __slots__ = ("root", "var_name", "source", "_fn", "_faults")
 
     def __init__(self, root: Node, var_name: str | None = None, source: str | None = None):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "var_name", var_name)
         object.__setattr__(self, "source", source if source is not None else to_source(root))
-        object.__setattr__(self, "_fn", _compile(root))
+        emitter = Emitter([root])
+        object.__setattr__(self, "_fn", _compile(emitter.point("v")(root)))
+        object.__setattr__(self, "_faults", emitter.faults)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
 
     def evaluate(self, value: float) -> float:
-        result = self._fn(value)
+        try:
+            result = self._fn(value)
+        except (OverflowError, ValueError) as exc:
+            raise self._fault(exc, value) from None
         if not math.isfinite(result):
             raise _nonfinite(value)
         return result
+
+    def _fault(self, exc: Exception, value: float) -> Exception:
+        """The EvalError of the inline op that raised exc at value."""
+        message = self._faults.get(type(exc))
+        if message is not None:
+            return EvalError("overflow", message)
+        try:  # two ops raise this exception: the guarded form names the one
+            _compile(_guarded(self.root))(value)
+        except EvalError as fault:
+            return fault
+        return exc
 
     __call__ = evaluate
 

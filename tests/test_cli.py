@@ -385,6 +385,95 @@ class TestPinnedSearchOutput:
                 jsonschema.validate(json.loads((GOLDEN / name).read_text()), SCHEMA)
 
 
+_F_SHARED = "0.7*(x-0.4)^2+0.2"
+_EXP_SHARED = "0.5*exp(1.2*x)+0.1"
+
+
+class TestPinnedGeneratedCode:
+    """Envelopes of the generated bodies byte for byte: overflow of '^' and
+    exp on the grid axes, in the random loop, in search --refine and in a
+    verify-hh integrand, and pairs whose g contains the tree of f."""
+
+    CASES = {
+        "fault_exp_grid.json": (2, ("check-dominated", "--f", "x^2", "--g", "exp(800*x)+x^2",
+                                    "--interval", "0", "1", "--grid", "3", "3", "3")),
+        "fault_pow_grid.json": (2, ("check-convex", "--f", "(2*x)^1030+x", "--interval", "0",
+                                    "1", "--grid", "5", "5", "3")),
+        "fault_exp_random.json": (2, ("equivalence", "--f", "x^2", "--g", "exp(720*x)+x^2",
+                                      "--interval", "0", "1", "--random", "200", "--seed", "5")),
+        "fault_pow_random.json": (2, ("check-convex", "--f", "(2*x)^1030+x", "--interval", "0",
+                                      "1", "--random", "2000", "--seed", "2")),
+        # the sampled points stay below the overflow; refinement steps onto x = 1
+        "fault_exp_refine.json": (2, ("search", "--f", "2*x^2+1e-310*exp(710*x)", "--g", "x^2",
+                                      "--interval", "0", "1", "--random", "10", "--seed", "4",
+                                      "--refine")),
+        "fault_pow_refine.json": (2, ("search", "--f", "2*x^2+1e-300*(2*x)^1030", "--g", "x^2",
+                                      "--interval", "0", "1", "--random", "10", "--seed", "4",
+                                      "--refine")),
+        "fault_exp_verify_hh.json": (2, ("verify-hh", "--f", "exp(710*x)", "--g",
+                                         "2*exp(710*x)", "--interval", "0", "1")),
+        "fault_pow_verify_hh.json": (2, ("verify-hh", "--f", "(2*x)^1030", "--g",
+                                         "2*(2*x)^1030", "--interval", "0", "1")),
+        "shared_dominated_grid.json": (1, ("check-dominated", "--f", _F_SHARED, "--g",
+                                           f"0.5*({_F_SHARED})", "--interval", "0", "1",
+                                           "--grid", "21", "21", "9")),
+        "shared_equivalence_random.json": (0, ("equivalence", "--f", _EXP_SHARED, "--g",
+                                               f"{_EXP_SHARED}+2*(x-0.3)^4", "--interval",
+                                               "-1", "2", "--h", "t^s", "--s", "0.5",
+                                               "--random", "500", "--seed", "3")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, capsys, name):
+        want_code, argv = self.CASES[name]
+        code, out = run(capsys, *argv)
+        assert out == (GOLDEN / name).read_text()
+        assert code == want_code
+
+
+class TestNonFiniteTrigArgument:
+    """sin and cos of an infinite argument are an overflow fault, reported
+    in the error envelope with exit code 2 on every path."""
+
+    @pytest.mark.parametrize("f, name", [
+        ("sin(1e308*x*10)", "sin"),
+        ("cos(1e308*x*10)", "cos"),
+        ("cos(x)+sin(1e308*x*10)", "sin"),  # both in one body
+    ])
+    def test_check_convex(self, capsys, f, name):
+        code, doc = run_json(capsys, "check-convex", "--f", f, "--interval", "0", "1",
+                             "--grid", "3", "3", "3")
+        assert code == 2
+        assert doc["error"]["message"] == (
+            f"{name} of an infinite value while checking sample (x=None, y=None, t=None)"
+        )
+
+    def test_search(self, capsys):
+        code, doc = run_json(capsys, "search", "--f", "sin(1e308*x*10)", "--g", "x^2",
+                             "--interval", "0", "1", "--grid", "3", "3", "3")
+        assert code == 2
+        assert doc["error"]["message"] == (
+            "sin of an infinite value while checking sample (x=None, y=None, t=None)"
+        )
+
+    def test_search_refine(self, capsys):
+        # the argument overflows above x = 0.9987, where no sample falls;
+        # refinement steps onto x = 1
+        code, doc = run_json(capsys, "search", "--f", "2*x^2+cos(1.7e308*x*(x+0.06))*0",
+                             "--g", "x^2", "--interval", "0", "1", "--random", "10",
+                             "--seed", "4", "--refine")
+        assert code == 2
+        assert doc["error"]["message"] == "cos of an infinite value"
+
+    def test_verify_hh(self, capsys):
+        code, doc = run_json(capsys, "verify-hh", "--f", "sin(1e308*x*10)", "--g", "x^2",
+                             "--interval", "0", "1")
+        assert code == 2
+        assert doc["error"]["message"] == (
+            "integrand failed at x=0.9957276855604063: sin of an infinite value"
+        )
+
+
 class TestTextFormat:
     def test_text_and_json_agree_to_twelve_digits(self, capsys):
         _, doc = run_json(capsys, "verify-hh", *BASE)

@@ -71,7 +71,23 @@ _LEAF = st.one_of(
     st.just("x"),
     st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: f"({c!r})"),
 )
-EXPRS = st.recursive(_LEAF, _wrap, max_leaves=5).map(parse)
+SOURCES = st.recursive(_LEAF, _wrap, max_leaves=5)  # each an atom: x, (c), (...) or fn(...)
+
+
+@st.composite
+def pairs(draw):
+    """Independent f and g, or g holding f's tree (c*(f), f + u), or a
+    subtree repeated inside f and read again in g."""
+    f, g = draw(SOURCES), draw(SOURCES)
+    shape = draw(st.sampled_from(["independent", "scaled", "plus", "repeated"]))
+    if shape == "scaled":
+        g = f"({draw(st.floats(-3.0, 3.0, allow_nan=False))!r})*{f}"
+    elif shape == "plus":
+        g = f"{f}+{g}"
+    elif shape == "repeated":
+        s = draw(SOURCES)
+        f, g = f"{s}*{f}+exp(-abs({s}))", f"{g}-{s}"
+    return FunctionPair(parse(f), parse(g))
 
 
 @st.composite
@@ -95,7 +111,7 @@ def setups(draw):
         plan = SamplePlan.random(
             draw(st.integers(1, 40)), seed=draw(st.integers(0, 999)), atol=tol, rtol=tol
         )
-    pair = FunctionPair(draw(EXPRS), draw(EXPRS))
+    pair = draw(pairs())
     h = draw(st.one_of(st.sampled_from(KERNELS), POWER_KERNELS))
     return pair, h, phi, interval, plan
 
@@ -300,3 +316,40 @@ def test_random_loops_read_the_kernel_where_they_did():
         check_dominated(pair, NEAR_ROOT, ident, UNIT, plan)
     with pytest.raises(EvalError, match="division by zero"):
         check_phi_h_convex(f, NEAR_ROOT, ident, UNIT, plan)
+
+
+# f's tree inside g (read there, not evaluated again) and a subtree repeated
+# inside one function: the first fault in evaluation order is still the one
+# reported, here a fault of g's own ln ahead of, or after, the shared subtree
+_SAMPLE_1 = "(x=0.13436424411240122, y=0.8474337369372327, t=0.7637740914273761)"
+_ON_AXIS = "(x=None, y=None, t=None)"
+
+
+@pytest.mark.parametrize(
+    "f, g, plan, message",
+    [
+        ("exp(x)+x", "ln(0.6-x)+(exp(x)+x)", SamplePlan.grid(3, 3, 3),
+         f"ln of a non-positive value while checking sample {_ON_AXIS}"),
+        ("exp(x)+x", "ln(0.6-x)+(exp(x)+x)", SamplePlan.random(50, seed=1),
+         f"ln of a non-positive value while checking sample {_SAMPLE_1}"),
+        ("exp(800*x)+x", "(exp(800*x)+x)+ln(0.6-x)", SamplePlan.grid(3, 3, 3),
+         f"overflow in exp while checking sample {_ON_AXIS}"),
+        ("exp(800*x)+x", "(exp(800*x)+x)+ln(0.6-x)", SamplePlan.random(50, seed=1),
+         f"ln of a non-positive value while checking sample {_SAMPLE_1}"),
+    ],
+)
+def test_fault_order_with_shared_subtrees(f, g, plan, message):
+    pair = FunctionPair(parse(f), parse(g))
+    with pytest.raises(EvalError) as info:
+        equivalence_report(pair, make_kernel("linear"), identity_map(UNIT), UNIT, plan)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("plan, where", [(SamplePlan.grid(2, 2, 3), _ON_AXIS),
+                                         (SamplePlan.random(50, seed=1), _SAMPLE_1)])
+def test_repeated_subtree_faults_after_an_earlier_op(plan, where):
+    # at x = 1 both ln and the repeated exp fault; ln comes first
+    f = parse("ln(0.6-x)+exp(1000*x)*exp(1000*x)")
+    with pytest.raises(EvalError) as info:
+        check_phi_h_convex(f, make_kernel("linear"), identity_map(UNIT), UNIT, plan)
+    assert str(info.value) == f"ln of a non-positive value while checking sample {where}"

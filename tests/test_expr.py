@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from domcert.expr import (
     Binary,
@@ -11,6 +11,9 @@ from domcert.expr import (
     ParseError,
     Unary,
     Var,
+    _compile,
+    _guarded,
+    _nonfinite,
     combine,
     constant,
     parse,
@@ -256,3 +259,97 @@ def test_round_trip_preserves_value(v):
     e = parse("(x - 1)*(x + 1) + x^3/4")
     again = parse(to_source(e.root))
     assert again.evaluate(v) == e.evaluate(v)
+
+
+# The specialized bodies every path runs against the guarded reference:
+# faulting trees, zero and -0.0 bases, odd, negative, fractional and large
+# constant exponents, constant divisors, and subtrees repeated in a tree.
+_SPECIAL_CONSTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-200, 1e200, 710.0, -1e308]
+_EXPONENTS = [1.0, 2.0, 3.0, 4.0, 5.0, 1001.0, 1e20, -1.0, -2.0, -3.0, 0.5, -0.5, 1.5, 0.0]
+_FUNCS = ["neg", "abs", "exp", "ln", "sqrt", "sin", "cos"]
+
+
+def _special_tree(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(_FUNCS), children).map(lambda a: Unary(*a)),
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda a: Binary(*a)),
+        st.tuples(children, st.sampled_from(_EXPONENTS)).map(
+            lambda a: Binary("^", a[0], Const(a[1]))
+        ),
+        st.tuples(children, st.sampled_from([2.0, -0.5, 3.0, 0.0, -0.0])).map(
+            lambda a: Binary("/", a[0], Const(a[1]))
+        ),
+        st.tuples(st.sampled_from("+-*/^"), children).map(lambda a: Binary(a[0], a[1], a[1])),
+        st.tuples(children, children).map(
+            lambda a: Binary("+", Binary("*", a[0], a[1]), Unary("exp", a[0]))
+        ),
+    )
+
+
+_SPECIAL_TREES = st.recursive(
+    st.one_of(st.sampled_from(_SPECIAL_CONSTS).map(Const), st.just(Var("x"))),
+    _special_tree,
+    max_leaves=8,
+)
+_SPECIAL_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-300, 1e300, -1e300, 710.0, math.inf, -math.inf,
+         math.nan]
+    ),
+    st.floats(),
+)
+
+
+def _outcome(fn, v):
+    try:
+        return repr(fn(v))
+    except EvalError as exc:
+        return exc.kind, str(exc)
+
+
+def _guarded_evaluate(root):
+    fn = _compile(_guarded(root))
+
+    def evaluate(v):
+        result = fn(v)
+        if not math.isfinite(result):
+            raise _nonfinite(v)
+        return result
+
+    return fn, evaluate
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_SPECIAL_TREES, st.lists(_SPECIAL_VALUES, min_size=1, max_size=4))
+def test_specialized_bodies_match_the_guarded_form(root, values):
+    special = Expr(root)
+    raw, evaluate = _guarded_evaluate(root)
+    for v in values:
+        assert _outcome(special.evaluate, v) == _outcome(evaluate, v)
+        try:  # the value before the finiteness check, inf and nan included
+            value = special._fn(v)
+        except (EvalError, OverflowError, ValueError):
+            continue
+        assert repr(value) == _outcome(raw, v)
+
+
+@pytest.mark.parametrize("source, v, message", [
+    ("x^3", 1e200, "overflow in '^'"),
+    ("exp(x)", 710.0, "overflow in exp"),
+    ("sin(x)", math.inf, "sin of an infinite value"),
+    ("cos(x)", -math.inf, "cos of an infinite value"),
+    # both raise OverflowError inline: the guarded form names the op
+    ("x^3 + exp(x)", 1e200, "overflow in '^'"),
+    ("x^3 + exp(x)", 710.0, "overflow in exp"),
+    ("exp(x) + x^3", 1e200, "overflow in exp"),
+    ("cos(x) + sin(x)", math.inf, "cos of an infinite value"),
+])
+def test_inline_faults_name_the_op(source, v, message):
+    with pytest.raises(EvalError) as info:
+        parse(source).evaluate(v)
+    assert (info.value.kind, str(info.value)) == ("overflow", message)
+
+
+def test_zero_base_keeps_positive_zero():
+    for source in ("x^3", "x^1001", "x^0.5"):
+        assert repr(parse(source).evaluate(-0.0)) == "0.0"
