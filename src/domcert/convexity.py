@@ -30,7 +30,10 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomcertError
-from .expr import _EVAL_ENV, Emitter, EvalError, Expr, Node, _nonfinite, combine, constant
+from .expr import (
+    _EVAL_ENV, EvalError, Expr, Node, _guarded, _nonfinite, _specialized, combine, constant,
+    copies,
+)
 from .geometry import AffineMap, Interval
 from .kernels import Kernel, chebyshev_points, outside_error
 
@@ -242,16 +245,18 @@ def _random_triples(plan: SamplePlan, interval: Interval) -> list[tuple[float, f
 # order of the trees decompose() builds); "gap" is defect_g - |defect_f|.
 # The loop keeps the op order of the scalar forms above and the evaluation
 # order of the separate sweeps it replaced, so reductions, witnesses, rows
-# and the fault reported first are unchanged.  A subtree f and g share is
-# evaluated once per point (expr.Emitter): at each sample, at px and py in
-# the random loop, and on the grid axes, where g's pass zips f's values.
+# and the fault reported first are unchanged.  Where g holds f's tree
+# (expr.copies), g reads f's value at the same point: at each sample, at px
+# and py in the random loop, and on the grid axes, where g's pass zips f's
+# values.  f ran first and gave a finite value, so its tree would give the
+# same bits there without a fault.
 # ---------------------------------------------------------------------------
 
 _DERIVED = {"l": "+", "k": "-"}
 
 
 class _Rerun(Exception):
-    """An inline op raised an exception more than one op of the sweep raises."""
+    """An inline op raised OverflowError or ValueError (args[0])."""
 
 
 def _sides(stat: str) -> tuple[str, str, str]:
@@ -287,31 +292,33 @@ def _sweep_source(
 ) -> str:
     """Source of _sweep: one pass reducing stats, roots mapping names to trees.
 
-    guarded=True writes the bodies in the guarded form, sharing nothing.
+    guarded=True writes the bodies in the guarded form, with g reading
+    nothing of f.
     """
     base = list(roots)  # "u" alone, or "f" then "g": the order of evaluation
     derived = [n for n in _DERIVED if n in stats]
     fns = base + derived
     defects = [n for n in fns if n in stats or (n in "fg" and "gap" in stats)]
-    bodies = Emitter(list(roots.values()), "_s", guarded=guarded)
-    kernel_body = Emitter([kernel], "_k", bodies.faults, guarded)
-    carried = bodies.carried()
-    f_name = bodies.name(roots["f"]) if len(base) == 2 else None
+    shared = copies(roots["g"], roots["f"]) if len(base) == 2 and not guarded else set()
     lines: list[str] = []
 
     def put(depth: int, *code: str) -> None:
         lines.extend("    " * depth + c for c in code)
 
-    def evaluate(depth: int, n: str, at: str, p: str, body) -> None:
-        """Value of n at the point p into the variable n + at; body emits
-        the trees at p.
+    def body(node: Node, p: str, reads: dict | None = None) -> str:
+        return _guarded(node, p) if guarded else _specialized(node, p, reads)
+
+    def evaluate(depth: int, n: str, at: str, p: str) -> None:
+        """Value of n at the point p into the variable n + at; g reads f's
+        value from f + at.
 
         v - v is 0.0 for finite v and nan (truthy) for inf or nan: the
         isfinite check of Expr.evaluate without a call.
         """
         dst = n + at
         if n in roots:
-            put(depth, f"{dst} = {body(roots[n], dst)}",
+            reads = dict.fromkeys(shared, "f" + at) if n == "g" else None
+            put(depth, f"{dst} = {body(roots[n], p, reads)}",
                 f"if {dst} - {dst}: raise _nonfinite({p})")
         else:  # a fault here is raised after the pass: these sweeps ran last
             put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
@@ -319,14 +326,13 @@ def _sweep_source(
 
     def kernel_at(dst: str, t: str) -> list[str]:
         return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
-                f"{dst} = {kernel_body.point(t, dst)(kernel)}",
+                f"{dst} = {body(kernel, t)}",
                 f"if {dst} - {dst}: raise _nonfinite({t})",
                 f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
 
     def per_sample(depth: int, weighted: dict) -> None:
-        at_p = bodies.point("p", "m")
         for n in fns:
-            evaluate(depth, n, "m", "p", at_p)
+            evaluate(depth, n, "m", "p")
         for n in fns:
             put(depth, f"if {n}m < 0.0: neg_{n} = True")
         for n in defects:
@@ -337,32 +343,30 @@ def _sweep_source(
             v, lhs, rhs = _sides(s)
             put(depth, f"if {v} <= w_{s} and ({v} < w_{s} or (x, y, t) < wit_{s}):",
                 f"    w_{s}, wit_{s}, wl_{s}, wr_{s} = {v}, (x, y, t), {lhs}, {rhs}")
-        if rows:  # a convexity row carries the defect alone
+        if rows:  # a convexity row carries the defect alone; emit's own
+            # OverflowError or ValueError reaches the caller as it is
             row = _sides(stats[-1]) if "gap" in stats else ("d_u",)
-            put(depth, f"emit((x, y, t, {', '.join(row)}))")
+            put(depth, "try:", f"    emit((x, y, t, {', '.join(row)}))",
+                "except (OverflowError, ValueError):", "    emitting = True", "    raise")
 
     if grid:
         put(0, "def _sweep(xs, ys, ts, pxs, pys, emit):")
     else:
         put(0, "def _sweep(triples, apply, emit):")
-    put(1, "x = y = t = None")
+    put(1, "x = y = t = None", *(["emitting = False"] if rows else []))
     for s in stats:
         put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s} = INF, (NAN, NAN, NAN), NAN, NAN")
     put(1, *(f"fail_{n} = None" for n in derived), "try:")
     if grid:
         for n in fns:  # each function over the x axis, then over the y axis
-            # f keeps the subtrees g shares with it, and g's pass reads them
-            reads = ["f", "g"] if n in _DERIVED else carried if n == "g" else []
-            keeps = [c for c in carried if c != f_name] if n == "f" else []
-            var = {c: "f" if c == f_name else c for c in reads}  # f's own tree is f_v
+            reads = "fg" if n in _DERIVED else "f" if n == "g" and shared else ""
             for a in "xy":
-                names = ", ".join(["p", *(f"{var[c]}_v" for c in reads)])
-                lists = ", ".join([f"p{a}s", *(f"{var[c]}_{a}" for c in reads)])
-                put(2, f"{n}_{a} = []", *(f"{c}_{a} = []" for c in keeps),
+                names = ", ".join(["p", *(f"{r}_v" for r in reads)])
+                lists = ", ".join([f"p{a}s", *(f"{r}_{a}" for r in reads)])
+                put(2, f"{n}_{a} = []",
                     f"for {names} in zip({lists}):" if reads else f"for p in p{a}s:")
-                at_v = bodies.point("p", "_v", {c: f"{var[c]}_v" for c in reads})
-                evaluate(3, n, "_v", "p", at_v)
-                put(3, f"{n}_{a}.append({n}_v)", *(f"{c}_{a}.append({c}_v)" for c in keeps))
+                evaluate(3, n, "_v", "p")
+                put(3, f"{n}_{a}.append({n}_v)")
         put(2, *(f"neg_{n} = min({n}_x) < 0.0 or min({n}_y) < 0.0" for n in fns))
         put(2, "omts = [1.0 - tv for tv in ts]")
         for hs, at in (("hts", "ts"), ("h1ts", "omts")):
@@ -391,20 +395,18 @@ def _sweep_source(
         if len(base) == 2:  # the pair sweep read the kernel first
             put(3, *kernel_lines)
         put(3, "px = apply(x)", "py = apply(y)")
-        at_px, at_py = bodies.point("px", "px"), bodies.point("py", "py")
         for n in fns:
-            evaluate(3, n, "px", "px", at_px)
-            evaluate(3, n, "py", "py", at_py)
+            evaluate(3, n, "px", "px")
+            evaluate(3, n, "py", "py")
         if len(base) == 1:  # the single-function sweep read it after u(px), u(py)
             put(3, *kernel_lines)
         put(3, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in fns))
         put(3, "p = t * px + omt * py")
         per_sample(3, {n: f"ht * {n}px + h1t * {n}py" for n in defects})
     put(1, "except EvalError as exc:", "    raise _annotate(exc, x, y, t) from exc")
-    for exc, message in bodies.faults.items():  # an inline op's own exception
-        fault = "_Rerun" if message is None else (
-            f"_annotate(EvalError('overflow', {message!r}), x, y, t)")
-        put(1, f"except {exc.__name__}:", f"    raise {fault} from None")
+    if not guarded:  # an inline op's: the guarded form names it
+        put(1, "except (OverflowError, ValueError) as exc:",
+            *(["    if emitting: raise"] if rows else []), "    raise _Rerun(exc) from None")
     put(1, "return {%s}, {%s}, {%s}" % (
         ", ".join(f"{s!r}: (w_{s}, wit_{s}, wl_{s}, wr_{s})" for s in stats),
         ", ".join(f"{n!r}: neg_{n}" for n in fns),
@@ -453,9 +455,9 @@ def _plan_sweep(
 
     try:
         worst, neg, fails = run(False, emit)
-    except _Rerun:
+    except _Rerun as rerun:
         run(True, None)  # faults at the same op and sample, and names the op
-        raise AssertionError("the guarded sweep passed the sample the inline one faulted at")
+        raise rerun.args[0] from None
     for n in _DERIVED:  # the sum sweep ran before the difference sweep
         if fails.get(n):
             p, x, y, t = fails[n]

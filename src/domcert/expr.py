@@ -21,13 +21,14 @@ non-integer exponent raise EvalError("domain"); overflow in ``^`` or
 ``exp``, ``sin``/``cos`` of an infinite value and a non-finite result
 raise EvalError("overflow").
 
-A tree compiles once to a Python function (Emitter).  An op is guarded
-only where an operand can make it fault: ``^`` with a constant exponent,
-``/`` by a nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
-``ln``/``sqrt`` call their fault helper only on the bad branch.  A subtree
-that occurs more than once is evaluated once per point, also across the
-trees of a sweep (f's tree inside g's).  The fully guarded form is kept as
-the reference the specialized one must match bit for bit.
+A tree compiles once to a Python function.  An op is guarded only where
+an operand can make it fault: ``^`` with a constant exponent, ``/`` by a
+nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
+``ln``/``sqrt`` call their fault helper only on the bad branch.  When an
+inline op raises, the fully guarded form runs again at that point and
+names the fault; it is also the reference the specialized form must match
+bit for bit.  A sweep over a pair whose g holds f's tree reads f's value
+there instead of computing it again (``copies``).
 """
 
 from __future__ import annotations
@@ -282,14 +283,8 @@ class _Parser:
 #   exp, sin, cos       the math function itself
 #
 # An inline ** or exp raises OverflowError and sin or cos ValueError.  The
-# caller maps that exception to the EvalError the guarded op raises when
-# one op alone can raise it (Emitter.faults); otherwise it runs the guarded
-# form again, which faults at the same op.  A subtree evaluated more than
-# once at a point is bound to a variable where first evaluated and read
-# from it after: the same source is the same ops on the same constants, so
-# the bits are the same.  Every operand that can hold a shared subtree is
-# evaluated unconditionally, and operands run left to right as in the
-# guarded form, so the first fault is the same too.
+# caller then runs the guarded form at the same point: it takes the same
+# values up to that op, faults there, and names it.
 # ---------------------------------------------------------------------------
 
 
@@ -347,15 +342,6 @@ def _g_cos(a):
         raise EvalError("overflow", "cos of an infinite value") from None
 
 
-# op -> (exception its inline form raises, message of the guarded op's
-# fault); the helpers above spell their messages out, as the reference
-_INLINE = {
-    "^": (OverflowError, "overflow in '^'"),
-    "exp": (OverflowError, "overflow in exp"),
-    "sin": (ValueError, "sin of an infinite value"),
-    "cos": (ValueError, "cos of an infinite value"),
-}
-
 _EVAL_ENV = {
     "__builtins__": {},
     "_g_div": _g_div,
@@ -406,126 +392,56 @@ def _guarded(node: Node, var: str = "v", keys: dict | None = None) -> str:
     return text
 
 
-class Emitter:
-    """Specialized source for the trees roots, evaluated in that order at
-    each point, with every non-leaf subtree they evaluate more than once at
-    a point bound to a variable (prefix + index + the point's suffix).
+def copies(root: Node, sub: Node) -> set[int]:
+    """ids of the subtrees of root that are sub's ops on sub's constants;
+    none for a leaf sub.  Compared by guarded source, which tells 0.0 from
+    -0.0 where dataclass equality does not: equal source, equal bits."""
+    if isinstance(sub, (Const, Var)):
+        return set()
+    keys: dict[int, str] = {}
+    _guarded(root, keys=keys)
+    key = _guarded(sub)
+    return {i for i, text in keys.items() if text == key}
 
-    faults maps each exception an inline op of the emitted source can raise
-    to the message of the guarded op's EvalError("overflow", ...), or to
-    None when two ops that raise it disagree.  Emitters passed the same
-    dict collect into it.  guarded=True emits the guarded form instead,
-    with nothing shared.
-    """
 
-    def __init__(self, roots, prefix: str = "_s", faults: dict | None = None,
-                 guarded: bool = False):
-        self.guarded = guarded
-        self.faults = {} if faults is None else faults
-        self._keys: dict[int, str] = {}  # id(node) -> guarded source
-        visits: dict[str, list[int]] = {}  # key -> roots evaluating it
-        for root in () if guarded else roots:
-            _guarded(root, keys=self._keys)
-        if len(set(self._keys.values())) == len(self._keys):
-            roots = ()  # no subtree occurs twice
-        for i, root in enumerate(roots):
-            stack = [root]  # in evaluation order: left operand first
-            while stack:
-                node = stack.pop()
-                key = self._keys.get(id(node))  # None for a leaf
-                if key is None:
-                    continue
-                if key in visits:  # read from its variable: nothing inside runs again
-                    visits[key].append(i)
-                elif isinstance(node, Unary):
-                    visits[key] = [i]
-                    stack.append(node.arg)
-                else:
-                    visits[key] = [i]
-                    stack += (node.right, node.left)
-        shared = [key for key, seen in visits.items() if len(seen) > 1]
-        self._names = {key: f"{prefix}{j}" for j, key in enumerate(shared)}
-        self._visits = {key: visits[key] for key in shared}
-
-    def name(self, node: Node) -> str | None:
-        """The name of node if it is a shared subtree."""
-        return self._names.get(self._keys.get(id(node)))
-
-    def carried(self) -> list[str]:
-        """Shared subtrees the first root evaluates and the second reads."""
-        return [self._names[key] for key, seen in self._visits.items()
-                if seen[0] == 0 and 1 in seen]
-
-    def point(self, var: str, suffix: str = "", bound: dict | None = None):
-        """emit(tree, dst=None): source of each tree in turn at the point var.
-
-        bound maps the names of shared subtrees whose value a variable
-        already holds at this point to that variable.  A shared tree
-        assigned to dst is read from dst after.
-        """
-        if self.guarded:
-            return lambda node, dst=None: _guarded(node, var)
-        seen = dict(bound or {})
-
-        def emit(node: Node, dst: str | None = None) -> str:
-            name = self.name(node)
-            if dst is None or name is None or name in seen:
-                return self._emit(node, var, suffix, seen)
-            seen[name] = dst
-            return self._op(node, var, suffix, seen)
-
-        return emit
-
-    def _emit(self, node: Node, var: str, suffix: str, seen: dict) -> str:
-        if isinstance(node, Const):
-            return _literal(node.value)
-        if isinstance(node, Var):
-            return var
-        name = self.name(node) if self._names else None
-        if name in seen:
-            return seen[name]
-        text = self._op(node, var, suffix, seen)
-        if name is None:
-            return text
-        seen[name] = name + suffix
-        return f"({name}{suffix}:={text})"
-
-    def _raises(self, op: str) -> None:
-        exc, message = _INLINE[op]
-        self.faults[exc] = message if self.faults.get(exc, message) == message else None
-
-    def _op(self, node: Node, var: str, suffix: str, seen: dict) -> str:
-        if isinstance(node, Unary):
-            op = node.op
-            inner = self._emit(node.arg, var, suffix, seen)
-            if op in ("ln", "sqrt"):
-                use, bind = _operand(node.arg, inner, "_a")
-                test = "> 0.0" if op == "ln" else ">= 0.0"
-                return f"(_{op}({use}) if {bind} {test} else _g_{op}({use}))"
-            if op == "neg":
-                return f"(-{inner})"
-            if op in _INLINE:
-                self._raises(op)
-            return f"_{op}({inner})"
-        op, left, right = node.op, node.left, node.right
-        left_text = self._emit(left, var, suffix, seen)
-        right_text = self._emit(right, var, suffix, seen)
-        if op == "^" and isinstance(right, Const) and right.value != 0.0:
-            c = right.value
-            use, bind = _operand(left, left_text, "_b")
-            self._raises("^")
-            if not c.is_integer():
-                return f"({use}**{right_text} if {bind} > 0.0 else _g_pow({use},{right_text}))"
-            zero = "0.0" if c > 0.0 else f"_g_pow({use},{right_text})"
-            return f"({use}**{right_text} if {bind} else {zero})"
-        if op == "/" and isinstance(right, Const) and right.value != 0.0:
-            return f"({left_text}/{right_text})"
-        if op == "/" and isinstance(left, (Const, Var)):
-            use, bind = _operand(right, right_text, "_d")
-            return f"({left_text}/{use} if {bind} else _g_div({left_text},{use}))"
-        if op in "+-*":
-            return f"({left_text}{op}{right_text})"
-        return f"_g_{'div' if op == '/' else 'pow'}({left_text},{right_text})"
+def _specialized(node: Node, var: str = "v", reads: dict | None = None) -> str:
+    """Source for node with the free variable spelled var and a guard only
+    where an operand can fault; reads maps id() of a subtree whose value a
+    variable already holds at this point to that variable."""
+    if isinstance(node, Const):
+        return _literal(node.value)
+    if isinstance(node, Var):
+        return var
+    if reads and id(node) in reads:
+        return reads[id(node)]
+    if isinstance(node, Unary):
+        op = node.op
+        inner = _specialized(node.arg, var, reads)
+        if op in ("ln", "sqrt"):
+            use, bind = _operand(node.arg, inner, "_a")
+            test = "> 0.0" if op == "ln" else ">= 0.0"
+            return f"(_{op}({use}) if {bind} {test} else _g_{op}({use}))"
+        if op == "neg":
+            return f"(-{inner})"
+        return f"_{op}({inner})"
+    op, left, right = node.op, node.left, node.right
+    left_text = _specialized(left, var, reads)
+    right_text = _specialized(right, var, reads)
+    if op == "^" and isinstance(right, Const) and right.value != 0.0:
+        c = right.value
+        use, bind = _operand(left, left_text, "_b")
+        if not c.is_integer():
+            return f"({use}**{right_text} if {bind} > 0.0 else _g_pow({use},{right_text}))"
+        zero = "0.0" if c > 0.0 else f"_g_pow({use},{right_text})"
+        return f"({use}**{right_text} if {bind} else {zero})"
+    if op == "/" and isinstance(right, Const) and right.value != 0.0:
+        return f"({left_text}/{right_text})"
+    if op == "/" and isinstance(left, (Const, Var)):
+        use, bind = _operand(right, right_text, "_d")
+        return f"({left_text}/{use} if {bind} else _g_div({left_text},{use}))"
+    if op in "+-*":
+        return f"({left_text}{op}{right_text})"
+    return f"_g_{'div' if op == '/' else 'pow'}({left_text},{right_text})"
 
 
 def _operand(node: Node, text: str, temp: str) -> tuple[str, str]:
@@ -606,15 +522,13 @@ def to_source(node: Node) -> str:
 class Expr:
     """An immutable parsed expression in at most one free variable."""
 
-    __slots__ = ("root", "var_name", "source", "_fn", "_faults")
+    __slots__ = ("root", "var_name", "source", "_fn")
 
     def __init__(self, root: Node, var_name: str | None = None, source: str | None = None):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "var_name", var_name)
         object.__setattr__(self, "source", source if source is not None else to_source(root))
-        emitter = Emitter([root])
-        object.__setattr__(self, "_fn", _compile(emitter.point("v")(root)))
-        object.__setattr__(self, "_faults", emitter.faults)
+        object.__setattr__(self, "_fn", _compile(_specialized(root)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -629,11 +543,9 @@ class Expr:
         return result
 
     def _fault(self, exc: Exception, value: float) -> Exception:
-        """The EvalError of the inline op that raised exc at value."""
-        message = self._faults.get(type(exc))
-        if message is not None:
-            return EvalError("overflow", message)
-        try:  # two ops raise this exception: the guarded form names the one
+        """The EvalError of the inline op that raised exc at value: the
+        guarded form faults at the same op and names it."""
+        try:
             _compile(_guarded(self.root))(value)
         except EvalError as fault:
             return fault

@@ -76,8 +76,8 @@ SOURCES = st.recursive(_LEAF, _wrap, max_leaves=5)  # each an atom: x, (c), (...
 
 @st.composite
 def pairs(draw):
-    """Independent f and g, or g holding f's tree (c*(f), f + u), or a
-    subtree repeated inside f and read again in g."""
+    """Independent f and g, g holding f's tree (c*(f), f + u, read from
+    f's value), or a subtree repeated inside f and again in g."""
     f, g = draw(SOURCES), draw(SOURCES)
     shape = draw(st.sampled_from(["independent", "scaled", "plus", "repeated"]))
     if shape == "scaled":
@@ -353,3 +353,32 @@ def test_repeated_subtree_faults_after_an_earlier_op(plan, where):
     with pytest.raises(EvalError) as info:
         check_phi_h_convex(f, make_kernel("linear"), identity_map(UNIT), UNIT, plan)
     assert str(info.value) == f"ln of a non-positive value while checking sample {where}"
+
+
+@pytest.mark.parametrize("error", [ValueError("row sink"), OverflowError("row sink")])
+@pytest.mark.parametrize("plan", [SamplePlan.grid(2, 2, 3), SamplePlan.random(20, seed=1)])
+def test_an_emit_error_reaches_the_caller_unchanged(error, plan):
+    # the bodies hold ops that raise ValueError (sin, cos) and OverflowError
+    # (^, exp) inline; the callback's own exception is not taken for theirs
+    def emit(row):
+        raise error
+
+    f = parse("x^2+sin(x)+cos(x)+exp(x)")
+    g = parse("3*(x^2+sin(x)+cos(x)+exp(x))")
+    linear, ident = make_kernel("linear"), identity_map(UNIT)
+    with pytest.raises(type(error)) as info:
+        check_phi_h_convex(f, linear, ident, UNIT, plan, emit=emit)
+    assert info.value is error
+    with pytest.raises(type(error)) as info:
+        check_dominated(FunctionPair(f, g), linear, ident, UNIT, plan, emit=emit)
+    assert info.value is error
+
+
+@pytest.mark.parametrize("plan", [SamplePlan.grid(2, 2, 3), SamplePlan.random(20, seed=1)])
+def test_g_reads_f_only_where_the_constants_match(plan):
+    # x*0.0 and x*(-0.0) are equal as dataclasses; on x > 0 they give 0.0
+    # and -0.0, and k = g - f keeps the sign: -0.0 - 0.0 is -0.0
+    pair = FunctionPair(parse("x*0.0"), parse("x*(-0.0)"))
+    half = Interval(0.5, 1.0)
+    rep = equivalence_report(pair, make_kernel("linear"), identity_map(half), half, plan)
+    assert repr(rep.k_convex.witness_lhs) == "-0.0"

@@ -16,6 +16,7 @@ from domcert.expr import (
     _nonfinite,
     combine,
     constant,
+    copies,
     parse,
     to_source,
 )
@@ -353,3 +354,12 @@ def test_inline_faults_name_the_op(source, v, message):
 def test_zero_base_keeps_positive_zero():
     for source in ("x^3", "x^1001", "x^0.5"):
         assert repr(parse(source).evaluate(-0.0)) == "0.0"
+
+
+def test_copies_finds_the_same_ops_on_the_same_constants():
+    f = parse("exp(x)*0.5").root
+    g = parse("2*(exp(x)*0.5) - ln(exp(x)*0.5 + 1)").root
+    assert len(copies(g, f)) == 2
+    assert copies(parse("exp(x)*(-0.5)").root, f) == set()
+    assert copies(parse("x*(-0.0)").root, parse("x*0.0").root) == set()
+    assert copies(g, parse("x").root) == set()  # a leaf is read, not shared
