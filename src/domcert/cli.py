@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=3,
         type=int,
         metavar=("NX", "NY", "NT"),
-        default=[21, 21, 19],
+        default=(21, 21, 19),
         help="grid sample counts for x, y, t (default 21 21 19)",
     )
     pl.add_argument(
@@ -649,14 +649,21 @@ def _error_envelope(subcommand: str, fmt: str, message: str, problems: list[str]
     return 2
 
 
+# main's parser, built on its first call and shared by every later one:
+# parsing never changes it (config lines are spliced into argv instead)
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _PARSER
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     sub = next((tok for tok in argv if not tok.startswith("-")), "")
     fmt = "json"
     try:
         effective = _apply_config(argv)
-        parser = build_parser()
-        ns = parser.parse_args(effective)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        ns = _PARSER.parse_args(effective)
     except _ArgvError as exc:
         return _error_envelope(sub, fmt, str(exc), [])
     fmt = ns.format

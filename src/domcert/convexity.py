@@ -227,13 +227,12 @@ def grid_axes(
 
 
 def _random_triples(plan: SamplePlan, interval: Interval) -> list[tuple[float, float, float]]:
-    rng = random.Random(plan.seed)
+    # rng.uniform(a, b) is a + (b - a) * rng.random(): the same draws, the same bits
+    r = random.Random(plan.seed).random
     a, b = interval.a, interval.b
     lo, hi = plan.t_clamp, 1.0 - plan.t_clamp
-    return [
-        (rng.uniform(a, b), rng.uniform(a, b), rng.uniform(lo, hi))
-        for _ in range(plan.count)
-    ]
+    w, tw = b - a, hi - lo
+    return [(a + w * r(), a + w * r(), lo + tw * r()) for _ in range(plan.count)]
 
 
 # ---------------------------------------------------------------------------

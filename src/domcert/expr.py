@@ -81,6 +81,17 @@ def _excerpt(source: str, offset: int, width: int = 40) -> str:
 class Const:
     value: float
 
+    # 0.0 and -0.0 are == as floats but evaluate apart (x*0.0 against x*-0.0)
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self.value == other.value and (
+            math.copysign(1.0, self.value) == math.copysign(1.0, other.value)
+        )
+
+    def __hash__(self):
+        return hash((self.value, math.copysign(1.0, self.value)))
+
 
 @dataclass(frozen=True)
 class Var:
@@ -394,8 +405,8 @@ def _guarded(node: Node, var: str = "v", keys: dict | None = None) -> str:
 
 def copies(root: Node, sub: Node) -> set[int]:
     """ids of the subtrees of root that are sub's ops on sub's constants;
-    none for a leaf sub.  Compared by guarded source, which tells 0.0 from
-    -0.0 where dataclass equality does not: equal source, equal bits."""
+    none for a leaf sub.  Compared by guarded source: equal source, equal
+    bits."""
     if isinstance(sub, (Const, Var)):
         return set()
     keys: dict[int, str] = {}

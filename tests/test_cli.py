@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import run_cli
+from domcert import cli
 from domcert.cli import main
 
 SCHEMA = json.loads(
@@ -81,6 +83,41 @@ class TestExitCodes:
         assert code == 0
         assert doc["result"]["count"] == 0
         assert "no violation" in doc["result"]["note"]
+
+
+class TestSharedParser:
+    """main builds its parser once per process and every request after the
+    first reuses it, malformed ones included, with a fresh process's bytes."""
+
+    def test_one_build_serves_every_request(self, capsys, monkeypatch, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("f = x^2\ng = 2*x^2\ninterval = 0 1\ngrid = 5 5 5\n")
+        requests = [
+            ("check-convex", "--f", "x^2", "--interval", "0", "1"),
+            ("verify-hh", *BASE, "--format", "text"),
+            ("special-case", *BASE, "--which", "all", "--s", "0.5"),
+            ("check-dominated", "--config", str(conf)),
+            ("search", *BAD, "--grid", "5", "5", "5", "--format", "csv"),
+            ("check-convex", "--f", "x^2", "--interval", "0", "1", "--wat", "7"),
+            ("verify-hh", *BASE, "--bound"),
+            ("verify-hh", *BASE, "--format", "yaml"),
+            (),
+            ("check-convex", "--f", "x^2", "--interval", "0", "1"),
+        ]
+        build, builds = cli.build_parser, []
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for args in requests:
+            assert run(capsys, *args) == run_cli(*args), args
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestValidationCollection:

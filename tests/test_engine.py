@@ -9,6 +9,8 @@ inlined bodies of f, g and the kernel h, or of the cached per-axis products,
 fails here.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -121,6 +123,28 @@ def _triples(plan, interval):
         return _random_triples(plan, interval)
     xs, ys, ts = grid_axes(plan, interval)
     return [(x, y, t) for x in xs for y in ys for t in ts]
+
+
+ENDPOINTS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    count=st.integers(1, 60),
+    ends=st.tuples(ENDPOINTS, ENDPOINTS).filter(lambda ab: ab[0] != ab[1]).map(sorted),
+    t_clamp=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+)
+def test_random_triples_are_uniform_draws(seed, count, ends, t_clamp):
+    # the reference the engine tests sample from, against random.uniform
+    plan = SamplePlan.random(count, seed=seed, t_clamp=t_clamp)
+    a, b = ends
+    rng = random.Random(seed)
+    want = [
+        (rng.uniform(a, b), rng.uniform(a, b), rng.uniform(t_clamp, 1.0 - t_clamp))
+        for _ in range(count)
+    ]
+    assert repr(_random_triples(plan, Interval(a, b))) == repr(want)
 
 
 def _defects(u, h, phi, triples):
@@ -376,8 +400,8 @@ def test_an_emit_error_reaches_the_caller_unchanged(error, plan):
 
 @pytest.mark.parametrize("plan", [SamplePlan.grid(2, 2, 3), SamplePlan.random(20, seed=1)])
 def test_g_reads_f_only_where_the_constants_match(plan):
-    # x*0.0 and x*(-0.0) are equal as dataclasses; on x > 0 they give 0.0
-    # and -0.0, and k = g - f keeps the sign: -0.0 - 0.0 is -0.0
+    # on x > 0, x*0.0 and x*(-0.0) give 0.0 and -0.0, and k = g - f keeps
+    # the sign: -0.0 - 0.0 is -0.0
     pair = FunctionPair(parse("x*0.0"), parse("x*(-0.0)"))
     half = Interval(0.5, 1.0)
     rep = equivalence_report(pair, make_kernel("linear"), identity_map(half), half, plan)

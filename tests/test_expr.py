@@ -186,6 +186,14 @@ class TestExprObject:
     def test_inequality(self):
         assert parse("x + 1") != parse("1 + x")
 
+    def test_signed_zero_constants_differ(self):
+        # they evaluate to 0.0 and -0.0, so they are not the same expression
+        pos, neg = parse("x*0.0"), parse("x*(-0.0)")
+        assert repr(pos(1.0)) == "0.0" and repr(neg(1.0)) == "-0.0"
+        assert pos != neg and hash(pos) != hash(neg)
+        assert pos == parse("x * 0") and hash(pos) == hash(parse("x * 0"))
+        assert Const(-0.0) == Const(-0.0) and Const(0.0) != Const(-0.0)
+
     def test_callable(self):
         assert parse("x^2")(4.0) == 16.0
 

@@ -122,6 +122,12 @@ class TestCustomKernels:
         value, err = kernel_integral(k)
         assert abs(value - 0.5) <= 1e-9
 
+    def test_signed_zero_constants_make_different_kernels(self):
+        pos = make_kernel("custom", expr=parse("1+0.0*t"))
+        neg = make_kernel("custom", expr=parse("1+(-0.0)*t"))
+        assert pos != neg
+        assert pos == make_kernel("custom", expr=parse("1 + 0.0*t"))
+
     def test_custom_parabola_integral_against_oracle(self):
         k = make_kernel("custom", expr=parse("t*(1-t) + 0.25"))
         value, err = kernel_integral(k)
