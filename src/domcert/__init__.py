@@ -23,11 +23,9 @@ from .convexity import (
     SamplePlan,
     check_dominated,
     check_phi_h_convex,
-    compose,
     decompose,
     dominance_gap,
     equivalence_report,
-    h_convex_defect,
     phi_h_defect,
 )
 from .errors import DomcertError
@@ -48,7 +46,7 @@ from .hadamard import (
     hh_midpoint_report,
     special_case_report,
 )
-from .kernels import Kernel, KernelError, kernel_integral, kernel_value, make_kernel
+from .kernels import Kernel, KernelError, make_kernel
 from .quadrature import QuadratureError, QuadResult, integrate, integrate_open01
 from .search import ViolationRecord, search_violations
 
@@ -77,19 +75,15 @@ __all__ = [
     "check_dominated",
     "check_phi_h_convex",
     "combine",
-    "compose",
     "constant",
     "decompose",
     "dominance_gap",
     "equivalence_report",
-    "h_convex_defect",
     "hh_endpoint_report",
     "hh_midpoint_report",
     "identity_map",
     "integrate",
     "integrate_open01",
-    "kernel_integral",
-    "kernel_value",
     "make_affine",
     "make_kernel",
     "parse",

@@ -13,8 +13,9 @@ is dominated exactly when every gap is nonnegative.
 Checks sample a finite plan (grid or seeded random triples) and certify
 only "holds on these samples": they can refute, never prove.  A value is
 a violation only when it is below -(atol + rtol * scale) with scale the
-larger magnitude of the two inequality sides at the witness; near-zero
-negatives inside that band are reported as warnings.
+larger magnitude of the two inequality sides at the witness, or when it
+is -inf, whatever that scale; near-zero negatives inside that band are
+reported as warnings.
 
 Each check is one pass over its plan: a generated loop evaluates f and g
 (or the one function) once per point and reduces every statement the
@@ -31,8 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomcertError
 from .expr import (
-    _EVAL_ENV, EvalError, Expr, Node, _guarded, _nonfinite, _specialized, combine, constant,
-    copies,
+    _EVAL_ENV, EvalError, Expr, Node, _guarded, _nonfinite, _specialized, combine, copies,
 )
 from .geometry import AffineMap, Interval
 from .kernels import Kernel, chebyshev_points, outside_error
@@ -145,15 +145,6 @@ def _defect_parts(ev, ht, h1t, t, omt, px, py, vpx, vpy):
     return rhs - lhs, lhs, rhs
 
 
-def h_convex_defect(f: Expr, h: Kernel, x: float, y: float, alpha: float) -> float:
-    """Defect of f at (x, y, alpha) with the identity map."""
-    omt = 1.0 - alpha
-    ev = f.evaluate
-    return _defect_parts(
-        ev, h.value(alpha), h.value(omt), alpha, omt, x, y, ev(x), ev(y)
-    )[0]
-
-
 def phi_h_defect(
     f: Expr, h: Kernel, phi: AffineMap, x: float, y: float, t: float
 ) -> float:
@@ -186,7 +177,9 @@ def dominance_gap(
 
 
 def _violates(gap: float, lhs: float, rhs: float, atol: float, rtol: float) -> bool:
-    return gap < -(atol + rtol * max(abs(lhs), abs(rhs)))
+    """gap is below -(atol + rtol * scale), or is -inf: an infinite side
+    makes that threshold inf, and no scale excuses a gap of -inf."""
+    return gap < -(atol + rtol * max(abs(lhs), abs(rhs))) or gap == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +460,7 @@ def _plan_sweep(
 def _finish_report(data: _SweepData, stat: str, plan: SamplePlan, roles: tuple) -> CheckReport:
     worst, witness, lhs, rhs = data.worst[stat]
     warnings = [NEG_VALUES_WARNING.format(role=role) for role, n in roles if data.neg[n]]
-    threshold = plan.atol + plan.rtol * max(abs(lhs), abs(rhs))
-    if worst < -threshold:
+    if _violates(worst, lhs, rhs, plan.atol, plan.rtol):
         verdict = VIOLATED
     else:
         verdict = HOLDS
@@ -538,14 +530,6 @@ def decompose(pair: FunctionPair) -> tuple[Expr, Expr]:
     l = combine("+", pair.g, pair.f)
     k = combine("-", pair.g, pair.f)
     return l, k
-
-
-def compose(l: Expr, k: Expr) -> FunctionPair:
-    """Inverse of decompose: f = (l - k)/2 and g = (l + k)/2 as trees."""
-    two = constant(2.0)
-    f = combine("/", combine("-", l, k), two)
-    g = combine("/", combine("+", l, k), two)
-    return FunctionPair(f, g)
 
 
 def equivalence_report(

@@ -544,6 +544,15 @@ class Expr:
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
 
+    @property
+    def raw(self):
+        """The compiled specialized body, without evaluate's fault naming
+        and finiteness check: an inline op raises OverflowError or
+        ValueError, a helper EvalError, and a non-finite value comes back
+        as it is.  Where it returns a finite value, evaluate returns the
+        same bits."""
+        return self._fn
+
     def evaluate(self, value: float) -> float:
         try:
             result = self._fn(value)

@@ -85,8 +85,8 @@ def _image_bounds(phi: AffineMap) -> tuple[float, float]:
 
 
 def _means(pair: FunctionPair, lo: float, hi: float, tol: float):
-    rf = integrate(pair.f.evaluate, lo, hi, tol)
-    rg = integrate(pair.g.evaluate, lo, hi, tol)
+    rf = integrate(pair.f, lo, hi, tol)
+    rg = integrate(pair.g, lo, hi, tol)
     width = hi - lo
     return rf.value / width, rg.value / width, (rf.error_estimate + rg.error_estimate) / width
 

@@ -12,6 +12,9 @@ their constants, fixed when the kernel is built:
 Custom kernels are arbitrary positive expressions in t; positivity and
 evaluability are spot-checked on a fixed 4097-point Chebyshev grid at
 construction, and the integral is computed numerically (possibly +inf).
+The probe is one compiled comprehension over the grid and one check of the
+whole list; the point-by-point loop runs only when that fails, and raises
+the error of the first bad point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 from .errors import DomcertError
-from .expr import EvalError, Expr, parse
+from .expr import _EVAL_ENV, EvalError, Expr, _specialized, parse
 from .quadrature import QuadratureError, integrate_open01
 
 PROBE_POINTS = 4097
@@ -136,6 +139,40 @@ def _custom_constants(expr: Expr | None, quad_tol: float) -> tuple[float, ...]:
         raise KernelError(
             "invalid", f"custom kernels use the variable t, got '{expr.var_name}'"
         )
+    _check_probe(expr)
+    half = expr.evaluate(0.5)
+    try:
+        result = integrate_open01(expr, quad_tol)
+    except QuadratureError as exc:
+        if exc.reason == "eval":
+            raise KernelError(
+                "domain", f"custom kernel {expr.source!r} fails inside (0,1): {exc}"
+            ) from exc
+        raise
+    error = 0.0 if math.isinf(result.value) else result.error_estimate
+    return half, 1.0 / (2.0 * half), result.value, error
+
+
+def _check_probe(expr: Expr) -> None:
+    """Raise KernelError unless expr is finite and positive at every probe
+    point.  One compiled comprehension evaluates the whole grid; only when
+    it faults, or its values are not all finite and positive, does the
+    pointwise loop run, to find the first bad point and name it."""
+    source = f"lambda ts: [{_specialized(expr.root)} for v in ts]"
+    try:
+        values = eval(compile(source, "<probe>", "eval"), _EVAL_ENV)(_probe_grid())
+    except (EvalError, ArithmeticError, ValueError):
+        values = None
+    if values is not None and min(values) > 0.0:
+        total = sum(values)  # inf or nan unless every value is finite (or it overflows)
+        if total - total == 0.0:
+            return
+    _check_probe_pointwise(expr)
+
+
+def _check_probe_pointwise(expr: Expr) -> None:
+    """The probe one point at a time: the first point that faults or is not
+    positive raises."""
     for t in _probe_grid():
         try:
             v = expr.evaluate(t)
@@ -148,17 +185,6 @@ def _custom_constants(expr: Expr | None, quad_tol: float) -> tuple[float, ...]:
                 "nonpositive",
                 f"custom kernel {expr.source!r} is {v!r} at t={t!r}; kernels must be positive",
             )
-    half = expr.evaluate(0.5)
-    try:
-        result = integrate_open01(expr.evaluate, quad_tol)
-    except QuadratureError as exc:
-        if exc.reason == "eval":
-            raise KernelError(
-                "domain", f"custom kernel {expr.source!r} fails inside (0,1): {exc}"
-            ) from exc
-        raise
-    error = 0.0 if math.isinf(result.value) else result.error_estimate
-    return half, 1.0 / (2.0 * half), result.value, error
 
 
 def make_kernel(
@@ -169,12 +195,3 @@ def make_kernel(
 ) -> Kernel:
     """Construct a kernel; s is read only by 'power', expr only by 'custom'."""
     return Kernel(kind, s, expr, quad_tol)
-
-
-def kernel_value(k: Kernel, t: float) -> float:
-    return k.value(t)
-
-
-def kernel_integral(k: Kernel) -> tuple[float, float]:
-    """(integral over (0,1), error estimate); the value may be +inf."""
-    return k.integral, k.integral_error

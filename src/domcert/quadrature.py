@@ -5,6 +5,14 @@ difference between the two rule values is the panel error estimate.  The
 adaptive driver always splits the panel with the largest estimate (ties go
 to the leftmost), so runs are deterministic.
 
+A panel is straight-line code calling the integrand's raw body (Expr.raw
+for an expression, else the callable itself) and checking once that both
+sums are finite.  A panel that raises EvalError, ArithmeticError or
+ValueError there, or ends with a sum that is not finite, is computed again
+by the looped form through _guarded, which names the fault and retries a
+fault at an end one nudge inside; a panel's bits do not depend on which
+pass computed it.
+
 integrate_open01 handles integrands only defined on the open unit interval
 by integrating over [eps, 1-eps] for eps = 1e-2, 1e-4, ..., 1e-12.  If the
 last step changed the value by more than 1% the integral is reported as
@@ -25,7 +33,7 @@ from heapq import heappush, heappop
 from typing import Callable
 
 from .errors import DomcertError
-from .expr import EvalError
+from .expr import EvalError, Expr
 
 
 class QuadratureError(DomcertError):
@@ -74,8 +82,12 @@ _WGK_CENTER = 2.0 - 2.0 * math.fsum(_WGK)
 _WG_CENTER = 2.0 - 2.0 * math.fsum(_WG)
 
 
-def _panel(fun, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod pass over [a, b]: (kronrod value, error estimate)."""
+def _looped_panel(fun, a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod pass over [a, b]: (kronrod value, error estimate).
+
+    The reference form, run through _guarded when the straight-line pass
+    below faults or ends with a non-finite sum.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     acc_k = 0.0
@@ -92,6 +104,40 @@ def _panel(fun, a: float, b: float) -> tuple[float, float]:
     acc_k += _WGK_CENTER * fc
     acc_g += _WG_CENTER * fc
     return h * acc_k, abs(h * (acc_k - acc_g))
+
+
+def _panel(fun, a: float, b: float) -> tuple[float, float] | None:
+    """_looped_panel in straight-line code with the nodes and weights as
+    literals, calling fun unguarded: the same calls, and the same sums in
+    the same order, so the same bits.  None when a sum is not finite (the
+    difference of the two sums is then inf or nan; it can also overflow on
+    its own, which costs only a rerun)."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    d = h * 0.9914553711208126
+    s0 = fun(c - d) + fun(c + d)
+    d = h * 0.9491079123427585
+    s1 = fun(c - d) + fun(c + d)
+    d = h * 0.8648644233597691
+    s2 = fun(c - d) + fun(c + d)
+    d = h * 0.7415311855993945
+    s3 = fun(c - d) + fun(c + d)
+    d = h * 0.5860872354676911
+    s4 = fun(c - d) + fun(c + d)
+    d = h * 0.4058451513773972
+    s5 = fun(c - d) + fun(c + d)
+    d = h * 0.20778495500789848
+    s6 = fun(c - d) + fun(c + d)
+    fc = fun(c)
+    k = (0.0 + 0.022935322010529224 * s0 + 0.06309209262997856 * s1
+         + 0.10479001032225017 * s2 + 0.14065325971552592 * s3
+         + 0.1690047266392679 * s4 + 0.19035057806478542 * s5
+         + 0.20443294007529889 * s6 + 0.20948214108472785 * fc)
+    e = k - (0.0 + 0.1294849661688697 * s1 + 0.27970539148927664 * s3
+             + 0.3818300505051189 * s5 + 0.4179591836734695 * fc)
+    if e - e == 0.0:
+        return h * k, abs(h * e)
+    return None
 
 
 def _guarded(fun: Callable[[float], float], a: float, b: float):
@@ -124,6 +170,7 @@ def integrate(
 ) -> QuadResult:
     """Adaptively integrate fun over [a, b] to the requested tolerance.
 
+    fun is a callable or an Expr, whose raw body the panels call.
     Returns a QuadResult whose error_estimate is the summed panel
     estimates.  Raises QuadratureError('budget') when the panel limit is
     reached first and QuadratureError('eval') when the integrand faults
@@ -133,9 +180,18 @@ def integrate(
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fn = _guarded(fun, a, b)
+    raw = fun.raw if isinstance(fun, Expr) else fun
 
-    value, err = _panel(fn, a, b)
+    def panel(pa: float, pb: float) -> tuple[float, float]:
+        try:
+            out = _panel(raw, pa, pb)
+        except (EvalError, ArithmeticError, ValueError):
+            out = None
+        if out is None:  # the guarded loop names the fault, or gives the same values
+            out = _looped_panel(_guarded(fun, a, b), pa, pb)
+        return out
+
+    value, err = panel(a, b)
     # heap entries: (-error, left, right, value, error); leftmost wins ties
     heap: list[tuple[float, float, float, float, float]] = []
     heappush(heap, (-err, a, b, value, err))
@@ -160,8 +216,8 @@ def integrate(
             frozen_err += pe
             total_err -= pe
             continue
-        lv, le = _panel(fn, pa, mid)
-        rv, re_ = _panel(fn, mid, pb)
+        lv, le = panel(pa, mid)
+        rv, re_ = panel(mid, pb)
         heappush(heap, (-le, pa, mid, lv, le))
         heappush(heap, (-re_, mid, pb, rv, re_))
         total_err += le + re_ - pe

@@ -85,6 +85,31 @@ class TestExitCodes:
         assert "no violation" in doc["result"]["note"]
 
 
+class TestMinusInfinity:
+    """A -inf defect or gap exits 1 (or fails g's gate), never as a pass
+    inside the tolerance band; an infinite side prints as "inf"."""
+
+    OVERFLOW = ("--h", "1", "--interval", "-1", "1", "--grid", "5", "5", "3")
+
+    def test_check_convex_is_violated(self, capsys):
+        code, doc = run_json(capsys, "check-convex", "--f=-1.7e308*x*x", *self.OVERFLOW)
+        assert code == 1
+        assert (doc["result"]["verdict"], doc["result"]["worst_gap"]) == ("violated", "-inf")
+        assert not any("within tolerance" in w for w in doc["result"]["warnings"])
+
+    def test_check_dominated_gate_refuses_g(self, capsys):
+        code, doc = run_json(capsys, "check-dominated", "--f", "x", "--g=-1.7e308*x*x",
+                             *self.OVERFLOW)
+        assert code == 2
+        assert "worst defect -inf" in doc["error"]["message"]
+
+    def test_search_rows_carry_the_infinite_side(self, capsys):
+        code, doc = run_json(capsys, "search", "--f", "1e308*x*x", "--g", "x*x",
+                             *self.OVERFLOW)
+        assert code == 1
+        assert {"gap": "-inf", "lhs_abs": "inf"}.items() <= doc["result"]["violations"][0].items()
+
+
 class TestSharedParser:
     """main builds its parser once per process and every request after the
     first reuses it, malformed ones included, with a fresh process's bytes."""
@@ -345,6 +370,38 @@ class TestPinnedBoundEnvelopes:
         assert code == (2 if "degenerate" in name else 0)
 
 
+_CUSTOM = ("verify-hh", "--f", "x*x+1", "--g", "3*x*x+x+2", "--interval", "0", "2", "--bound",
+           "both", "--h-custom")
+_CUSTOM_BOTH = ("verify-hh", "--f", "1/(x+1)", "--g", "2/(x+1)+x*x", "--interval", "0", "2",
+                "--bound", "both", "--h-custom", "1/sqrt(t)+1/(t+0.5)")
+
+
+class TestPinnedCustomKernels:
+    """--h-custom envelopes byte for byte: the probe's first bad point (zero
+    at t = 1/2, a sqrt domain fault, exp overflow, a non-finite value) and a
+    fault only the integrator meets, then a singular kernel's bounds, whose
+    bytes carry every panel of its open-(0,1) integral."""
+
+    CASES = {
+        "custom_kernel_nonpositive.json": (2, (*_CUSTOM, "abs(t-0.5)")),
+        "custom_kernel_domain.json": (2, (*_CUSTOM, "sqrt(0.7-t)+1")),
+        "custom_kernel_overflow.json": (2, (*_CUSTOM, "exp(800*t)")),
+        "custom_kernel_nonfinite.json": (2, (*_CUSTOM, "1e308/t")),
+        "custom_kernel_quad_fault.json": (2, (*_CUSTOM, "1/sqrt(t-1e-8)")),
+        "verify_hh_custom_both.json": (0, _CUSTOM_BOTH),
+        "verify_hh_custom_both.txt": (0, (*_CUSTOM_BOTH, "--format", "text")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes(self, capsys, name):
+        want_code, argv = self.CASES[name]
+        code, out = run(capsys, *argv)
+        assert out == (GOLDEN / name).read_text()
+        assert code == want_code
+        if name.endswith(".json"):
+            jsonschema.validate(json.loads(out), SCHEMA)
+
+
 class TestPinnedCsvRows:
     """Per-sample CSV rows byte for byte, and the bare error envelope when a
     fault stops the pass after rows were already written."""
@@ -357,8 +414,9 @@ class TestPinnedCsvRows:
                                            "--random", "12", "--seed", "7")),
         "check_convex_csv_fault.json": (2, ("check-convex", "--f", "ln(x+0.9)", "--interval",
                                             "-1", "1", "--random", "50", "--seed", "3")),
-        # defects overflow to -inf (f finite): the rows print inf as csv does
-        "check_convex_nonfinite.csv": (0, ("check-convex", "--f=-1.7e308*x*x", "--h", "1",
+        # defects overflow to -inf (f finite): the rows print inf as csv does,
+        # and a -inf defect is a violation whatever the threshold
+        "check_convex_nonfinite.csv": (1, ("check-convex", "--f=-1.7e308*x*x", "--h", "1",
                                            "--interval", "-1", "1", "--grid", "3", "3", "3")),
     }
 
@@ -415,8 +473,7 @@ class TestPinnedSearchOutput:
         assert {"0.0", "-0.0"} <= coordinates
 
     def test_json_goldens_validate(self):
-        # a violation's sides are finite (an infinite side makes the threshold
-        # inf or nan), but their difference can overflow: the gap may be "-inf"
+        # a gap or a side may be infinite: "-inf" and "inf" are strings
         for name in self.CASES:
             if name.endswith(".json"):
                 jsonschema.validate(json.loads((GOLDEN / name).read_text()), SCHEMA)

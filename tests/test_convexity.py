@@ -13,17 +13,16 @@ from domcert.convexity import (
     SamplePlan,
     check_dominated,
     check_phi_h_convex,
-    compose,
     decompose,
     dominance_gap,
     equivalence_report,
     grid_axes,
-    h_convex_defect,
     phi_h_defect,
 )
-from domcert.expr import EvalError, combine, parse
+from domcert.expr import EvalError, combine, constant, parse
 from domcert.geometry import Interval, identity_map, make_affine
 from domcert.kernels import make_kernel
+from domcert.search import search_violations
 
 UNIT = Interval(0.0, 1.0)
 LINEAR = make_kernel("linear")
@@ -66,12 +65,11 @@ class TestDefects:
         # 0.5*f(0.5) + 0.5*f(1) - f(0.75)
         assert phi_h_defect(f, LINEAR, phi, 0.0, 1.0, 0.5) == 0.0625
 
-    def test_h_convex_defect_is_identity_map_case(self):
+    def test_identity_map_defect_is_the_plain_defect(self):
         f = parse("exp(x)")
         for x, y, a in [(0.1, 0.9, 0.3), (0.0, 1.0, 0.5), (0.7, 0.2, 0.25)]:
-            assert h_convex_defect(f, LINEAR, x, y, a) == phi_h_defect(
-                f, LINEAR, IDENT, x, y, a
-            )
+            want = a * math.exp(x) + (1.0 - a) * math.exp(y) - math.exp(a * x + (1.0 - a) * y)
+            assert phi_h_defect(f, LINEAR, IDENT, x, y, a) == want
 
     def test_linear_function_zero_defect(self):
         f = parse("3*x + 1")
@@ -278,6 +276,14 @@ class TestDominatedCheck:
         assert len(rows[0]) == 6
 
 
+def _halves(l, k):
+    """f = (l - k)/2 and g = (l + k)/2 as trees: decompose() run backwards."""
+    two = constant(2.0)
+    return FunctionPair(
+        combine("/", combine("-", l, k), two), combine("/", combine("+", l, k), two)
+    )
+
+
 class TestDecomposeCompose:
     def test_decompose_builds_sum_and_difference(self):
         pair = FunctionPair(parse("x^2"), parse("exp(x)"))
@@ -286,17 +292,11 @@ class TestDecomposeCompose:
             assert l.evaluate(v) == math.exp(v) + v**2
             assert k.evaluate(v) == math.exp(v) - v**2
 
-    def test_compose_halves_the_pair(self):
-        l, k = parse("3*x"), parse("x")
-        pair = compose(l, k)
-        assert pair.f.evaluate(2.0) == 2.0  # (l-k)/2 = x
-        assert pair.g.evaluate(2.0) == 4.0  # (l+k)/2 = 2x
-
     def test_round_trip_is_not_bit_exact_in_floats(self):
         # fl((g+f) - (g-f))/2 != f in general; this exact instance drifts
         # one ulp, which is why the round-trip contract is ulp-bounded
         pair = FunctionPair(parse("0.1"), parse("0.3"))
-        back = compose(*decompose(pair))
+        back = _halves(*decompose(pair))
         assert back.f.evaluate(0.0) == 0.10000000000000002
         assert back.f.evaluate(0.0) != 0.1
 
@@ -306,7 +306,7 @@ class TestDecomposeCompose:
             parse(poly_source(random_convex_coeffs(rng))),
             parse(poly_source(random_convex_coeffs(rng))),
         )
-        back = compose(*decompose(pair))
+        back = _halves(*decompose(pair))
         for _ in range(1000):
             v = rng.uniform(-1.0, 1.0)
             # the cancellation error is relative to |f|+|g|, not to the
@@ -354,6 +354,52 @@ class TestEquivalence:
             pair, LINEAR, IDENT, UNIT, SamplePlan.random(300, seed=11)
         )
         assert rep.agreement
+
+
+SYM = Interval(-1.0, 1.0)
+ONE = make_kernel("one")
+OVERFLOW_GRID = SamplePlan.grid(5, 5, 3)
+
+
+class TestInfiniteSides:
+    """A defect or gap of -inf is a violation, although an infinite side
+    makes the threshold atol + rtol*scale inf.  With h = 1 and u = c*x*x,
+    u(-1) + u(1) overflows once |c| > max/2."""
+
+    def test_minus_inf_defect_is_violated(self):
+        rep = check_phi_h_convex(
+            parse("-1.7e308*x*x"), ONE, identity_map(SYM), SYM, OVERFLOW_GRID
+        )
+        assert rep.worst_gap == -math.inf
+        assert rep.verdict == VIOLATED
+        assert rep.warnings == ["function takes negative sampled values (codomain should "
+                                "be [0, inf))"]
+
+    def test_dominator_with_minus_inf_defect_fails_the_gate(self):
+        pair = FunctionPair(parse("x"), parse("-1.7e308*x*x"))
+        with pytest.raises(PreconditionError, match="worst defect -inf"):
+            check_dominated(pair, ONE, identity_map(SYM), SYM, OVERFLOW_GRID)
+
+    def test_minus_inf_gap_is_violated(self):
+        # |defect_f| = inf against a finite defect_g
+        pair = FunctionPair(parse("1e308*x*x"), parse("x*x"))
+        rep = check_dominated(pair, ONE, identity_map(SYM), SYM, OVERFLOW_GRID)
+        assert (rep.worst_gap, rep.witness_lhs) == (-math.inf, math.inf)
+        assert rep.verdict == VIOLATED
+
+    def test_equivalence_counts_minus_inf_against_both_statements(self):
+        # g - f = (1 - 1e308)*x*x: its defect is -inf where the gap is
+        pair = FunctionPair(parse("1e308*x*x"), parse("x*x"))
+        rep = equivalence_report(pair, ONE, identity_map(SYM), SYM, OVERFLOW_GRID)
+        assert rep.diff_convex.worst_gap == -math.inf
+        assert rep.statement_holds == (False, False, False)
+        assert rep.agreement
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_search_keeps_rows_with_an_infinite_side(self, refine):
+        pair = FunctionPair(parse("1e308*x*x"), parse("x*x"))
+        rows = search_violations(pair, ONE, identity_map(SYM), SYM, OVERFLOW_GRID, refine)
+        assert any(r.gap == -math.inf and r.lhs_abs == math.inf for r in rows)
 
 
 class TestNonnegativeGenerators:

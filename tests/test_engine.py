@@ -9,6 +9,7 @@ inlined bodies of f, g and the kernel h, or of the cached per-axis products,
 fails here.
 """
 
+import math
 import random
 
 import pytest
@@ -163,12 +164,17 @@ def _defects(u, h, phi, triples):
     return out, neg
 
 
+def _violation(worst, lhs, rhs, plan):
+    """Below minus the threshold at the witness, or -inf whatever the scale."""
+    return worst == -math.inf or worst < -(plan.atol + plan.rtol * max(abs(lhs), abs(rhs)))
+
+
 def _report(samples, negs, plan):
     """Report fields: worst sample first by value, then by triple."""
     xyt, worst, lhs, rhs = min(samples, key=lambda s: (s[1], s[0]))
     warnings = [NEG_VALUES_WARNING.format(role=role) for role, neg in negs if neg]
     verdict = HOLDS
-    if worst < -(plan.atol + plan.rtol * max(abs(lhs), abs(rhs))):
+    if _violation(worst, lhs, rhs, plan):
         verdict = VIOLATED
     elif worst < 0.0:
         warnings.append(WITHIN_TOL_WARNING)
@@ -249,7 +255,7 @@ def test_dominated_matches_scalar_reference(setup):
         _raises(run, EvalError)
         return
     (xyt, worst, lhs, rhs) = min(gd, key=lambda s: (s[1], s[0]))
-    if worst < -(plan.atol + plan.rtol * max(abs(lhs), abs(rhs))):
+    if _violation(worst, lhs, rhs, plan):
         try:
             run()
         except PreconditionError as exc:

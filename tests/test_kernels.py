@@ -1,15 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import simpson
+from domcert import kernels, quadrature
 from domcert.expr import EvalError, parse
 from domcert.kernels import (
     Kernel,
     KernelError,
     chebyshev_points,
-    kernel_integral,
-    kernel_value,
     make_kernel,
 )
 
@@ -20,25 +20,25 @@ class TestBuiltinConstants:
     def test_linear(self):
         k = make_kernel("linear")
         assert k.midpoint_coefficient == 1.0
-        assert kernel_integral(k) == (0.5, 0.0)
+        assert (k.integral, k.integral_error) == (0.5, 0.0)
 
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_power(self, s):
         k = make_kernel("power", s=s)
         assert k.midpoint_coefficient == 2.0 ** (s - 1.0)
-        assert kernel_integral(k) == (1.0 / (s + 1.0), 0.0)
+        assert (k.integral, k.integral_error) == (1.0 / (s + 1.0), 0.0)
 
     def test_reciprocal(self):
         k = make_kernel("reciprocal")
         assert k.midpoint_coefficient == 0.25
-        value, err = kernel_integral(k)
+        value, err = k.integral, k.integral_error
         assert math.isinf(value)
         assert k.divergent
 
     def test_one(self):
         k = make_kernel("one")
         assert k.midpoint_coefficient == 0.5
-        assert kernel_integral(k) == (1.0, 0.0)
+        assert (k.integral, k.integral_error) == (1.0, 0.0)
 
     def test_only_reciprocal_diverges(self):
         assert not make_kernel("linear").divergent
@@ -49,25 +49,25 @@ class TestBuiltinConstants:
 class TestValues:
     def test_linear_values(self):
         k = make_kernel("linear")
-        assert kernel_value(k, 0.25) == 0.25
+        assert k.value(0.25) == 0.25
 
     def test_reciprocal_values(self):
         k = make_kernel("reciprocal")
-        assert kernel_value(k, 0.25) == 4.0
+        assert k.value(0.25) == 4.0
 
     def test_one_values(self):
         k = make_kernel("one")
-        assert kernel_value(k, 0.9) == 1.0
+        assert k.value(0.9) == 1.0
 
     def test_power_values(self):
         k = make_kernel("power", s=0.5)
-        assert kernel_value(k, 0.25) == 0.5
+        assert k.value(0.25) == 0.5
 
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.5, 1.5])
     def test_argument_outside_open_interval(self, t):
         k = make_kernel("linear")
         with pytest.raises(EvalError) as info:
-            kernel_value(k, t)
+            k.value(t)
         assert info.value.kind == "domain"
 
 
@@ -119,7 +119,7 @@ class TestCustomKernels:
         k = make_kernel("custom", expr=parse("t"))
         assert k.half_value == 0.5
         assert k.midpoint_coefficient == 1.0
-        value, err = kernel_integral(k)
+        value, err = k.integral, k.integral_error
         assert abs(value - 0.5) <= 1e-9
 
     def test_signed_zero_constants_make_different_kernels(self):
@@ -130,7 +130,7 @@ class TestCustomKernels:
 
     def test_custom_parabola_integral_against_oracle(self):
         k = make_kernel("custom", expr=parse("t*(1-t) + 0.25"))
-        value, err = kernel_integral(k)
+        value, err = k.integral, k.integral_error
         oracle = simpson(lambda t: t * (1.0 - t) + 0.25, 1e-9, 1.0 - 1e-9)
         assert abs(value - oracle) <= 1e-8
         assert abs(value - (1.0 / 6.0 + 0.25)) <= max(err, 1e-9)
@@ -144,7 +144,7 @@ class TestCustomKernels:
     def test_custom_constant(self):
         k = make_kernel("custom", expr=parse("1"))
         assert k.midpoint_coefficient == 0.5
-        value, _ = kernel_integral(k)
+        value = k.integral
         assert abs(value - 1.0) <= 1e-9
 
     def test_describe_shows_source(self):
@@ -195,3 +195,84 @@ class TestDescribe:
         assert isinstance(k, Kernel)
         with pytest.raises(Exception):
             k.kind = "one"
+
+
+# ---------------------------------------------------------------------------
+# The one-pass probe against the pointwise loop, and a kernel built on the
+# fast paths against one built with the pointwise probe and every panel of
+# its integral on the guarded loop.
+# ---------------------------------------------------------------------------
+
+GRID = kernels._probe_grid()
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except Exception as exc:  # the outcome, whatever it is, is what is compared
+        return repr((type(exc), getattr(exc, "reason", None), str(exc)))
+
+
+def _constants(k):
+    return k.half_value, k.midpoint_coefficient, k.integral, k.integral_error
+
+
+def _reference_build(expr, quad_tol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_check_probe", kernels._check_probe_pointwise)
+        mp.setattr(quadrature, "_panel", lambda fun, a, b: None)
+        return _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
+
+
+# each good before GRID[i] and bad at it or after it; {after} is 0 up to
+# GRID[i] and 2*(t - GRID[i]) past it
+_BAD_AT = {
+    "zero at": "{k}*abs(t-{ti})",
+    "negative after": "{k}*({ti}-t)+1e-300",
+    "division by zero at": "{k}/abs(t-{ti})",
+    "ln of zero at": "ln({k}*abs(t-{ti}))+40",
+    "inf at": "1e300/(abs(t-{ti})+1e-300)+{k}",
+    "sqrt of a negative after": "sqrt({ti}-t)+{k}",
+    "exp overflow after": "exp({after}*1e10+{k})",
+    "power overflow after": "{k}*({after}*1e10+2)^1000",
+    "nan after": "{k}+({after}*1e300*1e300-{after}*1e300*1e300)",
+}
+
+
+def _bad_at(shape, i, k):
+    ti = repr(GRID[i])
+    return _BAD_AT[shape].format(ti=ti, k=k, after=f"(abs(t-{ti})+(t-{ti}))")
+
+
+class TestOnePassProbe:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        i=st.integers(0, len(GRID) - 1),
+        shape=st.sampled_from(sorted(_BAD_AT)),
+        k=st.sampled_from(["1", "0.5", "3"]),
+    )
+    def test_faults_and_nonpositive_values_raise_as_the_pointwise_loop(self, i, shape, k):
+        expr = parse(_bad_at(shape, i, k))
+        want = _outcome(lambda: kernels._check_probe_pointwise(expr))
+        assert _outcome(lambda: kernels._check_probe(expr)) == want
+        assert "KernelError" in want or i == len(GRID) - 1
+        built = _outcome(lambda: _constants(make_kernel("custom", expr=expr, quad_tol=1e-6)))
+        assert built == _outcome(lambda: _reference_build(expr, 1e-6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(["t^(-{p})", "1+t^{p}", "exp(-{p}*t)+t", "1/(t+{p})",
+                                "abs(t-{p})+0.01", "(1-t)^(-{p})+ln(1+t)", "1/t^{p}"]),
+        p=st.sampled_from(["0.25", "0.5", "0.75", "0.9"]),
+        quad_tol=st.sampled_from([1e-6, 1e-10]),
+    )
+    def test_good_kernels_build_the_same_constants(self, source, p, quad_tol):
+        expr = parse(source.format(p=p))
+        got = _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
+        assert repr(got) == repr(_reference_build(expr, quad_tol))
+
+    def test_a_sum_that_overflows_falls_back_and_passes(self):
+        # every value finite and positive, their sum inf: the loop finds nothing
+        expr = parse("1e305+t")
+        kernels._check_probe(expr)
+        assert make_kernel("custom", expr=expr, quad_tol=1e-6).half_value == 1e305

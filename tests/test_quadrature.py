@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import simpson
+from domcert import quadrature
+from domcert.expr import EvalError, parse
 from domcert.quadrature import (
     QuadratureError,
     QuadResult,
@@ -162,3 +164,115 @@ class TestOpenUnitInterval:
     def test_divergence_is_a_value_not_an_exception(self):
         r = integrate_open01(lambda t: 1.0 / t)
         assert isinstance(r, QuadResult)
+
+
+# ---------------------------------------------------------------------------
+# The straight-line panel against the looped guarded one.  With _panel
+# patched to report a non-finite sum on every panel, integrate runs each
+# panel through _guarded and _looped_panel: the reference path.
+# ---------------------------------------------------------------------------
+
+
+def _outcome(run):
+    """repr of the QuadResult, or the exception's type, reason and message."""
+    try:
+        return repr(run())
+    except Exception as exc:  # the outcome, whatever it is, is what is compared
+        return repr((type(exc), getattr(exc, "reason", None), str(exc)))
+
+
+def _both(fun, a, b, tol=1e-9, max_panels=400):
+    fast = _outcome(lambda: integrate(fun, a, b, tol, max_panels))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_panel", lambda fun, a, b: None)
+        looped = _outcome(lambda: integrate(fun, a, b, tol, max_panels))
+    return fast, looped
+
+
+_FAULT_LEAVES = st.one_of(
+    st.just("x"),
+    st.sampled_from(["0.5", "2", "(-1.5)", "0.0", "(-0.0)", "700", "1e308"]),
+)
+
+
+def _fault_ops(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda a: f"({''.join(a)})"
+        ),
+        st.tuples(children, st.sampled_from(["2", "3", "0.5", "(-1)", "(-0.5)", "400"])).map(
+            lambda a: f"({a[0]})^{a[1]}"
+        ),
+        st.tuples(children, children).map(lambda a: f"({a[0]})^({a[1]})"),
+        st.tuples(st.sampled_from(["exp", "ln", "sqrt", "abs", "sin", "cos"]), children).map(
+            lambda a: f"{a[0]}({a[1]})"
+        ),
+        children.map(lambda a: f"(-{a})"),
+    )
+
+
+# ln/sqrt of negatives, exp and ^ overflowing, 1/x across 0, inf from 1e308*...
+FAULT_TREES = st.recursive(_FAULT_LEAVES, _fault_ops, max_leaves=4)
+ENDS = st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 4.0)).map(lambda p: (p[0], p[0] + p[1]))
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+class TestStraightLinePanel:
+    @PROPERTY
+    @given(ends=ENDS, scale=st.floats(1e-3, 1e3))
+    def test_same_nodes_same_sums(self, ends, scale):
+        def recording(log):
+            def fun(x):
+                log.append(repr(x))
+                return math.sin(scale * x) * scale + x * x
+
+            return fun
+
+        fast_calls, looped_calls = [], []
+        got = quadrature._panel(recording(fast_calls), *ends)
+        want = quadrature._looped_panel(recording(looped_calls), *ends)
+        assert fast_calls == looped_calls
+        assert repr(got) == repr(want)
+
+    @PROPERTY
+    @given(source=FAULT_TREES, ends=ENDS)
+    def test_expr_integrals_match_the_guarded_loop(self, source, ends):
+        fast, looped = _both(parse(source), *ends)
+        assert fast == looped
+
+    @PROPERTY
+    @given(
+        source=FAULT_TREES,
+        ends=ENDS,
+        error=st.sampled_from([ValueError, ZeroDivisionError, OverflowError, EvalError]),
+        side=st.sampled_from(["a", "b"]),
+        reach=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 0.3]),
+    )
+    def test_callables_that_raise_near_an_end_match(self, source, ends, error, side, reach):
+        a, b = ends
+        inner = parse(source).raw  # raises and returns non-finite values unguarded
+        edge, width = (a if side == "a" else b), reach * (b - a)
+
+        def fun(x):
+            if abs(x - edge) <= width:
+                raise error("domain", "raised near an end") if error is EvalError else error(
+                    f"raised at {x!r}"
+                )
+            return inner(x)
+
+        fast, looped = _both(fun, a, b)
+        assert fast == looped
+
+    @PROPERTY
+    @given(source=FAULT_TREES, ends=ENDS)
+    def test_panels_match_bit_for_bit(self, source, ends):
+        raw = parse(source).raw
+        try:
+            want = quadrature._looped_panel(raw, *ends)
+        except (EvalError, ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                quadrature._panel(raw, *ends)
+            return
+        got = quadrature._panel(raw, *ends)
+        # None only for a non-finite sum, which leaves a non-finite estimate
+        assert repr(got) == repr(want) if got is not None else not math.isfinite(want[1])
