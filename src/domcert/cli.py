@@ -18,12 +18,10 @@ machine-readable envelope on stdout.  A config file of key = value lines
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import re
-import shlex
 import sys
 
 from . import __version__
@@ -174,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> list[str]:
+    import shlex  # only a --config request pays for it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -445,6 +445,8 @@ def render_text(envelope: dict) -> str:
 
 
 def _csv_text(header: list[str], rows: list[tuple]) -> str:
+    import csv  # only a CSV render pays for it
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

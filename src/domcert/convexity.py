@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomcertError
 from .expr import (
@@ -36,6 +36,7 @@ from .expr import (
 )
 from .geometry import AffineMap, Interval
 from .kernels import Kernel, chebyshev_points, outside_error
+from .record import Record
 
 NEG_VALUES_WARNING = "{role} takes negative sampled values (codomain should be [0, inf))"
 WITHIN_TOL_WARNING = "worst sampled value is negative but within tolerance"
@@ -54,8 +55,7 @@ def check_tolerances(atol: float, rtol: float) -> None:
         raise ValueError(f"tolerances must be finite, >= 0; got {atol!r}, {rtol!r}")
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(Record):
     """Where a check looks: a full grid or seeded uniform random triples.
 
     Grid plans place x and y uniformly on [a, b] including the endpoints
@@ -64,17 +64,21 @@ class SamplePlan:
     reproducibly for a fixed seed.
     """
 
-    strategy: str = "grid"
-    n_x: int = 21
-    n_y: int = 21
-    n_t: int = 19
-    count: int = 1000
-    seed: int = 0
-    t_clamp: float = 1e-6
-    atol: float = 1e-9
-    rtol: float = 1e-9
+    __slots__ = ("strategy", "n_x", "n_y", "n_t", "count", "seed", "t_clamp", "atol", "rtol")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        strategy: str = "grid",
+        n_x: int = 21,
+        n_y: int = 21,
+        n_t: int = 19,
+        count: int = 1000,
+        seed: int = 0,
+        t_clamp: float = 1e-6,
+        atol: float = 1e-9,
+        rtol: float = 1e-9,
+    ):
+        self._set(strategy, n_x, n_y, n_t, count, seed, t_clamp, atol, rtol)
         if self.strategy not in ("grid", "random"):
             raise ValueError(f"unknown sampling strategy {self.strategy!r}")
         if self.strategy == "grid" and min(self.n_x, self.n_y, self.n_t) < 1:
@@ -94,28 +98,45 @@ class SamplePlan:
         return cls(strategy="random", count=count, seed=seed, **kw)
 
 
-@dataclass(frozen=True)
-class FunctionPair:
+class FunctionPair(NamedTuple):
     f: Expr
     g: Expr
 
 
-@dataclass
-class CheckReport:
+class _CheckReport(NamedTuple):
     verdict: str
     samples_checked: int
     worst_gap: float
     witness: tuple[float, float, float]
     witness_lhs: float
     witness_rhs: float
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
+
+
+class CheckReport(_CheckReport):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        verdict: str,
+        samples_checked: int,
+        worst_gap: float,
+        witness: tuple[float, float, float],
+        witness_lhs: float,
+        witness_rhs: float,
+        warnings: list[str] | None = None,
+    ):
+        if warnings is None:  # a new list for each report
+            warnings = []
+        return super().__new__(
+            cls, verdict, samples_checked, worst_gap, witness, witness_lhs, witness_rhs, warnings
+        )
 
     def holds(self) -> bool:
         return self.verdict == HOLDS
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Three equivalent characterizations of dominance, each sampled.
 
     statement_holds lines up as: (1) |defect_f| <= defect_g everywhere,
@@ -258,8 +279,11 @@ def _sides(stat: str) -> tuple[str, str, str]:
     return f"d_{stat}", f"{stat}m", f"r_{stat}"
 
 
-def _annotate(exc: EvalError, x, y, t) -> EvalError:
-    return EvalError(exc.kind, f"{exc} while checking sample (x={x!r}, y={y!r}, t={t!r})")
+def _annotate(exc: EvalError, x, y, t, axis: str | None, at) -> EvalError:
+    """exc with where it came from: a sample, or the grid point at on one
+    axis, in an axis pass of a grid plan (axis "x", "y" or "t")."""
+    where = f"grid point {axis}={at!r}" if axis else f"sample (x={x!r}, y={y!r}, t={t!r})"
+    return EvalError(exc.kind, f"{exc} while checking {where}")
 
 
 _SWEEP_ENV = {
@@ -314,7 +338,7 @@ def _sweep_source(
                 f"if {dst} - {dst}: raise _nonfinite({p})")
         else:  # a fault here is raised after the pass: these sweeps ran last
             put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
-                f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t)")
+                f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)")
 
     def kernel_at(dst: str, t: str) -> list[str]:
         return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
@@ -345,7 +369,8 @@ def _sweep_source(
         put(0, "def _sweep(xs, ys, ts, pxs, pys, emit):")
     else:
         put(0, "def _sweep(triples, apply, emit):")
-    put(1, "x = y = t = None", *(["emitting = False"] if rows else []))
+    # axis names the axis pass under way on a grid plan, av its grid point
+    put(1, "x = y = t = axis = av = None", *(["emitting = False"] if rows else []))
     for s in stats:
         put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s} = INF, (NAN, NAN, NAN), NAN, NAN")
     put(1, *(f"fail_{n} = None" for n in derived), "try:")
@@ -353,17 +378,17 @@ def _sweep_source(
         for n in fns:  # each function over the x axis, then over the y axis
             reads = "fg" if n in _DERIVED else "f" if n == "g" and shared else ""
             for a in "xy":
-                names = ", ".join(["p", *(f"{r}_v" for r in reads)])
-                lists = ", ".join([f"p{a}s", *(f"{r}_{a}" for r in reads)])
-                put(2, f"{n}_{a} = []",
-                    f"for {names} in zip({lists}):" if reads else f"for p in p{a}s:")
+                names = ", ".join(["av", "p", *(f"{r}_v" for r in reads)])
+                lists = ", ".join([f"{a}s", f"p{a}s", *(f"{r}_{a}" for r in reads)])
+                put(2, f"axis = {a!r}", f"{n}_{a} = []", f"for {names} in zip({lists}):")
                 evaluate(3, n, "_v", "p")
                 put(3, f"{n}_{a}.append({n}_v)")
         put(2, *(f"neg_{n} = min({n}_x) < 0.0 or min({n}_y) < 0.0" for n in fns))
-        put(2, "omts = [1.0 - tv for tv in ts]")
+        put(2, "omts = [1.0 - tv for tv in ts]", "axis = 't'")
         for hs, at in (("hts", "ts"), ("h1ts", "omts")):
-            put(2, f"{hs} = []", f"for tv in {at}:")
+            put(2, f"{hs} = []", f"for av, tv in zip(ts, {at}):")
             put(3, *kernel_at("h_v", "tv"), f"{hs}.append(h_v)")
+        put(2, "axis = None")
         put(2, "tys = [[ov * py for ov in omts] for py in pys]")
         put(2, *(f"h{n}_y = [[h1 * v for h1 in h1ts] for v in {n}_y]" for n in defects))
 
@@ -395,7 +420,7 @@ def _sweep_source(
         put(3, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in fns))
         put(3, "p = t * px + omt * py")
         per_sample(3, {n: f"ht * {n}px + h1t * {n}py" for n in defects})
-    put(1, "except EvalError as exc:", "    raise _annotate(exc, x, y, t) from exc")
+    put(1, "except EvalError as exc:", "    raise _annotate(exc, x, y, t, axis, av) from exc")
     if not guarded:  # an inline op's: the guarded form names it
         put(1, "except (OverflowError, ValueError) as exc:",
             *(["    if emitting: raise"] if rows else []), "    raise _Rerun(exc) from None")
@@ -406,8 +431,7 @@ def _sweep_source(
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _SweepData:
+class _SweepData(NamedTuple):
     samples: int
     worst: dict  # statement -> (worst value, witness, lhs, rhs)
     neg: dict  # function -> whether it took a negative sampled value
@@ -452,8 +476,8 @@ def _plan_sweep(
         raise rerun.args[0] from None
     for n in _DERIVED:  # the sum sweep ran before the difference sweep
         if fails.get(n):
-            p, x, y, t = fails[n]
-            raise _annotate(_nonfinite(p), x, y, t)
+            p, *where = fails[n]
+            raise _annotate(_nonfinite(p), *where)
     return _SweepData(samples, worst, neg)
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import DomcertError
@@ -77,35 +76,35 @@ def _excerpt(source: str, offset: int, width: int = 40) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
-    # 0.0 and -0.0 are == as floats but evaluate apart (x*0.0 against x*-0.0)
+    # 0.0 and -0.0 are == as floats but evaluate apart (x*0.0 against x*-0.0);
+    # unequal to a plain tuple, whose hash differs
     def __eq__(self, other):
         if other.__class__ is not Const:
-            return NotImplemented
+            return False
         return self.value == other.value and (
             math.copysign(1.0, self.value) == math.copysign(1.0, other.value)
         )
+
+    def __ne__(self, other):  # tuple's own __ne__ would skip __eq__
+        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.value, math.copysign(1.0, self.value)))
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # 'neg' or a function name
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"

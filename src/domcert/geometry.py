@@ -8,10 +8,10 @@ relies on that containment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomcertError
 from .expr import Expr
+from .record import Record
 
 
 class GeometryError(DomcertError):
@@ -22,12 +22,11 @@ class GeometryError(DomcertError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Interval:
-    a: float
-    b: float
+class Interval(Record):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
+    def __init__(self, a: float, b: float):
+        self._set(a, b)
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise GeometryError("invalid", "interval endpoints must be finite")
         if not self.a < self.b:
@@ -43,17 +42,15 @@ class Interval:
         return self.a <= x <= self.b
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """x -> alpha*x + beta with image contained in the domain interval."""
 
-    alpha: float
-    beta: float
-    domain: Interval
-    image_a: float
-    image_b: float
+    __slots__ = ("alpha", "beta", "domain", "image_a", "image_b")
 
-    def __post_init__(self):
+    def __init__(
+        self, alpha: float, beta: float, domain: Interval, image_a: float, image_b: float
+    ):
+        self._set(alpha, beta, domain, image_a, image_b)
         for name in ("alpha", "beta", "image_a", "image_b"):
             if not math.isfinite(getattr(self, name)):
                 raise GeometryError("invalid", f"{name} must be finite")

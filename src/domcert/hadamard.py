@@ -20,8 +20,7 @@ cannot fail, only when rhs = +inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .convexity import FunctionPair, check_tolerances
 from .errors import DomcertError
@@ -43,8 +42,7 @@ class ReportError(DomcertError):
         super().__init__(message)
 
 
-@dataclass
-class HHReport:
+class _HHReport(NamedTuple):
     bound_kind: str  # 'midpoint' or 'endpoint'
     lhs: float
     rhs: float
@@ -52,12 +50,33 @@ class HHReport:
     holds: bool
     vacuous: bool
     quad_error: float
-    warnings: list[str] = field(default_factory=list)
-    inputs_echo: dict = field(default_factory=dict)
+    warnings: list[str]
+    inputs_echo: dict
 
 
-@dataclass
-class SpecialCaseEntry:
+class HHReport(_HHReport):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        bound_kind: str,
+        lhs: float,
+        rhs: float,
+        margin: float,
+        holds: bool,
+        vacuous: bool,
+        quad_error: float,
+        warnings: list[str] | None = None,
+        inputs_echo: dict | None = None,
+    ):
+        # a new list and dict for each report
+        return super().__new__(
+            cls, bound_kind, lhs, rhs, margin, holds, vacuous, quad_error,
+            [] if warnings is None else warnings, {} if inputs_echo is None else inputs_echo,
+        )
+
+
+class SpecialCaseEntry(NamedTuple):
     label: str
     report: HHReport
 

@@ -20,12 +20,12 @@ the error of the first bad point.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 from .errors import DomcertError
 from .expr import _EVAL_ENV, EvalError, Expr, _specialized, parse
 from .quadrature import QuadratureError, integrate_open01
+from .record import Record
 
 PROBE_POINTS = 4097
 _probe_cache: list[float] | None = None
@@ -74,40 +74,36 @@ def outside_error(t: float) -> EvalError:
     return EvalError("domain", f"kernel argument {t!r} outside (0, 1)")
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """h(t) = expr, with its constants fixed here: closed forms for the
     built-in kinds, computed with quad_tol for a custom expression.  Raises
-    KernelError for an invalid kind, exponent or expression.
+    KernelError for an invalid kind, exponent or expression.  The constants
+    are fields: they take part in equality and hashing.
     """
 
-    kind: str
-    s: float | None = None
-    expr: Expr | None = None
-    quad_tol: InitVar[float] = 1e-10
-    half_value: float = field(init=False)
-    midpoint_coefficient: float = field(init=False)  # 1 / (2 h(1/2))
-    integral: float = field(init=False)
-    integral_error: float = field(init=False)
+    # midpoint_coefficient is 1 / (2 h(1/2))
+    __slots__ = ("kind", "s", "expr", "half_value", "midpoint_coefficient", "integral",
+                 "integral_error")
 
-    def __post_init__(self, quad_tol: float) -> None:
-        if self.kind not in (*_BUILT_IN, "custom"):
-            raise KernelError("invalid", f"unknown kernel kind {self.kind!r}")
-        if self.kind != "power":
-            object.__setattr__(self, "s", None)
-        elif self.s is None or not (0.0 < self.s < 1.0):
-            raise KernelError("invalid", f"power kernel needs 0 < s < 1, got {self.s!r}")
-        if self.kind == "custom":
-            expr = self.expr
+    def __init__(
+        self,
+        kind: str,
+        s: float | None = None,
+        expr: Expr | None = None,
+        quad_tol: float = 1e-10,
+    ):
+        if kind not in (*_BUILT_IN, "custom"):
+            raise KernelError("invalid", f"unknown kernel kind {kind!r}")
+        if kind != "power":
+            s = None
+        elif s is None or not (0.0 < s < 1.0):
+            raise KernelError("invalid", f"power kernel needs 0 < s < 1, got {s!r}")
+        if kind == "custom":
             half, coefficient, integral, error = _custom_constants(expr, quad_tol)
         else:
-            source, half, coefficient, integral = _BUILT_IN[self.kind](self.s)
+            source, half, coefficient, integral = _BUILT_IN[kind](s)
             expr, error = _built_in_expr(source), 0.0
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "half_value", half)
-        object.__setattr__(self, "midpoint_coefficient", coefficient)
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "integral_error", error)
+        self._set(kind, s, expr, half, coefficient, integral, error)
 
     def value(self, t: float) -> float:
         """h(t) for t in the open unit interval; always positive."""

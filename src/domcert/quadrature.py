@@ -28,9 +28,8 @@ convergent with a large error estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappush, heappop
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomcertError
 from .expr import EvalError, Expr
@@ -44,8 +43,7 @@ class QuadratureError(DomcertError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error_estimate: float
     subdivisions: int

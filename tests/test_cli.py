@@ -1,7 +1,11 @@
+import ast
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -539,7 +543,7 @@ class TestNonFiniteTrigArgument:
                              "--grid", "3", "3", "3")
         assert code == 2
         assert doc["error"]["message"] == (
-            f"{name} of an infinite value while checking sample (x=None, y=None, t=None)"
+            f"{name} of an infinite value while checking grid point x=0.5"
         )
 
     def test_search(self, capsys):
@@ -547,7 +551,7 @@ class TestNonFiniteTrigArgument:
                              "--interval", "0", "1", "--grid", "3", "3", "3")
         assert code == 2
         assert doc["error"]["message"] == (
-            "sin of an infinite value while checking sample (x=None, y=None, t=None)"
+            "sin of an infinite value while checking grid point x=0.5"
         )
 
     def test_search_refine(self, capsys):
@@ -686,7 +690,7 @@ class TestErrorEnvelope:
 class TestErrorPrecedence:
     """Which fault a check reports when several could be; byte-pinned."""
 
-    LN_ON_AXIS = "ln of a non-positive value while checking sample (x=None, y=None, t=None)"
+    LN_ON_AXIS = "ln of a non-positive value while checking grid point x=0.0"
 
     @pytest.mark.parametrize(
         "args, message",
@@ -699,7 +703,7 @@ class TestErrorPrecedence:
             (("equivalence", "--f", "ln(x)", "--g", "1-x^2"), LN_ON_AXIS),
             # g + f overflows although f and g are finite
             (("equivalence", "--f", "1e308+x", "--g", "1e308+x"),
-             "non-finite result for input 0.0 while checking sample (x=None, y=None, t=None)"),
+             "non-finite result for input 0.0 while checking grid point x=0.0"),
             # g - f overflows on the axes, g + f only inside: the sum is reported
             (("equivalence", "--f", "0.95e308*(sin(2*pi*x)^2-cos(2*pi*x)^2)", "--g", "0.95e308"),
              "non-finite result for input 0.25 while checking sample (x=0.0, y=0.5, t=0.5)"),
@@ -725,3 +729,42 @@ class TestErrorPrecedence:
             f"non-finite result for input {first} while checking sample "
             "(x=0.8444218515250481, y=0.7579544029403025, t=0.4205717396876833)"
         )
+
+
+class TestImportGraph:
+    """A cold `import domcert.cli` loads no module that only some requests
+    use, nor dataclasses and the inspect/ast/dis/tokenize it pulls in."""
+
+    HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "shlex"}
+    SETUP = ["check-convex", "--f", "x^2", "--interval", "0", "1", "--grid", "1", "1", "1"]
+
+    @staticmethod
+    def loaded(*requests) -> set:
+        """Modules of a fresh `python -S` after importing domcert.cli and
+        running each request (an argv list) through main."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        script = (
+            "import sys\nimport domcert.cli\n"
+            f"codes = [domcert.cli.main(argv) for argv in {list(requests)!r}]\n"
+            "sys.stderr.write(repr([codes, sorted(sys.modules)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        codes, modules = ast.literal_eval(proc.stderr)
+        assert codes == [0] * len(requests)
+        return set(modules)
+
+    def test_import_and_a_sample_request(self):
+        assert self.HEAVY.isdisjoint(self.loaded())
+        # sample rows are written without the csv module
+        assert self.HEAVY.isdisjoint(self.loaded(self.SETUP, [*self.SETUP, "--format", "csv"]))
+
+    def test_bound_csv_render_loads_csv(self):
+        argv = ["verify-hh", "--f", "x", "--g", "x^2", "--interval", "0", "1", "--format", "csv"]
+        assert self.HEAVY & self.loaded(argv) == {"csv"}
+
+    def test_config_loads_shlex(self, tmp_path):
+        config = tmp_path / "request.conf"
+        config.write_text("grid = 1 1 1\n", encoding="utf-8")
+        argv = ["check-convex", "--config", str(config), "--f", "x^2", "--interval", "0", "1"]
+        assert self.HEAVY & self.loaded(argv) == {"shlex"}

@@ -352,18 +352,18 @@ def test_random_loops_read_the_kernel_where_they_did():
 # inside one function: the first fault in evaluation order is still the one
 # reported, here a fault of g's own ln ahead of, or after, the shared subtree
 _SAMPLE_1 = "(x=0.13436424411240122, y=0.8474337369372327, t=0.7637740914273761)"
-_ON_AXIS = "(x=None, y=None, t=None)"
+_ON_AXIS = "grid point x=1.0"
 
 
 @pytest.mark.parametrize(
     "f, g, plan, message",
     [
         ("exp(x)+x", "ln(0.6-x)+(exp(x)+x)", SamplePlan.grid(3, 3, 3),
-         f"ln of a non-positive value while checking sample {_ON_AXIS}"),
+         f"ln of a non-positive value while checking {_ON_AXIS}"),
         ("exp(x)+x", "ln(0.6-x)+(exp(x)+x)", SamplePlan.random(50, seed=1),
          f"ln of a non-positive value while checking sample {_SAMPLE_1}"),
         ("exp(800*x)+x", "(exp(800*x)+x)+ln(0.6-x)", SamplePlan.grid(3, 3, 3),
-         f"overflow in exp while checking sample {_ON_AXIS}"),
+         f"overflow in exp while checking {_ON_AXIS}"),
         ("exp(800*x)+x", "(exp(800*x)+x)+ln(0.6-x)", SamplePlan.random(50, seed=1),
          f"ln of a non-positive value while checking sample {_SAMPLE_1}"),
     ],
@@ -380,12 +380,51 @@ def test_fault_order_with_shared_subtrees(f, g, plan, message):
 def test_repeated_subtree_faults_after_an_earlier_op(plan, where):
     # at x = 1 both ln and the repeated exp fault; ln comes first
     f = parse("ln(0.6-x)+exp(1000*x)*exp(1000*x)")
+    if plan.strategy == "random":
+        where = f"sample {where}"
     with pytest.raises(EvalError) as info:
         check_phi_h_convex(f, make_kernel("linear"), identity_map(UNIT), UNIT, plan)
-    assert str(info.value) == f"ln of a non-positive value while checking sample {where}"
+    assert str(info.value) == f"ln of a non-positive value while checking {where}"
 
 
-@pytest.mark.parametrize("error", [ValueError("row sink"), OverflowError("row sink")])
+# t points of SamplePlan.grid(n, m, 3): two Chebyshev points and 1/2
+_T_AXIS = grid_axes(SamplePlan.grid(2, 2, 3), UNIT)[2]
+
+
+def _kernel_failing_at(t: float):
+    """h = 1 everywhere but at t, where ln faults."""
+    return make_kernel("custom", expr=parse(f"1+0*ln(abs(t-{t!r}))"))
+
+
+@pytest.mark.parametrize("f, h, phi, plan, message", [
+    # an inline op, named by the guarded rerun, on the y axis only
+    ("exp(3000*x*(1-x))", None, None, SamplePlan.grid(2, 3, 3),
+     "overflow in exp while checking grid point y=0.5"),
+    ("1/(x-0.5)", None, None, SamplePlan.grid(2, 3, 3),
+     "division by zero while checking grid point y=0.5"),
+    # the grid point, not its image under phi
+    ("1/(x-0.75)", None, make_affine(0.5, 0.5, UNIT), SamplePlan.grid(3, 3, 3),
+     "division by zero while checking grid point x=0.5"),
+    # the kernel's pass over h(t), then its pass over h(1 - t): the grid
+    # point is t in both
+    ("x^2", _T_AXIS[0], None, SamplePlan.grid(2, 2, 3),
+     f"ln of a non-positive value while checking grid point t={_T_AXIS[0]!r}"),
+    ("x^2", 1.0 - _T_AXIS[2], None, SamplePlan.grid(2, 2, 3),
+     f"ln of a non-positive value while checking grid point t={_T_AXIS[2]!r}"),
+])
+def test_axis_faults_name_the_grid_point(f, h, phi, plan, message):
+    kernel = make_kernel("linear") if h is None else _kernel_failing_at(h)
+    phi = phi or identity_map(UNIT)
+    assert 1.0 - _T_AXIS[2] not in _T_AXIS
+    with pytest.raises(EvalError) as info:
+        check_phi_h_convex(parse(f), kernel, phi, UNIT, plan)
+    assert str(info.value) == message
+    with pytest.raises(EvalError) as info:  # the pair sweep passes f's axes first
+        check_dominated(FunctionPair(parse(f), parse("x^2")), kernel, phi, UNIT, plan)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("error",[ValueError("row sink"), OverflowError("row sink")])
 @pytest.mark.parametrize("plan", [SamplePlan.grid(2, 2, 3), SamplePlan.random(20, seed=1)])
 def test_an_emit_error_reaches_the_caller_unchanged(error, plan):
     # the bodies hold ops that raise ValueError (sin, cos) and OverflowError

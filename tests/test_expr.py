@@ -263,6 +263,33 @@ def test_to_source_round_trips(root):
     assert again.root == root, source
 
 
+def _rebuilt(node, flip=False):
+    """An equal tree of new node and float objects; flip negates the zero
+    constants."""
+    if isinstance(node, Const):
+        v = float(repr(node.value))
+        return Const(-v if flip and v == 0.0 else v)
+    if isinstance(node, Var):
+        return Var(node.name)
+    if isinstance(node, Unary):
+        return Unary(node.op, _rebuilt(node.arg, flip))
+    return Binary(node.op, _rebuilt(node.left, flip), _rebuilt(node.right, flip))
+
+
+@given(_ast)
+def test_equal_trees_hash_alike(root):
+    e = parse(to_source(root))
+    again = parse(to_source(e.root))
+    assert again == e and not again != e and hash(again) == hash(e)
+    copy = _rebuilt(root)
+    assert copy == root and not copy != root and hash(copy) == hash(root)
+    flipped = _rebuilt(root, flip=True)
+    if to_source(flipped) == to_source(root):  # no zero constant to flip
+        assert flipped == root and hash(flipped) == hash(root)
+    else:
+        assert flipped != root and not flipped == root
+
+
 @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 def test_round_trip_preserves_value(v):
     e = parse("(x - 1)*(x + 1) + x^3/4")
