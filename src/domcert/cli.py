@@ -51,7 +51,16 @@ class _ArgvError(DomcertError):
     pass
 
 
+# argparse's own pattern takes "-12" and "-1.5" for values, not options;
+# this one also takes a float in exponent notation ("-1e-3", "-.5E+2")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # collect argparse complaints instead of letting it exit directly
     def error(self, message):
         raise _ArgvError(message)
@@ -493,6 +502,8 @@ def render_csv(subcommand: str, result: dict) -> str:
 # A coordinate is looked up in a table of the grid axes' reprs first (empty
 # for a random plan).  Zeros stay out of the table: 0.0 and -0.0 are one
 # key but two reprs, and a refined point can be the other zero of an axis.
+# Search rows are written _CHUNK_ROWS at a time, so no text of every row is
+# built at once; check-* rows are buffered whole, so that a fault drops them.
 # ---------------------------------------------------------------------------
 
 _GAP_HEADER = "x,y,t,gap,lhs_abs,rhs\n"
@@ -509,6 +520,7 @@ _JSON_ROW = """      {
 # has one; _sanitize writes them as strings
 _JSON_NONFINITE = re.compile(r": (-?inf|nan)\b")
 _NO_VIOLATIONS = '"violations": []'  # cannot occur unescaped inside a string
+_CHUNK_ROWS = 512
 
 
 def _reprs(values) -> dict:
@@ -549,16 +561,23 @@ def _gap_lines(template: str, records, reprs: dict) -> list[str]:
     ]
 
 
-def _search_csv(records, reprs: dict) -> str:
-    return _GAP_HEADER + "".join(_gap_lines(_GAP_ROW, records, reprs))
+def _write_search_csv(write, records, reprs: dict, chunk: int = _CHUNK_ROWS) -> None:
+    write(_GAP_HEADER)
+    for i in range(0, len(records), chunk):
+        write("".join(_gap_lines(_GAP_ROW, records[i:i + chunk], reprs)))
 
 
-def _splice_violations(text: str, records, reprs: dict) -> str:
-    """The JSON envelope text with its empty violations list filled in."""
-    body = ",\n".join(_gap_lines(_JSON_ROW, records, reprs))
-    if "n" in body:
-        body = _JSON_NONFINITE.sub(r': "\1"', body)
-    return text.replace(_NO_VIOLATIONS, '"violations": [\n' + body + "\n    ]", 1)
+def _write_search_json(write, text: str, records, reprs: dict, chunk: int = _CHUNK_ROWS) -> None:
+    """Writes the JSON envelope text with its empty violations list filled
+    in by records, at least one."""
+    head, tail = text.split(_NO_VIOLATIONS, 1)
+    write(head + '"violations": [\n')
+    for i in range(0, len(records), chunk):
+        body = ",\n".join(_gap_lines(_JSON_ROW, records[i:i + chunk], reprs))
+        if "n" in body:  # a row never straddles two chunks
+            body = _JSON_NONFINITE.sub(r': "\1"', body)
+        write(",\n" + body if i else body)
+    write("\n    ]" + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +721,10 @@ def main(argv: list[str] | None = None) -> int:
             result["violations"] = []
             reprs = _coordinate_reprs(built.plan, built.interval)
     if fmt == "csv":
-        _emit(_search_csv(records, reprs) if records is not None
-              else render_csv(ns.subcommand, result))
+        if records is None:
+            _emit(render_csv(ns.subcommand, result))
+        else:
+            _write_search_csv(_emit, records, reprs)
         return code
     envelope = {
         "tool": TOOL,
@@ -717,7 +738,10 @@ def main(argv: list[str] | None = None) -> int:
         _emit(render_text(envelope))
     else:
         text = render_json(envelope)
-        _emit(_splice_violations(text, records, reprs) if records else text)
+        if records:
+            _write_search_json(_emit, text, records, reprs)
+        else:
+            _emit(text)
     return code
 
 

@@ -240,15 +240,6 @@ def grid_axes(
     )
 
 
-def _random_triples(plan: SamplePlan, interval: Interval) -> list[tuple[float, float, float]]:
-    # rng.uniform(a, b) is a + (b - a) * rng.random(): the same draws, the same bits
-    r = random.Random(plan.seed).random
-    a, b = interval.a, interval.b
-    lo, hi = plan.t_clamp, 1.0 - plan.t_clamp
-    w, tw = b - a, hi - lo
-    return [(a + w * r(), a + w * r(), lo + tw * r()) for _ in range(plan.count)]
-
-
 # ---------------------------------------------------------------------------
 # The sweep engine writes one loop for the statements a check asks for,
 # with the bodies of f, g and the kernel h inlined (h with the checks of
@@ -263,9 +254,16 @@ def _random_triples(plan: SamplePlan, interval: Interval) -> list[tuple[float, f
 # and py in the random loop, and on the grid axes, where g's pass zips f's
 # values.  f ran first and gave a finite value, so its tree would give the
 # same bits there without a fault.
+# A random plan draws x, y and t in the loop, in that order, each as
+# rng.uniform does (a + (b - a) * r()), and maps x and y as AffineMap.apply
+# does (alpha * x + beta, which raises outside the map's domain), so the loop
+# holds nothing per sample.  The violation test of _violates can run in the
+# loop too, keeping only the violating rows.
 # ---------------------------------------------------------------------------
 
 _DERIVED = {"l": "+", "k": "-"}
+# _violates in the loop; a value that is not below 0.0 never violates
+_VIOLATES = "{v} < 0.0 and ({v} < -(atol + rtol * max(abs({lhs}), abs({rhs}))) or {v} == -INF)"
 
 
 class _Rerun(Exception):
@@ -298,18 +296,30 @@ _SWEEP_ENV = {
     "_nonfinite": _nonfinite,
     "_outside": outside_error,
     "abs": abs,
+    "max": max,
     "min": min,
+    "range": range,
     "zip": zip,
 }
 
 
 def _sweep_source(
-    roots: dict, kernel: Node, stats: tuple, grid: bool, rows: bool, guarded: bool = False
+    roots: dict,
+    kernel: Node,
+    stats: tuple,
+    grid: bool,
+    rows: bool,
+    guarded: bool = False,
+    keep: bool = False,
+    wide: bool = False,
 ) -> str:
     """Source of _sweep: one pass reducing stats, roots mapping names to trees.
 
-    guarded=True writes the bodies in the guarded form, with g reading
-    nothing of f.
+    rows=True passes each sample's row to emit; keep=True stores the rows
+    that violate under their point (x, y, t) in the dict found.  guarded=True
+    writes the bodies in the guarded form, with g reading nothing of f.
+    wide=True draws random x and y by weights, for an interval whose width
+    b - a overflows.
     """
     base = list(roots)  # "u" alone, or "f" then "g": the order of evaluation
     derived = [n for n in _DERIVED if n in stats]
@@ -359,16 +369,24 @@ def _sweep_source(
             v, lhs, rhs = _sides(s)
             put(depth, f"if {v} <= w_{s} and ({v} < w_{s} or (x, y, t) < wit_{s}):",
                 f"    w_{s}, wit_{s}, wl_{s}, wr_{s} = {v}, (x, y, t), {lhs}, {rhs}")
-        if rows:  # a convexity row carries the defect alone; emit's own
-            # OverflowError or ValueError reaches the caller as it is
-            row = _sides(stats[-1]) if "gap" in stats else ("d_u",)
-            put(depth, "try:", f"    emit((x, y, t, {', '.join(row)}))",
+        # a convexity row carries the defect alone
+        row = "(x, y, t, %s)" % ", ".join(_sides(stats[-1]) if "gap" in stats else ("d_u",))
+        if rows:  # emit's own OverflowError or ValueError reaches the caller as it is
+            if keep:
+                put(depth, f"row = {row}")
+                row = "row"
+            put(depth, "try:", f"    emit({row})",
                 "except (OverflowError, ValueError):", "    emitting = True", "    raise")
+        if keep:
+            v, lhs, rhs = _sides(stats[-1])
+            put(depth, f"if {_VIOLATES.format(v=v, lhs=lhs, rhs=rhs)}:",
+                f"    found[(x, y, t)] = {row}")
 
     if grid:
-        put(0, "def _sweep(xs, ys, ts, pxs, pys, emit):")
+        put(0, "def _sweep(xs, ys, ts, pxs, pys, emit, found, atol, rtol):")
     else:
-        put(0, "def _sweep(triples, apply, emit):")
+        put(0, "def _sweep(count, r, a, b, w, lo, tw, da, db, alpha, beta, apply, emit, found,"
+               " atol, rtol):")
     # axis names the axis pass under way on a grid plan, av its grid point
     put(1, "x = y = t = axis = av = None", *(["emitting = False"] if rows else []))
     for s in stats:
@@ -406,12 +424,18 @@ def _sweep_source(
         put(5, "p = tx + ty")
         per_sample(5, {n: f"h{n}x + h{n}y" for n in defects})
     else:
-        put(2, *(f"neg_{n} = False" for n in fns), "for x, y, t in triples:")
-        put(3, "omt = 1.0 - t")
+        put(2, *(f"neg_{n} = False" for n in fns), "for _ in range(count):")
+        for v in "xy":
+            if wide:  # a + w * r() would be inf or nan; clamped as in _linspace
+                put(3, "u = r()", f"{v} = min(max(a * (1.0 - u) + b * u, a), b)")
+            else:
+                put(3, f"{v} = a + w * r()")
+        put(3, "t = lo + tw * r()", "omt = 1.0 - t")
         kernel_lines = kernel_at("ht", "t") + kernel_at("h1t", "omt")
         if len(base) == 2:  # the pair sweep read the kernel first
             put(3, *kernel_lines)
-        put(3, "px = apply(x)", "py = apply(y)")
+        for v in "xy":  # apply raises the GeometryError of a point off phi's domain
+            put(3, f"if not da <= {v} <= db: apply({v})", f"p{v} = alpha * {v} + beta")
         for n in fns:
             evaluate(3, n, "px", "px")
             evaluate(3, n, "py", "py")
@@ -445,34 +469,44 @@ def _plan_sweep(
     interval: Interval,
     plan: SamplePlan,
     emit=None,
+    found: dict | None = None,
 ) -> _SweepData:
     """One pass over the plan reducing every statement in stats.
 
     fns is (u,) for the statement "u", else (f, g).  emit, when given,
     is called with one row per sample: (x, y, t, value, lhs, rhs) of the
-    last statement, or (x, y, t, defect) for "u".
+    last statement, or (x, y, t, defect) for "u".  found, when given, gets
+    each row of the last statement that violates the plan's tolerances
+    (_violates) under its point (x, y, t), a later row replacing an equal
+    point's.
     """
     grid = plan.strategy == "grid"
     roots = dict(zip("u" if len(fns) == 1 else "fg", (e.root for e in fns)))
+    wide = False
     if grid:
         xs, ys, ts = grid_axes(plan, interval)
         args = (xs, ys, ts, [phi.apply(v) for v in xs], [phi.apply(v) for v in ys])
         samples = len(xs) * len(ys) * len(ts)
     else:
-        triples = _random_triples(plan, interval)
-        args = (triples, phi.apply)
-        samples = len(triples)
+        a, b, lo = interval.a, interval.b, plan.t_clamp
+        samples, wide = plan.count, b - a == math.inf
+        # the widths rng.uniform(a, b) and rng.uniform(lo, 1.0 - lo) draw with
+        args = (a, b, b - a, lo, (1.0 - lo) - lo, phi.domain.a, phi.domain.b, phi.alpha,
+                phi.beta, phi.apply)
 
-    def run(guarded: bool, emit):
+    def run(guarded: bool, emit, found):
         env = {**_SWEEP_ENV, "_nonpositive": h.nonpositive_error}
-        source = _sweep_source(roots, h.expr.root, stats, grid, emit is not None, guarded)
+        source = _sweep_source(roots, h.expr.root, stats, grid, emit is not None, guarded,
+                               found is not None, wide)
         exec(compile(source, "<sweep>", "exec"), env)
-        return env["_sweep"](*args, emit)
+        # each run draws a random plan from the start
+        draws = () if grid else (samples, random.Random(plan.seed).random)
+        return env["_sweep"](*draws, *args, emit, found, plan.atol, plan.rtol)
 
     try:
-        worst, neg, fails = run(False, emit)
+        worst, neg, fails = run(False, emit, found)
     except _Rerun as rerun:
-        run(True, None)  # faults at the same op and sample, and names the op
+        run(True, None, None)  # faults at the same op and sample, and names the op
         raise rerun.args[0] from None
     for n in _DERIVED:  # the sum sweep ran before the difference sweep
         if fails.get(n):

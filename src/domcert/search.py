@@ -2,11 +2,13 @@
 
 Sweeps a sample plan, keeps every triple whose gap is below the violation
 threshold, and optionally sharpens the ten worst samples with a clamped
-coordinate-descent (step-halving) refinement.  Rows stream from the
-sweep, so memory grows with the number of violations, not with the plan;
-a kept row stays the plain tuple the sweep emitted until the sorted list
-is returned as ViolationRecord named tuples.  Everything is deterministic
-for a fixed plan, including the random strategy via its seed.
+coordinate-descent (step-halving) refinement.  The sweep's own loop tests
+each sample and keeps only the violating rows, so memory grows with the
+number of violations, not with the plan (a refining search also holds at
+most a few thousand candidate seeds).  Each violation is held once: a row
+is the plain tuple the loop built until the sorted list replaces it, in
+place, by its ViolationRecord.  Everything is deterministic for a fixed
+plan, including the random strategy via its seed.
 """
 
 from __future__ import annotations
@@ -86,14 +88,12 @@ def search_violations(
     seeds: list[tuple] = []
 
     def keep(row):
-        if _violates(row[3], row[4], row[5], plan.atol, plan.rtol):
-            found[row[:3]] = row
-        if refine:
-            seeds.append(row)
-            if len(seeds) >= _SEED_BUFFER:
-                seeds[:] = heapq.nsmallest(REFINE_SEEDS, seeds, key=_ORDER)
+        seeds.append(row)
+        if len(seeds) >= _SEED_BUFFER:
+            seeds[:] = heapq.nsmallest(REFINE_SEEDS, seeds, key=_ORDER)
 
-    _plan_sweep((pair.f, pair.g), ("gap",), h, phi, interval, plan, keep)
+    _plan_sweep((pair.f, pair.g), ("gap",), h, phi, interval, plan, keep if refine else None,
+                found)
 
     if refine:
         def gap_fn(x, y, t):
@@ -109,4 +109,19 @@ def search_violations(
                 found.pop((sx, sy, st), None)
             found[(rx, ry, rt)] = (rx, ry, rt, gap, lhs, rhs)
 
-    return list(map(ViolationRecord._make, sorted(found.values(), key=_ORDER)))
+    return _records(found)
+
+
+def _records(found: dict) -> list[ViolationRecord]:
+    """found's rows as records in _ORDER, emptying found.
+
+    Sorting by point, then stably by gap alone, is _ORDER without a key
+    tuple per row: the points are distinct dict keys (so a row comparison
+    never reaches the gap) and a violating gap is never nan.
+    """
+    rows = sorted(found.values())
+    found.clear()
+    rows.sort(key=itemgetter(3))
+    for i, row in enumerate(rows):
+        rows[i] = ViolationRecord._make(row)
+    return rows

@@ -149,6 +149,59 @@ class TestSharedParser:
         assert cli.build_parser() is not cli.build_parser()
 
 
+class TestNegativeExponentNotation:
+    """A negative float in exponent notation is a value, not an option:
+    argparse alone takes only the "-12" and "-1.5" forms for numbers."""
+
+    ARGV = ("check-convex", "--f", "x*x", "--interval", "-1.5E+2", "-.5e1", "--grid", "3", "3",
+            "3")
+
+    def test_golden(self, capsys):
+        code, out = run(capsys, *self.ARGV)
+        assert out == (GOLDEN / "check_convex_exponent_negatives.json").read_text()
+        assert code == 0
+        jsonschema.validate(json.loads(out), SCHEMA)
+
+    @pytest.mark.parametrize("text", ["-1e-3", "-1.5E+2", "-.5e1", "-2e0", "-12", "-1.5"])
+    def test_interval_end(self, capsys, text):
+        argv = ("check-convex", "--f", "x*x", "--interval", text, "1", "--grid", "3", "3", "3")
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["inputs"]["interval"] == [float(text), 1.0]
+
+    @pytest.mark.parametrize("flag, problem", [
+        ("--eps-t", "sampling plan: t_clamp must be in (0, 0.5), got -0.015"),
+        ("--atol", "sampling plan: tolerances must be finite, >= 0; got -0.015, 1e-09"),
+        ("--rtol", "sampling plan: tolerances must be finite, >= 0; got 1e-09, -0.015"),
+        ("--quad-tol", "--quad-tol must be positive and finite, got -0.015"),
+        ("--s", "--s must lie in (0, 1), got -0.015"),
+    ])
+    def test_every_float_option_reads_the_value(self, capsys, flag, problem):
+        # read as a number, then refused by validation, not by argparse
+        code, doc = run_json(capsys, "special-case", *BASE, "--which", "power", flag, "-1.5E-2",
+                             *(() if flag == "--s" else ("--s", "0.5")))
+        assert code == 2
+        assert doc["error"]["problems"] == [problem]
+
+    def test_config_file_value(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("interval = -.5e1 -1e-3\n")
+        code, doc = run_json(capsys, "check-convex", "--f", "x*x", "--config", str(conf),
+                             "--grid", "3", "3", "3")
+        assert code == 0
+        assert doc["inputs"]["interval"] == [-5.0, -0.001]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--f", "x*x", "--interval", "-1e", "1"), "argument --interval: expected 2 arguments"),
+        (("--f", "-x^2", "--interval", "0", "1"), "argument --f: expected one argument"),
+        (("--f", "x*x", "--interval", "-inf", "1"), "argument --interval: expected 2 arguments"),
+    ])
+    def test_other_dash_words_stay_options(self, capsys, argv, message):
+        code, doc = run_json(capsys, "check-convex", *argv)
+        assert code == 2
+        assert doc["error"]["message"] == message
+
+
 class TestValidationCollection:
     def test_all_problems_reported_at_once(self, capsys):
         code, doc = run_json(

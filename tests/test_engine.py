@@ -1,16 +1,17 @@
 """The generated sweep engine against a naive loop over the scalar forms.
 
-The reference walks the same samples (grid_axes or _random_triples) one
-triple at a time through _defect_parts, cross-checked against phi_h_defect
-and dominance_gap; g + f and g - f are the trees combine() and decompose()
-build.  Every worst value, witness, side, warning and row must come out
-bit-identical (compared through repr), so a change in the op order of the
-inlined bodies of f, g and the kernel h, or of the cached per-axis products,
-fails here.
+The reference walks the same samples (grid_axes, or _random_triples below,
+which draws with random.uniform) one triple at a time through _defect_parts,
+cross-checked against phi_h_defect and dominance_gap; g + f and g - f are
+the trees combine() and decompose() build.  Every worst value, witness,
+side, warning and row must come out bit-identical (compared through repr),
+so a change in the op order of the inlined bodies of f, g and the kernel h,
+or of the cached per-axis products, fails here.
 """
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +25,7 @@ from domcert.convexity import (
     PreconditionError,
     SamplePlan,
     _defect_parts,
-    _random_triples,
+    _plan_sweep,
     check_dominated,
     check_phi_h_convex,
     decompose,
@@ -34,7 +35,7 @@ from domcert.convexity import (
     phi_h_defect,
 )
 from domcert.expr import EvalError, combine, parse
-from domcert.geometry import Interval, identity_map, make_affine
+from domcert.geometry import GeometryError, Interval, identity_map, make_affine
 from domcert.kernels import KernelError, make_kernel
 
 KERNELS = [
@@ -119,6 +120,14 @@ def setups(draw):
     return pair, h, phi, interval, plan
 
 
+def _random_triples(plan, interval):
+    """A random plan's triples: x, y, then t, each drawn by random.uniform."""
+    rng = random.Random(plan.seed)
+    a, b, lo = interval.a, interval.b, plan.t_clamp
+    return [(rng.uniform(a, b), rng.uniform(a, b), rng.uniform(lo, 1.0 - lo))
+            for _ in range(plan.count)]
+
+
 def _triples(plan, interval):
     if plan.strategy == "random":
         return _random_triples(plan, interval)
@@ -137,7 +146,8 @@ ENDPOINTS = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
     t_clamp=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
 )
 def test_random_triples_are_uniform_draws(seed, count, ends, t_clamp):
-    # the reference the engine tests sample from, against random.uniform
+    # the loop's own draws, read through its rows, against random.uniform;
+    # phi's domain holds every draw, whatever rounding does near b
     plan = SamplePlan.random(count, seed=seed, t_clamp=t_clamp)
     a, b = ends
     rng = random.Random(seed)
@@ -145,7 +155,65 @@ def test_random_triples_are_uniform_draws(seed, count, ends, t_clamp):
         (rng.uniform(a, b), rng.uniform(a, b), rng.uniform(t_clamp, 1.0 - t_clamp))
         for _ in range(count)
     ]
-    assert repr(_random_triples(plan, Interval(a, b))) == repr(want)
+    rows = []
+    phi = identity_map(Interval(-1e308, 1e308))
+    check_phi_h_convex(parse("0"), make_kernel("one"), phi, Interval(a, b), plan, rows.append)
+    assert repr([row[:3] for row in rows]) == repr(want)
+
+
+@pytest.mark.parametrize("f", ["x/1e300", "x/1e300 + 1"])
+def test_random_draws_on_an_interval_wider_than_the_largest_float(f):
+    # b - a is inf: x and y are drawn by weights, a * (1 - u) + b * u
+    wide = Interval(-1e308, 1e308)
+    plan, rows = SamplePlan.random(200, seed=1), []
+    ident = identity_map(wide)
+    rep = check_phi_h_convex(parse(f), make_kernel("linear"), ident, wide, plan, rows.append)
+    assert rep.verdict == HOLDS and rep.samples_checked == 200
+    rng = random.Random(1)
+    for x, y, t, _ in rows:
+        for v in (x, y):
+            u = rng.random()
+            assert repr(v) == repr(min(max(-1e308 * (1.0 - u) + 1e308 * u, -1e308), 1e308))
+        assert repr(t) == repr(rng.uniform(1e-6, 1.0 - 1e-6))
+    grid = SamplePlan.grid(5, 5, 5)
+    assert check_phi_h_convex(parse(f), make_kernel("linear"), ident, wide, grid).verdict == HOLDS
+
+
+@pytest.mark.parametrize("check", ["convex", "dominated"])
+def test_random_points_off_the_map_domain_fault_as_apply_does(check):
+    # phi is applied in the loop: the first draw outside phi's domain raises
+    # AffineMap.apply's GeometryError
+    half = identity_map(Interval(0.0, 0.5))
+    plan = SamplePlan.random(50, seed=2)
+    first = next(v for x, y, _ in _random_triples(plan, UNIT) for v in (x, y) if v > 0.5)
+    with pytest.raises(GeometryError) as want:
+        half.apply(first)
+    with pytest.raises(GeometryError) as info:
+        if check == "convex":
+            check_phi_h_convex(parse("x*x"), make_kernel("linear"), half, UNIT, plan)
+        else:
+            pair = FunctionPair(parse("x*x"), parse("2*x*x"))
+            check_dominated(pair, make_kernel("linear"), half, UNIT, plan)
+    assert info.value.reason == "domain"
+    assert str(info.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fns, stats", [(("x^2",), ("u",)), (("x^2", "3*x^2+1"), ("g", "gap"))])
+def test_random_plan_memory_is_flat_in_the_count(fns, stats):
+    # no triple list: the loop draws each sample, so the peak does not grow
+    # with the count
+    args = tuple(map(parse, fns)), stats, make_kernel("linear"), identity_map(UNIT), UNIT
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            _plan_sweep(*args, SamplePlan.random(count, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5_000)  # warm every cache the first sweep fills
+    assert peak(50_000) - peak(5_000) <= 64 * 1024
 
 
 def _defects(u, h, phi, triples):

@@ -1,11 +1,12 @@
 """The sample-row writers against the generic encoders they replace.
 
 check-* CSV rows, search CSV rows and the search JSON rows are each one
-%-format per row with the grid coordinates' reprs looked up in a table.
-Their text must equal csv.writer over the raw floats and
-json.dumps(_sanitize(envelope), indent=2) over the rows as dicts, for every
-float: signed zeros (one key in the table, two reprs), infinities, nan,
-subnormals and 17-digit values.
+%-format per row with the grid coordinates' reprs looked up in a table;
+search rows are written a chunk at a time.  Their text must equal
+csv.writer over the raw floats and json.dumps(_sanitize(envelope), indent=2)
+over the rows as dicts, for every float: signed zeros (one key in the table,
+two reprs), infinities, nan, subnormals and 17-digit values, and for chunks
+of every size.
 """
 
 import csv
@@ -13,6 +14,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from domcert import cli
@@ -78,26 +80,62 @@ def test_check_dominated_rows_match_csv_writer(data):
     assert buf.getvalue() == csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], rows)
 
 
+CHUNKS = st.one_of(st.integers(1, 5), st.just(cli._CHUNK_ROWS))
+
+
+def search_csv(records, reprs, chunk) -> str:
+    buf = io.StringIO()
+    cli._write_search_csv(buf.write, records, reprs, chunk)
+    return buf.getvalue()
+
+
+def search_json(records, reprs, chunk) -> str:
+    text = cli.render_json(envelope([], len(records)))
+    if not records:  # main writes the envelope as it is
+        return text
+    buf = io.StringIO()
+    cli._write_search_json(buf.write, text, records, reprs, chunk)
+    return buf.getvalue()
+
+
+def json_dumps_text(records) -> str:
+    return json.dumps(cli._sanitize(envelope([r._asdict() for r in records], len(records))),
+                      indent=2) + "\n"
+
+
 @settings(deadline=None)
-@given(table_and_rows(6))
-def test_search_csv_matches_csv_writer(data):
+@given(table_and_rows(6), CHUNKS)
+def test_search_csv_matches_csv_writer(data, chunk):
     reprs, rows = data
     records = [ViolationRecord._make(r) for r in rows]
     want = csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], rows)
-    assert cli._search_csv(records, reprs) == want
+    assert search_csv(records, reprs, chunk) == want
 
 
 @settings(deadline=None)
-@given(table_and_rows(6))
-def test_search_json_matches_json_dumps(data):
+@given(table_and_rows(6), CHUNKS)
+def test_search_json_matches_json_dumps(data, chunk):
     reprs, rows = data
     records = [ViolationRecord._make(r) for r in rows]
-    text = cli.render_json(envelope([], len(records)))
-    if records:
-        text = cli._splice_violations(text, records, reprs)
-    want = json.dumps(cli._sanitize(envelope([r._asdict() for r in records], len(records))),
-                      indent=2)
-    assert text == want + "\n"
+    assert search_json(records, reprs, chunk) == json_dumps_text(records)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_search_rows_across_chunk_boundaries(size):
+    # more rows than one chunk, with inf and nan in the last row of a chunk
+    # and in the first row of the next
+    n = cli._CHUNK_ROWS
+    bad = {n - 1, n, 2 * n - 1, 2 * n}
+    records = [
+        ViolationRecord(i * 1e-3, -0.0 if i % 2 else 0.5, 0.25,
+                        -math.inf if i in bad else -1.0 - i,
+                        math.nan if i in bad else 0.0, math.inf if i in bad else 1e300)
+        for i in range(size * n + 1)
+    ]
+    reprs = cli._reprs([0.5, 0.25, -0.0])
+    assert search_json(records, reprs, n) == json_dumps_text(records)
+    want = csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], records)
+    assert search_csv(records, reprs, n) == want
 
 
 def test_coordinate_table_leaves_out_zeros():

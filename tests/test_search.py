@@ -1,12 +1,16 @@
 import math
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from domcert.convexity import FunctionPair, SamplePlan, dominance_gap
+from domcert.convexity import (
+    _SWEEP_ENV, _VIOLATES, FunctionPair, SamplePlan, _plan_sweep, _violates, dominance_gap,
+)
 from domcert.expr import parse
 from domcert.geometry import Interval, identity_map
 from domcert.kernels import make_kernel
-from domcert.search import ViolationRecord, search_violations
+from domcert.search import ViolationRecord, _records, search_violations
 
 UNIT = Interval(0.0, 1.0)
 IDENT = identity_map(UNIT)
@@ -124,3 +128,66 @@ class TestDeterminism:
         c = search_violations(pair, LINEAR, IDENT, UNIT, SamplePlan.random(300, seed=6))
         assert a == b
         assert a != c
+
+
+# ---------------------------------------------------------------------------
+# The kept rows and their order
+# ---------------------------------------------------------------------------
+
+COORDS = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, 5e-324])
+GAPS = st.one_of(
+    st.sampled_from([-math.inf, -1.0, -0.5, -0.0, 0.0, -5e-324]),
+    st.floats(allow_nan=False),
+)
+ROWS = st.tuples(COORDS, COORDS, COORDS, GAPS, st.floats(), st.floats())
+
+
+@settings(deadline=None)
+@given(st.lists(ROWS, max_size=40), st.lists(st.tuples(st.integers(0, 39), ROWS), max_size=10))
+def test_records_are_found_in_gap_then_point_order(rows, refined):
+    # rows as the loop keeps them (a later row replaces an equal point's),
+    # then refined points replacing their seeds as search_violations does
+    found = {}
+    for row in rows:
+        found[row[:3]] = row
+    for i, row in refined:
+        if rows:
+            found.pop(rows[i % len(rows)][:3], None)
+        found[row[:3]] = row
+    want = [ViolationRecord._make(r) for r in sorted(found.values(), key=itemgetter(3, 0, 1, 2))]
+    out = _records(found)
+    assert repr(out) == repr(want)
+    assert all(type(r) is ViolationRecord for r in out)
+    assert found == {}
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-9, 1e300])
+ANY = st.one_of(SPECIAL, st.floats())
+TOLS = st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 1e300))
+
+
+@given(ANY, ANY, ANY, TOLS, TOLS)
+def test_loop_filter_is_violates(gap, lhs, rhs, atol, rtol):
+    test = eval(f"lambda g, l, r, atol, rtol: {_VIOLATES.format(v='g', lhs='l', rhs='r')}",
+                dict(_SWEEP_ENV))
+    assert test(gap, lhs, rhs, atol, rtol) == _violates(gap, lhs, rhs, atol, rtol)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["2*x^2", "x^2", "exp(3*x)", "abs(x-0.5)", "-x^2", "x^4-x"]),
+    st.sampled_from(["x^2", "2*x^2", "exp(3*x)", "0.5*x^2"]),
+    st.sampled_from(["grid", "random"]),
+    TOLS,
+    TOLS,
+)
+def test_loop_keeps_exactly_the_violating_rows(f, g, strategy, atol, rtol):
+    if strategy == "grid":
+        plan = SamplePlan.grid(5, 5, 5, atol=atol, rtol=rtol)
+    else:
+        plan = SamplePlan.random(300, seed=4, atol=atol, rtol=rtol)
+    rows, found = [], {}
+    pair = (parse(f), parse(g))
+    _plan_sweep(pair, ("gap",), LINEAR, IDENT, UNIT, plan, rows.append, found)
+    want = {row[:3]: row for row in rows if _violates(*row[3:], atol, rtol)}
+    assert repr(found) == repr(want)
