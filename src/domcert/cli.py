@@ -1,13 +1,8 @@
 """Command line front end.
 
-Subcommands:
-
-    check-convex     sample the convexity defect of one function
-    check-dominated  sample the dominance gap of a pair (g gated convex)
-    equivalence      evaluate the three equivalent dominance statements
-    verify-hh        check the midpoint/endpoint integral bounds
-    special-case     run the bounds for the built-in kernels
-    search           hunt for violating triples, optionally refined
+One subcommand per statement checked, each listed with its help and inputs
+in _COMMANDS; `domcert --help` prints them.  Options may come before or
+after the subcommand.
 
 Exit codes: 0 every checked statement held, 1 a violation or failed bound
 was found, 2 configuration or evaluation error.  Errors are emitted as a
@@ -23,6 +18,7 @@ import json
 import math
 import re
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .convexity import (
@@ -43,8 +39,31 @@ from .search import search_violations
 TOOL = "domcert"
 
 _BUILTIN_KERNELS = {"t": "linear", "t^s": "power", "1/t": "reciprocal", "1": "one"}
-_WHICH_CHOICES = ("linear", "power", "reciprocal", "one", "all")
 _BOOL_CONFIG_KEYS = ("refine",)
+
+
+class _Command(NamedTuple):
+    help: str
+    needs_g: bool
+    needs_kernel: bool
+    # (flag, default, add_argument keywords) of the option only it takes
+    option: tuple | None = None
+
+
+_COMMANDS = {
+    "check-convex": _Command("sample the convexity defect of --f", False, True),
+    "check-dominated": _Command("sample the dominance gap of (--f, --g)", True, True),
+    "equivalence": _Command("evaluate the three equivalent dominance statements", True, True),
+    "verify-hh": _Command("check the two-sided integral bounds", True, True, (
+        "--bound", "both", {"choices": ("midpoint", "endpoint", "both"),
+                            "help": "verify-hh: which bound form to check (default both)"})),
+    "special-case": _Command("run the bounds for the built-in kernels", True, False, (
+        "--which", "all", {"choices": ("linear", "power", "reciprocal", "one", "all"),
+                           "help": "special-case: which built-in kernel (default all)"})),
+    "search": _Command("search for violating (x, y, t) triples", True, True, (
+        "--refine", False, {"action": "store_true",
+                            "help": "search: sharpen the worst samples by coordinate descent"})),
+}
 
 
 class _ArgvError(DomcertError):
@@ -67,18 +86,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    ex = common.add_argument_group("expressions")
+    parser = _Parser(
+        prog=TOOL,
+        description=__doc__.splitlines()[0],
+        epilog="subcommands:\n" + "".join(
+            f"  {name:<17}{command.help}\n" for name, command in _COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "subcommand", choices=_COMMANDS, metavar="subcommand", help="the check to run (below)"
+    )
+    ex = parser.add_argument_group("expressions")
     ex.add_argument("--f", help="expression for f, e.g. 'x^2'")
     ex.add_argument("--g", help="expression for the dominator g")
-    ke = common.add_argument_group("kernel")
+    ke = parser.add_argument_group("kernel")
     ke.add_argument(
-        "--h",
-        help="built-in kernel: one of 't', 't^s' (needs --s), '1/t', '1' (default t)",
+        "--h", help="built-in kernel: one of 't', 't^s' (needs --s), '1/t', '1' (default t)"
     )
     ke.add_argument("--s", type=float, help="exponent for the 't^s' kernel, in (0, 1)")
     ke.add_argument("--h-custom", help="custom kernel expression in t, must be positive")
-    dm = common.add_argument_group("domain")
+    dm = parser.add_argument_group("domain")
     dm.add_argument(
         "--interval", nargs=2, type=float, metavar=("A", "B"), help="domain interval"
     )
@@ -87,91 +115,38 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
         help="affine map: 'identity' or an affine expression in x (default identity)",
     )
-    pl = common.add_argument_group("sampling")
+    pl = parser.add_argument_group("sampling")
     pl.add_argument(
-        "--grid",
-        nargs=3,
-        type=int,
-        metavar=("NX", "NY", "NT"),
-        default=(21, 21, 19),
+        "--grid", nargs=3, type=int, metavar=("NX", "NY", "NT"), default=(21, 21, 19),
         help="grid sample counts for x, y, t (default 21 21 19)",
     )
     pl.add_argument(
-        "--random",
-        type=int,
-        dest="random_count",
-        metavar="COUNT",
+        "--random", type=int, dest="random_count", metavar="COUNT",
         help="use COUNT seeded random triples instead of the grid",
     )
     pl.add_argument(
-        "--samples",
-        type=int,
-        dest="random_count",
-        metavar="COUNT",
-        help="alias for --random",
+        "--samples", type=int, dest="random_count", metavar="COUNT", help="alias for --random"
     )
     pl.add_argument("--seed", type=int, default=0, help="seed for random sampling")
     pl.add_argument(
-        "--eps-t",
-        type=float,
-        default=1e-6,
+        "--eps-t", type=float, default=1e-6,
         help="clamp keeping t inside [eps, 1-eps] (default 1e-6)",
     )
-    tl = common.add_argument_group("tolerances")
+    tl = parser.add_argument_group("tolerances")
     tl.add_argument("--atol", type=float, default=1e-9, help="absolute tolerance")
     tl.add_argument("--rtol", type=float, default=1e-9, help="relative tolerance")
-    tl.add_argument(
-        "--quad-tol", type=float, default=1e-10, help="quadrature error budget"
-    )
-    ou = common.add_argument_group("output")
+    tl.add_argument("--quad-tol", type=float, default=1e-10, help="quadrature error budget")
+    ou = parser.add_argument_group("output")
     ou.add_argument(
         "--format", choices=("json", "text", "csv"), default="json", help="output format"
     )
     ou.add_argument("--config", help="key = value file mirroring the flags")
-
-    parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser(
-        "check-convex", parents=[common], help="sample the convexity defect of --f"
-    )
-    sub.add_parser(
-        "check-dominated",
-        parents=[common],
-        help="sample the dominance gap of (--f, --g)",
-    )
-    sub.add_parser(
-        "equivalence",
-        parents=[common],
-        help="evaluate the three equivalent dominance statements",
-    )
-    p = sub.add_parser(
-        "verify-hh", parents=[common], help="check the two-sided integral bounds"
-    )
-    p.add_argument(
-        "--bound",
-        choices=("midpoint", "endpoint", "both"),
-        default="both",
-        help="which bound form to check (default both)",
-    )
-    p = sub.add_parser(
-        "special-case",
-        parents=[common],
-        help="run the bounds for the built-in kernels",
-    )
-    p.add_argument(
-        "--which",
-        choices=_WHICH_CHOICES,
-        default="all",
-        help="which built-in kernel (default all)",
-    )
-    p = sub.add_parser(
-        "search", parents=[common], help="search for violating (x, y, t) triples"
-    )
-    p.add_argument(
-        "--refine",
-        action="store_true",
-        help="sharpen the worst samples by coordinate descent",
-    )
+    own = parser.add_argument_group("one subcommand each")
+    for command in _COMMANDS.values():
+        if command.option is not None:
+            flag, _, keywords = command.option
+            # None until _parse_argv checks it against the subcommand
+            own.add_argument(flag, default=None, **keywords)
     return parser
 
 
@@ -199,6 +174,9 @@ def _load_config(path: str) -> list[str]:
         if not sep or not key:
             problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
             continue
+        if not value:  # a bare flag in front of argv would take the subcommand
+            problems.append(f"line {lineno}: {key} has no value")
+            continue
         if key == "config":
             problems.append(f"line {lineno}: config files cannot nest")
             continue
@@ -223,21 +201,33 @@ def _load_config(path: str) -> list[str]:
     return flags
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return argv
-    injected = _load_config(path)
-    # insert right after the subcommand so explicit flags override the file
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-"):
-            return argv[: i + 1] + injected + argv[i + 1 :]
-    return argv
+# main's parser, built on its first call and shared by every later one:
+# parsing never changes it (config lines are spliced into argv instead)
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parse_argv(argv: list[str]):
+    """The namespace of argv.  With --config (spelt any way argparse takes
+    it), argv is parsed again behind the file's flags, so that an explicit
+    flag wins.  An option of one subcommand given to another is an error,
+    and its owner gets its default."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    ns = _PARSER.parse_args(argv)
+    if ns.config is not None:
+        ns = _PARSER.parse_args(_load_config(ns.config) + argv)
+    for name, command in _COMMANDS.items():
+        if command.option is None:
+            continue
+        flag, default, _ = command.option
+        dest = flag[2:]
+        if name == ns.subcommand:
+            if getattr(ns, dest) is None:
+                setattr(ns, dest, default)
+        elif getattr(ns, dest) is not None:
+            raise _ArgvError(f"argument {flag}: only the {name} subcommand takes it")
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,8 @@ def _build_phi(ns, interval, problems: list[str]):
         return None
 
 
-def _build_inputs(ns, needs_g: bool, needs_kernel: bool, problems: list[str]) -> _Inputs:
+def _build_inputs(ns, problems: list[str]) -> _Inputs:
+    command = _COMMANDS[ns.subcommand]
     built = _Inputs()
     if ns.interval is None:
         problems.append("--interval A B is required")
@@ -324,12 +315,12 @@ def _build_inputs(ns, needs_g: bool, needs_kernel: bool, problems: list[str]) ->
         problems.append("--f is required")
     else:
         built.f = _parse_expr(ns.f, "--f", problems)
-    if needs_g:
+    if command.needs_g:
         if ns.g is None:
             problems.append("--g is required for this subcommand")
         else:
             built.g = _parse_expr(ns.g, "--g", problems)
-    if needs_kernel:
+    if command.needs_kernel:
         built.kernel = _build_kernel(ns, problems)
     built.phi = _build_phi(ns, built.interval, problems)
     try:
@@ -389,11 +380,11 @@ def _plan_dict(plan: SamplePlan) -> dict:
     return base
 
 
-def _inputs_dict(ns, built: _Inputs, needs_g: bool, needs_kernel: bool) -> dict:
+def _inputs_dict(ns, built: _Inputs) -> dict:
     out: dict = {"f": ns.f}
-    if needs_g:
+    if built.g is not None:  # built only for a subcommand that needs it
         out["g"] = ns.g
-    if needs_kernel and built.kernel is not None:
+    if built.kernel is not None:
         out["kernel"] = built.kernel.describe()
     if built.phi is not None:
         out["phi"] = built.phi.describe()
@@ -453,47 +444,31 @@ def render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    import csv  # only a CSV render pays for it
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in rows)
-    return buf.getvalue()
+def _csv_line(cells) -> str:
+    # the join of the sample rows; no label, verdict or bool needs quoting
+    return ",".join([repr(c) if isinstance(c, float) else str(c) for c in cells]) + "\n"
 
 
 def render_csv(subcommand: str, result: dict) -> str:
     if subcommand == "equivalence":
-        rows = []
+        rows = [("check", "verdict", "samples_checked", "worst_gap", "x", "y", "t")]
         for name in ("dominance", "diff_convex", "sum_convex", "l_convex", "k_convex"):
             r = result[name]
-            rows.append(
-                (
-                    name,
-                    r["verdict"],
-                    r["samples_checked"],
-                    r["worst_gap"],
-                    r["witness"]["x"],
-                    r["witness"]["y"],
-                    r["witness"]["t"],
-                )
-            )
-        return _csv_text(["check", "verdict", "samples_checked", "worst_gap", "x", "y", "t"], rows)
+            rows.append((name, r["verdict"], r["samples_checked"], r["worst_gap"],
+                         *(r["witness"][k] for k in "xyt")))
+        return "".join(map(_csv_line, rows))
     # verify-hh and special-case: one row per bound
     if subcommand == "verify-hh":
         labeled = [(r["bound_kind"], r) for r in result["reports"]]
     else:
         labeled = [(e["label"], e["report"]) for e in result["entries"]]
-    rows = [
+    rows = [("label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error")]
+    rows += [
         (label, r["bound_kind"], r["lhs"], r["rhs"], r["margin"], r["holds"], r["vacuous"],
          r["quad_error"])
         for label, r in labeled
     ]
-    return _csv_text(
-        ["label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error"],
-        rows,
-    )
+    return "".join(map(_csv_line, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +477,9 @@ def render_csv(subcommand: str, result: dict) -> str:
 # A coordinate is looked up in a table of the grid axes' reprs first (empty
 # for a random plan).  Zeros stay out of the table: 0.0 and -0.0 are one
 # key but two reprs, and a refined point can be the other zero of an axis.
-# Search rows are written _CHUNK_ROWS at a time, so no text of every row is
-# built at once; check-* rows are buffered whole, so that a fault drops them.
+# Search text rows print every float as _leaf does.  Search rows are written
+# _CHUNK_ROWS at a time in every format, so no text of every row is built at
+# once; check-* rows are buffered whole, so that a fault drops them.
 # ---------------------------------------------------------------------------
 
 _GAP_HEADER = "x,y,t,gap,lhs_abs,rhs\n"
@@ -520,6 +496,14 @@ _JSON_ROW = """      {
 # has one; _sanitize writes them as strings
 _JSON_NONFINITE = re.compile(r": (-?inf|nan)\b")
 _NO_VIOLATIONS = '"violations": []'  # cannot occur unescaped inside a string
+_TEXT_ROW = """result.violations[%d].x = %.12g
+result.violations[%d].y = %.12g
+result.violations[%d].t = %.12g
+result.violations[%d].gap = %.12g
+result.violations[%d].lhs_abs = %.12g
+result.violations[%d].rhs = %.12g
+"""
+_TEXT_COUNT = "\nresult.count = "  # the last such line; inputs come before it
 _CHUNK_ROWS = 512
 
 
@@ -578,6 +562,19 @@ def _write_search_json(write, text: str, records, reprs: dict, chunk: int = _CHU
             body = _JSON_NONFINITE.sub(r': "\1"', body)
         write(",\n" + body if i else body)
     write("\n    ]" + tail)
+
+
+def _write_search_text(write, text: str, records, chunk: int = _CHUNK_ROWS) -> None:
+    """Writes the text envelope, rendered with no violations, with the lines
+    of records in front of its result.count line."""
+    head, tail = text.rsplit(_TEXT_COUNT, 1)
+    write(head + "\n")
+    for i in range(0, len(records), chunk):
+        write("".join([
+            _TEXT_ROW % (j, x, j, y, j, t, j, gap, j, lhs, j, rhs)
+            for j, (x, y, t, gap, lhs, rhs) in enumerate(records[i:i + chunk], i)
+        ]))
+    write(_TEXT_COUNT[1:] + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +641,6 @@ def _dispatch(ns, built: _Inputs, emit):
     return result, (1 if records else 0)
 
 
-_NEEDS_G = ("check-dominated", "equivalence", "verify-hh", "special-case", "search")
-_NEEDS_KERNEL = (
-    "check-convex",
-    "check-dominated",
-    "equivalence",
-    "verify-hh",
-    "search",
-)
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -670,29 +657,17 @@ def _error_envelope(subcommand: str, fmt: str, message: str, problems: list[str]
     return 2
 
 
-# main's parser, built on its first call and shared by every later one:
-# parsing never changes it (config lines are spliced into argv instead)
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    sub = next((tok for tok in argv if not tok.startswith("-")), "")
-    fmt = "json"
     try:
-        effective = _apply_config(argv)
-        if _PARSER is None:
-            _PARSER = build_parser()
-        ns = _PARSER.parse_args(effective)
+        ns = _parse_argv(argv)
     except _ArgvError as exc:
-        return _error_envelope(sub, fmt, str(exc), [])
+        sub = next((tok for tok in argv if tok in _COMMANDS), "")
+        return _error_envelope(sub, "json", str(exc), [])
     fmt = ns.format
 
-    needs_g = ns.subcommand in _NEEDS_G
-    needs_kernel = ns.subcommand in _NEEDS_KERNEL
     problems: list[str] = []
-    built = _build_inputs(ns, needs_g, needs_kernel, problems)
+    built = _build_inputs(ns, problems)
     if ns.subcommand == "special-case":
         if ns.which in ("power", "all") and ns.s is None:
             problems.append("--which power (or all) needs --s")
@@ -712,36 +687,30 @@ def main(argv: list[str] | None = None) -> int:
         _emit(rows.getvalue())
         return code
 
-    records = reprs = None
-    if ns.subcommand == "search":
-        records = result["violations"]
-        if fmt == "text":  # the walk takes each row as a dict
-            result["violations"] = [r._asdict() for r in records]
-        else:  # csv and json write each row with one %-format
-            result["violations"] = []
-            reprs = _coordinate_reprs(built.plan, built.interval)
+    records = None
+    if ns.subcommand == "search":  # written a chunk at a time below
+        records, result["violations"] = result["violations"], []
     if fmt == "csv":
         if records is None:
             _emit(render_csv(ns.subcommand, result))
         else:
-            _write_search_csv(_emit, records, reprs)
+            _write_search_csv(_emit, records, _coordinate_reprs(built.plan, built.interval))
         return code
     envelope = {
         "tool": TOOL,
         "version": __version__,
         "subcommand": ns.subcommand,
-        "inputs": _inputs_dict(ns, built, needs_g, needs_kernel),
+        "inputs": _inputs_dict(ns, built),
         "result": result,
         "exit_code": code,
     }
-    if fmt == "text":
-        _emit(render_text(envelope))
+    text = render_text(envelope) if fmt == "text" else render_json(envelope)
+    if not records:
+        _emit(text)
+    elif fmt == "text":
+        _write_search_text(_emit, text, records)
     else:
-        text = render_json(envelope)
-        if records:
-            _write_search_json(_emit, text, records, reprs)
-        else:
-            _emit(text)
+        _write_search_json(_emit, text, records, _coordinate_reprs(built.plan, built.interval))
     return code
 
 

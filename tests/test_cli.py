@@ -130,6 +130,8 @@ class TestSharedParser:
             ("check-convex", "--f", "x^2", "--interval", "0", "1", "--wat", "7"),
             ("verify-hh", *BASE, "--bound"),
             ("verify-hh", *BASE, "--format", "yaml"),
+            ("--format", "text", "verify-hh", *BASE),
+            ("check-convex", "--f", "x^2", "--interval", "0", "1", "--bound", "both"),
             (),
             ("check-convex", "--f", "x^2", "--interval", "0", "1"),
         ]
@@ -147,6 +149,82 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+_OWN = {  # option only one subcommand takes -> (owner, its tokens)
+    "--bound": ("verify-hh", ("--bound", "midpoint")),
+    "--which": ("special-case", ("--which", "linear")),
+    "--refine": ("search", ("--refine",)),
+}
+_CONFIG_LINE = {"--bound": "bound = midpoint", "--which": "which = linear",
+                "--refine": "refine = true"}
+_FOREIGN = [(sub, flag) for sub in cli._COMMANDS for flag, (owner, _) in _OWN.items()
+            if sub != owner]
+
+
+class TestFlatParser:
+    """One parser for every subcommand: options may come on either side of
+    it, and an option of one subcommand given to another exits 2 before
+    any input is built."""
+
+    def test_every_foreign_pair_is_listed(self):
+        owned = {name: c.option[0] for name, c in cli._COMMANDS.items() if c.option}
+        assert owned == {owner: flag for flag, (owner, _) in _OWN.items()}
+        assert len(_FOREIGN) == 15
+
+    @pytest.mark.parametrize("sub, flag", _FOREIGN)
+    @pytest.mark.parametrize("via", ["flag", "config", "abbreviation"])
+    def test_foreign_option_is_two(self, capsys, tmp_path, sub, flag, via):
+        owner, tokens = _OWN[flag]
+        if via == "config":
+            conf = tmp_path / "run.conf"
+            conf.write_text(_CONFIG_LINE[flag] + "\n")
+            tokens = ("--config", str(conf))
+        elif via == "abbreviation":
+            tokens = (tokens[0][:5], *tokens[1:])  # --bou, --whi, --ref
+        code, doc = run_json(capsys, sub, *BASE, "--h-custom", "(", *tokens)
+        assert code == 2
+        assert doc["subcommand"] == sub
+        # the bad kernel is never parsed: the request stops at its argv
+        assert doc["error"] == {
+            "message": f"argument {flag}: only the {owner} subcommand takes it", "problems": [],
+        }
+
+    @pytest.mark.parametrize("flag", sorted(_OWN))
+    def test_owner_takes_its_option_on_either_side(self, capsys, flag):
+        owner, tokens = _OWN[flag]
+        argv = (*BASE, "--grid", "3", "3", "3", *(("--s", "0.5") if owner == "special-case"
+                                                  else ()))
+        after = run(capsys, owner, *argv, *tokens)
+        assert run(capsys, *tokens, owner, *argv) == after
+        assert after != run(capsys, owner, *argv)  # not the default
+
+    def test_owner_gets_its_default(self):
+        defaults = {}
+        for name, command in cli._COMMANDS.items():
+            if command.option:
+                ns = cli._parse_argv([name])
+                defaults[name] = getattr(ns, command.option[0][2:])
+        assert defaults == {"verify-hh": "both", "special-case": "all", "search": False}
+
+    def test_options_before_the_subcommand(self, capsys):
+        after = run(capsys, "verify-hh", *BASE, "--format", "text")
+        assert run(capsys, "--format", "text", "verify-hh", *BASE) == after
+        assert after[1] == run_cli("--format", "text", "verify-hh", *BASE)[1]
+        assert after[1].startswith("tool = domcert\n")
+
+    def test_argv_error_names_the_subcommand_after_options(self, capsys):
+        code, doc = run_json(capsys, "--format", "text", "verify-hh", "--bogus", "1")
+        assert code == 2
+        assert (doc["subcommand"], doc["error"]["message"]) == (
+            "verify-hh", "unrecognized arguments: --bogus 1")
+
+    def test_help_lists_every_subcommand(self):
+        code, out = run_cli("--help")
+        assert code == 0
+        listed = out[out.index("subcommands:"):].split()
+        assert set(cli._COMMANDS) <= set(listed)
+        assert len(cli._COMMANDS) == 6
 
 
 class TestNegativeExponentNotation:
@@ -372,6 +450,15 @@ class TestConfigFile:
         assert code == 0
         assert doc["inputs"]["f"] == "x^2"
 
+    @pytest.mark.parametrize("spelling", ["--conf", "--config="])
+    def test_any_spelling_reads_the_file(self, capsys, tmp_path, spelling):
+        conf = tmp_path / "run.conf"
+        conf.write_text("f = x^3\ninterval = 0 1\ngrid = 3 3 3\n")
+        flag = (spelling + str(conf),) if spelling.endswith("=") else (spelling, str(conf))
+        code, doc = run_json(capsys, "check-convex", *flag)
+        assert code == 0
+        assert doc["inputs"]["f"] == "x^3"
+
     def test_explicit_flags_override_config(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("f = x^2\ng = 2*x^2\ninterval = 0 1\nformat = text\n")
@@ -384,6 +471,22 @@ class TestConfigFile:
         conf.write_text("f = 2*x^2\ng = x^2\ninterval = 0 1\nrefine = true\ngrid = 5 5 5\n")
         code, doc = run_json(capsys, "search", "--config", str(conf))
         assert doc["result"]["refined"] is True
+
+    def test_flag_before_the_subcommand_overrides_config(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("f = x^2\ng = 2*x^2\ninterval = 0 1\nformat = text\ngrid = 3 3 3\n")
+        code, out = run(capsys, "--format", "json", "--grid", "5", "5", "5", "check-dominated",
+                        "--config", str(conf))
+        assert code == 0
+        assert json.loads(out)["inputs"]["plan"]["n_x"] == 5
+
+    def test_key_without_value_is_a_line_problem(self, capsys, tmp_path):
+        # as a bare --f in front of argv, it would take the subcommand
+        conf = tmp_path / "run.conf"
+        conf.write_text("f =\ninterval = 0 1\n")
+        code, doc = run_json(capsys, "check-convex", "--config", str(conf))
+        assert code == 2
+        assert doc["error"]["message"] == f"config file {str(conf)!r}: line 1: f has no value"
 
     def test_missing_config_file_is_two(self, capsys, tmp_path):
         code, out = run(capsys, "check-convex", "--config", str(tmp_path / "nope.conf"))
@@ -812,9 +915,12 @@ class TestImportGraph:
         # sample rows are written without the csv module
         assert self.HEAVY.isdisjoint(self.loaded(self.SETUP, [*self.SETUP, "--format", "csv"]))
 
-    def test_bound_csv_render_loads_csv(self):
-        argv = ["verify-hh", "--f", "x", "--g", "x^2", "--interval", "0", "1", "--format", "csv"]
-        assert self.HEAVY & self.loaded(argv) == {"csv"}
+    def test_bound_csv_render_loads_no_csv(self):
+        # bound and equivalence rows are joined without the csv module
+        argv = [[sub, *BASE, "--format", "csv", "--grid", "3", "3", "3"]
+                for sub in ("verify-hh", "equivalence")]
+        argv.append(["special-case", *BASE, "--format", "csv", "--s", "0.5"])
+        assert self.HEAVY.isdisjoint(self.loaded(*argv))
 
     def test_config_loads_shlex(self, tmp_path):
         config = tmp_path / "request.conf"

@@ -1,12 +1,13 @@
-"""The sample-row writers against the generic encoders they replace.
+"""The row writers against the generic encoders they replace.
 
 check-* CSV rows, search CSV rows and the search JSON rows are each one
 %-format per row with the grid coordinates' reprs looked up in a table;
-search rows are written a chunk at a time.  Their text must equal
-csv.writer over the raw floats and json.dumps(_sanitize(envelope), indent=2)
-over the rows as dicts, for every float: signed zeros (one key in the table,
-two reprs), infinities, nan, subnormals and 17-digit values, and for chunks
-of every size.
+search rows, text ones too, are written a chunk at a time.  Their text must
+equal csv.writer over the raw floats, json.dumps(_sanitize(envelope),
+indent=2) and render_text over the rows as dicts, for every float: signed
+zeros (one key in the table, two reprs), infinities, nan, subnormals and
+17-digit values, and for chunks of every size.  The bound and equivalence
+CSV rows must equal csv.writer over their cells, floats as their repr.
 """
 
 import csv
@@ -53,8 +54,9 @@ def envelope(violations, count: int) -> dict:
     return {
         "tool": "domcert",
         "subcommand": "search",
-        # the splice marker inside a string is escaped, so it cannot match
-        "inputs": {"f": '"violations": []', "interval": [0.0, -0.0]},
+        # a splice marker inside a string is escaped (JSON) or comes before
+        # the one that is spliced at (text)
+        "inputs": {"f": '"violations": []', "g": "x\nresult.count = 0", "interval": [0.0, -0.0]},
         "result": {"violations": violations, "count": count, "refined": False},
         "exit_code": 1,
     }
@@ -98,6 +100,19 @@ def search_json(records, reprs, chunk) -> str:
     return buf.getvalue()
 
 
+def search_text(records, chunk) -> str:
+    text = cli.render_text(envelope([], len(records)))
+    if not records:  # main writes the envelope as it is
+        return text
+    buf = io.StringIO()
+    cli._write_search_text(buf.write, text, records, chunk)
+    return buf.getvalue()
+
+
+def render_text_rows(records) -> str:
+    return cli.render_text(envelope([r._asdict() for r in records], len(records)))
+
+
 def json_dumps_text(records) -> str:
     return json.dumps(cli._sanitize(envelope([r._asdict() for r in records], len(records))),
                       indent=2) + "\n"
@@ -120,6 +135,14 @@ def test_search_json_matches_json_dumps(data, chunk):
     assert search_json(records, reprs, chunk) == json_dumps_text(records)
 
 
+@settings(deadline=None)
+@given(table_and_rows(6), CHUNKS)
+def test_search_text_matches_render_text(data, chunk):
+    _, rows = data
+    records = [ViolationRecord._make(r) for r in rows]
+    assert search_text(records, chunk) == render_text_rows(records)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 7])
 def test_search_rows_across_chunk_boundaries(size):
     # more rows than one chunk, with inf and nan in the last row of a chunk
@@ -134,6 +157,7 @@ def test_search_rows_across_chunk_boundaries(size):
     ]
     reprs = cli._reprs([0.5, 0.25, -0.0])
     assert search_json(records, reprs, n) == json_dumps_text(records)
+    assert search_text(records, n) == render_text_rows(records)
     want = csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], records)
     assert search_csv(records, reprs, n) == want
 
@@ -144,3 +168,50 @@ def test_coordinate_table_leaves_out_zeros():
     assert xs[-1] == 0.0 and math.copysign(1.0, xs[-1]) < 0.0
     assert cli._coordinate_reprs(plan, interval) == {v: repr(v) for v in [-1.0, -0.5, *ts]}
     assert cli._coordinate_reprs(SamplePlan.random(5), interval) == {}
+
+
+CHECK = st.fixed_dictionaries({
+    "verdict": st.sampled_from(["holds-on-samples", "violated"]),
+    "samples_checked": st.integers(1, 10**9),
+    "worst_gap": FLOATS,
+    "witness": st.fixed_dictionaries({"x": FLOATS, "y": FLOATS, "t": FLOATS}),
+})
+BOUND = st.fixed_dictionaries({
+    "bound_kind": st.sampled_from(["midpoint", "endpoint"]),
+    "lhs": FLOATS, "rhs": FLOATS, "margin": FLOATS,
+    "holds": st.booleans(), "vacuous": st.booleans(), "quad_error": FLOATS,
+})
+EQUIVALENCE = ("dominance", "diff_convex", "sum_convex", "l_convex", "k_convex")
+BOUND_HEADER = ["label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error"]
+
+
+def bound_cells(label, r) -> list:
+    return [label, *(r[k] for k in BOUND_HEADER[1:])]
+
+
+def csv_writer_cells(header: list[str], rows) -> str:
+    return csv_writer_text(header, [[repr(c) if isinstance(c, float) else c for c in row]
+                                    for row in rows])
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries({name: CHECK for name in EQUIVALENCE}))
+def test_equivalence_csv_matches_csv_writer(result):
+    rows = [[name, *(result[name][k] for k in ("verdict", "samples_checked", "worst_gap")),
+             *(result[name]["witness"][k] for k in "xyt")] for name in EQUIVALENCE]
+    want = csv_writer_cells(["check", "verdict", "samples_checked", "worst_gap", "x", "y", "t"],
+                            rows)
+    assert cli.render_csv("equivalence", result) == want
+
+
+@settings(deadline=None)
+@given(st.lists(BOUND, max_size=4),
+       st.lists(st.tuples(st.sampled_from(["linear", "power", "reciprocal", "one"]), BOUND),
+                max_size=8))
+def test_bound_csv_matches_csv_writer(reports, entries):
+    want = csv_writer_cells(BOUND_HEADER, [bound_cells(r["bound_kind"], r) for r in reports])
+    assert cli.render_csv("verify-hh", {"reports": reports}) == want
+    labeled = [(f"{name}/{r['bound_kind']}", r) for name, r in entries]
+    want = csv_writer_cells(BOUND_HEADER, [bound_cells(label, r) for label, r in labeled])
+    result = {"entries": [{"label": label, "report": r} for label, r in labeled]}
+    assert cli.render_csv("special-case", result) == want
