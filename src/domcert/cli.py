@@ -6,18 +6,22 @@ after the subcommand.
 
 Exit codes: 0 every checked statement held, 1 a violation or failed bound
 was found, 2 configuration or evaluation error.  Errors are emitted as a
-machine-readable envelope on stdout.  A config file of key = value lines
-(keys are the long flag names) can pre-set any flag; explicit flags win.
+machine-readable envelope on stdout.  A JSON envelope is written in one
+direct pass over it (render_json), the bytes json.dumps(indent=2) writes
+with each non-finite float as a string.  A config file of key = value lines
+(keys are the long flag names, each with as many values as its flag takes)
+can pre-set any flag; explicit flags win.  main(argv) returns the exit
+code, for --help too.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 from . import __version__
@@ -70,6 +74,10 @@ class _ArgvError(DomcertError):
     pass
 
 
+class _HelpShown(Exception):
+    """argparse printed the help and would exit with the status args[0]."""
+
+
 # argparse's own pattern takes "-12" and "-1.5" for values, not options;
 # this one also takes a float in exponent notation ("-1e-3", "-.5E+2")
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
@@ -83,6 +91,10 @@ class _Parser(argparse.ArgumentParser):
     # collect argparse complaints instead of letting it exit directly
     def error(self, message):
         raise _ArgvError(message)
+
+    # and the exit after --help, so that main returns its status
+    def exit(self, status=0, message=None):
+        raise _HelpShown(status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +167,23 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> list[str]:
+def _value_count(parser: argparse.ArgumentParser, key: str) -> int | None:
+    """How many values the option --key (or the one option it abbreviates)
+    takes; None leaves an unknown or ambiguous key to argparse."""
+    actions = parser._option_string_actions
+    action = actions.get(f"--{key}")
+    if action is None:
+        matches = {a for flag, a in actions.items() if flag.startswith(f"--{key}")}
+        if len(matches) != 1:
+            return None
+        (action,) = matches
+    return 1 if action.nargs is None else action.nargs
+
+
+def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The file's lines as flags for parser; a line whose value count is not
+    its option's is a problem, since in front of argv a value short would
+    take the subcommand."""
     import shlex  # only a --config request pays for it
 
     try:
@@ -194,6 +222,11 @@ def _load_config(path: str) -> list[str]:
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
+        want = _value_count(parser, key)
+        if want is not None and len(parts) != want:
+            problems.append(f"line {lineno}: {key} takes {want} value{'s' * (want != 1)},"
+                            f" got {len(parts)}")
+            continue
         flags.append(f"--{key}")
         flags.extend(parts)
     if problems:
@@ -216,7 +249,7 @@ def _parse_argv(argv: list[str]):
         _PARSER = build_parser()
     ns = _PARSER.parse_args(argv)
     if ns.config is not None:
-        ns = _PARSER.parse_args(_load_config(ns.config) + argv)
+        ns = _PARSER.parse_args(_load_config(ns.config, _PARSER) + argv)
     for name, command in _COMMANDS.items():
         if command.option is None:
             continue
@@ -401,22 +434,57 @@ def _inputs_dict(ns, built: _Inputs) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sanitize(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+def _json(obj, indent: str, out: list) -> None:
+    """Appends the text json.dumps(obj, indent=2) writes for obj at the
+    nesting of indent, with a non-finite float as the string "inf", "-inf"
+    or "nan" and a tuple as a list.  Keys are strings."""
+    if isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif isinstance(obj, float):
+        if obj - obj == 0.0:
+            out.append(float.__repr__(obj))
+        else:
+            out.append('"nan"' if obj != obj else '"inf"' if obj > 0.0 else '"-inf"')
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if obj:
+            inner = indent + "  "
+            head = "{\n" + inner
+            for key, value in obj.items():
+                out.append(head + _json_string(key) + ": ")
+                _json(value, inner, out)
+                head = ",\n" + inner
+            out.append("\n" + indent + "}")
+        else:
+            out.append("{}")
+    elif isinstance(obj, (list, tuple)):
+        if obj:
+            inner = indent + "  "
+            head = "[\n" + inner
+            for value in obj:
+                out.append(head)
+                _json(value, inner, out)
+                head = ",\n" + inner
+            out.append("\n" + indent + "]")
+        else:
+            out.append("[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(envelope: dict) -> str:
-    return json.dumps(_sanitize(envelope), indent=2) + "\n"
+    """The envelope as indented JSON, in one pass over it."""
+    out: list[str] = []
+    _json(envelope, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _leaf(v) -> str:
@@ -493,7 +561,7 @@ _JSON_ROW = """      {
         "rhs": %r
       }"""
 # inf and nan are the only float reprs with an "n", and no key of _JSON_ROW
-# has one; _sanitize writes them as strings
+# has one; render_json writes them as strings
 _JSON_NONFINITE = re.compile(r": (-?inf|nan)\b")
 _NO_VIOLATIONS = '"violations": []'  # cannot occur unescaped inside a string
 _TEXT_ROW = """result.violations[%d].x = %.12g
@@ -661,6 +729,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         ns = _parse_argv(argv)
+    except _HelpShown as shown:
+        return shown.args[0]
     except _ArgvError as exc:
         sub = next((tok for tok in argv if tok in _COMMANDS), "")
         return _error_envelope(sub, "json", str(exc), [])

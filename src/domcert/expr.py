@@ -21,7 +21,11 @@ non-integer exponent raise EvalError("domain"); overflow in ``^`` or
 ``exp``, ``sin``/``cos`` of an infinite value and a non-finite result
 raise EvalError("overflow").
 
-A tree compiles once to a Python function.  An op is guarded only where
+A tree's body is Python source with each constant spelled as a slot
+(``_k0``, ``_k1``, ...), so the text depends only on the tree's shape: its
+ops, and the branch the emitter takes for each constant operand.  A text
+compiles once per process (_shape_code, a bounded cache) and each Expr binds
+its own constants to the compiled code.  An op is guarded only where
 an operand can make it fault: ``^`` with a constant exponent, ``/`` by a
 nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
 ``ln``/``sqrt`` call their fault helper only on the bad branch.  When an
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .errors import DomcertError
@@ -375,16 +380,55 @@ def _literal(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _guarded(node: Node, var: str = "v", keys: dict | None = None) -> str:
+class _Slots:
+    """The constants of one generated text: each Const node (by id) is named
+    _k0, _k1, ... in the order it is first emitted, and its value kept for
+    binding.  A node emitted twice reads one slot."""
+
+    __slots__ = ("names", "values")
+
+    def __init__(self):
+        self.names: dict[int, str] = {}
+        self.values: list[float] = []
+
+    def __call__(self, node: Const) -> str:
+        name = self.names.get(id(node))
+        if name is None:
+            name = self.names[id(node)] = f"_k{len(self.values)}"
+            self.values.append(node.value)
+        return name
+
+    def bind(self, source: str):
+        """The function the lambda source evaluates to, with the slots bound
+        to their values as a closure."""
+        params = ", ".join(self.names.values())
+        return eval(_shape_code(f"lambda {params}: {source}"), _EVAL_ENV)(*self.values)
+
+
+# a cached code object holds about 2 KB for an expression and 9-13 KB for a
+# sweep loop; a bench workload compiles 25-75 shapes in all
+@lru_cache(maxsize=128)
+def _shape_code(source: str, mode: str = "eval"):
+    """source compiled, once per process while it stays in the cache."""
+    return compile(source, "<domcert>", mode)
+
+
+def _const(node: Const, slots: _Slots | None) -> str:
+    return _literal(node.value) if slots is None else slots(node)
+
+
+def _guarded(
+    node: Node, var: str = "v", keys: dict | None = None, slots: _Slots | None = None
+) -> str:
     """Source for node with the free variable spelled var and every op that
     can fault behind its helper; keys, when given, gets the source of each
-    non-leaf subtree by id."""
+    non-leaf subtree by id.  Constants are slots, or literals without slots."""
     if isinstance(node, Const):
-        return _literal(node.value)
+        return _const(node, slots)
     if isinstance(node, Var):
         return var
     if isinstance(node, Unary):
-        inner = _guarded(node.arg, var, keys)
+        inner = _guarded(node.arg, var, keys, slots)
         if node.op == "neg":
             text = f"(-{inner})"
         elif node.op == "abs":
@@ -392,7 +436,8 @@ def _guarded(node: Node, var: str = "v", keys: dict | None = None) -> str:
         else:
             text = f"_g_{node.op}({inner})"
     else:
-        left, right = _guarded(node.left, var, keys), _guarded(node.right, var, keys)
+        left = _guarded(node.left, var, keys, slots)
+        right = _guarded(node.right, var, keys, slots)
         if node.op in "+-*":
             text = f"({left}{node.op}{right})"
         else:
@@ -404,8 +449,8 @@ def _guarded(node: Node, var: str = "v", keys: dict | None = None) -> str:
 
 def copies(root: Node, sub: Node) -> set[int]:
     """ids of the subtrees of root that are sub's ops on sub's constants;
-    none for a leaf sub.  Compared by guarded source: equal source, equal
-    bits."""
+    none for a leaf sub.  Compared by guarded source with literal constants:
+    equal source, equal bits."""
     if isinstance(sub, (Const, Var)):
         return set()
     keys: dict[int, str] = {}
@@ -414,19 +459,23 @@ def copies(root: Node, sub: Node) -> set[int]:
     return {i for i, text in keys.items() if text == key}
 
 
-def _specialized(node: Node, var: str = "v", reads: dict | None = None) -> str:
+def _specialized(
+    node: Node, var: str = "v", reads: dict | None = None, slots: _Slots | None = None
+) -> str:
     """Source for node with the free variable spelled var and a guard only
     where an operand can fault; reads maps id() of a subtree whose value a
-    variable already holds at this point to that variable."""
+    variable already holds at this point to that variable.  Constants are
+    slots, or literals without slots; each branch taken on a constant's
+    value shows in the text."""
     if isinstance(node, Const):
-        return _literal(node.value)
+        return _const(node, slots)
     if isinstance(node, Var):
         return var
     if reads and id(node) in reads:
         return reads[id(node)]
     if isinstance(node, Unary):
         op = node.op
-        inner = _specialized(node.arg, var, reads)
+        inner = _specialized(node.arg, var, reads, slots)
         if op in ("ln", "sqrt"):
             use, bind = _operand(node.arg, inner, "_a")
             test = "> 0.0" if op == "ln" else ">= 0.0"
@@ -435,8 +484,8 @@ def _specialized(node: Node, var: str = "v", reads: dict | None = None) -> str:
             return f"(-{inner})"
         return f"_{op}({inner})"
     op, left, right = node.op, node.left, node.right
-    left_text = _specialized(left, var, reads)
-    right_text = _specialized(right, var, reads)
+    left_text = _specialized(left, var, reads, slots)
+    right_text = _specialized(right, var, reads, slots)
     if op == "^" and isinstance(right, Const) and right.value != 0.0:
         c = right.value
         use, bind = _operand(left, left_text, "_b")
@@ -466,8 +515,12 @@ def _nonfinite(value: float) -> EvalError:
     return EvalError("overflow", f"non-finite result for input {value!r}")
 
 
-def _compile(body: str):
-    return eval(compile(f"lambda v: {body}", "<expr>", "eval"), _EVAL_ENV)
+def _compile(root: Node, guarded: bool = False):
+    """root's specialized (or guarded) body as a function of v: the text
+    compiled once per shape, root's constants bound to it."""
+    slots = _Slots()
+    body = _guarded(root, slots=slots) if guarded else _specialized(root, slots=slots)
+    return slots.bind(f"lambda v: {body}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +591,7 @@ class Expr:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "var_name", var_name)
         object.__setattr__(self, "source", source if source is not None else to_source(root))
-        object.__setattr__(self, "_fn", _compile(_specialized(root)))
+        object.__setattr__(self, "_fn", _compile(root))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -565,7 +618,7 @@ class Expr:
         """The EvalError of the inline op that raised exc at value: the
         guarded form faults at the same op and names it."""
         try:
-            _compile(_guarded(self.root))(value)
+            _compile(self.root, guarded=True)(value)
         except EvalError as fault:
             return fault
         return exc

@@ -12,9 +12,10 @@ their constants, fixed when the kernel is built:
 Custom kernels are arbitrary positive expressions in t; positivity and
 evaluability are spot-checked on a fixed 4097-point Chebyshev grid at
 construction, and the integral is computed numerically (possibly +inf).
-The probe is one compiled comprehension over the grid and one check of the
-whole list; the point-by-point loop runs only when that fails, and raises
-the error of the first bad point.
+The probe is one comprehension over the grid, compiled once per expression
+shape with the kernel's constants bound to it, and one check of the whole
+list; the point-by-point loop runs only when that fails, and raises the
+error of the first bad point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .errors import DomcertError
-from .expr import _EVAL_ENV, EvalError, Expr, _specialized, parse
+from .expr import EvalError, Expr, _Slots, _specialized, parse
 from .quadrature import QuadratureError, integrate_open01
 from .record import Record
 
@@ -154,9 +155,10 @@ def _check_probe(expr: Expr) -> None:
     point.  One compiled comprehension evaluates the whole grid; only when
     it faults, or its values are not all finite and positive, does the
     pointwise loop run, to find the first bad point and name it."""
-    source = f"lambda ts: [{_specialized(expr.root)} for v in ts]"
+    slots = _Slots()
+    probe = slots.bind(f"lambda ts: [{_specialized(expr.root, slots=slots)} for v in ts]")
     try:
-        values = eval(compile(source, "<probe>", "eval"), _EVAL_ENV)(_probe_grid())
+        values = probe(_probe_grid())
     except (EvalError, ArithmeticError, ValueError):
         values = None
     if values is not None and min(values) > 0.0:

@@ -84,6 +84,37 @@ def shift_nonnegative(coeffs, lo: float, hi: float, slack: float = 0.01):
     return out
 
 
+def _constant_class(c: float) -> tuple[bool, bool, bool]:
+    return c == 0.0, c.is_integer(), c > 0.0
+
+
+def respelled(root):
+    """root with each constant moved by 2 away from zero where that keeps it
+    on the same side of every branch a compiled body takes on a constant
+    (zero, integer, sign), so its body has root's shape.  A node shared
+    within root stays shared, and equal constants stay equal."""
+    from domcert.expr import Binary, Const, Unary
+
+    done: dict = {}
+
+    def walk(node):
+        if id(node) not in done:
+            if isinstance(node, Const):
+                c = node.value
+                moved = c + math.copysign(2.0, c)
+                out = Const(moved if _constant_class(moved) == _constant_class(c) else c)
+            elif isinstance(node, Unary):
+                out = Unary(node.op, walk(node.arg))
+            elif isinstance(node, Binary):
+                out = Binary(node.op, walk(node.left), walk(node.right))
+            else:
+                out = node
+            done[id(node)] = out
+        return done[id(node)]
+
+    return walk(root)
+
+
 def run_cli(*args: str) -> tuple[int, str]:
     """Run the installed CLI in a subprocess; returns (exit code, stdout)."""
     proc = subprocess.run(

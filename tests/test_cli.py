@@ -226,6 +226,15 @@ class TestFlatParser:
         assert set(cli._COMMANDS) <= set(listed)
         assert len(cli._COMMANDS) == 6
 
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-hh", "-h"], ["--f", "x", "--he"]])
+    def test_help_returns_zero_in_process(self, capsys, argv):
+        # main returns the exit code; argparse's help action would raise SystemExit
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: domcert") and "subcommands:" in out
+        assert main(["check-convex", "--f", "x^2", "--interval", "0", "1", "--grid", "1", "1",
+                     "1"]) == 0  # the shared parser still parses
+
 
 class TestNegativeExponentNotation:
     """A negative float in exponent notation is a value, not an option:
@@ -487,6 +496,21 @@ class TestConfigFile:
         code, doc = run_json(capsys, "check-convex", "--config", str(conf))
         assert code == 2
         assert doc["error"]["message"] == f"config file {str(conf)!r}: line 1: f has no value"
+
+    @pytest.mark.parametrize("line, message", [
+        ("grid = 5 5", "grid takes 3 values, got 2"),
+        ("grid = 5 5 5 5", "grid takes 3 values, got 4"),
+        ("interval = 0", "interval takes 2 values, got 1"),
+        ("gri = 5 5", "gri takes 3 values, got 2"),  # an abbreviation, as argparse reads it
+        ("f = x + 1", "f takes 1 value, got 3"),
+    ])
+    def test_value_count_is_the_options(self, capsys, tmp_path, line, message):
+        # in front of argv a value short would take the subcommand as its last value
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"f = x^2\ninterval = 0 1\n{line}\n")
+        code, doc = run_json(capsys, "check-convex", "--config", str(conf))
+        assert code == 2
+        assert doc["error"]["message"] == f"config file {str(conf)!r}: line 3: {message}"
 
     def test_missing_config_file_is_two(self, capsys, tmp_path):
         code, out = run(capsys, "check-convex", "--config", str(tmp_path / "nope.conf"))

@@ -14,6 +14,7 @@ import random
 import tracemalloc
 
 import pytest
+from conftest import respelled
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from domcert.convexity import (
@@ -34,9 +35,11 @@ from domcert.convexity import (
     grid_axes,
     phi_h_defect,
 )
-from domcert.expr import EvalError, combine, parse
+from domcert.errors import DomcertError
+from domcert.expr import EvalError, Expr, _shape_code, combine, parse
 from domcert.geometry import GeometryError, Interval, identity_map, make_affine
 from domcert.kernels import KernelError, make_kernel
+from domcert.search import search_violations
 
 KERNELS = [
     make_kernel("linear"),
@@ -519,3 +522,47 @@ def test_g_reads_f_only_where_the_constants_match(plan):
     half = Interval(0.5, 1.0)
     rep = equivalence_report(pair, make_kernel("linear"), identity_map(half), half, plan)
     assert repr(rep.k_convex.witness_lhs) == "-0.0"
+
+
+def _sweeps(pair, h, phi, interval, plan):
+    """Every report, row and fault of the sweeps over pair, as reprs."""
+    rows, out = [], []
+    for run in (
+        lambda: check_phi_h_convex(pair.f, h, phi, interval, plan, emit=rows.append),
+        lambda: check_dominated(pair, h, phi, interval, plan, emit=rows.append),
+        lambda: equivalence_report(pair, h, phi, interval, plan),
+        lambda: search_violations(pair, h, phi, interval, plan),
+    ):
+        try:
+            out.append(repr(run()))
+        except DomcertError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out, repr(rows)
+
+
+@SETTINGS
+@given(setups())
+def test_a_warm_cache_sweeps_as_a_cold_one(setup):
+    # the warm run reuses loops compiled for a pair of the same shape with
+    # other constants
+    pair, h, phi, interval, plan = setup
+    _shape_code.cache_clear()
+    cold = _sweeps(pair, h, phi, interval, plan)
+    _shape_code.cache_clear()
+    other = FunctionPair(*(Expr(respelled(e.root), e.var_name) for e in pair))
+    _sweeps(other, h, phi, interval, plan)
+    assert _sweeps(pair, h, phi, interval, plan) == cold
+
+
+@pytest.mark.parametrize("plan", [SamplePlan.grid(3, 3, 3), SamplePlan.random(30, seed=2)])
+def test_a_pair_of_the_same_shape_compiles_no_loop(plan):
+    h, box = make_kernel("power", s=0.5), Interval(-1.0, 2.0)
+    one = FunctionPair(parse("0.5*x^2 + exp(0.25*x)"), parse("3*(0.5*x^2 + exp(0.25*x))"))
+    two = FunctionPair(parse("1.5*x^4 + exp(-2.5*x)"), parse("7*(1.5*x^4 + exp(-2.5*x))"))
+    ident = identity_map(box)
+    _sweeps(one, h, ident, box, plan)
+    misses = _shape_code.cache_info().misses
+    warm = _sweeps(two, h, ident, box, plan)
+    assert _shape_code.cache_info().misses == misses
+    _shape_code.cache_clear()
+    assert _sweeps(two, h, ident, box, plan) == warm

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from conftest import respelled
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from domcert.expr import (
@@ -11,9 +12,11 @@ from domcert.expr import (
     ParseError,
     Unary,
     Var,
-    _compile,
+    _EVAL_ENV,
     _guarded,
     _nonfinite,
+    _shape_code,
+    _specialized,
     combine,
     constant,
     copies,
@@ -343,8 +346,13 @@ def _outcome(fn, v):
         return exc.kind, str(exc)
 
 
+def _fresh(body):
+    """body, with literal constants, compiled anew: no shape is shared."""
+    return eval(compile(f"lambda v: {body}", "<test>", "eval"), _EVAL_ENV)
+
+
 def _guarded_evaluate(root):
-    fn = _compile(_guarded(root))
+    fn = _fresh(_guarded(root))
 
     def evaluate(v):
         result = fn(v)
@@ -389,6 +397,99 @@ def test_inline_faults_name_the_op(source, v, message):
 def test_zero_base_keeps_positive_zero():
     for source in ("x^3", "x^1001", "x^0.5"):
         assert repr(parse(source).evaluate(-0.0)) == "0.0"
+
+
+# The shape cache: a body's text spells each constant as a slot, so trees
+# that differ only in constants (on the same side of each branch the body
+# takes on a constant) run one compiled code object with their own values.
+
+
+def _literal_outcomes(root, v):
+    """(raw, evaluate) outcomes at v of root's bodies compiled anew from
+    their text with literal constants."""
+    raw = _fresh(_specialized(root))
+    try:
+        value = raw(v)
+    except (EvalError, OverflowError, ValueError) as exc:
+        raw_outcome = (type(exc).__name__, str(exc))
+        if isinstance(exc, EvalError):
+            return raw_outcome, (exc.kind, str(exc))
+        try:  # evaluate names an inline fault through the guarded form
+            _fresh(_guarded(root))(v)
+        except EvalError as fault:
+            return raw_outcome, (fault.kind, str(fault))
+        return raw_outcome, (type(exc).__name__, str(exc))
+    evaluated = repr(value) if math.isfinite(value) else ("overflow", str(_nonfinite(v)))
+    return repr(value), evaluated
+
+
+def _cached_outcomes(e, v):
+    try:
+        raw_outcome = repr(e.raw(v))
+    except (EvalError, OverflowError, ValueError) as exc:
+        raw_outcome = (type(exc).__name__, str(exc))
+    return raw_outcome, _outcome(e.evaluate, v)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_SPECIAL_TREES, st.lists(_SPECIAL_VALUES, min_size=1, max_size=4))
+def test_a_shared_shape_evaluates_as_a_fresh_literal_compile(root, values):
+    other = Expr(respelled(root))  # compiles the shape first, with other constants
+    e = Expr(root)
+    assert e.raw.__code__ is other.raw.__code__
+    for v in values:
+        assert _cached_outcomes(e, v) == _literal_outcomes(root, v)
+        assert _cached_outcomes(other, v) == _literal_outcomes(other.root, v)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("2*x^3 + 1.5", "-7*x^5 + 0.25"),
+    ("x^0.5", "x^(-2.5)"),  # a fractional exponent's sign takes no branch
+    ("x^(-2)", "x^(-7)"),
+    ("ln(x + 1)/3", "ln(x + 4)/(-0.5)"),
+    ("x/0", "x/(-0.0)"),
+    ("x*0.0 + pi", "x*(-0.0) + e"),
+])
+def test_constants_do_not_split_a_shape(a, b):
+    assert parse(a).raw.__code__ is parse(b).raw.__code__
+
+
+@pytest.mark.parametrize("a, b", [
+    ("x^2", "x^0.5"),  # integer or not
+    ("x^2", "x^(-2)"),  # sign of an integer exponent
+    ("x^2", "x^0"),  # a zero exponent is the guarded pow
+    ("x/2", "x/0"),  # a nonzero constant divisor
+    ("(x+1)/2", "(x+1)/0"),
+])
+def test_each_branch_on_a_constant_is_its_own_shape(a, b):
+    assert parse(a).raw.__code__ is not parse(b).raw.__code__
+    for v in (-0.0, 0.0, 2.0, -3.0):  # and each runs its own branch
+        assert _cached_outcomes(parse(b), v) == _literal_outcomes(parse(b).root, v)
+
+
+_UNARY = ("neg", "abs", "exp", "ln", "sqrt", "sin", "cos")
+
+
+def _nth_shape(n: int):
+    """A tree for each n, all of distinct shapes: n's base-7 digits as a
+    chain of unary ops over x."""
+    node = Var("x")
+    while True:
+        node = Unary(_UNARY[n % 7], node)
+        n //= 7
+        if not n:
+            return node
+
+
+def test_the_cache_stays_within_its_bound():
+    bound = _shape_code.cache_info().maxsize
+    assert bound
+    shapes = [Expr(_nth_shape(n)) for n in range(bound + 20)]
+    assert len({e.raw.__code__ for e in shapes}) == bound + 20
+    assert _shape_code.cache_info().currsize == bound
+    # an evicted shape compiles again and still evaluates as before
+    assert repr(Expr(_nth_shape(0)).evaluate(0.5)) == repr(shapes[0].evaluate(0.5))
+    assert _shape_code.cache_info().currsize == bound
 
 
 def test_copies_finds_the_same_ops_on_the_same_constants():

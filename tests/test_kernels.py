@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import simpson
 from domcert import kernels, quadrature
-from domcert.expr import EvalError, parse
+from domcert.expr import EvalError, _shape_code, parse
 from domcert.kernels import (
     Kernel,
     KernelError,
@@ -270,6 +270,12 @@ class TestOnePassProbe:
         expr = parse(source.format(p=p))
         got = _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
         assert repr(got) == repr(_reference_build(expr, quad_tol))
+
+    def test_kernels_of_one_shape_share_the_probe_code(self):
+        kernels._check_probe(parse("1 + t^2"))
+        misses = _shape_code.cache_info().misses
+        kernels._check_probe(parse("3 + t^4"))
+        assert _shape_code.cache_info().misses == misses
 
     def test_a_sum_that_overflows_falls_back_and_passes(self):
         # every value finite and positive, their sum inf: the loop finds nothing

@@ -8,12 +8,15 @@ indent=2) and render_text over the rows as dicts, for every float: signed
 zeros (one key in the table, two reprs), infinities, nan, subnormals and
 17-digit values, and for chunks of every size.  The bound and equivalence
 CSV rows must equal csv.writer over their cells, floats as their repr.
+render_json itself must equal json.dumps(_sanitize(envelope), indent=2) on
+any nesting of dicts, lists, tuples and named tuples.
 """
 
 import csv
 import io
 import json
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +43,22 @@ def table_and_rows(draw, width: int):
     coordinate = st.one_of(st.sampled_from(axis), st.sampled_from([0.0, -0.0]), FLOATS)
     row = st.tuples(coordinate, coordinate, coordinate, *[FLOATS] * (width - 3))
     return cli._reprs(axis), draw(st.lists(row, max_size=12))
+
+
+def _sanitize(obj):
+    """The envelope json.dumps writes as render_json does: a non-finite
+    float as a string, a tuple as a list."""
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return obj
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
 
 
 def csv_writer_text(header: list[str], rows) -> str:
@@ -114,7 +133,7 @@ def render_text_rows(records) -> str:
 
 
 def json_dumps_text(records) -> str:
-    return json.dumps(cli._sanitize(envelope([r._asdict() for r in records], len(records))),
+    return json.dumps(_sanitize(envelope([r._asdict() for r in records], len(records))),
                       indent=2) + "\n"
 
 
@@ -215,3 +234,33 @@ def test_bound_csv_matches_csv_writer(reports, entries):
     want = csv_writer_cells(BOUND_HEADER, [bound_cells(label, r) for label, r in labeled])
     result = {"entries": [{"label": label, "report": r} for label, r in labeled]}
     assert cli.render_csv("special-case", result) == want
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+TEXT = st.one_of(st.text(), st.sampled_from(["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\"\\/",
+                                             "\ud800", "line\nbreak\ttab"]))
+LEAVES = st.one_of(
+    FLOATS, st.integers(), st.sampled_from([2**64, -(2**200), 10**300]), st.booleans(),
+    st.none(), TEXT,
+)
+NESTED = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.dictionaries(TEXT, inner, max_size=4),
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(Pair, inner, inner),
+        st.sampled_from([{}, [], ()]),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(NESTED)
+def test_render_json_matches_json_dumps(obj):
+    assert cli.render_json(obj) == json.dumps(_sanitize(obj), indent=2) + "\n"
