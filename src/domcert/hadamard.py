@@ -133,9 +133,10 @@ def hh_bounds_report(
 
     f and g are integrated once for all jobs; jobs is consumed lazily after
     the image bounds are checked.  Each job raises its faults in the order
-    of a lone report: means, then f and g at the midpoint or at the
-    endpoints, each computed on first use.  Raises ValueError for atol or
-    rtol not finite and >= 0 and for tol not finite and > 0.
+    of a lone report: a midpoint weight 1/(2 h(1/2)) that is not finite
+    (ReportError 'degenerate'), then means, then f and g at the midpoint or
+    at the endpoints, each computed on first use.  Raises ValueError for
+    atol or rtol not finite and >= 0 and for tol not finite and > 0.
     """
     check_tolerances(atol, rtol)
     if not 0.0 < tol < math.inf:
@@ -144,6 +145,13 @@ def hh_bounds_report(
     means = mid = ends = None
     reports = []
     for h, bound in jobs:
+        if bound == "midpoint" and not math.isfinite(h.midpoint_coefficient):
+            raise ReportError(
+                "degenerate",
+                f"kernel {h.describe()!r} has h(1/2) = {h.half_value!r}, so its midpoint "
+                f"weight 1/(2 h(1/2)) is {h.midpoint_coefficient!r}; the midpoint bound "
+                "is undefined",
+            )
         if means is None:
             means = _means(pair, lo, hi, tol / 4.0)
         mean_f, mean_g, quad_err = means

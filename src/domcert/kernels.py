@@ -16,6 +16,12 @@ The probe is one comprehension over the grid, compiled once per expression
 shape with the kernel's constants bound to it, and one check of the whole
 list; the point-by-point loop runs only when that fails, and raises the
 error of the first bad point.
+
+A custom kernel's constants are computed once per process for each
+expression tree and quad_tol, and the 128 most recent are kept: a later
+build of an equal tree, in any spelling, skips the probe and the integral
+and keeps its own expression, so describe() shows its own source.  A build
+that fails is never kept; it runs again in full and raises again.
 """
 
 from __future__ import annotations
@@ -128,8 +134,12 @@ class Kernel(Record):
         return f"{self.kind}: h(t) = {self.expr.source}"
 
 
+@lru_cache(maxsize=128)
 def _custom_constants(expr: Expr | None, quad_tol: float) -> tuple[float, ...]:
-    """(h(1/2), 1 / (2 h(1/2)), integral, its error) of a custom kernel."""
+    """(h(1/2), 1 / (2 h(1/2)), integral, its error) of a custom kernel.
+    Memoized on (expr, quad_tol): Expr equality compares the tree and the
+    variable, not the spelling, and keeps 0.0 and -0.0 apart.  A build that
+    raises is not stored, so it raises again, naming its own source."""
     if expr is None:
         raise KernelError("invalid", "custom kernel needs an expression")
     if expr.var_name not in (None, "t"):

@@ -67,6 +67,21 @@ class TestExitCodes:
         assert code == 2
         assert "convex" in doc["error"]["message"]
 
+    def test_midpoint_weight_overflow_is_two(self, capsys):
+        pair = ("--f", "(x-0.5)^2", "--g", "2*(x-0.5)^2", "--interval", "0", "1")
+        code, doc = run_json(capsys, "verify-hh", *pair, "--h-custom", "1e-310",
+                             "--bound", "midpoint")
+        assert code == 2 and doc["exit_code"] == 2
+        assert "h(1/2) = 1e-310" in doc["error"]["message"]
+        code, doc = run_json(capsys, "verify-hh", *pair, "--h-custom", "1e-300",
+                             "--bound", "midpoint")
+        assert code == 0 and doc["result"]["reports"][0]["margin"] > 0.08
+        # the weight is read by the midpoint bound only: a sweep still comes
+        # to a verdict (f > 0 is far above h(t) f(x) + h(1-t) f(y))
+        code, doc = run_json(capsys, "check-convex", *pair[:2], *pair[4:],
+                             "--h-custom", "1e-310", "--grid", "5", "5", "5")
+        assert code == 1 and doc["result"]["verdict"] == "violated"
+
     def test_unknown_flag_is_two(self, capsys):
         code, out = run(capsys, "check-convex", "--f", "x^2", "--interval", "0", "1",
                         "--wat", "7")

@@ -138,6 +138,20 @@ class TestReportMechanics:
             hh_midpoint_report(PAIR, make_kernel("linear"), flat)
         assert info.value.reason == "degenerate"
 
+    def test_overflowing_midpoint_weight_is_degenerate(self):
+        # h(1/2) = 1e-310 makes 1/(2 h(1/2)) inf, and c f(m) = inf * 0 made
+        # the report nan and failed instead of saying why
+        pair = FunctionPair(parse("(x-0.5)^2"), parse("2*(x-0.5)^2"))
+        tiny = make_kernel("custom", expr=parse("1e-310"))
+        assert tiny.midpoint_coefficient == math.inf
+        with pytest.raises(ReportError) as info:
+            hh_bounds_report(pair, IDENT, [(tiny, "endpoint"), (tiny, "midpoint")])
+        assert info.value.reason == "degenerate"
+        assert "h(1/2) = 1e-310" in str(info.value)
+        assert hh_endpoint_report(pair, tiny, IDENT).lhs == pytest.approx(1.0 / 12.0)
+        small = make_kernel("custom", expr=parse("1e-300"))
+        assert hh_midpoint_report(pair, small, IDENT).margin == pytest.approx(1.0 / 12.0)
+
     def test_negative_rhs_warns_without_erroring(self):
         # a concave dominator drives the right side negative: for g = 1-x^2
         # the midpoint rhs is 2/3 - 3/4 = -1/12; warn and fail, don't crash

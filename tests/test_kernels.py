@@ -217,10 +217,18 @@ def _constants(k):
     return k.half_value, k.midpoint_coefficient, k.integral, k.integral_error
 
 
+def _cold_build(expr, quad_tol):
+    """The constants of a build that computes them, whatever built before."""
+    kernels._custom_constants.cache_clear()
+    return _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
+
+
 def _reference_build(expr, quad_tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_check_probe", kernels._check_probe_pointwise)
         mp.setattr(quadrature, "_panel", lambda fun, a, b: None)
+        # past the memo, so that it neither answers nor stores this build
+        mp.setattr(kernels, "_custom_constants", kernels._custom_constants.__wrapped__)
         return _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
 
 
@@ -256,7 +264,7 @@ class TestOnePassProbe:
         want = _outcome(lambda: kernels._check_probe_pointwise(expr))
         assert _outcome(lambda: kernels._check_probe(expr)) == want
         assert "KernelError" in want or i == len(GRID) - 1
-        built = _outcome(lambda: _constants(make_kernel("custom", expr=expr, quad_tol=1e-6)))
+        built = _outcome(lambda: _cold_build(expr, 1e-6))
         assert built == _outcome(lambda: _reference_build(expr, 1e-6))
 
     @settings(max_examples=60, deadline=None)
@@ -268,7 +276,7 @@ class TestOnePassProbe:
     )
     def test_good_kernels_build_the_same_constants(self, source, p, quad_tol):
         expr = parse(source.format(p=p))
-        got = _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
+        got = _cold_build(expr, quad_tol)
         assert repr(got) == repr(_reference_build(expr, quad_tol))
 
     def test_kernels_of_one_shape_share_the_probe_code(self):
@@ -282,3 +290,124 @@ class TestOnePassProbe:
         expr = parse("1e305+t")
         kernels._check_probe(expr)
         assert make_kernel("custom", expr=expr, quad_tol=1e-6).half_value == 1e305
+
+
+# ---------------------------------------------------------------------------
+# The memo of custom constants: a warm build is a cold one without the probe
+# and the integral, keyed by the tree and quad_tol, and failures never stored.
+# ---------------------------------------------------------------------------
+
+_MEMO = kernels._custom_constants
+
+CUSTOM_SOURCES = st.one_of(
+    st.builds("{}*t^(-{})+{}".format, st.sampled_from(["0.5", "1", "2.5"]),
+              st.sampled_from(["0.25", "0.5", "0.75"]), st.sampled_from(["0", "0.125"])),
+    st.builds("exp({}*t)".format, st.sampled_from(["-3", "-0.5", "0", "1", "2.5"])),
+    st.builds("1/(t+{})".format, st.sampled_from(["0.001", "0.5", "2"])),
+    st.just("1/t"),
+)
+
+
+def _counting(mp):
+    """Count the probes and integrals run inside the context of mp."""
+    calls = {"probe": 0, "integral": 0}
+
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    mp.setattr(kernels, "_check_probe", counted("probe", kernels._check_probe))
+    mp.setattr(kernels, "integrate_open01", counted("integral", kernels.integrate_open01))
+    return calls
+
+
+class TestConstantsMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(source=CUSTOM_SOURCES, quad_tol=st.sampled_from([1e-6, 1e-10]))
+    def test_a_warm_build_is_the_cold_build_without_probe_or_integral(self, source, quad_tol):
+        _MEMO.cache_clear()
+        cold = make_kernel("custom", expr=parse(source), quad_tol=quad_tol)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp)
+            warm = make_kernel("custom", expr=parse(source), quad_tol=quad_tol)
+        assert calls == {"probe": 0, "integral": 0}
+        assert warm == cold
+        for name in Kernel.__slots__:
+            assert repr(getattr(warm, name)) == repr(getattr(cold, name)), name
+        assert _MEMO.cache_info().currsize == 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(source=CUSTOM_SOURCES)
+    def test_each_quad_tol_is_its_own_entry(self, source):
+        _MEMO.cache_clear()
+        coarse = make_kernel("custom", expr=parse(source), quad_tol=1e-6)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp)
+            fine = make_kernel("custom", expr=parse(source), quad_tol=1e-10)
+        assert calls == {"probe": 1, "integral": 1}
+        assert _MEMO.cache_info().currsize == 2
+        assert _constants(coarse) == _cold_build(parse(source), 1e-6)
+        assert _constants(fine) == _cold_build(parse(source), 1e-10)
+
+    def test_the_reference_build_passes_the_memo_by(self):
+        expr = parse("1/(t+0.5)")
+        _cold_build(expr, 1e-6)
+        before = _MEMO.cache_info()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp)
+            _reference_build(expr, 1e-6)
+        assert calls["integral"] == 1
+        assert _MEMO.cache_info() == before
+
+    def test_signed_zero_constants_are_separate_entries(self):
+        _MEMO.cache_clear()
+        make_kernel("custom", expr=parse("t+0.0"))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp)
+            make_kernel("custom", expr=parse("t+-0.0"))
+        assert calls == {"probe": 1, "integral": 1}
+        assert _MEMO.cache_info().currsize == 2
+
+    def test_two_spellings_share_an_entry_and_keep_their_sources(self):
+        _MEMO.cache_clear()
+        tight = make_kernel("custom", expr=parse("1/t"))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp)
+            spaced = make_kernel("custom", expr=parse("1 / t"))
+        assert calls == {"probe": 0, "integral": 0}
+        assert _MEMO.cache_info().currsize == 1
+        assert _constants(spaced) == _constants(tight)
+        assert tight.describe() == "custom: h(t) = 1/t"
+        assert spaced.describe() == "custom: h(t) = 1 / t"
+
+    @pytest.mark.parametrize("source,reason", [
+        ("t-0.5", "nonpositive"), ("t - 0.5", "nonpositive"),
+        ("ln(t-0.5)", "domain"), ("ln(t - 0.5)", "domain"),
+    ])
+    def test_failures_raise_every_time_and_are_never_stored(self, source, reason):
+        _MEMO.cache_clear()
+        messages = set()
+        for _ in range(3):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _counting(mp)
+                with pytest.raises(KernelError) as info:
+                    make_kernel("custom", expr=parse(source))
+            assert calls["probe"] == 1 and info.value.reason == reason
+            messages.add(str(info.value))
+        assert len(messages) == 1 and repr(source) in messages.pop()
+        assert _MEMO.cache_info().currsize == 0
+
+    def test_the_memo_never_grows_past_its_bound(self):
+        _MEMO.cache_clear()
+        bound = _MEMO.cache_info().maxsize
+        for i in range(bound + 8):
+            make_kernel("custom", expr=parse(f"1+{i}*t"), quad_tol=1e-6)
+            assert _MEMO.cache_info().currsize == min(i + 1, bound)
+        # the oldest entry went first, the newest is still there
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting(mp)
+            make_kernel("custom", expr=parse(f"1+{bound + 7}*t"), quad_tol=1e-6)
+            make_kernel("custom", expr=parse("1+0*t"), quad_tol=1e-6)
+        assert calls == {"probe": 1, "integral": 1}
