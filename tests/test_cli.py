@@ -68,7 +68,8 @@ class TestExitCodes:
         assert "convex" in doc["error"]["message"]
 
     def test_midpoint_weight_overflow_is_two(self, capsys):
-        pair = ("--f", "(x-0.5)^2", "--g", "2*(x-0.5)^2", "--interval", "0", "1")
+        f, interval = ("--f", "(x-0.5)^2"), ("--interval", "0", "1")
+        pair = (*f, "--g", "2*(x-0.5)^2", *interval)
         code, doc = run_json(capsys, "verify-hh", *pair, "--h-custom", "1e-310",
                              "--bound", "midpoint")
         assert code == 2 and doc["exit_code"] == 2
@@ -78,8 +79,8 @@ class TestExitCodes:
         assert code == 0 and doc["result"]["reports"][0]["margin"] > 0.08
         # the weight is read by the midpoint bound only: a sweep still comes
         # to a verdict (f > 0 is far above h(t) f(x) + h(1-t) f(y))
-        code, doc = run_json(capsys, "check-convex", *pair[:2], *pair[4:],
-                             "--h-custom", "1e-310", "--grid", "5", "5", "5")
+        code, doc = run_json(capsys, "check-convex", *f, *interval, "--h-custom", "1e-310",
+                             "--grid", "5", "5", "5")
         assert code == 1 and doc["result"]["verdict"] == "violated"
 
     def test_unknown_flag_is_two(self, capsys):
