@@ -43,7 +43,6 @@ from .search import search_violations
 TOOL = "domcert"
 
 _BUILTIN_KERNELS = {"t": "linear", "t^s": "power", "1/t": "reciprocal", "1": "one"}
-_BOOL_CONFIG_KEYS = ("refine",)
 
 
 class _Command(NamedTuple):
@@ -208,7 +207,8 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
         if key == "config":
             problems.append(f"line {lineno}: config files cannot nest")
             continue
-        if key in _BOOL_CONFIG_KEYS:
+        want = _value_count(parser, key)
+        if want == 0:
             low = value.lower()
             if low in ("1", "true", "yes", "on"):
                 flags.append(f"--{key}")
@@ -222,7 +222,6 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
-        want = _value_count(parser, key)
         if want is not None and len(parts) != want:
             problems.append(f"line {lineno}: {key} takes {want} value{'s' * (want != 1)},"
                             f" got {len(parts)}")
@@ -386,20 +385,6 @@ def _check_report_dict(r) -> dict:
         "witness": {"x": r.witness[0], "y": r.witness[1], "t": r.witness[2]},
         "witness_sides": {"lhs": r.witness_lhs, "rhs": r.witness_rhs},
         "warnings": list(r.warnings),
-    }
-
-
-def _hh_report_dict(r) -> dict:
-    return {
-        "bound_kind": r.bound_kind,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "margin": r.margin,
-        "holds": r.holds,
-        "vacuous": r.vacuous,
-        "quad_error": r.quad_error,
-        "warnings": list(r.warnings),
-        "inputs_echo": dict(r.inputs_echo),
     }
 
 
@@ -683,7 +668,7 @@ def _dispatch(ns, built: _Inputs, emit):
         jobs = [(kernel, bound) for bound in bounds]
         reports = hh_bounds_report(pair, phi, jobs, ns.quad_tol, ns.atol, ns.rtol)
         code = 0 if all(r.holds for r in reports) else 1
-        return {"reports": [_hh_report_dict(r) for r in reports]}, code
+        return {"reports": [r._asdict() for r in reports]}, code
 
     if ns.subcommand == "special-case":
         entries = special_case_report(
@@ -692,7 +677,7 @@ def _dispatch(ns, built: _Inputs, emit):
         code = 0 if all(e.report.holds for e in entries) else 1
         result = {
             "entries": [
-                {"label": e.label, "report": _hh_report_dict(e.report)} for e in entries
+                {"label": e.label, "report": e.report._asdict()} for e in entries
             ]
         }
         return result, code

@@ -184,9 +184,8 @@ def _gap_parts(
     ht, h1t = h.value(t), h.value(omt)
     px, py = phi.apply(x), phi.apply(y)
     fe, ge = pair.f.evaluate, pair.g.evaluate
-    mid = t * px + omt * py
-    df = (ht * fe(px) + h1t * fe(py)) - fe(mid)
-    dg = (ht * ge(px) + h1t * ge(py)) - ge(mid)
+    df = _defect_parts(fe, ht, h1t, t, omt, px, py, fe(px), fe(py))[0]
+    dg = _defect_parts(ge, ht, h1t, t, omt, px, py, ge(px), ge(py))[0]
     lhs = abs(df)
     return dg - lhs, lhs, dg
 

@@ -10,12 +10,9 @@ their constants, fixed when the kernel is built:
     one          1       1        1/2            1
 
 Custom kernels are arbitrary positive expressions in t; positivity and
-evaluability are spot-checked on a fixed 4097-point Chebyshev grid at
-construction, and the integral is computed numerically (possibly +inf).
-The probe is one comprehension over the grid, compiled once per expression
-shape with the kernel's constants bound to it, and one check of the whole
-list; the point-by-point loop runs only when that fails, and raises the
-error of the first bad point.
+evaluability are spot-checked point by point on a fixed 4097-point Chebyshev
+grid at construction, and the first bad point raises.  The integral is
+computed numerically (possibly +inf).
 
 A custom kernel's constants are computed once per process for each
 expression tree and quad_tol, and the 128 most recent are kept: a later
@@ -30,12 +27,11 @@ import math
 from functools import lru_cache
 
 from .errors import DomcertError
-from .expr import EvalError, Expr, _Slots, _specialized, parse
+from .expr import EvalError, Expr, parse
 from .quadrature import QuadratureError, integrate_open01
 from .record import Record
 
 PROBE_POINTS = 4097
-_probe_cache: list[float] | None = None
 
 
 class KernelError(DomcertError):
@@ -55,11 +51,9 @@ def chebyshev_points(n: int, lo: float, hi: float) -> list[float]:
     return pts
 
 
+@lru_cache(maxsize=None)
 def _probe_grid() -> list[float]:
-    global _probe_cache
-    if _probe_cache is None:
-        _probe_cache = chebyshev_points(PROBE_POINTS, 0.0, 1.0)
-    return _probe_cache
+    return chebyshev_points(PROBE_POINTS, 0.0, 1.0)
 
 
 # kind -> (h(t), h(1/2), 1 / (2 h(1/2)), integral over (0, 1)) of the table above
@@ -157,30 +151,12 @@ def _custom_constants(expr: Expr | None, quad_tol: float) -> tuple[float, ...]:
             ) from exc
         raise
     error = 0.0 if math.isinf(result.value) else result.error_estimate
-    return half, 1.0 / (2.0 * half), result.value, error
+    return half, 0.5 / half, result.value, error
 
 
 def _check_probe(expr: Expr) -> None:
     """Raise KernelError unless expr is finite and positive at every probe
-    point.  One compiled comprehension evaluates the whole grid; only when
-    it faults, or its values are not all finite and positive, does the
-    pointwise loop run, to find the first bad point and name it."""
-    slots = _Slots()
-    probe = slots.bind(f"lambda ts: [{_specialized(expr.root, slots=slots)} for v in ts]")
-    try:
-        values = probe(_probe_grid())
-    except (EvalError, ArithmeticError, ValueError):
-        values = None
-    if values is not None and min(values) > 0.0:
-        total = sum(values)  # inf or nan unless every value is finite (or it overflows)
-        if total - total == 0.0:
-            return
-    _check_probe_pointwise(expr)
-
-
-def _check_probe_pointwise(expr: Expr) -> None:
-    """The probe one point at a time: the first point that faults or is not
-    positive raises."""
+    point; the first point that faults or is not positive raises."""
     for t in _probe_grid():
         try:
             v = expr.evaluate(t)

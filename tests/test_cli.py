@@ -492,10 +492,13 @@ class TestConfigFile:
         json.loads(out)  # json format won despite config saying text
 
     def test_boolean_key(self, capsys, tmp_path):
+        # any option without values, under any name argparse takes (--ref for --refine)
         conf = tmp_path / "run.conf"
-        conf.write_text("f = 2*x^2\ng = x^2\ninterval = 0 1\nrefine = true\ngrid = 5 5 5\n")
-        code, doc = run_json(capsys, "search", "--config", str(conf))
-        assert doc["result"]["refined"] is True
+        for line, refined in [("refine = true", True), ("ref = yes", True),
+                              ("refine = off", False), ("ref = 0", False)]:
+            conf.write_text(f"f = 2*x^2\ng = x^2\ninterval = 0 1\n{line}\ngrid = 5 5 5\n")
+            code, doc = run_json(capsys, "search", "--config", str(conf))
+            assert doc["result"]["refined"] is refined, line
 
     def test_flag_before_the_subcommand_overrides_config(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
@@ -537,8 +540,10 @@ class TestConfigFile:
         conf.write_text("f x^2\nrefine = maybe\n")
         code, out = run(capsys, "check-convex", "--config", str(conf))
         assert code == 2
-        msg = json.loads(out)["error"]["message"]
-        assert "line 1" in msg and "line 2" in msg
+        assert json.loads(out)["error"]["message"] == (
+            f"config file {str(conf)!r}: line 1: expected 'key = value', got 'f x^2';"
+            " line 2: refine wants true/false, got 'maybe'"
+        )
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

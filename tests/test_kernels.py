@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import simpson
 from domcert import kernels, quadrature
-from domcert.expr import EvalError, _shape_code, parse
+from domcert.expr import EvalError, parse
 from domcert.kernels import (
     Kernel,
     KernelError,
@@ -198,9 +199,9 @@ class TestDescribe:
 
 
 # ---------------------------------------------------------------------------
-# The one-pass probe against the pointwise loop, and a kernel built on the
-# fast paths against one built with the pointwise probe and every panel of
-# its integral on the guarded loop.
+# The probe, one pass over the grid that stops at its first bad point, and a
+# kernel built on the fast paths against one built with every panel of its
+# integral on the guarded loop.
 # ---------------------------------------------------------------------------
 
 GRID = kernels._probe_grid()
@@ -225,31 +226,31 @@ def _cold_build(expr, quad_tol):
 
 def _reference_build(expr, quad_tol):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_check_probe", kernels._check_probe_pointwise)
         mp.setattr(quadrature, "_panel", lambda fun, a, b: None)
         # past the memo, so that it neither answers nor stores this build
         mp.setattr(kernels, "_custom_constants", kernels._custom_constants.__wrapped__)
         return _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))
 
 
-# each good before GRID[i] and bad at it or after it; {after} is 0 up to
-# GRID[i] and 2*(t - GRID[i]) past it
+# shape -> (source, reason of its error).  Each is good before GRID[i]; an
+# "at" shape is first bad at GRID[i], an "after" shape at GRID[i + 1].
+# {after} is 0 up to GRID[i] and 2*(t - GRID[i]) past it.
 _BAD_AT = {
-    "zero at": "{k}*abs(t-{ti})",
-    "negative after": "{k}*({ti}-t)+1e-300",
-    "division by zero at": "{k}/abs(t-{ti})",
-    "ln of zero at": "ln({k}*abs(t-{ti}))+40",
-    "inf at": "1e300/(abs(t-{ti})+1e-300)+{k}",
-    "sqrt of a negative after": "sqrt({ti}-t)+{k}",
-    "exp overflow after": "exp({after}*1e10+{k})",
-    "power overflow after": "{k}*({after}*1e10+2)^1000",
-    "nan after": "{k}+({after}*1e300*1e300-{after}*1e300*1e300)",
+    "zero at": ("{k}*abs(t-{ti})", "nonpositive"),
+    "negative after": ("{k}*({ti}-t)+1e-300", "nonpositive"),
+    "division by zero at": ("{k}/abs(t-{ti})", "domain"),
+    "ln of zero at": ("ln({k}*abs(t-{ti}))+40", "domain"),
+    "inf at": ("1e300/(abs(t-{ti})+1e-300)+{k}", "domain"),
+    "sqrt of a negative after": ("sqrt({ti}-t)+{k}", "domain"),
+    "exp overflow after": ("exp({after}*1e10+{k})", "domain"),
+    "power overflow after": ("{k}*({after}*1e10+2)^1000", "domain"),
+    "nan after": ("{k}+({after}*1e300*1e300-{after}*1e300*1e300)", "domain"),
 }
 
 
 def _bad_at(shape, i, k):
     ti = repr(GRID[i])
-    return _BAD_AT[shape].format(ti=ti, k=k, after=f"(abs(t-{ti})+(t-{ti}))")
+    return _BAD_AT[shape][0].format(ti=ti, k=k, after=f"(abs(t-{ti})+(t-{ti}))")
 
 
 class TestOnePassProbe:
@@ -259,13 +260,21 @@ class TestOnePassProbe:
         shape=st.sampled_from(sorted(_BAD_AT)),
         k=st.sampled_from(["1", "0.5", "3"]),
     )
-    def test_faults_and_nonpositive_values_raise_as_the_pointwise_loop(self, i, shape, k):
+    def test_faults_and_nonpositive_values_name_the_first_bad_point(self, i, shape, k):
         expr = parse(_bad_at(shape, i, k))
-        want = _outcome(lambda: kernels._check_probe_pointwise(expr))
-        assert _outcome(lambda: kernels._check_probe(expr)) == want
-        assert "KernelError" in want or i == len(GRID) - 1
+        first = i + shape.endswith("after")
         built = _outcome(lambda: _cold_build(expr, 1e-6))
         assert built == _outcome(lambda: _reference_build(expr, 1e-6))
+        if first == len(GRID):  # bad only past the last probe point
+            kernels._check_probe(expr)
+            return
+        with pytest.raises(KernelError) as info:
+            kernels._check_probe(expr)
+        reason, message = info.value.reason, str(info.value)
+        assert reason == _BAD_AT[shape][1]
+        assert message.startswith(f"custom kernel {expr.source!r} ")
+        assert f" at t={GRID[first]!r}" in message
+        assert built == repr((KernelError, reason, message))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -279,17 +288,28 @@ class TestOnePassProbe:
         got = _cold_build(expr, quad_tol)
         assert repr(got) == repr(_reference_build(expr, quad_tol))
 
-    def test_kernels_of_one_shape_share_the_probe_code(self):
-        kernels._check_probe(parse("1 + t^2"))
-        misses = _shape_code.cache_info().misses
-        kernels._check_probe(parse("3 + t^4"))
-        assert _shape_code.cache_info().misses == misses
-
-    def test_a_sum_that_overflows_falls_back_and_passes(self):
-        # every value finite and positive, their sum inf: the loop finds nothing
+    def test_finite_values_whose_sum_overflows_pass(self):
         expr = parse("1e305+t")
         kernels._check_probe(expr)
         assert make_kernel("custom", expr=expr, quad_tol=1e-6).half_value == 1e305
+
+
+class TestMidpointWeight:
+    @settings(max_examples=200, deadline=None)
+    @given(half=st.floats(min_value=2.8e-309, max_value=1.7976931348623157e308))
+    @example(half=1e308)
+    @example(half=1.7976931348623157e308)
+    @example(half=2.8e-309)
+    def test_the_weight_is_the_rounded_exact_one(self, half):
+        with pytest.MonkeyPatch.context() as mp:
+            # a stand-in integral: the weight comes from h(1/2) alone, past the memo
+            mp.setattr(kernels, "integrate_open01",
+                       lambda expr, tol: quadrature.QuadResult(1.0, 0.0, 1))
+            got = kernels._custom_constants.__wrapped__(parse(repr(half)), 1e-6)
+        assert (got[0], got[1]) == (half, float(Fraction(1) / (2 * Fraction(half))))
+
+    def test_a_weight_past_where_twice_h_overflows(self):
+        assert make_kernel("custom", expr=parse("1e308")).midpoint_coefficient == 5e-309
 
 
 # ---------------------------------------------------------------------------
