@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .convexity import (
+    _CHUNK_ROWS,
     FunctionPair,
     SamplePlan,
     check_dominated,
@@ -419,17 +420,21 @@ def _inputs_dict(ns, built: _Inputs) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _json_float(v: float) -> str:
+    if v - v == 0.0:
+        return float.__repr__(v)
+    return '"nan"' if v != v else '"inf"' if v > 0.0 else '"-inf"'
+
+
 def _json(obj, indent: str, out: list) -> None:
     """Appends the text json.dumps(obj, indent=2) writes for obj at the
     nesting of indent, with a non-finite float as the string "inf", "-inf"
-    or "nan" and a tuple as a list.  Keys are strings."""
+    or "nan" and a tuple as a list.  Keys are strings.  _SearchRows writes
+    its own rows."""
     if isinstance(obj, str):
         out.append(_json_string(obj))
     elif isinstance(obj, float):
-        if obj - obj == 0.0:
-            out.append(float.__repr__(obj))
-        else:
-            out.append('"nan"' if obj != obj else '"inf"' if obj > 0.0 else '"-inf"')
+        out.append(_json_float(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -460,6 +465,8 @@ def _json(obj, indent: str, out: list) -> None:
             out.append("\n" + indent + "]")
         else:
             out.append("[]")
+    elif isinstance(obj, _SearchRows):
+        obj.json(indent, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -487,6 +494,8 @@ def _text_walk(obj, path: str, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _text_walk(v, f"{path}[{i}]", out)
+    elif isinstance(obj, _SearchRows):
+        obj.text(out)
     else:
         out.append(f"{path} = {_leaf(obj)}")
 
@@ -528,11 +537,14 @@ def render_csv(subcommand: str, result: dict) -> str:
 # Sample rows (check-* CSV, search CSV and JSON): one %-format per row with
 # every float as its repr, the text csv and json.dumps write for a float.
 # A coordinate is looked up in a table of the grid axes' reprs first (empty
-# for a random plan).  Zeros stay out of the table: 0.0 and -0.0 are one
-# key but two reprs, and a refined point can be the other zero of an axis.
-# Search text rows print every float as _leaf does.  Search rows are written
-# _CHUNK_ROWS at a time in every format, so no text of every row is built at
-# once; check-* rows are buffered whole, so that a fault drops them.
+# for a random plan, whose rows are then formatted whole, every %s a %r).
+# Zeros stay out of the table: 0.0 and -0.0 are one key but two reprs, and
+# a refined point can be the other zero of an axis.
+# Search text rows print every float as _leaf does.  Rows are formatted a
+# chunk at a time (_CHUNK_ROWS), so no text of every row is built at once:
+# search rows are written to the output in place, and check-* rows arrive
+# from the sweep in chunks and are buffered whole, so that a fault drops
+# them.
 # ---------------------------------------------------------------------------
 
 _GAP_HEADER = "x,y,t,gap,lhs_abs,rhs\n"
@@ -545,10 +557,8 @@ _JSON_ROW = """      {
         "lhs_abs": %r,
         "rhs": %r
       }"""
-# inf and nan are the only float reprs with an "n", and no key of _JSON_ROW
-# has one; render_json writes them as strings
-_JSON_NONFINITE = re.compile(r": (-?inf|nan)\b")
-_NO_VIOLATIONS = '"violations": []'  # cannot occur unescaped inside a string
+# a row with an inf or nan in it, each cell given as its _json_float text
+_JSON_ROW_TEXT = _JSON_ROW.replace("%r", "%s")
 _TEXT_ROW = """result.violations[%d].x = %.12g
 result.violations[%d].y = %.12g
 result.violations[%d].t = %.12g
@@ -556,8 +566,6 @@ result.violations[%d].gap = %.12g
 result.violations[%d].lhs_abs = %.12g
 result.violations[%d].rhs = %.12g
 """
-_TEXT_COUNT = "\nresult.count = "  # the last such line; inputs come before it
-_CHUNK_ROWS = 512
 
 
 def _reprs(values) -> dict:
@@ -571,26 +579,32 @@ def _coordinate_reprs(plan: SamplePlan, interval: Interval) -> dict:
 
 
 def _check_rows(subcommand: str, reprs: dict):
-    """(buffer, emit): emit writes one sample row of check-* into the buffer."""
+    """(buffer, emit): emit writes a chunk of check-* sample rows into the buffer."""
     buf = io.StringIO()
     put, get = buf.write, reprs.get
     if subcommand == "check-convex":
         put("x,y,t,defect\n")
 
-        def emit(row):
-            x, y, t, d = row
-            put("%s,%s,%s,%r\n" % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), d))
+        def emit(chunk):
+            if not reprs:
+                put("".join(["%r,%r,%r,%r\n" % row for row in chunk]))
+                return
+            put("".join([
+                "%s,%s,%s,%r\n" % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), d)
+                for x, y, t, d in chunk
+            ]))
     else:
         put(_GAP_HEADER)
 
-        def emit(row):
-            x, y, t, gap, lhs, rhs = row
-            put(_GAP_ROW % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t),
-                            gap, lhs, rhs))
+        def emit(chunk):
+            put("".join(_gap_lines(_GAP_ROW, chunk, reprs)))
     return buf, emit
 
 
 def _gap_lines(template: str, records, reprs: dict) -> list[str]:
+    if not reprs:
+        template = template.replace("%s", "%r")
+        return [template % row for row in records]
     get = reprs.get
     return [
         template % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), gap, lhs, rhs)
@@ -604,30 +618,42 @@ def _write_search_csv(write, records, reprs: dict, chunk: int = _CHUNK_ROWS) -> 
         write("".join(_gap_lines(_GAP_ROW, records[i:i + chunk], reprs)))
 
 
-def _write_search_json(write, text: str, records, reprs: dict, chunk: int = _CHUNK_ROWS) -> None:
-    """Writes the JSON envelope text with its empty violations list filled
-    in by records, at least one."""
-    head, tail = text.split(_NO_VIOLATIONS, 1)
-    write(head + '"violations": [\n')
-    for i in range(0, len(records), chunk):
-        body = ",\n".join(_gap_lines(_JSON_ROW, records[i:i + chunk], reprs))
-        if "n" in body:  # a row never straddles two chunks
-            body = _JSON_NONFINITE.sub(r': "\1"', body)
-        write(",\n" + body if i else body)
-    write("\n    ]" + tail)
+class _SearchRows:
+    """A search's violations in the slot of its envelope's list: when
+    render_json or render_text reaches it, it writes the text rendered so
+    far, then its records a chunk at a time, and the rendering goes on."""
 
+    __slots__ = ("records", "reprs", "write", "chunk")
 
-def _write_search_text(write, text: str, records, chunk: int = _CHUNK_ROWS) -> None:
-    """Writes the text envelope, rendered with no violations, with the lines
-    of records in front of its result.count line."""
-    head, tail = text.rsplit(_TEXT_COUNT, 1)
-    write(head + "\n")
-    for i in range(0, len(records), chunk):
-        write("".join([
-            _TEXT_ROW % (j, x, j, y, j, t, j, gap, j, lhs, j, rhs)
-            for j, (x, y, t, gap, lhs, rhs) in enumerate(records[i:i + chunk], i)
-        ]))
-    write(_TEXT_COUNT[1:] + tail)
+    def __init__(self, records, reprs: dict, write, chunk: int = _CHUNK_ROWS):
+        self.records, self.reprs, self.write, self.chunk = records, reprs, write, chunk
+
+    def json(self, indent: str, out: list) -> None:
+        records, chunk = self.records, self.chunk
+        if not records:
+            out.append("[]")
+            return
+        self.write("".join(out) + "[\n")
+        out.clear()
+        for i in range(0, len(records), chunk):
+            rows = records[i:i + chunk]
+            body = ",\n".join(_gap_lines(_JSON_ROW, rows, self.reprs))
+            if "n" in body:  # inf and nan are the only float reprs with an "n"
+                body = ",\n".join([_JSON_ROW_TEXT % tuple(map(_json_float, r)) for r in rows])
+            self.write(",\n" + body if i else body)
+        out.append("\n" + indent + "]")
+
+    def text(self, out: list) -> None:
+        records, chunk = self.records, self.chunk
+        if not records:
+            return
+        self.write("\n".join(out) + "\n")
+        out.clear()
+        for i in range(0, len(records), chunk):
+            self.write("".join([
+                _TEXT_ROW % (j, x, j, y, j, t, j, gap, j, lhs, j, rhs)
+                for j, (x, y, t, gap, lhs, rhs) in enumerate(records[i:i + chunk], i)
+            ]))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +662,8 @@ def _write_search_text(write, text: str, records, chunk: int = _CHUNK_ROWS) -> N
 
 
 def _dispatch(ns, built: _Inputs, emit):
-    """Returns (result dict, exit code); emit gets the sample rows of check-*."""
+    """Returns (result dict, exit code); emit gets the sample rows of check-*
+    in chunks."""
     f, g, kernel = built.f, built.g, built.kernel
     phi, interval, plan = built.phi, built.interval, built.plan
 
@@ -742,14 +769,15 @@ def main(argv: list[str] | None = None) -> int:
         _emit(rows.getvalue())
         return code
 
-    records = None
-    if ns.subcommand == "search":  # written a chunk at a time below
-        records, result["violations"] = result["violations"], []
-    if fmt == "csv":
-        if records is None:
-            _emit(render_csv(ns.subcommand, result))
-        else:
-            _write_search_csv(_emit, records, _coordinate_reprs(built.plan, built.interval))
+    if ns.subcommand == "search":  # rows are written a chunk at a time
+        records = result["violations"]
+        reprs = {} if fmt == "text" else _coordinate_reprs(built.plan, built.interval)
+        if fmt == "csv":
+            _write_search_csv(_emit, records, reprs)
+            return code
+        result["violations"] = _SearchRows(records, reprs, _emit)
+    elif fmt == "csv":
+        _emit(render_csv(ns.subcommand, result))
         return code
     envelope = {
         "tool": TOOL,
@@ -759,13 +787,7 @@ def main(argv: list[str] | None = None) -> int:
         "result": result,
         "exit_code": code,
     }
-    text = render_text(envelope) if fmt == "text" else render_json(envelope)
-    if not records:
-        _emit(text)
-    elif fmt == "text":
-        _write_search_text(_emit, text, records)
-    else:
-        _write_search_json(_emit, text, records, _coordinate_reprs(built.plan, built.interval))
+    _emit(render_text(envelope) if fmt == "text" else render_json(envelope))
     return code
 
 

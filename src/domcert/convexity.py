@@ -26,8 +26,10 @@ decompose() builds those same trees.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomcertError
@@ -250,19 +252,37 @@ def grid_axes(
 # order of the trees decompose() builds); "gap" is defect_g - |defect_f|.
 # The loop keeps the op order of the scalar forms above and the evaluation
 # order of the separate sweeps it replaced, so reductions, witnesses, rows
-# and the fault reported first are unchanged.  Where g holds f's tree
-# (expr.copies), g reads f's value at the same point: at each sample, at px
-# and py in the random loop, and on the grid axes, where g's pass zips f's
-# values.  f ran first and gave a finite value, so its tree would give the
+# and the fault reported first are unchanged.  Rows go to the caller's emit
+# _CHUNK_ROWS at a time, so no Python call is made per sample.  Where g
+# holds f's tree (expr.copies), g reads f's value at the same point: at each
+# sample, at px and py in the random loop, and on the grid axes, where g's
+# pass zips f's values.  f ran first and gave a finite value, so its tree would give the
 # same bits there without a fault.
 # A random plan draws x, y and t in the loop, in that order, each as
 # rng.uniform does (a + (b - a) * r()), and maps x and y as AffineMap.apply
 # does (alpha * x + beta, which raises outside the map's domain), so the loop
 # holds nothing per sample.  The violation test of _violates can run in the
-# loop too, keeping only the violating rows.
+# loop too, keeping only the violating rows, and so can the choice of the
+# REFINE_SEEDS least rows that a refining search starts from: a row is held
+# only when its value is at most the REFINE_SEEDS-th least held so far.
+# The same per-sample body, compiled alone, is the scalar gap of refinement.
 # ---------------------------------------------------------------------------
 
 _DERIVED = {"l": "+", "k": "-"}
+_CHUNK_ROWS = 512  # rows passed to emit at a time
+REFINE_SEEDS = 10
+# seed rows held before trimming to the REFINE_SEEDS least: the first trim
+# makes the cut finite, and the seeds are the same for any mark of at least
+# REFINE_SEEDS
+_SEED_BUFFER = 256
+_ORDER = itemgetter(3, 0, 1, 2)  # a row's value, then its point (x, y, t)
+
+
+def _least(rows: list) -> list:
+    """The REFINE_SEEDS least of rows in _ORDER, ascending."""
+    return heapq.nsmallest(REFINE_SEEDS, rows, key=_ORDER)
+
+
 # _violates in the loop; a value that is not below 0.0 never violates
 _VIOLATES = "{v} < 0.0 and ({v} < -(atol + rtol * max(abs({lhs}), abs({rhs}))) or {v} == -INF)"
 
@@ -287,6 +307,7 @@ def _annotate(exc: EvalError, x, y, t, axis: str | None, at) -> EvalError:
 
 _SWEEP_ENV = {
     **_EVAL_ENV,
+    "DomcertError": DomcertError,
     "EvalError": EvalError,
     "OverflowError": OverflowError,
     "ValueError": ValueError,
@@ -294,14 +315,94 @@ _SWEEP_ENV = {
     "NAN": math.nan,
     "_Rerun": _Rerun,
     "_annotate": _annotate,
+    "_least": _least,
     "_nonfinite": _nonfinite,
     "_outside": outside_error,
     "abs": abs,
+    "len": len,
     "max": max,
     "min": min,
     "range": range,
     "zip": zip,
 }
+
+
+class _Body:
+    """Source lines over the trees in roots ("u", or "f" then "g": the order
+    of evaluation) for the statements in stats: the values of the functions
+    at a point, their defects and the gap, in the op order of the scalar
+    forms above.  guarded=True writes the bodies in the guarded form, with g
+    reading nothing of f.  The trees' constants are named by slots."""
+
+    def __init__(self, roots: dict, kernel: Node, stats: tuple, slots: _Slots, guarded: bool):
+        self.roots, self.kernel, self.stats = roots, kernel, stats
+        self.slots, self.guarded = slots, guarded
+        self.pair = len(roots) == 2
+        self.derived = [n for n in _DERIVED if n in stats]
+        self.fns = list(roots) + self.derived
+        self.defects = [n for n in self.fns if n in stats or (n in "fg" and "gap" in stats)]
+        self.shared = copies(roots["g"], roots["f"]) if self.pair and not guarded else set()
+        self.lines: list[str] = []
+
+    def put(self, depth: int, *code: str) -> None:
+        self.lines.extend("    " * depth + c for c in code)
+
+    def body(self, node: Node, p: str, reads: dict | None = None) -> str:
+        if self.guarded:
+            return _guarded(node, p, slots=self.slots)
+        return _specialized(node, p, reads, self.slots)
+
+    def evaluate(self, depth: int, n: str, at: str, p: str) -> None:
+        """Value of n at the point p into the variable n + at; g reads f's
+        value from f + at.
+
+        v - v is 0.0 for finite v and nan (truthy) for inf or nan: the
+        isfinite check of Expr.evaluate without a call.
+        """
+        dst = n + at
+        if n in self.roots:
+            reads = dict.fromkeys(self.shared, "f" + at) if n == "g" else None
+            self.put(depth, f"{dst} = {self.body(self.roots[n], p, reads)}",
+                     f"if {dst} - {dst}: raise _nonfinite({p})")
+        else:  # a fault here is raised after the pass: these sweeps ran last
+            self.put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
+                     f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)")
+
+    def kernel_at(self, dst: str, t: str) -> list[str]:
+        return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
+                f"{dst} = {self.body(self.kernel, t)}",
+                f"if {dst} - {dst}: raise _nonfinite({t})",
+                f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
+
+    def drawn(self, depth: int, neg: bool) -> None:
+        """From a random point x, y, t (and omt = 1 - t) to the statements'
+        values, with neg_ set where a function is negative if neg."""
+        kernel_lines = self.kernel_at("ht", "t") + self.kernel_at("h1t", "omt")
+        if self.pair:  # the pair sweep read the kernel first
+            self.put(depth, *kernel_lines)
+        for v in "xy":  # apply raises the GeometryError of a point off phi's domain
+            self.put(depth, f"if not da <= {v} <= db: apply({v})", f"p{v} = alpha * {v} + beta")
+        for n in self.fns:
+            self.evaluate(depth, n, "px", "px")
+            self.evaluate(depth, n, "py", "py")
+        if not self.pair:  # the single-function sweep read it after u(px), u(py)
+            self.put(depth, *kernel_lines)
+        if neg:
+            self.put(depth, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in self.fns))
+        self.put(depth, "p = t * px + omt * py")
+        self.values(depth, {n: f"ht * {n}px + h1t * {n}py" for n in self.defects}, neg)
+
+    def values(self, depth: int, weighted: dict, neg: bool) -> None:
+        """The statements' values at the point p, each defect's weighted side
+        given by weighted."""
+        for n in self.fns:
+            self.evaluate(depth, n, "m", "p")
+        if neg:
+            self.put(depth, *(f"if {n}m < 0.0: neg_{n} = True" for n in self.fns))
+        for n in self.defects:
+            self.put(depth, f"r_{n} = {weighted[n]}", f"d_{n} = r_{n} - {n}m")
+        if "gap" in self.stats:
+            self.put(depth, "a_f = abs(d_f)", "gap = d_g - a_f")
 
 
 def _sweep_source(
@@ -314,87 +415,63 @@ def _sweep_source(
     guarded: bool = False,
     keep: bool = False,
     wide: bool = False,
+    seeds: bool = False,
 ) -> str:
     """Source of _sweep: one pass reducing stats, roots mapping names to trees.
 
-    rows=True passes each sample's row to emit; keep=True stores the rows
-    that violate under their point (x, y, t) in the dict found.  guarded=True
-    writes the bodies in the guarded form, with g reading nothing of f.
-    wide=True draws random x and y by weights, for an interval whose width
-    b - a overflows.  The trees' constants are named by slots; _sweep takes
-    them as parameters after atol and rtol.
+    rows=True passes the samples' rows to emit, _CHUNK_ROWS at a time;
+    keep=True stores the rows that violate under their point (x, y, t) in
+    the dict found; seeds=True leaves the REFINE_SEEDS least rows in _ORDER,
+    none with a nan value, in the list seeds.
+    guarded=True writes the bodies in the guarded form, with g reading
+    nothing of f.  wide=True draws random x and y by weights, for an
+    interval whose width b - a overflows.  The trees' constants are named
+    by slots; _sweep takes them as parameters after atol and rtol.
     """
-    base = list(roots)  # "u" alone, or "f" then "g": the order of evaluation
-    derived = [n for n in _DERIVED if n in stats]
-    fns = base + derived
-    defects = [n for n in fns if n in stats or (n in "fg" and "gap" in stats)]
-    shared = copies(roots["g"], roots["f"]) if len(base) == 2 and not guarded else set()
-    lines: list[str] = []
+    src = _Body(roots, kernel, stats, slots, guarded)
+    put, evaluate, kernel_at = src.put, src.evaluate, src.kernel_at
+    fns, defects, derived = src.fns, src.defects, src.derived
 
-    def put(depth: int, *code: str) -> None:
-        lines.extend("    " * depth + c for c in code)
+    def flush(depth: int) -> None:
+        # emit's own OverflowError or ValueError reaches the caller as it is
+        put(depth, "try:", "    emit(chunk)",
+            "except (OverflowError, ValueError):", "    emitting = True", "    raise")
 
-    def body(node: Node, p: str, reads: dict | None = None) -> str:
-        if guarded:
-            return _guarded(node, p, slots=slots)
-        return _specialized(node, p, reads, slots)
-
-    def evaluate(depth: int, n: str, at: str, p: str) -> None:
-        """Value of n at the point p into the variable n + at; g reads f's
-        value from f + at.
-
-        v - v is 0.0 for finite v and nan (truthy) for inf or nan: the
-        isfinite check of Expr.evaluate without a call.
-        """
-        dst = n + at
-        if n in roots:
-            reads = dict.fromkeys(shared, "f" + at) if n == "g" else None
-            put(depth, f"{dst} = {body(roots[n], p, reads)}",
-                f"if {dst} - {dst}: raise _nonfinite({p})")
-        else:  # a fault here is raised after the pass: these sweeps ran last
-            put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
-                f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)")
-
-    def kernel_at(dst: str, t: str) -> list[str]:
-        return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
-                f"{dst} = {body(kernel, t)}",
-                f"if {dst} - {dst}: raise _nonfinite({t})",
-                f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
-
-    def per_sample(depth: int, weighted: dict) -> None:
-        for n in fns:
-            evaluate(depth, n, "m", "p")
-        for n in fns:
-            put(depth, f"if {n}m < 0.0: neg_{n} = True")
-        for n in defects:
-            put(depth, f"r_{n} = {weighted[n]}", f"d_{n} = r_{n} - {n}m")
-        if "gap" in stats:
-            put(depth, "a_f = abs(d_f)", "gap = d_g - a_f")
+    def reduce(depth: int) -> None:
         for s in stats:
             v, lhs, rhs = _sides(s)
             put(depth, f"if {v} <= w_{s} and ({v} < w_{s} or (x, y, t) < wit_{s}):",
                 f"    w_{s}, wit_{s}, wl_{s}, wr_{s} = {v}, (x, y, t), {lhs}, {rhs}")
         # a convexity row carries the defect alone
-        row = "(x, y, t, %s)" % ", ".join(_sides(stats[-1]) if "gap" in stats else ("d_u",))
-        if rows:  # emit's own OverflowError or ValueError reaches the caller as it is
-            if keep:
+        v, lhs, rhs = _sides(stats[-1])
+        row = "(x, y, t, %s)" % ", ".join((v, lhs, rhs) if "gap" in stats else ("d_u",))
+        if rows:
+            if keep or seeds:
                 put(depth, f"row = {row}")
                 row = "row"
-            put(depth, "try:", f"    emit({row})",
-                "except (OverflowError, ValueError):", "    emitting = True", "    raise")
+            put(depth, f"put_row({row})", f"if len(chunk) >= {_CHUNK_ROWS}:")
+            flush(depth + 1)
+            put(depth + 1, "chunk = []", "put_row = chunk.append")
         if keep:
-            v, lhs, rhs = _sides(stats[-1])
             put(depth, f"if {_VIOLATES.format(v=v, lhs=lhs, rhs=rhs)}:",
                 f"    found[(x, y, t)] = {row}")
+        if seeds:  # nan <= cut is False
+            put(depth, f"if {v} <= cut:", f"    put_seed({row})",
+                f"    if len(seeds) >= {_SEED_BUFFER}:",
+                "        seeds[:] = _least(seeds)", "        cut = seeds[-1][3]")
 
     # axis names the axis pass under way on a grid plan, av its grid point
-    put(1, "x = y = t = axis = av = None", *(["emitting = False"] if rows else []))
+    put(1, "x = y = t = axis = av = None")
+    if rows:
+        put(1, "emitting = False", "chunk = []", "put_row = chunk.append")
+    if seeds:
+        put(1, "cut = INF", "put_seed = seeds.append")
     for s in stats:
         put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s} = INF, (NAN, NAN, NAN), NAN, NAN")
     put(1, *(f"fail_{n} = None" for n in derived), "try:")
     if grid:
         for n in fns:  # each function over the x axis, then over the y axis
-            reads = "fg" if n in _DERIVED else "f" if n == "g" and shared else ""
+            reads = "fg" if n in _DERIVED else "f" if n == "g" and src.shared else ""
             for a in "xy":
                 names = ", ".join(["av", "p", *(f"{r}_v" for r in reads)])
                 lists = ", ".join([f"{a}s", f"p{a}s", *(f"{r}_{a}" for r in reads)])
@@ -422,7 +499,8 @@ def _sweep_source(
         loop(4, ["t", "tx", "ty", *(f"h{n}{a}" for n in defects for a in "xy")],
              ["ts", "txs", "tys_j", *(f"h{n}_{a}" for n in defects for a in ("xi", "yj"))])
         put(5, "p = tx + ty")
-        per_sample(5, {n: f"h{n}x + h{n}y" for n in defects})
+        src.values(5, {n: f"h{n}x + h{n}y" for n in defects}, True)
+        reduce(5)
     else:
         put(2, *(f"neg_{n} = False" for n in fns), "for _ in range(count):")
         for v in "xy":
@@ -431,19 +509,13 @@ def _sweep_source(
             else:
                 put(3, f"{v} = a + w * r()")
         put(3, "t = lo + tw * r()", "omt = 1.0 - t")
-        kernel_lines = kernel_at("ht", "t") + kernel_at("h1t", "omt")
-        if len(base) == 2:  # the pair sweep read the kernel first
-            put(3, *kernel_lines)
-        for v in "xy":  # apply raises the GeometryError of a point off phi's domain
-            put(3, f"if not da <= {v} <= db: apply({v})", f"p{v} = alpha * {v} + beta")
-        for n in fns:
-            evaluate(3, n, "px", "px")
-            evaluate(3, n, "py", "py")
-        if len(base) == 1:  # the single-function sweep read it after u(px), u(py)
-            put(3, *kernel_lines)
-        put(3, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in fns))
-        put(3, "p = t * px + omt * py")
-        per_sample(3, {n: f"ht * {n}px + h1t * {n}py" for n in defects})
+        src.drawn(3, True)
+        reduce(3)
+    if rows:  # the last chunk
+        put(2, "if chunk:")
+        flush(3)
+    if seeds:
+        put(2, "seeds[:] = _least(seeds)")
     put(1, "except EvalError as exc:", "    raise _annotate(exc, x, y, t, axis, av) from exc")
     if not guarded:  # an inline op's: the guarded form names it
         put(1, "except (OverflowError, ValueError) as exc:",
@@ -456,8 +528,25 @@ def _sweep_source(
         params = "xs, ys, ts, pxs, pys"
     else:
         params = "count, r, a, b, w, lo, tw, da, db, alpha, beta, apply"
-    params = ", ".join([params, "emit, found, atol, rtol", *slots.names.values()])
-    return f"def _sweep({params}):\n" + "\n".join(lines) + "\n"
+    params = ", ".join([params, "emit, found", *(["seeds"] if seeds else []), "atol, rtol",
+                        *slots.names.values()])
+    return f"def _sweep({params}):\n" + "\n".join(src.lines) + "\n"
+
+
+def _gap_source(roots: dict, kernel: Node, slots: _Slots) -> str:
+    """Source of _bind, which returns (gap, |defect_f|, defect_g) at a point
+    (x, y, t) as a function: the per-sample body of the random plan's loop,
+    with its kernel, phi-domain and finiteness checks.  Where the body
+    raises, the result is fallback's (_gap_parts, which names the fault)."""
+    src = _Body(roots, kernel, ("gap",), slots, False)
+    src.put(3, "omt = 1.0 - t")
+    src.drawn(3, False)
+    src.put(3, "return gap, a_f, d_g")
+    params = ", ".join(["da, db, alpha, beta, apply, fallback", *slots.names.values()])
+    return (f"def _bind({params}):\n    def _gap(x, y, t):\n        try:\n"
+            + "\n".join(src.lines)
+            + "\n        except (DomcertError, OverflowError, ValueError):"
+            "\n            return fallback(x, y, t)\n    return _gap\n")
 
 
 class _SweepData(NamedTuple):
@@ -475,15 +564,21 @@ def _plan_sweep(
     plan: SamplePlan,
     emit=None,
     found: dict | None = None,
+    seeds: list | None = None,
 ) -> _SweepData:
     """One pass over the plan reducing every statement in stats.
 
-    fns is (u,) for the statement "u", else (f, g).  emit, when given,
-    is called with one row per sample: (x, y, t, value, lhs, rhs) of the
-    last statement, or (x, y, t, defect) for "u".  found, when given, gets
-    each row of the last statement that violates the plan's tolerances
+    fns is (u,) for the statement "u", else (f, g).  A row of a sample is
+    (x, y, t, value, lhs, rhs) of the last statement, or (x, y, t, defect)
+    for "u".  emit, when given, is called with a new list of the next rows
+    in plan order, _CHUNK_ROWS of them but the last, until every sample's
+    row has been passed; the rows of a chunk that a fault cuts short are
+    dropped.  An OverflowError or ValueError of emit's own reaches the
+    caller as it is.
+    found, when given, gets each row that violates the plan's tolerances
     (_violates) under its point (x, y, t), a later row replacing an equal
-    point's.
+    point's.  seeds, when given, ends up holding the REFINE_SEEDS least rows
+    in _ORDER, ascending, none with a nan value (_least of those rows).
     """
     grid = plan.strategy == "grid"
     roots = dict(zip("u" if len(fns) == 1 else "fg", (e.root for e in fns)))
@@ -499,26 +594,44 @@ def _plan_sweep(
         args = (a, b, b - a, lo, (1.0 - lo) - lo, phi.domain.a, phi.domain.b, phi.alpha,
                 phi.beta, phi.apply)
 
-    def run(guarded: bool, emit, found):
+    def run(guarded: bool, emit, found, seeds):
         env = {**_SWEEP_ENV, "_nonpositive": h.nonpositive_error}
         slots = _Slots()
         source = _sweep_source(roots, h.expr.root, stats, grid, emit is not None, slots,
-                               guarded, found is not None, wide)
+                               guarded, found is not None, wide, seeds is not None)
         exec(_shape_code(source, "exec"), env)
         # each run draws a random plan from the start
         draws = () if grid else (samples, random.Random(plan.seed).random)
-        return env["_sweep"](*draws, *args, emit, found, plan.atol, plan.rtol, *slots.values)
+        held = () if seeds is None else (seeds,)
+        return env["_sweep"](*draws, *args, emit, found, *held, plan.atol, plan.rtol,
+                             *slots.values)
 
     try:
-        worst, neg, fails = run(False, emit, found)
+        worst, neg, fails = run(False, emit, found, seeds)
     except _Rerun as rerun:
-        run(True, None, None)  # faults at the same op and sample, and names the op
+        run(True, None, None, None)  # faults at the same op and sample, and names the op
         raise rerun.args[0] from None
     for n in _DERIVED:  # the sum sweep ran before the difference sweep
         if fails.get(n):
             p, *where = fails[n]
             raise _annotate(_nonfinite(p), *where)
     return _SweepData(samples, worst, neg)
+
+
+def _gap_function(pair: FunctionPair, h: Kernel, phi: AffineMap):
+    """_gap_parts(pair, h, phi, x, y, t) as a function of (x, y, t), through
+    the compiled per-sample body: the same bits where it returns.  Where the
+    body raises, _gap_parts runs instead and raises its fault."""
+    slots = _Slots()
+    source = _gap_source({"f": pair.f.root, "g": pair.g.root}, h.expr.root, slots)
+    env = {**_SWEEP_ENV, "_nonpositive": h.nonpositive_error}
+    exec(_shape_code(source, "exec"), env)
+
+    def fallback(x, y, t):
+        return _gap_parts(pair, h, phi, x, y, t)
+
+    return env["_bind"](phi.domain.a, phi.domain.b, phi.alpha, phi.beta, phi.apply, fallback,
+                        *slots.values)
 
 
 def _finish_report(data: _SweepData, stat: str, plan: SamplePlan, roles: tuple) -> CheckReport:
@@ -550,7 +663,9 @@ def check_phi_h_convex(
 ) -> CheckReport:
     """Sample the convexity defect of f; worst_gap is the minimum defect.
 
-    emit, when given, gets the row (x, y, t, defect) of each sample.
+    emit, when given, is called with new lists of the samples' rows
+    (x, y, t, defect) in plan order, at most _CHUNK_ROWS (512) at a time,
+    from the sweep loop itself; a fault drops the rows of its chunk.
     """
     data = _plan_sweep((f,), ("u",), h, phi, interval, plan, emit)
     return _finish_report(data, "u", plan, (("function", "u"),))
@@ -576,8 +691,10 @@ def check_dominated(
 
     Raises PreconditionError when the dominator g is itself refuted on the
     same plan, since the dominance statement presumes g in the class.  The
-    gate and the gap come from one pass; emit, when given, gets the row
-    (x, y, t, gap, |defect_f|, defect_g) of each sample.
+    gate and the gap come from one pass; emit, when given, is called with
+    new lists of the samples' rows (x, y, t, gap, |defect_f|, defect_g) in
+    plan order, at most _CHUNK_ROWS (512) at a time, from the sweep loop
+    itself; a fault drops the rows of its chunk.
     """
     try:
         data = _plan_sweep((pair.f, pair.g), ("g", "gap"), h, phi, interval, plan, emit)

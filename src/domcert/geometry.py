@@ -2,7 +2,9 @@
 
 An AffineMap x -> alpha*x + beta is only accepted when it maps its domain
 interval into itself; every downstream sampling and bound computation
-relies on that containment.
+relies on that containment.  A map given as an expression is accepted only
+when it is affine within a relative tolerance: it is never replaced by the
+line through its end values.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomcertError
-from .expr import Expr
+from .expr import Binary, Const, Expr, Node, Unary, Var
+from .kernels import PROBE_POINTS, chebyshev_points
 from .record import Record
 
 
@@ -94,23 +97,58 @@ def identity_map(domain: Interval) -> AffineMap:
     return make_affine(1.0, 0.0, domain)
 
 
+def _degree(node: Node) -> int | None:
+    """0 for a tree without the variable and 1 for an affine one, built from
+    +, -, unary minus, * with a constant side and / by a constant; None for
+    any other tree."""
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Unary):
+        return _degree(node.arg) if node.op == "neg" else None
+    left, right = _degree(node.left), _degree(node.right)
+    if left is None or right is None:
+        return None
+    if node.op in "+-":
+        return max(left, right)
+    if node.op == "*" and left + right <= 1:
+        return left + right
+    if node.op == "/" and right == 0:
+        return left
+    return None
+
+
 def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:
     """Build an AffineMap from an expression, verifying it is affine.
 
-    The check probes three points and requires the second difference
-    u(a) - 2u(m) + u(b) to vanish relative to the probed values.
+    alpha and beta come from the values u(a) and u(b) at the ends.  A tree
+    built only from affine ops passes as it is.  Any other must pass two
+    probes within tol times the largest of 1 and |u| at a, the midpoint m
+    and b: the second difference u(a) - 2u(m) + u(b), then the distance of
+    u from the line alpha*x + beta at PROBE_POINTS Chebyshev points in
+    (a, b).
     """
     a, b = domain.a, domain.b
     m = 0.5 * (a + b)
     ua, um, ub = e.evaluate(a), e.evaluate(m), e.evaluate(b)
-    second = ua - 2.0 * um + ub
-    scale = max(abs(ua), abs(um), abs(ub), 1.0)
-    if abs(second) > tol * scale:
-        raise GeometryError(
-            "invalid",
-            f"expression {e.source!r} is not affine "
-            f"(second difference {second!r} on a 3-point probe)",
-        )
     alpha = (ub - ua) / (b - a)
     beta = ua - alpha * a
+    if _degree(e.root) is None:
+        bound = tol * max(abs(ua), abs(um), abs(ub), 1.0)
+        second = ua - 2.0 * um + ub
+        if abs(second) > bound:
+            raise GeometryError(
+                "invalid",
+                f"expression {e.source!r} is not affine "
+                f"(second difference {second!r} on a 3-point probe)",
+            )
+        far, at = max((abs(e.evaluate(x) - (alpha * x + beta)), x)
+                      for x in chebyshev_points(PROBE_POINTS, a, b))
+        if far > bound:
+            raise GeometryError(
+                "invalid",
+                f"expression {e.source!r} is not affine "
+                f"({far:.3g} from the line through its end values at x={at:.3g})",
+            )
     return make_affine(alpha, beta, domain)

@@ -1,30 +1,28 @@
 """Counterexample search over the dominance gap.
 
 Sweeps a sample plan, keeps every triple whose gap is below the violation
-threshold, and optionally sharpens the ten worst samples with a clamped
-coordinate-descent (step-halving) refinement.  The sweep's own loop tests
-each sample and keeps only the violating rows, so memory grows with the
-number of violations, not with the plan (a refining search also holds at
-most a few thousand candidate seeds).  Each violation is held once: a row
-is the plain tuple the loop built until the sorted list replaces it, in
-place, by its ViolationRecord.  Everything is deterministic for a fixed
-plan, including the random strategy via its seed.
+threshold, and optionally sharpens the ten worst samples (never one with a
+nan gap) with a clamped coordinate-descent (step-halving) refinement.  The
+sweep's own loop tests each sample, keeps only the violating rows and picks
+the seeds, so memory grows with the number of violations, not with the plan
+(a refining search also holds at most a few hundred candidate seeds).
+Refinement evaluates the gap through the sweep's compiled per-sample body.
+Each violation is held once: a row is the plain tuple the loop built until
+the sorted list replaces it, in place, by its ViolationRecord.  Everything
+is deterministic for a fixed plan, including the random strategy via its
+seed.
 """
 
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
 from typing import NamedTuple
 
-from .convexity import FunctionPair, SamplePlan, _gap_parts, _plan_sweep, _violates
+from .convexity import FunctionPair, SamplePlan, _gap_function, _plan_sweep, _violates
 from .geometry import AffineMap, Interval
 from .kernels import Kernel
 
-REFINE_SEEDS = 10
 REFINE_ITERATIONS = 50
-_SEED_BUFFER = 4096  # rows held before trimming to the REFINE_SEEDS smallest
-_ORDER = itemgetter(3, 0, 1, 2)  # gap, then (x, y, t)
 
 
 class ViolationRecord(NamedTuple):
@@ -39,19 +37,20 @@ class ViolationRecord(NamedTuple):
 
 
 def _refine_seed(
-    gap_fn,
+    parts,
     x: float,
     y: float,
     t: float,
     interval: Interval,
     t_clamp: float,
 ) -> tuple[float, float, float]:
-    """Greedy pattern search for a smaller gap, clamped to the sample box."""
+    """Greedy pattern search for a smaller gap, clamped to the sample box;
+    parts(x, y, t) is (gap, |defect_f|, defect_g)."""
     a, b = interval.a, interval.b
     t_lo, t_hi = t_clamp, 1.0 - t_clamp
     step_xy = (b - a) / 8.0
     step_t = (t_hi - t_lo) / 8.0
-    best = gap_fn(x, y, t)
+    best = parts(x, y, t)[0]
     for _ in range(REFINE_ITERATIONS):
         candidates = (
             (min(max(x + step_xy, a), b), y, t),
@@ -63,7 +62,7 @@ def _refine_seed(
         )
         moved = False
         for cx, cy, ct in candidates:
-            v = gap_fn(cx, cy, ct)
+            v = parts(cx, cy, ct)[0]
             if v < best:
                 best, x, y, t = v, cx, cy, ct
                 moved = True
@@ -85,23 +84,14 @@ def search_violations(
 ) -> list[ViolationRecord]:
     """All sampled violations, sorted by gap then (x, y, t) ascending."""
     found: dict[tuple[float, float, float], tuple] = {}  # (x, y, t) -> row
-    seeds: list[tuple] = []
-
-    def keep(row):
-        seeds.append(row)
-        if len(seeds) >= _SEED_BUFFER:
-            seeds[:] = heapq.nsmallest(REFINE_SEEDS, seeds, key=_ORDER)
-
-    _plan_sweep((pair.f, pair.g), ("gap",), h, phi, interval, plan, keep if refine else None,
-                found)
+    seeds: list[tuple] | None = [] if refine else None
+    _plan_sweep((pair.f, pair.g), ("gap",), h, phi, interval, plan, None, found, seeds)
 
     if refine:
-        def gap_fn(x, y, t):
-            return _gap_parts(pair, h, phi, x, y, t)[0]
-
-        for sx, sy, st, _, _, _ in heapq.nsmallest(REFINE_SEEDS, seeds, key=_ORDER):
-            rx, ry, rt = _refine_seed(gap_fn, sx, sy, st, interval, plan.t_clamp)
-            gap, lhs, rhs = _gap_parts(pair, h, phi, rx, ry, rt)
+        parts = _gap_function(pair, h, phi)
+        for sx, sy, st, _, _, _ in seeds:
+            rx, ry, rt = _refine_seed(parts, sx, sy, st, interval, plan.t_clamp)
+            gap, lhs, rhs = parts(rx, ry, rt)
             if not _violates(gap, lhs, rhs, plan.atol, plan.rtol):
                 continue
             if (rx, ry, rt) != (sx, sy, st):
@@ -113,15 +103,16 @@ def search_violations(
 
 
 def _records(found: dict) -> list[ViolationRecord]:
-    """found's rows as records in _ORDER, emptying found.
+    """found's rows as records in gap, then (x, y, t) order, emptying found.
 
-    Sorting by point, then stably by gap alone, is _ORDER without a key
+    Sorting by point, then stably by gap alone, is that order without a key
     tuple per row: the points are distinct dict keys (so a row comparison
     never reaches the gap) and a violating gap is never nan.
     """
     rows = sorted(found.values())
     found.clear()
     rows.sort(key=itemgetter(3))
+    new = tuple.__new__  # ViolationRecord._make without its call: every row has six fields
     for i, row in enumerate(rows):
-        rows[i] = ViolationRecord._make(row)
+        rows[i] = new(ViolationRecord, row)
     return rows

@@ -330,6 +330,15 @@ class TestValidationCollection:
         assert code == 2
         assert any("--phi" in p for p in doc["error"]["problems"])
 
+    def test_phi_affine_at_three_points_only_is_refused(self, capsys):
+        # the cubic term vanishes at 0, 1/2 and 1, where the 3-point probe looks
+        code, doc = run_json(capsys, "check-convex", "--f", "x^2", "--interval", "0", "1",
+                             "--phi", "x + 0.4*x*(x-0.5)*(x-1)")
+        assert code == 2
+        assert doc["error"]["problems"] == [
+            "--phi: expression 'x + 0.4*x*(x-0.5)*(x-1)' is not affine (0.0192 from the line"
+            " through its end values at x=0.789)"]
+
     def test_nonpositive_custom_kernel(self, capsys):
         code, doc = run_json(capsys, "check-convex", "--f", "x^2", "--interval", "0", "1",
                              "--h-custom", "t - 0.5")

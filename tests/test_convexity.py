@@ -176,7 +176,7 @@ class TestConvexityCheck:
     def test_rows_collected_on_request(self):
         plan = SamplePlan.grid(4, 4, 3)
         rows = []
-        rep = check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, plan, emit=rows.append)
+        rep = check_phi_h_convex(parse("x^2"), LINEAR, IDENT, UNIT, plan, emit=rows.extend)
         assert len(rows) == rep.samples_checked
         x, y, t, d = rows[0]
         assert phi_h_defect(parse("x^2"), LINEAR, IDENT, x, y, t) == d
@@ -270,7 +270,7 @@ class TestDominatedCheck:
         pair = FunctionPair(parse("x^2"), parse("2*x^2"))
         rows = []
         rep = check_dominated(
-            pair, LINEAR, IDENT, UNIT, SamplePlan.grid(3, 3, 3), emit=rows.append
+            pair, LINEAR, IDENT, UNIT, SamplePlan.grid(3, 3, 3), emit=rows.extend
         )
         assert len(rows) == rep.samples_checked
         assert len(rows[0]) == 6

@@ -9,6 +9,7 @@ so a change in the op order of the inlined bodies of f, g and the kernel h,
 or of the cached per-axis products, fails here.
 """
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -25,8 +26,12 @@ from domcert.convexity import (
     FunctionPair,
     PreconditionError,
     SamplePlan,
+    _CHUNK_ROWS,
     _defect_parts,
+    _gap_function,
+    _gap_parts,
     _plan_sweep,
+    _sweep_source,
     check_dominated,
     check_phi_h_convex,
     decompose,
@@ -36,7 +41,7 @@ from domcert.convexity import (
     phi_h_defect,
 )
 from domcert.errors import DomcertError
-from domcert.expr import EvalError, Expr, _shape_code, combine, parse
+from domcert.expr import EvalError, Expr, _shape_code, _Slots, combine, parse
 from domcert.geometry import GeometryError, Interval, identity_map, make_affine
 from domcert.kernels import KernelError, make_kernel
 from domcert.search import search_violations
@@ -160,7 +165,7 @@ def test_random_triples_are_uniform_draws(seed, count, ends, t_clamp):
     ]
     rows = []
     phi = identity_map(Interval(-1e308, 1e308))
-    check_phi_h_convex(parse("0"), make_kernel("one"), phi, Interval(a, b), plan, rows.append)
+    check_phi_h_convex(parse("0"), make_kernel("one"), phi, Interval(a, b), plan, rows.extend)
     assert repr([row[:3] for row in rows]) == repr(want)
 
 
@@ -170,7 +175,7 @@ def test_random_draws_on_an_interval_wider_than_the_largest_float(f):
     wide = Interval(-1e308, 1e308)
     plan, rows = SamplePlan.random(200, seed=1), []
     ident = identity_map(wide)
-    rep = check_phi_h_convex(parse(f), make_kernel("linear"), ident, wide, plan, rows.append)
+    rep = check_phi_h_convex(parse(f), make_kernel("linear"), ident, wide, plan, rows.extend)
     assert rep.verdict == HOLDS and rep.samples_checked == 200
     rng = random.Random(1)
     for x, y, t, _ in rows:
@@ -302,7 +307,7 @@ def test_convex_matches_scalar_reference(setup):
         _raises(lambda: check_phi_h_convex(pair.f, h, phi, interval, plan), EvalError)
         return
     rows = []
-    rep = check_phi_h_convex(pair.f, h, phi, interval, plan, emit=rows.append)
+    rep = check_phi_h_convex(pair.f, h, phi, interval, plan, emit=rows.extend)
     assert _fields(rep) == _report(samples, [("function", neg)], plan)
     assert repr(rows) == repr([(*xyt, d) for xyt, d, _, _ in samples])
 
@@ -317,7 +322,7 @@ def test_dominated_matches_scalar_reference(setup):
 
     def run():
         rows.clear()
-        return check_dominated(pair, h, phi, interval, plan, emit=rows.append)
+        return check_dominated(pair, h, phi, interval, plan, emit=rows.extend)
 
     # g is checked first and its refutation outranks a fault of f
     try:
@@ -528,8 +533,8 @@ def _sweeps(pair, h, phi, interval, plan):
     """Every report, row and fault of the sweeps over pair, as reprs."""
     rows, out = [], []
     for run in (
-        lambda: check_phi_h_convex(pair.f, h, phi, interval, plan, emit=rows.append),
-        lambda: check_dominated(pair, h, phi, interval, plan, emit=rows.append),
+        lambda: check_phi_h_convex(pair.f, h, phi, interval, plan, emit=rows.extend),
+        lambda: check_dominated(pair, h, phi, interval, plan, emit=rows.extend),
         lambda: equivalence_report(pair, h, phi, interval, plan),
         lambda: search_violations(pair, h, phi, interval, plan),
     ):
@@ -566,3 +571,132 @@ def test_a_pair_of_the_same_shape_compiles_no_loop(plan):
     assert _shape_code.cache_info().misses == misses
     _shape_code.cache_clear()
     assert _sweeps(two, h, ident, box, plan) == warm
+
+
+# ---------------------------------------------------------------------------
+# Rows reach emit a chunk at a time
+# ---------------------------------------------------------------------------
+
+UNIT_PAIR = FunctionPair(parse("x^2 - x"), parse("3*x^2"))
+# (n_x, n_y, n_t) of grids with 1, 511, 512 and 513 samples (0.5 joins a t
+# grid without it)
+GRID_OF = {1: (1, 1, 1), 511: (7, 73, 1), 512: (4, 8, 15), 513: (27, 19, 1)}
+
+
+def _chunk_sizes(count):
+    full, rest = divmod(count, _CHUNK_ROWS)
+    return [_CHUNK_ROWS] * full + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+@pytest.mark.parametrize("count", sorted(GRID_OF))
+def test_rows_come_in_chunks_in_plan_order(count, strategy):
+    if strategy == "grid":
+        plan = SamplePlan.grid(*GRID_OF[count])
+    else:
+        plan = SamplePlan.random(count, seed=5)
+    h, phi = make_kernel("power", s=0.5), make_affine(0.5, 0.25, UNIT)
+    triples = _triples(plan, UNIT)
+    assert len(triples) == count
+    defects, _ = _defects(UNIT_PAIR.f, h, phi, triples)
+    gaps = _gaps(UNIT_PAIR, h, phi, triples)[0]
+    for run, want in (
+        (lambda emit: check_phi_h_convex(UNIT_PAIR.f, h, phi, UNIT, plan, emit),
+         [(*xyt, d) for xyt, d, _, _ in defects]),
+        (lambda emit: check_dominated(UNIT_PAIR, h, phi, UNIT, plan, emit),
+         [(*xyt, gap, lhs, rhs) for xyt, gap, lhs, rhs in gaps]),
+    ):
+        chunks = []
+        run(chunks.append)
+        assert [len(c) for c in chunks] == _chunk_sizes(count)
+        assert repr([row for c in chunks for row in c]) == repr(want)
+
+
+@pytest.mark.parametrize("check", ["convex", "dominated"])
+def test_a_fault_drops_the_rows_of_its_chunk(check):
+    # sqrt(0.999 - x) faults at the first draw above 0.999, in mid-chunk
+    f, h, phi = parse("sqrt(0.999 - x)"), make_kernel("linear"), identity_map(UNIT)
+    plan = SamplePlan.random(4000, seed=7)
+    triples = _random_triples(plan, UNIT)
+    bad = next(i for i, xyt in enumerate(triples) if max(xyt[:2]) > 0.999)
+    assert bad > _CHUNK_ROWS and bad % _CHUNK_ROWS
+    sent = bad - bad % _CHUNK_ROWS
+    if check == "convex":
+        def run(emit=None):
+            return check_phi_h_convex(f, h, phi, UNIT, plan, emit)
+        want = [(*xyt, d) for xyt, d, _, _ in _defects(f, h, phi, triples[:sent])[0]]
+    else:
+        pair = FunctionPair(f, parse("2*x^2"))
+
+        def run(emit=None):
+            return check_dominated(pair, h, phi, UNIT, plan, emit)
+        want = [(*xyt, gap, lhs, rhs)
+                for xyt, gap, lhs, rhs in _gaps(pair, h, phi, triples[:sent])[0]]
+    with pytest.raises(EvalError) as plain:
+        run()
+    chunks = []
+    with pytest.raises(EvalError) as info:
+        run(chunks.append)
+    assert str(info.value) == str(plain.value)
+    assert [len(c) for c in chunks] == _chunk_sizes(sent)
+    assert repr([row for c in chunks for row in c]) == repr(want)
+
+
+def test_a_loop_without_rows_or_seeds_compiles_as_before():
+    # the sha256 of this source before rows came in chunks and seeds were
+    # picked in the loop: sweeps that hand off no rows run the same code
+    roots = {"f": parse("x^2").root, "g": parse("2*x^2").root}
+    source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots())
+    assert "emit" not in source.split("\n", 1)[1]
+    assert hashlib.sha256(source.encode()).hexdigest() == (
+        "31cf2ce0ace9ef5f62033bc8f18fdea41eddb9862411ba5047cbca88c0509757")
+
+
+# ---------------------------------------------------------------------------
+# The compiled gap of refinement against _gap_parts
+# ---------------------------------------------------------------------------
+
+_FAMILIES = ["({c})*x^2", "({c})*x^4 + x^2", "exp(({c})*x)", "abs(x - ({c})) + x^2",
+             "sqrt(x^2 + 1) + ({c})*x"]
+
+
+@st.composite
+def bench_pairs(draw):
+    """A pair of the benchmark's families: g a scaled copy of f, or f plus
+    another family; at 1.7e308 the weighted sides overflow."""
+    c = st.floats(-3.0, 3.0, allow_nan=False).map(repr)
+    f = draw(st.sampled_from(_FAMILIES)).format(c=draw(c))
+    scale = draw(st.sampled_from(["0.5", "2", "1.7e308", "-1"]))
+    if draw(st.booleans()):
+        g = f"{scale}*({f})"
+    else:
+        g = f"{f} + {draw(st.sampled_from(_FAMILIES)).format(c=draw(c))}"
+    return FunctionPair(parse(f), parse(g))
+
+
+GAP_KERNELS = [*KERNELS, make_kernel("custom", expr=parse("t^(-0.5)"))]
+
+
+@SETTINGS
+@given(st.one_of(bench_pairs(), pairs()), st.sampled_from(GAP_KERNELS),
+       st.sampled_from(INTERVALS), st.data())
+def test_compiled_gap_is_gap_parts(pair, h, interval, data):
+    phi = data.draw(st.sampled_from([identity_map(interval), make_affine(0.5, 0.25, interval),
+                                     make_affine(-0.5, 0.75, interval)]))
+    a, b = interval.a, interval.b
+    # the box's corners and clamps, and points off phi's domain or (0, 1)
+    x = st.one_of(st.sampled_from([a, b, 0.5 * (a + b), math.nextafter(b, math.inf),
+                                   a - 1.0]), st.floats(a, b))
+    t = st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6, 0.5, 5e-324, 0.0, 1.0]),
+                  st.floats(0.0, 1.0))
+    parts = _gap_function(pair, h, phi)
+
+    def outcome(fn, *xyt):
+        try:
+            return repr(fn(*xyt))
+        except DomcertError as exc:
+            return type(exc).__name__, str(exc)
+
+    for _ in range(4):
+        xyt = data.draw(x), data.draw(x), data.draw(t)
+        assert outcome(parts, *xyt) == outcome(_gap_parts, pair, h, phi, *xyt)

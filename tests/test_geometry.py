@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from domcert import geometry
 from domcert.expr import parse
 from domcert.geometry import (
     AffineMap,
@@ -109,3 +111,61 @@ class TestAffineFromExpr:
         with pytest.raises(GeometryError) as info:
             affine_from_expr(parse("2*x"), Interval(0.0, 1.0))
         assert info.value.reason == "range"
+
+
+INTERVALS = [Interval(0.0, 1.0), Interval(-1.0, 2.0), Interval(0.25, 1.5)]
+CONST = st.floats(-4.0, 4.0, allow_nan=False).map(lambda c: f"({c!r})")
+NONZERO = st.floats(0.1, 4.0).map(lambda c: f"({c!r})")
+AFFINE = st.recursive(
+    st.one_of(st.just("x"), CONST),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-"), inner).map(lambda a: f"({''.join(a)})"),
+        inner.map(lambda a: f"(-{a})"),
+        st.tuples(CONST, inner).map(lambda a: f"({a[0]}*{a[1]})"),
+        st.tuples(inner, CONST).map(lambda a: f"({a[0]}*{a[1]})"),
+        st.tuples(inner, NONZERO).map(lambda a: f"({a[0]}/{a[1]})"),
+    ),
+    max_leaves=6,
+)
+
+
+@given(AFFINE, st.sampled_from(INTERVALS))
+def test_affine_trees_keep_the_line_through_their_ends(source, domain):
+    e = parse(source)
+    ua, ub = e.evaluate(domain.a), e.evaluate(domain.b)
+    alpha = (ub - ua) / (domain.b - domain.a)
+    beta = ua - alpha * domain.a
+    try:
+        phi = affine_from_expr(e, domain)
+    except GeometryError as exc:
+        assert exc.reason == "range"  # its image leaves the domain
+        return
+    assert (repr(phi.alpha), repr(phi.beta)) == (repr(alpha), repr(beta))
+    assert phi.describe() == make_affine(alpha, beta, domain).describe()
+
+
+@given(st.sampled_from(INTERVALS), st.floats(-1e6, 1e6, allow_nan=False))
+def test_a_cubic_through_the_three_probe_points_is_refused(domain, c):
+    # x + c (x - a)(x - m)(x - b) is x at a, m and b; its largest distance
+    # from that line is |c| (b - a)^3 / (12 sqrt(3)), 0.048 |c| (b - a)^3
+    a, b = domain.a, domain.b
+    m = 0.5 * (a + b)
+    assume(abs(c) * (b - a) ** 3 * 0.047 > 2e-9 * max(abs(a), abs(b), 1.0))
+    source = f"x + ({c!r})*(x - ({a!r}))*(x - ({m!r}))*(x - ({b!r}))"
+    with pytest.raises(GeometryError) as info:
+        affine_from_expr(parse(source), domain)
+    assert info.value.reason == "invalid"
+    assert str(info.value).startswith(f"expression {source!r} is not affine (")
+    assert "from the line through its end values" in str(info.value)
+
+
+@pytest.mark.parametrize("source", ["0.41*x+0.7349", "2*x+1", "-(x/4) + 0.5*(1 - x)", "x^2"])
+def test_an_affine_tree_or_a_3_point_refusal_skips_the_probe(monkeypatch, source):
+    def probe(*args):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(geometry, "chebyshev_points", probe)
+    try:
+        affine_from_expr(parse(source), Interval(0.25, 1.5))
+    except GeometryError as exc:
+        assert "3-point" in str(exc) or exc.reason == "range"

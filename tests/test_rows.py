@@ -2,11 +2,12 @@
 
 check-* CSV rows, search CSV rows and the search JSON rows are each one
 %-format per row with the grid coordinates' reprs looked up in a table;
-search rows, text ones too, are written a chunk at a time.  Their text must
-equal csv.writer over the raw floats, json.dumps(_sanitize(envelope),
-indent=2) and render_text over the rows as dicts, for every float: signed
-zeros (one key in the table, two reprs), infinities, nan, subnormals and
-17-digit values, and for chunks of every size.  The bound and equivalence
+every row writer takes its rows a chunk at a time, and search rows are
+written in the slot of their envelope.  Their text must equal csv.writer
+over the raw floats, json.dumps(_sanitize(envelope), indent=2) and
+render_text over the rows as dicts, for every float: signed zeros (one key
+in the table, two reprs), infinities, nan, subnormals and 17-digit values,
+and for chunks of every size.  The bound and equivalence
 CSV rows must equal csv.writer over their cells, floats as their repr.
 render_json itself must equal json.dumps(_sanitize(envelope), indent=2) on
 any nesting of dicts, lists, tuples and named tuples.
@@ -38,11 +39,12 @@ AXIS = st.lists(st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=Fal
 
 @st.composite
 def table_and_rows(draw, width: int):
-    """(reprs, rows): coordinates from the axis, its other-signed zeros or anywhere."""
+    """(reprs, rows): coordinates from the axis, its other-signed zeros or
+    anywhere; the table is empty, as for a random plan, or the axis's."""
     axis = draw(AXIS)
     coordinate = st.one_of(st.sampled_from(axis), st.sampled_from([0.0, -0.0]), FLOATS)
     row = st.tuples(coordinate, coordinate, coordinate, *[FLOATS] * (width - 3))
-    return cli._reprs(axis), draw(st.lists(row, max_size=12))
+    return cli._reprs(axis) if draw(st.booleans()) else {}, draw(st.lists(row, max_size=12))
 
 
 def _sanitize(obj):
@@ -73,35 +75,37 @@ def envelope(violations, count: int) -> dict:
     return {
         "tool": "domcert",
         "subcommand": "search",
-        # a splice marker inside a string is escaped (JSON) or comes before
-        # the one that is spliced at (text)
+        # text that looks like the rows' own is left as it is
         "inputs": {"f": '"violations": []', "g": "x\nresult.count = 0", "interval": [0.0, -0.0]},
         "result": {"violations": violations, "count": count, "refined": False},
         "exit_code": 1,
     }
 
 
-@settings(deadline=None)
-@given(table_and_rows(4))
-def test_check_convex_rows_match_csv_writer(data):
-    reprs, rows = data
-    buf, emit = cli._check_rows("check-convex", reprs)
-    for row in rows:
-        emit(row)
-    assert buf.getvalue() == csv_writer_text(["x", "y", "t", "defect"], rows)
-
-
-@settings(deadline=None)
-@given(table_and_rows(6))
-def test_check_dominated_rows_match_csv_writer(data):
-    reprs, rows = data
-    buf, emit = cli._check_rows("check-dominated", reprs)
-    for row in rows:
-        emit(row)
-    assert buf.getvalue() == csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], rows)
-
-
 CHUNKS = st.one_of(st.integers(1, 5), st.just(cli._CHUNK_ROWS))
+
+
+def check_rows(subcommand, reprs, rows, chunk) -> str:
+    buf, emit = cli._check_rows(subcommand, reprs)
+    for i in range(0, len(rows), chunk):
+        emit(rows[i:i + chunk])
+    return buf.getvalue()
+
+
+@settings(deadline=None)
+@given(table_and_rows(4), CHUNKS)
+def test_check_convex_rows_match_csv_writer(data, chunk):
+    reprs, rows = data
+    want = csv_writer_text(["x", "y", "t", "defect"], rows)
+    assert check_rows("check-convex", reprs, rows, chunk) == want
+
+
+@settings(deadline=None)
+@given(table_and_rows(6), CHUNKS)
+def test_check_dominated_rows_match_csv_writer(data, chunk):
+    reprs, rows = data
+    want = csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], rows)
+    assert check_rows("check-dominated", reprs, rows, chunk) == want
 
 
 def search_csv(records, reprs, chunk) -> str:
@@ -111,20 +115,16 @@ def search_csv(records, reprs, chunk) -> str:
 
 
 def search_json(records, reprs, chunk) -> str:
-    text = cli.render_json(envelope([], len(records)))
-    if not records:  # main writes the envelope as it is
-        return text
     buf = io.StringIO()
-    cli._write_search_json(buf.write, text, records, reprs, chunk)
+    rows = cli._SearchRows(records, reprs, buf.write, chunk)
+    buf.write(cli.render_json(envelope(rows, len(records))))  # the text after the rows
     return buf.getvalue()
 
 
 def search_text(records, chunk) -> str:
-    text = cli.render_text(envelope([], len(records)))
-    if not records:  # main writes the envelope as it is
-        return text
     buf = io.StringIO()
-    cli._write_search_text(buf.write, text, records, chunk)
+    rows = cli._SearchRows(records, {}, buf.write, chunk)
+    buf.write(cli.render_text(envelope(rows, len(records))))
     return buf.getvalue()
 
 
@@ -174,11 +174,11 @@ def test_search_rows_across_chunk_boundaries(size):
                         math.nan if i in bad else 0.0, math.inf if i in bad else 1e300)
         for i in range(size * n + 1)
     ]
-    reprs = cli._reprs([0.5, 0.25, -0.0])
-    assert search_json(records, reprs, n) == json_dumps_text(records)
-    assert search_text(records, n) == render_text_rows(records)
     want = csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], records)
-    assert search_csv(records, reprs, n) == want
+    for reprs in (cli._reprs([0.5, 0.25, -0.0]), {}):
+        assert search_json(records, reprs, n) == json_dumps_text(records)
+        assert search_csv(records, reprs, n) == want
+    assert search_text(records, n) == render_text_rows(records)
 
 
 def test_coordinate_table_leaves_out_zeros():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domcert.convexity import (
-    _SWEEP_ENV, _VIOLATES, FunctionPair, SamplePlan, _plan_sweep, _violates, dominance_gap,
+    _SEED_BUFFER, _SWEEP_ENV, _VIOLATES, REFINE_SEEDS, FunctionPair, SamplePlan, _least,
+    _plan_sweep, _violates, dominance_gap,
 )
 from domcert.expr import parse
 from domcert.geometry import Interval, identity_map
@@ -188,6 +189,40 @@ def test_loop_keeps_exactly_the_violating_rows(f, g, strategy, atol, rtol):
         plan = SamplePlan.random(300, seed=4, atol=atol, rtol=rtol)
     rows, found = [], {}
     pair = (parse(f), parse(g))
-    _plan_sweep(pair, ("gap",), LINEAR, IDENT, UNIT, plan, rows.append, found)
+    _plan_sweep(pair, ("gap",), LINEAR, IDENT, UNIT, plan, rows.extend, found)
     want = {row[:3]: row for row in rows if _violates(*row[3:], atol, rtol)}
     assert repr(found) == repr(want)
+
+
+def _seeds(pair, h, interval, plan):
+    """(seeds, every row) of one pass over the plan."""
+    rows, seeds = [], []
+    _plan_sweep(pair, ("gap",), h, identity_map(interval), interval, plan, rows.extend, None,
+                seeds)
+    return seeds, rows
+
+
+def test_a_nan_gap_is_never_a_seed():
+    # with h = 1, f(px) + f(py) overflows near |x| = |y| = 1 and the gap is
+    # inf - inf; those samples come first on [-1, 0] and last on [0, 1],
+    # where the gap at (x, y, t) is the gap at (-x, -y, t) on [-1, 0]
+    pair = (parse("1.7e308*x^2"), parse("1.75e308*x^2"))
+    one, plan = make_kernel("one"), SamplePlan.grid(9, 9, 7)
+    first, first_rows = _seeds(pair, one, Interval(-1.0, 0.0), plan)
+    last, last_rows = _seeds(pair, one, UNIT, plan)
+    assert math.isnan(first_rows[0][3]) and math.isnan(last_rows[-1][3])
+    for seeds, rows in ((first, first_rows), (last, last_rows)):
+        assert repr(seeds) == repr(_least([r for r in rows if not math.isnan(r[3])]))
+    # the same seeds, up to which of two equal gaps the point order picks
+    assert len(first) == REFINE_SEEDS
+    assert [r[3] for r in first] == [r[3] for r in last]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["2*x^2", "exp(3*x)", "x^4-x"]), st.integers(0, 99),
+       st.sampled_from([REFINE_SEEDS - 1, REFINE_SEEDS + 1, _SEED_BUFFER + 7]))
+def test_loop_seeds_are_the_least_rows(f, seed, count):
+    # trimmed at _SEED_BUFFER held rows, the seeds are still the least of all
+    plan = SamplePlan.random(count, seed=seed)
+    seeds, rows = _seeds((parse(f), parse("x^2")), LINEAR, UNIT, plan)
+    assert repr(seeds) == repr(_least(rows))
