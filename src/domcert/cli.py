@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
@@ -37,7 +36,7 @@ from .convexity import (
 from .errors import DomcertError
 from .expr import ParseError, parse
 from .geometry import GeometryError, Interval, affine_from_expr, identity_map
-from .hadamard import hh_bounds_report, special_case_report
+from .hadamard import hh_bounds_report, quad_tol_problem, special_case_report
 from .kernels import KernelError, make_kernel
 from .search import search_violations
 
@@ -292,7 +291,7 @@ def _build_kernel(ns, problems: list[str]):
         return None
     if ns.h_custom is not None:
         e = _parse_expr(ns.h_custom, "--h-custom", problems)
-        if e is None or not 0.0 < ns.quad_tol < math.inf:  # a bad tol is reported later
+        if e is None or quad_tol_problem(ns.quad_tol):  # a bad tol is reported later
             return None
         try:
             return make_kernel("custom", expr=e, quad_tol=ns.quad_tol)
@@ -368,8 +367,9 @@ def _build_inputs(ns, problems: list[str]) -> _Inputs:
             )
     except ValueError as exc:
         problems.append(f"sampling plan: {exc}")
-    if not 0.0 < ns.quad_tol < math.inf:
-        problems.append(f"--quad-tol must be positive and finite, got {ns.quad_tol!r}")
+    problem = quad_tol_problem(ns.quad_tol)
+    if problem:
+        problems.append(f"--quad-tol {problem}")
     return built
 
 

@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 from .errors import DomcertError
 from .expr import (
-    _EVAL_ENV, EvalError, Expr, Node, _guarded, _nonfinite, _shape_code, _Slots, _specialized,
-    combine, copies,
+    _EVAL_ENV, EvalError, Expr, Node, _emit, _nonfinite, _shape_code, _Slots, combine, copies,
 )
 from .geometry import AffineMap, Interval
 from .kernels import Kernel, chebyshev_points, outside_error
@@ -253,10 +252,11 @@ def grid_axes(
 # The loop keeps the op order of the scalar forms above and the evaluation
 # order of the separate sweeps it replaced, so reductions, witnesses, rows
 # and the fault reported first are unchanged.  Rows go to the caller's emit
-# _CHUNK_ROWS at a time, so no Python call is made per sample.  Where g
-# holds f's tree (expr.copies), g reads f's value at the same point: at each
-# sample, at px and py in the random loop, and on the grid axes, where g's
-# pass zips f's values.  f ran first and gave a finite value, so its tree would give the
+# _CHUNK_ROWS at a time, so no Python call is made per sample.  Where a
+# subtree of g equals f's tree (expr.copies: the same ops, variable and
+# constant bits), g reads f's value at the same point: at each sample, at px
+# and py in the random loop, and on the grid axes, where g's pass zips f's
+# values.  f ran first and gave a finite value, so its tree would give the
 # same bits there without a fault.
 # A random plan draws x, y and t in the loop, in that order, each as
 # rng.uniform does (a + (b - a) * r()), and maps x and y as AffineMap.apply
@@ -348,9 +348,7 @@ class _Body:
         self.lines.extend("    " * depth + c for c in code)
 
     def body(self, node: Node, p: str, reads: dict | None = None) -> str:
-        if self.guarded:
-            return _guarded(node, p, slots=self.slots)
-        return _specialized(node, p, reads, self.slots)
+        return _emit(node, p, self.slots, self.guarded, reads)
 
     def evaluate(self, depth: int, n: str, at: str, p: str) -> None:
         """Value of n at the point p into the variable n + at; g reads f's

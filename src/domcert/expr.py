@@ -21,18 +21,19 @@ non-integer exponent raise EvalError("domain"); overflow in ``^`` or
 ``exp``, ``sin``/``cos`` of an infinite value and a non-finite result
 raise EvalError("overflow").
 
-A tree's body is Python source with each constant spelled as a slot
-(``_k0``, ``_k1``, ...), so the text depends only on the tree's shape: its
-ops, and the branch the emitter takes for each constant operand.  A text
-compiles once per process (_shape_code, a bounded cache) and each Expr binds
-its own constants to the compiled code.  An op is guarded only where
-an operand can make it fault: ``^`` with a constant exponent, ``/`` by a
-nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
+A tree's body is Python source, written by one emitter (_emit) in two
+forms, with each constant spelled as a slot (``_k0``, ``_k1``, ...), so the
+text depends only on the tree's shape: its ops, and the branch the emitter
+takes for each constant operand.  A text compiles once per process
+(_shape_code, a bounded cache) and each Expr binds its own constants to the
+compiled code.  The specialized form, the one every path runs, guards an op
+only where an operand can make it fault: ``^`` with a constant exponent,
+``/`` by a nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
 ``ln``/``sqrt`` call their fault helper only on the bad branch.  When an
-inline op raises, the fully guarded form runs again at that point and
-names the fault; it is also the reference the specialized form must match
-bit for bit.  A sweep over a pair whose g holds f's tree reads f's value
-there instead of computing it again (``copies``).
+inline op raises, the guarded form runs again at that point and names the
+fault; it is also the reference the specialized form must match bit for
+bit.  A sweep over a pair whose g holds a subtree equal to f's tree reads
+f's value there instead of computing it again (``copies``).
 """
 
 from __future__ import annotations
@@ -282,10 +283,11 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: a tree compiles to python source.  The guarded form calls a
-# helper for every op that can fault; it is the reference.  The specialized
-# form, the one every path runs, keeps a guard only where an operand can
-# fault:
+# Evaluation: a tree compiles to python source, written by _emit.  Its
+# guarded form calls a helper for every op that can fault; it is the
+# reference.  Its specialized form, the one every path runs, keeps a guard
+# only where an operand can fault.  Const, Var, neg, abs and + - * are
+# written the same in both; the forms part only at these ops:
 #
 #   L^c, c constant     inline ** (float ** and math.pow call the same C
 #                       pow); the helper only where the base can fault: a
@@ -414,94 +416,66 @@ def _shape_code(source: str, mode: str = "eval"):
     return compile(source, "<domcert>", mode)
 
 
-def _const(node: Const, slots: _Slots | None) -> str:
-    return _literal(node.value) if slots is None else slots(node)
-
-
-def _guarded(
-    node: Node, var: str = "v", keys: dict | None = None, slots: _Slots | None = None
+def _emit(
+    node: Node, var: str = "v", slots: _Slots | None = None, guarded: bool = False,
+    reads: dict | None = None,
 ) -> str:
-    """Source for node with the free variable spelled var and every op that
-    can fault behind its helper; keys, when given, gets the source of each
-    non-leaf subtree by id.  Constants are slots, or literals without slots."""
+    """Source for node with the free variable spelled var: guarded, every op
+    that can fault behind its helper; otherwise a guard only where an
+    operand can fault, each branch taken on a constant's value showing in
+    the text.  reads maps id() of a subtree whose value a variable already
+    holds at this point to that variable.  Constants are slots, or literals
+    without slots."""
     if isinstance(node, Const):
-        return _const(node, slots)
-    if isinstance(node, Var):
-        return var
-    if isinstance(node, Unary):
-        inner = _guarded(node.arg, var, keys, slots)
-        if node.op == "neg":
-            text = f"(-{inner})"
-        elif node.op == "abs":
-            text = f"_abs({inner})"
-        else:
-            text = f"_g_{node.op}({inner})"
-    else:
-        left = _guarded(node.left, var, keys, slots)
-        right = _guarded(node.right, var, keys, slots)
-        if node.op in "+-*":
-            text = f"({left}{node.op}{right})"
-        else:
-            text = f"_g_{'div' if node.op == '/' else 'pow'}({left},{right})"
-    if keys is not None:
-        keys[id(node)] = text
-    return text
-
-
-def copies(root: Node, sub: Node) -> set[int]:
-    """ids of the subtrees of root that are sub's ops on sub's constants;
-    none for a leaf sub.  Compared by guarded source with literal constants:
-    equal source, equal bits."""
-    if isinstance(sub, (Const, Var)):
-        return set()
-    keys: dict[int, str] = {}
-    _guarded(root, keys=keys)
-    key = _guarded(sub)
-    return {i for i, text in keys.items() if text == key}
-
-
-def _specialized(
-    node: Node, var: str = "v", reads: dict | None = None, slots: _Slots | None = None
-) -> str:
-    """Source for node with the free variable spelled var and a guard only
-    where an operand can fault; reads maps id() of a subtree whose value a
-    variable already holds at this point to that variable.  Constants are
-    slots, or literals without slots; each branch taken on a constant's
-    value shows in the text."""
-    if isinstance(node, Const):
-        return _const(node, slots)
+        return _literal(node.value) if slots is None else slots(node)
     if isinstance(node, Var):
         return var
     if reads and id(node) in reads:
         return reads[id(node)]
     if isinstance(node, Unary):
         op = node.op
-        inner = _specialized(node.arg, var, reads, slots)
+        inner = _emit(node.arg, var, slots, guarded, reads)
+        if op == "neg":
+            return f"(-{inner})"
+        if op == "abs":
+            return f"_abs({inner})"
+        if guarded:
+            return f"_g_{op}({inner})"
         if op in ("ln", "sqrt"):
             use, bind = _operand(node.arg, inner, "_a")
             test = "> 0.0" if op == "ln" else ">= 0.0"
             return f"(_{op}({use}) if {bind} {test} else _g_{op}({use}))"
-        if op == "neg":
-            return f"(-{inner})"
         return f"_{op}({inner})"
     op, left, right = node.op, node.left, node.right
-    left_text = _specialized(left, var, reads, slots)
-    right_text = _specialized(right, var, reads, slots)
-    if op == "^" and isinstance(right, Const) and right.value != 0.0:
-        c = right.value
-        use, bind = _operand(left, left_text, "_b")
-        if not c.is_integer():
-            return f"({use}**{right_text} if {bind} > 0.0 else _g_pow({use},{right_text}))"
-        zero = "0.0" if c > 0.0 else f"_g_pow({use},{right_text})"
-        return f"({use}**{right_text} if {bind} else {zero})"
-    if op == "/" and isinstance(right, Const) and right.value != 0.0:
-        return f"({left_text}/{right_text})"
-    if op == "/" and isinstance(left, (Const, Var)):
-        use, bind = _operand(right, right_text, "_d")
-        return f"({left_text}/{use} if {bind} else _g_div({left_text},{use}))"
+    left_text = _emit(left, var, slots, guarded, reads)
+    right_text = _emit(right, var, slots, guarded, reads)
     if op in "+-*":
         return f"({left_text}{op}{right_text})"
+    if not guarded:
+        if op == "^" and isinstance(right, Const) and right.value != 0.0:
+            c = right.value
+            use, bind = _operand(left, left_text, "_b")
+            if not c.is_integer():
+                return f"({use}**{right_text} if {bind} > 0.0 else _g_pow({use},{right_text}))"
+            zero = "0.0" if c > 0.0 else f"_g_pow({use},{right_text})"
+            return f"({use}**{right_text} if {bind} else {zero})"
+        if op == "/" and isinstance(right, Const) and right.value != 0.0:
+            return f"({left_text}/{right_text})"
+        if op == "/" and isinstance(left, (Const, Var)):
+            use, bind = _operand(right, right_text, "_d")
+            return f"({left_text}/{use} if {bind} else _g_div({left_text},{use}))"
     return f"_g_{'div' if op == '/' else 'pow'}({left_text},{right_text})"
+
+
+def copies(root: Node, sub: Node) -> set[int]:
+    """ids of the subtrees of root equal to sub, a tree that is not a leaf:
+    the same ops on the same variable and on constants with the same bits
+    (Const equality keeps 0.0 and -0.0 apart)."""
+    if isinstance(root, (Const, Var)) or isinstance(sub, (Const, Var)):
+        return set()
+    if root == sub:
+        return {id(root)}
+    return set().union(*(copies(child, sub) for child in root[1:]))  # the operands
 
 
 def _operand(node: Node, text: str, temp: str) -> tuple[str, str]:
@@ -520,8 +494,7 @@ def _compile(root: Node, guarded: bool = False):
     """root's specialized (or guarded) body as a function of v: the text
     compiled once per shape, root's constants bound to it."""
     slots = _Slots()
-    body = _guarded(root, slots=slots) if guarded else _specialized(root, slots=slots)
-    return slots.bind(f"lambda v: {body}")
+    return slots.bind(f"lambda v: {_emit(root, slots=slots, guarded=guarded)}")
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,16 @@ def _image_bounds(phi: AffineMap) -> tuple[float, float]:
     return lo, hi
 
 
+def quad_tol_problem(tol: float) -> str | None:
+    """What keeps tol from being the quadrature budget of hh_bounds_report,
+    which gives each of the two means a quarter of it, or None."""
+    if not 0.0 < tol < math.inf:
+        return f"must be positive and finite, got {tol!r}"
+    if tol / 4.0 == 0.0:
+        return f"must be large enough that a quarter of it is not 0.0, got {tol!r}"
+    return None
+
+
 def _means(pair: FunctionPair, lo: float, hi: float, tol: float):
     rf = integrate(pair.f, lo, hi, tol)
     rg = integrate(pair.g, lo, hi, tol)
@@ -136,11 +146,13 @@ def hh_bounds_report(
     of a lone report: a midpoint weight 1/(2 h(1/2)) that is not finite
     (ReportError 'degenerate'), then means, then f and g at the midpoint or
     at the endpoints, each computed on first use.  Raises ValueError for
-    atol or rtol not finite and >= 0 and for tol not finite and > 0.
+    atol or rtol not finite and >= 0, and for tol not finite and > 0 or so
+    small that tol / 4 is 0.0 (quad_tol_problem).
     """
     check_tolerances(atol, rtol)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    problem = quad_tol_problem(tol)
+    if problem:
+        raise ValueError(f"tol {problem}")
     lo, hi = _image_bounds(phi)
     means = mid = ends = None
     reports = []

@@ -15,6 +15,7 @@ seed.
 
 from __future__ import annotations
 
+from math import copysign
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -34,6 +35,11 @@ class ViolationRecord(NamedTuple):
     gap: float
     lhs_abs: float
     rhs: float
+
+
+def _same_bits(p: tuple, q: tuple) -> bool:
+    """Whether points p and q are equal bit for bit: 0.0 and -0.0 differ."""
+    return p == q and all(copysign(1.0, u) == copysign(1.0, v) for u, v in zip(p, q))
 
 
 def _refine_seed(
@@ -62,6 +68,8 @@ def _refine_seed(
         )
         moved = False
         for cx, cy, ct in candidates:
+            if _same_bits((cx, cy, ct), (x, y, t)):  # clamped back: v < best is False
+                continue
             v = parts(cx, cy, ct)[0]
             if v < best:
                 best, x, y, t = v, cx, cy, ct

@@ -376,6 +376,16 @@ class TestValidationCollection:
             f"--quad-tol must be positive and finite, got {float(value)!r}"
         ]
 
+    @pytest.mark.parametrize("value", ["5e-324", "1e-323"])
+    @pytest.mark.parametrize("command", [("verify-hh",), ("special-case", "--which", "linear")])
+    def test_a_quad_tol_whose_quarter_underflows_is_refused(self, capsys, command, value):
+        # tol / 4, each mean's budget, was 0.0: a ValueError traceback and exit 1
+        code, doc = run_json(capsys, *command, *BASE, "--quad-tol", value)
+        assert code == 2
+        assert doc["error"]["problems"] == [
+            f"--quad-tol must be large enough that a quarter of it is not 0.0, got {value}"
+        ]
+
     def test_power_which_needs_s(self, capsys):
         code, doc = run_json(capsys, "special-case", *BASE, "--which", "power")
         assert code == 2
@@ -737,6 +747,19 @@ class TestPinnedGeneratedCode:
         code, out = run(capsys, *argv)
         assert out == (GOLDEN / name).read_text()
         assert code == want_code
+
+    @pytest.mark.parametrize("plan", [("--grid", "5", "5", "5"),
+                                      ("--random", "200", "--seed", "3")])
+    def test_a_g_in_t_computes_what_it_read_in_x(self, capsys, plan):
+        # f's tree in x is not a subtree of 3*t^2, so g computes t^2 itself:
+        # the same bits as reading f's value, as 3*x^2 does
+        results = []
+        for g in ("3*t^2", "3*x^2"):
+            code, out = run(capsys, "check-dominated", "--f", "x^2", "--g", g, "--interval",
+                            "0", "1", *plan)
+            assert code == 0
+            results.append(out[out.index('"result"'):])
+        assert results[0] == results[1]
 
 
 class TestNonFiniteTrigArgument:

@@ -41,7 +41,7 @@ from domcert.convexity import (
     phi_h_defect,
 )
 from domcert.errors import DomcertError
-from domcert.expr import EvalError, Expr, _shape_code, _Slots, combine, parse
+from domcert.expr import EvalError, Expr, _emit, _shape_code, _Slots, combine, parse
 from domcert.geometry import GeometryError, Interval, identity_map, make_affine
 from domcert.kernels import KernelError, make_kernel
 from domcert.search import search_violations
@@ -642,14 +642,39 @@ def test_a_fault_drops_the_rows_of_its_chunk(check):
     assert repr([row for c in chunks for row in c]) == repr(want)
 
 
+# a tree with every op, and every branch the specialized form takes on a
+# constant operand
+_EVERY_OP = ("-x + abs(x - 2) * exp(-x) - ln(x) + ln(x^2 + 1) - sqrt(x) * sqrt(x + 1)"
+             " + sin(x)/cos(x) + x^3 + (x + 1)^2 + x^-2 + x^-0.5 + (x + 1)^0.5 + x^0 + x^x"
+             " + x/2 + x/0 + 1/(x - 1) + x/x + x*(-3)")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_a_loop_without_rows_or_seeds_compiles_as_before():
     # the sha256 of this source before rows came in chunks and seeds were
     # picked in the loop: sweeps that hand off no rows run the same code
     roots = {"f": parse("x^2").root, "g": parse("2*x^2").root}
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots())
     assert "emit" not in source.split("\n", 1)[1]
-    assert hashlib.sha256(source.encode()).hexdigest() == (
+    assert _sha256(source) == (
         "31cf2ce0ace9ef5f62033bc8f18fdea41eddb9862411ba5047cbca88c0509757")
+    # the same loop's guarded form, and both forms of one body, as written
+    # when each form had an emitter of its own
+    source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots(),
+                           guarded=True)
+    assert _sha256(source) == (
+        "74ad1a8d20d4799ed039aeb70c5c01894e116e7b1cb49d883f1ced390d33f263")
+    root = parse(_EVERY_OP).root
+    assert [_sha256(_emit(root, slots=slots, guarded=guarded))
+            for guarded in (True, False) for slots in (_Slots(), None)] == [
+        "fc5a33341adcca7dc9db709a33a2170b9cc945bf90b3a88dc83e21772381e530",
+        "e0b669643eb39cb129a682d6552c83d5379018cfebab3d5446874b33fc3f302e",
+        "ab6b8ae7ba2680fb18ba333e1d7d5ed81714b411170943aee181bfd05cc948b0",
+        "3d9e8b27ccea6af494961457b2fc0ad73d4a33bd320190ae37c104b364b9da82",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from domcert.expr import (
     Unary,
     Var,
     _EVAL_ENV,
-    _guarded,
+    _emit,
     _nonfinite,
     _shape_code,
-    _specialized,
     combine,
     constant,
     copies,
@@ -352,7 +351,7 @@ def _fresh(body):
 
 
 def _guarded_evaluate(root):
-    fn = _fresh(_guarded(root))
+    fn = _fresh(_emit(root, guarded=True))
 
     def evaluate(v):
         result = fn(v)
@@ -407,7 +406,7 @@ def test_zero_base_keeps_positive_zero():
 def _literal_outcomes(root, v):
     """(raw, evaluate) outcomes at v of root's bodies compiled anew from
     their text with literal constants."""
-    raw = _fresh(_specialized(root))
+    raw = _fresh(_emit(root))
     try:
         value = raw(v)
     except (EvalError, OverflowError, ValueError) as exc:
@@ -415,7 +414,7 @@ def _literal_outcomes(root, v):
         if isinstance(exc, EvalError):
             return raw_outcome, (exc.kind, str(exc))
         try:  # evaluate names an inline fault through the guarded form
-            _fresh(_guarded(root))(v)
+            _fresh(_emit(root, guarded=True))(v)
         except EvalError as fault:
             return raw_outcome, (fault.kind, str(fault))
         return raw_outcome, (type(exc).__name__, str(exc))
@@ -499,3 +498,9 @@ def test_copies_finds_the_same_ops_on_the_same_constants():
     assert copies(parse("exp(x)*(-0.5)").root, f) == set()
     assert copies(parse("x*(-0.0)").root, parse("x*0.0").root) == set()
     assert copies(g, parse("x").root) == set()  # a leaf is read, not shared
+    # tree equality: a negated constant is not the constant, t is not x
+    assert copies(Unary("neg", Const(2.0)), Const(-2.0)) == set()
+    assert copies(Binary("*", Var("x"), Unary("neg", Const(2.0))),
+                  Binary("*", Var("x"), Const(-2.0))) == set()
+    assert copies(parse("2*(exp(t)*0.5)").root, f) == set()
+    assert len(copies(parse("2*(exp(x)*0.5)").root, f)) == 1

@@ -226,6 +226,13 @@ class TestToleranceValidation:
         with pytest.raises(ValueError, match=r"tol must be positive and finite, got "):
             hh_bounds_report(PAIR, IDENT, [], tol=tol)
 
+    @pytest.mark.parametrize("tol", [5e-324, 1e-323])
+    def test_tol_whose_quarter_underflows_is_refused(self, tol):
+        with pytest.raises(ValueError, match=r"tol must be large enough that a quarter of it "):
+            hh_midpoint_report(PAIR, make_kernel("linear"), IDENT, tol=tol)
+        with pytest.raises(ValueError, match=r"tol must be large enough that a quarter of it "):
+            special_case_report(PAIR, IDENT, which="linear", tol=tol)
+
     def test_checked_before_the_image(self):
         flat = make_affine(0.0, 0.5, UNIT)
         with pytest.raises(ValueError):

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from domcert.convexity import (
     _SEED_BUFFER, _SWEEP_ENV, _VIOLATES, REFINE_SEEDS, FunctionPair, SamplePlan, _least,
-    _plan_sweep, _violates, dominance_gap,
+    _gap_function, _plan_sweep, _violates, dominance_gap,
 )
 from domcert.expr import parse
 from domcert.geometry import Interval, identity_map
 from domcert.kernels import make_kernel
-from domcert.search import ViolationRecord, _records, search_violations
+from domcert.search import ViolationRecord, _records, _refine_seed, search_violations
 
 UNIT = Interval(0.0, 1.0)
 IDENT = identity_map(UNIT)
@@ -112,6 +112,28 @@ class TestRefinement:
         )
         keys = [(r.x, r.y, r.t) for r in out]
         assert len(keys) == len(set(keys))
+
+
+    @pytest.mark.parametrize("seed", [(0.0, 1.0, 0.5), (1.0, 0.0, 1e-6), (-0.0, 1.0, 0.5)])
+    def test_refinement_never_evaluates_the_current_point_again(self, seed):
+        # at a box edge the clamp maps a candidate back onto its point
+        gap = _gap_function(FunctionPair(parse("2*x^2"), parse("x^2")), LINEAR, IDENT)
+        held, calls = {}, []
+
+        def parts(*point):
+            out = gap(*point)
+            bits = tuple(map(float.hex, point))  # 0.0 and -0.0 differ
+            assert bits != held.get("bits")
+            if not held or out[0] < held["best"]:
+                held.update(bits=bits, best=out[0])
+            calls.append(bits)
+            return out
+
+        _refine_seed(parts, *seed, UNIT, 1e-6)
+        assert len(calls) > 1
+        if math.copysign(1.0, seed[0]) < 0.0:
+            # x - step clamps to 0.0, which is not the point -0.0
+            assert tuple(map(float.hex, (0.0, *seed[1:]))) in calls
 
 
 class TestDeterminism:
