@@ -26,6 +26,7 @@ from typing import NamedTuple
 from . import __version__
 from .convexity import (
     _CHUNK_ROWS,
+    CheckReport,
     FunctionPair,
     SamplePlan,
     check_dominated,
@@ -166,17 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _value_count(parser: argparse.ArgumentParser, key: str) -> int | None:
-    """How many values the option --key (or the one option it abbreviates)
-    takes; None leaves an unknown or ambiguous key to argparse."""
+def _option(parser: argparse.ArgumentParser, key: str) -> argparse.Action | None:
+    """The option --key, or the one option it abbreviates as argparse reads
+    it; None leaves an unknown or ambiguous key to argparse."""
     actions = parser._option_string_actions
     action = actions.get(f"--{key}")
     if action is None:
         matches = {a for flag, a in actions.items() if flag.startswith(f"--{key}")}
-        if len(matches) != 1:
-            return None
-        (action,) = matches
-    return 1 if action.nargs is None else action.nargs
+        if len(matches) == 1:
+            (action,) = matches
+    return action
 
 
 def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -204,10 +204,11 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
         if not value:  # a bare flag in front of argv would take the subcommand
             problems.append(f"line {lineno}: {key} has no value")
             continue
-        if key == "config":
+        action = _option(parser, key)
+        if action is not None and action.dest == "config":
             problems.append(f"line {lineno}: config files cannot nest")
             continue
-        want = _value_count(parser, key)
+        want = None if action is None else 1 if action.nargs is None else action.nargs
         if want == 0:
             low = value.lower()
             if low in ("1", "true", "yes", "on"):
@@ -679,15 +680,8 @@ def _dispatch(ns, built: _Inputs, emit):
 
     if ns.subcommand == "equivalence":
         rep = equivalence_report(pair, kernel, phi, interval, plan)
-        result = {
-            "dominance": _check_report_dict(rep.dominance),
-            "sum_convex": _check_report_dict(rep.sum_convex),
-            "diff_convex": _check_report_dict(rep.diff_convex),
-            "l_convex": _check_report_dict(rep.l_convex),
-            "k_convex": _check_report_dict(rep.k_convex),
-            "statement_holds": list(rep.statement_holds),
-            "agreement": rep.agreement,
-        }
+        result = {name: _check_report_dict(v) if isinstance(v, CheckReport) else v
+                  for name, v in rep._asdict().items()}
         return result, (0 if all(rep.statement_holds) else 1)
 
     if ns.subcommand == "verify-hh":

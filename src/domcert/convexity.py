@@ -112,27 +112,17 @@ class _CheckReport(NamedTuple):
     witness: tuple[float, float, float]
     witness_lhs: float
     witness_rhs: float
-    warnings: list[str]
+    warnings: list[str] | None = None
 
 
 class CheckReport(_CheckReport):
     __slots__ = ()
 
-    def __new__(
-        cls,
-        verdict: str,
-        samples_checked: int,
-        worst_gap: float,
-        witness: tuple[float, float, float],
-        witness_lhs: float,
-        witness_rhs: float,
-        warnings: list[str] | None = None,
-    ):
-        if warnings is None:  # a new list for each report
-            warnings = []
-        return super().__new__(
-            cls, verdict, samples_checked, worst_gap, witness, witness_lhs, witness_rhs, warnings
-        )
+    def __new__(cls, *fields, **named):
+        report = super().__new__(cls, *fields, **named)
+        if report.warnings is None:  # a new list for each report
+            report = report._replace(warnings=[])
+        return report
 
     def holds(self) -> bool:
         return self.verdict == HOLDS

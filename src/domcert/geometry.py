@@ -122,17 +122,20 @@ def _degree(node: Node) -> int | None:
 def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:
     """Build an AffineMap from an expression, verifying it is affine.
 
-    alpha and beta come from the values u(a) and u(b) at the ends.  A tree
-    built only from affine ops passes as it is.  Any other must pass two
-    probes within tol times the largest of 1 and |u| at a, the midpoint m
-    and b: the second difference u(a) - 2u(m) + u(b), then the distance of
-    u from the line alpha*x + beta at PROBE_POINTS Chebyshev points in
-    (a, b).
+    alpha and beta come from the values u(a) and u(b) at the ends (alpha
+    from their halves when b - a overflows).  A tree built only from affine
+    ops passes as it is.  Any other must pass two probes within tol times
+    the largest of 1 and |u| at a, the midpoint m and b: the second
+    difference u(a) - 2u(m) + u(b), then the distance of u from the line
+    alpha*x + beta at PROBE_POINTS Chebyshev points in (a, b).
     """
     a, b = domain.a, domain.b
     m = 0.5 * (a + b)
     ua, um, ub = e.evaluate(a), e.evaluate(m), e.evaluate(b)
-    alpha = (ub - ua) / (b - a)
+    if math.isinf(b - a):  # halving is exact: a finite width keeps the bits of the plain ratio
+        alpha = (0.5 * ub - 0.5 * ua) / (0.5 * b - 0.5 * a)
+    else:
+        alpha = (ub - ua) / (b - a)
     beta = ua - alpha * a
     if _degree(e.root) is None:
         bound = tol * max(abs(ua), abs(um), abs(ub), 1.0)

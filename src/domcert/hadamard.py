@@ -35,7 +35,9 @@ NEG_VALUES_WARNING = "{role} is negative at a probed point (codomain should be [
 
 
 class ReportError(DomcertError):
-    """reason is 'degenerate'."""
+    """reason is 'degenerate' (phi has a single-point image, or a midpoint
+    weight is not finite) or 'range' (the image of phi is wider than the
+    largest float, so its means are undefined)."""
 
     def __init__(self, reason: str, message: str):
         self.reason = reason
@@ -50,30 +52,21 @@ class _HHReport(NamedTuple):
     holds: bool
     vacuous: bool
     quad_error: float
-    warnings: list[str]
-    inputs_echo: dict
+    warnings: list[str] | None = None
+    inputs_echo: dict | None = None
 
 
 class HHReport(_HHReport):
     __slots__ = ()
 
-    def __new__(
-        cls,
-        bound_kind: str,
-        lhs: float,
-        rhs: float,
-        margin: float,
-        holds: bool,
-        vacuous: bool,
-        quad_error: float,
-        warnings: list[str] | None = None,
-        inputs_echo: dict | None = None,
-    ):
+    def __new__(cls, *fields, **named):
+        report = super().__new__(cls, *fields, **named)
         # a new list and dict for each report
-        return super().__new__(
-            cls, bound_kind, lhs, rhs, margin, holds, vacuous, quad_error,
-            [] if warnings is None else warnings, {} if inputs_echo is None else inputs_echo,
-        )
+        if report.warnings is None:
+            report = report._replace(warnings=[])
+        if report.inputs_echo is None:
+            report = report._replace(inputs_echo={})
+        return report
 
 
 class SpecialCaseEntry(NamedTuple):
@@ -100,6 +93,11 @@ def _image_bounds(phi: AffineMap) -> tuple[float, float]:
     lo, hi = phi.image_a, phi.image_b
     if lo > hi:
         lo, hi = hi, lo
+    if math.isinf(hi - lo):
+        raise ReportError(
+            "range",
+            f"phi's image [{lo!r}, {hi!r}] is wider than the largest float; bounds are undefined",
+        )
     return lo, hi
 
 

@@ -172,10 +172,10 @@ def integrate(
     Returns a QuadResult whose error_estimate is the summed panel
     estimates.  Raises QuadratureError('budget') when the panel limit is
     reached first and QuadratureError('eval') when the integrand faults
-    at an interior node.
+    at an interior node, and ValueError unless a < b and b - a is finite.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"need a < b with a finite width b - a, got [{a!r}, {b!r}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     raw = fun.raw if isinstance(fun, Expr) else fun

@@ -386,6 +386,25 @@ class TestValidationCollection:
             f"--quad-tol must be large enough that a quarter of it is not 0.0, got {value}"
         ]
 
+    @pytest.mark.parametrize("command", [("verify-hh",), ("special-case", "--s", "0.5")])
+    @pytest.mark.parametrize("f, g", [("1", "2"), ("x^2", "2*x^2")])
+    def test_an_image_wider_than_the_largest_float_is_refused(self, capsys, command, f, g):
+        # constants gave nan bounds and exit 1; x^2 met inf at a panel node
+        code, doc = run_json(capsys, *command, "--f", f, "--g", g, "--interval", "-1e308",
+                             "1e308")
+        assert code == 2
+        assert doc["error"] == {"message": "phi's image [-1e+308, 1e+308] is wider than the"
+                                           " largest float; bounds are undefined",
+                                "problems": []}
+
+    @pytest.mark.parametrize("phi, echo", [("x", "identity"), ("0.5*x", "0.5*x + 0.0")])
+    def test_a_phi_on_an_interval_whose_width_overflows_is_kept(self, capsys, phi, echo):
+        # 0.5*x became the constant "0.0*x + -5e+307"; x was refused
+        code, doc = run_json(capsys, "check-convex", "--f", "abs(x)", "--interval", "-1e308",
+                             "1e308", "--phi", phi, "--random", "10")
+        assert code == 0
+        assert doc["inputs"]["phi"] == echo
+
     def test_power_which_needs_s(self, capsys):
         code, doc = run_json(capsys, "special-case", *BASE, "--which", "power")
         assert code == 2
@@ -550,6 +569,17 @@ class TestConfigFile:
         assert code == 2
         assert doc["error"]["message"] == f"config file {str(conf)!r}: line 3: {message}"
 
+    @pytest.mark.parametrize("key", ["config", "conf", "c"])
+    def test_a_config_key_under_any_spelling_cannot_nest(self, capsys, tmp_path, key):
+        # "c" abbreviates --config alone, as argparse reads it
+        (tmp_path / "other.cfg").write_text("f = x^3\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"f = x^2\ninterval = 0 1\n{key} = other.cfg\n")
+        code, doc = run_json(capsys, "check-convex", "--config", str(conf))
+        assert code == 2
+        assert doc["error"]["message"] == (
+            f"config file {str(conf)!r}: line 3: config files cannot nest")
+
     def test_missing_config_file_is_two(self, capsys, tmp_path):
         code, out = run(capsys, "check-convex", "--config", str(tmp_path / "nope.conf"))
         assert code == 2
@@ -705,6 +735,9 @@ class TestPinnedSearchOutput:
 
 _F_SHARED = "0.7*(x-0.4)^2+0.2"
 _EXP_SHARED = "0.5*exp(1.2*x)+0.1"
+_EQUIVALENCE_SHARED = ("equivalence", "--f", _EXP_SHARED, "--g", f"{_EXP_SHARED}+2*(x-0.3)^4",
+                       "--interval", "-1", "2", "--h", "t^s", "--s", "0.5", "--random", "500",
+                       "--seed", "3")
 
 
 class TestPinnedGeneratedCode:
@@ -735,10 +768,8 @@ class TestPinnedGeneratedCode:
         "shared_dominated_grid.json": (1, ("check-dominated", "--f", _F_SHARED, "--g",
                                            f"0.5*({_F_SHARED})", "--interval", "0", "1",
                                            "--grid", "21", "21", "9")),
-        "shared_equivalence_random.json": (0, ("equivalence", "--f", _EXP_SHARED, "--g",
-                                               f"{_EXP_SHARED}+2*(x-0.3)^4", "--interval",
-                                               "-1", "2", "--h", "t^s", "--s", "0.5",
-                                               "--random", "500", "--seed", "3")),
+        "shared_equivalence_random.json": (0, _EQUIVALENCE_SHARED),
+        "shared_equivalence_random.txt": (0, (*_EQUIVALENCE_SHARED, "--format", "text")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -112,6 +112,20 @@ class TestAffineFromExpr:
             affine_from_expr(parse("2*x"), Interval(0.0, 1.0))
         assert info.value.reason == "range"
 
+    @pytest.mark.parametrize("source, alpha, describe", [
+        ("x", 1.0, "identity"),
+        ("0.5*x", 0.5, "0.5*x + 0.0"),
+        ("0.25*x + 1e307", 0.25, "0.25*x + 1.0000000000000001e+307"),
+    ])
+    def test_a_width_that_overflows_keeps_the_map(self, source, alpha, describe):
+        # b - a is inf on [-1e308, 1e308]; the map must not become a constant
+        domain = Interval(-1e308, 1e308)
+        e = parse(source)
+        phi = affine_from_expr(e, domain)
+        assert phi.alpha == alpha
+        assert phi.beta == e.evaluate(domain.a) - alpha * domain.a
+        assert phi.describe() == describe
+
 
 INTERVALS = [Interval(0.0, 1.0), Interval(-1.0, 2.0), Interval(0.25, 1.5)]
 CONST = st.floats(-4.0, 4.0, allow_nan=False).map(lambda c: f"({c!r})")

@@ -28,7 +28,7 @@ from domcert.hadamard import (
 )
 from domcert.kernels import Kernel, make_kernel
 from domcert.quadrature import QuadratureError
-from domcert import cli
+from domcert import cli, hadamard
 
 UNIT = Interval(0.0, 1.0)
 IDENT = identity_map(UNIT)
@@ -137,6 +137,24 @@ class TestReportMechanics:
         with pytest.raises(ReportError) as info:
             hh_midpoint_report(PAIR, make_kernel("linear"), flat)
         assert info.value.reason == "degenerate"
+
+    def test_an_image_wider_than_the_largest_float_is_refused(self, monkeypatch):
+        # its means were inf/inf: nan bounds that failed without a word
+        wide = identity_map(Interval(-1e308, 1e308))
+        pair = FunctionPair(parse("1"), parse("2"))
+
+        def integrate(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(hadamard, "integrate", integrate)
+        for run in (lambda: hh_midpoint_report(pair, make_kernel("linear"), wide),
+                    lambda: special_case_report(pair, wide, which="all", s=0.5)):
+            with pytest.raises(ReportError) as info:
+                run()
+            assert info.value.reason == "range"
+            assert str(info.value) == (
+                "phi's image [-1e+308, 1e+308] is wider than the largest float;"
+                " bounds are undefined")
 
     def test_overflowing_midpoint_weight_is_degenerate(self):
         # h(1/2) = 1e-310 makes 1/(2 h(1/2)) inf, and c f(m) = inf * 0 made

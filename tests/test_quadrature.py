@@ -93,6 +93,11 @@ class TestDriver:
         with pytest.raises(ValueError):
             integrate(math.sin, 0.0, math.inf)
 
+    def test_a_width_that_overflows_is_refused(self):
+        # b - a is inf: the one panel once returned QuadResult(inf, nan, 1)
+        with pytest.raises(ValueError, match=r"finite width"):
+            integrate(lambda x: 1.0, -1e308, 1e308)
+
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             integrate(math.sin, 0.0, 1.0, tol=0.0)

@@ -268,6 +268,29 @@ def test_report_lists_are_fresh_per_record():
     assert (c.warnings, c.inputs_echo) == ([], {})
 
 
+@pytest.mark.parametrize("given", [[], ["a warning"]])
+def test_report_keeps_the_list_it_is_given(given):
+    fields = ("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)
+    assert CheckReport(*fields, given).warnings is given
+    assert CheckReport(*fields, warnings=given).warnings is given
+    fresh = CheckReport(*fields, None).warnings
+    assert fresh == [] and fresh is not given
+
+
+@pytest.mark.parametrize("warnings, echo", [([], {}), (["a warning"], {"f": "x"})])
+def test_hh_report_keeps_the_list_and_dict_it_is_given(warnings, echo):
+    fields = ("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
+    for report in (HHReport(*fields, warnings, echo),
+                   HHReport(*fields, warnings=warnings, inputs_echo=echo)):
+        assert report.warnings is warnings and report.inputs_echo is echo
+    only_echo = HHReport(*fields, None, echo)
+    assert only_echo.warnings == [] and only_echo.warnings is not warnings
+    assert only_echo.inputs_echo is echo
+    only_warnings = HHReport(*fields, warnings=warnings, inputs_echo=None)
+    assert only_warnings.warnings is warnings
+    assert only_warnings.inputs_echo == {} and only_warnings.inputs_echo is not echo
+
+
 @pytest.mark.parametrize("build", [
     lambda: parse("exp(x)*(-0.0) + 1").root, lambda: QuadResult(0.5, 0.0, 1),
     lambda: UNIT, lambda: IDENT, lambda: PLAN, _check, _hh,
