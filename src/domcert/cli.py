@@ -38,7 +38,7 @@ from .errors import DomcertError
 from .expr import ParseError, parse
 from .geometry import GeometryError, Interval, affine_from_expr, identity_map
 from .hadamard import hh_bounds_report, quad_tol_problem, special_case_report
-from .kernels import KernelError, make_kernel
+from .kernels import _BUILT_IN, KernelError, make_kernel
 from .search import search_violations
 
 TOOL = "domcert"
@@ -62,7 +62,7 @@ _COMMANDS = {
         "--bound", "both", {"choices": ("midpoint", "endpoint", "both"),
                             "help": "verify-hh: which bound form to check (default both)"})),
     "special-case": _Command("run the bounds for the built-in kernels", True, False, (
-        "--which", "all", {"choices": ("linear", "power", "reciprocal", "one", "all"),
+        "--which", "all", {"choices": (*_BUILT_IN, "all"),
                            "help": "special-case: which built-in kernel (default all)"})),
     "search": _Command("search for violating (x, y, t) triples", True, True, (
         "--refine", False, {"action": "store_true",
@@ -268,16 +268,6 @@ def _parse_argv(argv: list[str]):
 # ---------------------------------------------------------------------------
 
 
-class _Inputs:
-    def __init__(self):
-        self.f = None
-        self.g = None
-        self.kernel = None
-        self.phi = None
-        self.interval = None
-        self.plan = None
-
-
 def _parse_expr(source: str, flag: str, problems: list[str]):
     try:
         return parse(source)
@@ -296,7 +286,7 @@ def _build_kernel(ns, problems: list[str]):
             return None
         try:
             return make_kernel("custom", expr=e, quad_tol=ns.quad_tol)
-        except (KernelError, DomcertError) as exc:
+        except DomcertError as exc:
             problems.append(f"--h-custom: {exc}")
             return None
     name = ns.h if ns.h is not None else "t"
@@ -329,14 +319,14 @@ def _build_phi(ns, interval, problems: list[str]):
         return None
     try:
         return affine_from_expr(e, interval)
-    except (GeometryError, DomcertError) as exc:
+    except DomcertError as exc:
         problems.append(f"--phi: {exc}")
         return None
 
 
-def _build_inputs(ns, problems: list[str]) -> _Inputs:
+def _build_inputs(ns, problems: list[str]) -> argparse.Namespace:
     command = _COMMANDS[ns.subcommand]
-    built = _Inputs()
+    built = argparse.Namespace(f=None, g=None, kernel=None, phi=None, interval=None, plan=None)
     if ns.interval is None:
         problems.append("--interval A B is required")
     else:
@@ -355,6 +345,10 @@ def _build_inputs(ns, problems: list[str]) -> _Inputs:
             built.g = _parse_expr(ns.g, "--g", problems)
     if command.needs_kernel:
         built.kernel = _build_kernel(ns, problems)
+    else:
+        for flag, value in (("--h", ns.h), ("--h-custom", ns.h_custom)):
+            if value is not None:
+                problems.append(f"{flag}: {ns.subcommand} takes no kernel; --which names its own")
     built.phi = _build_phi(ns, built.interval, problems)
     try:
         if ns.random_count is not None:
@@ -400,18 +394,15 @@ def _plan_dict(plan: SamplePlan) -> dict:
     return base
 
 
-def _inputs_dict(ns, built: _Inputs) -> dict:
+def _inputs_dict(ns, built: argparse.Namespace) -> dict:
     out: dict = {"f": ns.f}
     if built.g is not None:  # built only for a subcommand that needs it
         out["g"] = ns.g
     if built.kernel is not None:
         out["kernel"] = built.kernel.describe()
-    if built.phi is not None:
-        out["phi"] = built.phi.describe()
-    if built.interval is not None:
-        out["interval"] = [built.interval.a, built.interval.b]
-    if built.plan is not None:
-        out["plan"] = _plan_dict(built.plan)
+    out["phi"] = built.phi.describe()
+    out["interval"] = [built.interval.a, built.interval.b]
+    out["plan"] = _plan_dict(built.plan)
     out["quad_tol"] = ns.quad_tol
     return out
 
@@ -579,27 +570,27 @@ def _coordinate_reprs(plan: SamplePlan, interval: Interval) -> dict:
     return _reprs(v for axis in grid_axes(plan, interval) for v in axis)
 
 
-def _check_rows(subcommand: str, reprs: dict):
-    """(buffer, emit): emit writes a chunk of check-* sample rows into the buffer."""
-    buf = io.StringIO()
-    put, get = buf.write, reprs.get
+def _csv_rows(subcommand: str, reprs: dict, write):
+    """Writes the CSV header of subcommand's sample rows and returns emit,
+    which writes a chunk of them in one write."""
     if subcommand == "check-convex":
-        put("x,y,t,defect\n")
+        write("x,y,t,defect\n")
+        get = reprs.get
 
         def emit(chunk):
             if not reprs:
-                put("".join(["%r,%r,%r,%r\n" % row for row in chunk]))
+                write("".join(["%r,%r,%r,%r\n" % row for row in chunk]))
                 return
-            put("".join([
+            write("".join([
                 "%s,%s,%s,%r\n" % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), d)
                 for x, y, t, d in chunk
             ]))
     else:
-        put(_GAP_HEADER)
+        write(_GAP_HEADER)
 
         def emit(chunk):
-            put("".join(_gap_lines(_GAP_ROW, chunk, reprs)))
-    return buf, emit
+            write("".join(_gap_lines(_GAP_ROW, chunk, reprs)))
+    return emit
 
 
 def _gap_lines(template: str, records, reprs: dict) -> list[str]:
@@ -611,12 +602,6 @@ def _gap_lines(template: str, records, reprs: dict) -> list[str]:
         template % (get(x) or repr(x), get(y) or repr(y), get(t) or repr(t), gap, lhs, rhs)
         for x, y, t, gap, lhs, rhs in records
     ]
-
-
-def _write_search_csv(write, records, reprs: dict, chunk: int = _CHUNK_ROWS) -> None:
-    write(_GAP_HEADER)
-    for i in range(0, len(records), chunk):
-        write("".join(_gap_lines(_GAP_ROW, records[i:i + chunk], reprs)))
 
 
 class _SearchRows:
@@ -662,7 +647,7 @@ class _SearchRows:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(ns, built: _Inputs, emit):
+def _dispatch(ns, built: argparse.Namespace, emit):
     """Returns (result dict, exit code); emit gets the sample rows of check-*
     in chunks."""
     f, g, kernel = built.f, built.g, built.kernel
@@ -715,10 +700,6 @@ def _dispatch(ns, built: _Inputs, emit):
     return result, (1 if records else 0)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _error_envelope(subcommand: str, fmt: str, message: str, problems: list[str]) -> int:
     envelope = {
         "tool": TOOL,
@@ -727,7 +708,7 @@ def _error_envelope(subcommand: str, fmt: str, message: str, problems: list[str]
         "error": {"message": message, "problems": problems},
         "exit_code": 2,
     }
-    _emit(render_text(envelope) if fmt == "text" else render_json(envelope))
+    sys.stdout.write(render_text(envelope) if fmt == "text" else render_json(envelope))
     return 2
 
 
@@ -754,24 +735,27 @@ def main(argv: list[str] | None = None) -> int:
 
     emit = None
     if fmt == "csv" and ns.subcommand in ("check-convex", "check-dominated"):
-        rows, emit = _check_rows(ns.subcommand, _coordinate_reprs(built.plan, built.interval))
+        rows = io.StringIO()
+        emit = _csv_rows(ns.subcommand, _coordinate_reprs(built.plan, built.interval), rows.write)
     try:
         result, code = _dispatch(ns, built, emit)
     except DomcertError as exc:  # rows written before the fault are dropped
         return _error_envelope(ns.subcommand, fmt, str(exc), [])
     if emit is not None:
-        _emit(rows.getvalue())
+        sys.stdout.write(rows.getvalue())
         return code
 
     if ns.subcommand == "search":  # rows are written a chunk at a time
         records = result["violations"]
         reprs = {} if fmt == "text" else _coordinate_reprs(built.plan, built.interval)
         if fmt == "csv":
-            _write_search_csv(_emit, records, reprs)
+            emit = _csv_rows(ns.subcommand, reprs, sys.stdout.write)
+            for i in range(0, len(records), _CHUNK_ROWS):
+                emit(records[i:i + _CHUNK_ROWS])
             return code
-        result["violations"] = _SearchRows(records, reprs, _emit)
+        result["violations"] = _SearchRows(records, reprs, sys.stdout.write)
     elif fmt == "csv":
-        _emit(render_csv(ns.subcommand, result))
+        sys.stdout.write(render_csv(ns.subcommand, result))
         return code
     envelope = {
         "tool": TOOL,
@@ -781,7 +765,7 @@ def main(argv: list[str] | None = None) -> int:
         "result": result,
         "exit_code": code,
     }
-    _emit(render_text(envelope) if fmt == "text" else render_json(envelope))
+    sys.stdout.write(render_text(envelope) if fmt == "text" else render_json(envelope))
     return code
 
 

@@ -337,9 +337,6 @@ class _Body:
     def put(self, depth: int, *code: str) -> None:
         self.lines.extend("    " * depth + c for c in code)
 
-    def body(self, node: Node, p: str, reads: dict | None = None) -> str:
-        return _emit(node, p, self.slots, self.guarded, reads)
-
     def evaluate(self, depth: int, n: str, at: str, p: str) -> None:
         """Value of n at the point p into the variable n + at; g reads f's
         value from f + at.
@@ -350,15 +347,15 @@ class _Body:
         dst = n + at
         if n in self.roots:
             reads = dict.fromkeys(self.shared, "f" + at) if n == "g" else None
-            self.put(depth, f"{dst} = {self.body(self.roots[n], p, reads)}",
-                     f"if {dst} - {dst}: raise _nonfinite({p})")
+            code = _emit(self.roots[n], p, self.slots, self.guarded, reads)
+            self.put(depth, f"{dst} = {code}", f"if {dst} - {dst}: raise _nonfinite({p})")
         else:  # a fault here is raised after the pass: these sweeps ran last
             self.put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
                      f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)")
 
     def kernel_at(self, dst: str, t: str) -> list[str]:
         return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
-                f"{dst} = {self.body(self.kernel, t)}",
+                f"{dst} = {_emit(self.kernel, t, self.slots, self.guarded)}",
                 f"if {dst} - {dst}: raise _nonfinite({t})",
                 f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
 

@@ -7,3 +7,11 @@ so callers (and the CLI) can catch one type and map it to an exit code.
 
 class DomcertError(Exception):
     pass
+
+
+class ReasonError(DomcertError):
+    """A DomcertError with a reason word, listed by each subclass."""
+
+    def __init__(self, reason: str, message: str):
+        self.reason = reason
+        super().__init__(message)

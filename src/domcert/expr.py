@@ -197,22 +197,16 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.i += 1
-                node = Binary(tok.text, node, self.term())
-            else:
-                return node
+        return self.binary("+-", lambda: self.binary("*/", self.factor))
 
-    def term(self) -> Node:
-        node = self.factor()
+    def binary(self, ops: str, operand) -> Node:
+        """A left-associative chain of operands joined by the ops."""
+        node = operand()
         while True:
             tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
+            if tok.kind == "op" and tok.text in ops:
                 self.i += 1
-                node = Binary(tok.text, node, self.factor())
+                node = Binary(tok.text, node, operand())
             else:
                 return node
 
@@ -512,7 +506,8 @@ def _prec(node: Node) -> int:
     return 5  # atoms and function calls
 
 
-def _fmt(node: Node) -> str:
+def to_source(node: Node) -> str:
+    """Render a tree back to parseable source with minimal parentheses."""
     if isinstance(node, Const):
         # parenthesized when negative, so it survives any surrounding context
         return _literal(node.value)
@@ -520,14 +515,14 @@ def _fmt(node: Node) -> str:
         return node.name
     if isinstance(node, Unary):
         if node.op == "neg":
-            inner = _fmt(node.arg)
+            inner = to_source(node.arg)
             if _prec(node.arg) < 3:
                 inner = f"({inner})"
             return f"-{inner}"
-        return f"{node.op}({_fmt(node.arg)})"
+        return f"{node.op}({to_source(node.arg)})"
 
     op = node.op
-    left, right = _fmt(node.left), _fmt(node.right)
+    left, right = to_source(node.left), to_source(node.right)
     if op in "+-":
         if _prec(node.right) <= 1:
             right = f"({right})"
@@ -544,11 +539,6 @@ def _fmt(node: Node) -> str:
     if right.startswith("-"):
         right = f"({right})"
     return f"{left}{op}{right}"
-
-
-def to_source(node: Node) -> str:
-    """Render a tree back to parseable source with minimal parentheses."""
-    return _fmt(node)
 
 
 # ---------------------------------------------------------------------------

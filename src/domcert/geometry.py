@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomcertError
+from .errors import ReasonError
 from .expr import Binary, Const, Expr, Node, Unary, Var
 from .kernels import PROBE_POINTS, chebyshev_points
 from .record import Record
 
 
-class GeometryError(DomcertError):
+class GeometryError(ReasonError):
     """reason is 'invalid' (bad interval/shape), 'range' or 'domain'."""
-
-    def __init__(self, reason: str, message: str):
-        self.reason = reason
-        super().__init__(message)
 
 
 class Interval(Record):
@@ -125,12 +121,15 @@ def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:
     alpha and beta come from the values u(a) and u(b) at the ends (alpha
     from their halves when b - a overflows).  A tree built only from affine
     ops passes as it is.  Any other must pass two probes within tol times
-    the largest of 1 and |u| at a, the midpoint m and b: the second
-    difference u(a) - 2u(m) + u(b), then the distance of u from the line
-    alpha*x + beta at PROBE_POINTS Chebyshev points in (a, b).
+    the largest of 1 and |u| at a, the midpoint m (from halves when a + b
+    overflows) and b: the second difference u(a) - 2u(m) + u(b), then the
+    distance of u from the line alpha*x + beta at PROBE_POINTS Chebyshev
+    points in (a, b).
     """
     a, b = domain.a, domain.b
     m = 0.5 * (a + b)
+    if math.isinf(m):  # a + b overflows: a finite sum keeps its bits
+        m = 0.5 * a + 0.5 * b
     ua, um, ub = e.evaluate(a), e.evaluate(m), e.evaluate(b)
     if math.isinf(b - a):  # halving is exact: a finite width keeps the bits of the plain ratio
         alpha = (0.5 * ub - 0.5 * ua) / (0.5 * b - 0.5 * a)

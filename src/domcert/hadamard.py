@@ -23,9 +23,9 @@ import math
 from typing import Iterable, NamedTuple
 
 from .convexity import FunctionPair, check_tolerances
-from .errors import DomcertError
+from .errors import ReasonError
 from .geometry import AffineMap
-from .kernels import Kernel, make_kernel
+from .kernels import _BUILT_IN, Kernel, make_kernel
 from .quadrature import integrate
 
 NEGATIVE_RHS_WARNING = (
@@ -34,14 +34,11 @@ NEGATIVE_RHS_WARNING = (
 NEG_VALUES_WARNING = "{role} is negative at a probed point (codomain should be [0, inf))"
 
 
-class ReportError(DomcertError):
+class ReportError(ReasonError):
     """reason is 'degenerate' (phi has a single-point image, or a midpoint
     weight is not finite) or 'range' (the image of phi is wider than the
-    largest float, so its means are undefined)."""
-
-    def __init__(self, reason: str, message: str):
-        self.reason = reason
-        super().__init__(message)
+    largest float, or the integral of f or g over it, or its error, is not
+    finite, so the means are undefined)."""
 
 
 class _HHReport(NamedTuple):
@@ -111,9 +108,17 @@ def quad_tol_problem(tol: float) -> str | None:
     return None
 
 
+def _integral(u, role: str, lo: float, hi: float, tol: float):
+    r = integrate(u, lo, hi, tol)
+    if math.isfinite(r.value) and math.isfinite(r.error_estimate):
+        return r
+    raise ReportError("range", f"the integral of {role} = {u.source!r} over [{lo!r}, {hi!r}] is "
+                               f"{r.value!r} with error {r.error_estimate!r}; bounds are undefined")
+
+
 def _means(pair: FunctionPair, lo: float, hi: float, tol: float):
-    rf = integrate(pair.f, lo, hi, tol)
-    rg = integrate(pair.g, lo, hi, tol)
+    rf = _integral(pair.f, "f", lo, hi, tol)
+    rg = _integral(pair.g, "g", lo, hi, tol)
     width = hi - lo
     return rf.value / width, rg.value / width, (rf.error_estimate + rg.error_estimate) / width
 
@@ -239,7 +244,7 @@ def hh_endpoint_report(
     return hh_bounds_report(pair, phi, [(h, "endpoint")], tol, atol, rtol)[0]
 
 
-_SPECIAL_KINDS = ("linear", "power", "reciprocal", "one")
+_SPECIAL_KINDS = tuple(_BUILT_IN)
 
 
 def special_case_report(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import DomcertError
+from .errors import ReasonError
 from .expr import EvalError, Expr, parse
 from .quadrature import QuadratureError, integrate_open01
 from .record import Record
@@ -34,18 +34,18 @@ from .record import Record
 PROBE_POINTS = 4097
 
 
-class KernelError(DomcertError):
+class KernelError(ReasonError):
     """reason is 'invalid', 'nonpositive' or 'domain'."""
-
-    def __init__(self, reason: str, message: str):
-        self.reason = reason
-        super().__init__(message)
 
 
 def chebyshev_points(n: int, lo: float, hi: float) -> list[float]:
     """n Chebyshev-spaced points strictly inside (lo, hi), ascending."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # from halves when the sum or the width overflows; a finite one keeps its bits
+    if math.isinf(mid):
+        mid = 0.5 * lo + 0.5 * hi
+    if math.isinf(half):
+        half = 0.5 * hi - 0.5 * lo
     pts = [mid + half * math.cos(math.pi * (2 * j - 1) / (2 * n)) for j in range(1, n + 1)]
     pts.reverse()
     return pts

@@ -31,16 +31,12 @@ import math
 from heapq import heappush, heappop
 from typing import Callable, NamedTuple
 
-from .errors import DomcertError
+from .errors import ReasonError
 from .expr import EvalError, Expr
 
 
-class QuadratureError(DomcertError):
+class QuadratureError(ReasonError):
     """reason is 'budget' (panel limit hit) or 'eval' (integrand fault)."""
-
-    def __init__(self, reason: str, message: str):
-        self.reason = reason
-        super().__init__(message)
 
 
 class QuadResult(NamedTuple):

@@ -405,6 +405,37 @@ class TestValidationCollection:
         assert code == 0
         assert doc["inputs"]["phi"] == echo
 
+    @pytest.mark.parametrize("interval, phi, echo", [
+        (("1e308", "1.7e308"), "x", "identity"),
+        (("-1e308", "1e308"), "0.5*x + 0*sin(x)", "0.5*x + 0.0"),
+    ])
+    def test_a_phi_probed_on_a_huge_interval_is_kept(self, capsys, interval, phi, echo):
+        # probes at 0.5 * (a + b) or at the Chebyshev points met inf: exit 2
+        code, doc = run_json(capsys, "check-convex", "--f", "x", "--interval", *interval,
+                             "--phi", phi, "--random", "10")
+        assert code == 0
+        assert doc["inputs"]["phi"] == echo
+
+    @pytest.mark.parametrize("command", [("verify-hh", "--bound", "midpoint"),
+                                         ("special-case", "--s", "0.5")])
+    def test_an_integral_that_overflows_is_refused(self, capsys, command):
+        # the integral of g was inf with error nan: rhs = inf, holds and exit 0
+        code, doc = run_json(capsys, *command, "--f", "1e308*x^2", "--g", "1e308",
+                             "--interval", "0", "1")
+        assert code == 2
+        assert doc["error"] == {"message": "the integral of g = '1e308' over [0.0, 1.0] is inf"
+                                           " with error nan; bounds are undefined",
+                                "problems": []}
+
+    @pytest.mark.parametrize("flag, value", [("--h", "1/t"), ("--h-custom", "t-5")])
+    def test_special_case_takes_no_kernel(self, capsys, flag, value):
+        # the kernel was never looked at: the built-in rows and exit 0
+        code, doc = run_json(capsys, "special-case", *BASE, "--s", "0.5", flag, value)
+        assert code == 2
+        assert doc["error"]["problems"] == [
+            f"{flag}: special-case takes no kernel; --which names its own"
+        ]
+
     def test_power_which_needs_s(self, capsys):
         code, doc = run_json(capsys, "special-case", *BASE, "--which", "power")
         assert code == 2

@@ -126,6 +126,14 @@ class TestAffineFromExpr:
         assert phi.beta == e.evaluate(domain.a) - alpha * domain.a
         assert phi.describe() == describe
 
+    @pytest.mark.parametrize("a, b, source, describe", [
+        (1e308, 1.7e308, "x", "identity"),
+        (-1e308, 1e308, "0.5*x + 0*sin(x)", "0.5*x + 0.0"),
+    ])
+    def test_probes_on_an_interval_whose_sum_or_width_overflows(self, a, b, source, describe):
+        # the midpoint 0.5 * (a + b) or every Chebyshev probe point was +-inf
+        assert affine_from_expr(parse(source), Interval(a, b)).describe() == describe
+
 
 INTERVALS = [Interval(0.0, 1.0), Interval(-1.0, 2.0), Interval(0.25, 1.5)]
 CONST = st.floats(-4.0, 4.0, allow_nan=False).map(lambda c: f"({c!r})")

@@ -156,6 +156,28 @@ class TestReportMechanics:
                 "phi's image [-1e+308, 1e+308] is wider than the largest float;"
                 " bounds are undefined")
 
+    @pytest.mark.parametrize("f, g, role", [
+        ("1e308*x^2", "1e308", "g"), ("1e308", "1e308*x^2", "f"), ("1e308", "1e308", "f"),
+    ])
+    def test_an_integral_that_overflows_is_refused(self, f, g, role):
+        # integrate returned inf with error nan: rhs = inf, and the bound held
+        pair = FunctionPair(parse(f), parse(g))
+        source = pair.f.source if role == "f" else pair.g.source
+        for run in (lambda: hh_midpoint_report(pair, make_kernel("linear"), IDENT),
+                    lambda: special_case_report(pair, IDENT, which="all", s=0.5)):
+            with pytest.raises(ReportError) as info:
+                run()
+            assert info.value.reason == "range"
+            assert str(info.value) == (
+                f"the integral of {role} = {source!r} over [0.0, 1.0] is inf with error nan;"
+                " bounds are undefined")
+
+    def test_the_same_pair_at_a_scale_that_fits_fails_its_bound(self):
+        pair = FunctionPair(parse("1e300*x^2"), parse("1e300"))
+        r = hh_midpoint_report(pair, make_kernel("linear"), IDENT)
+        assert not r.holds
+        assert r.margin == pytest.approx(-1e300 / 12.0)
+
     def test_overflowing_midpoint_weight_is_degenerate(self):
         # h(1/2) = 1e-310 makes 1/(2 h(1/2)) inf, and c f(m) = inf * 0 made
         # the report nan and failed instead of saying why

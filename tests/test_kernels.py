@@ -2,17 +2,21 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import simpson
 from domcert import kernels, quadrature
 from domcert.expr import EvalError, parse
 from domcert.kernels import (
+    PROBE_POINTS,
     Kernel,
     KernelError,
     chebyshev_points,
     make_kernel,
 )
+
+
+HUGE = 1.7976931348623157e308
 
 
 class TestBuiltinConstants:
@@ -164,6 +168,32 @@ class TestChebyshevProbe:
         pts = chebyshev_points(101, 0.0, 1.0)
         # edge gaps much tighter than center gaps
         assert (pts[1] - pts[0]) < 0.2 * (pts[51] - pts[50])
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 40))
+    def test_a_finite_sum_and_width_keep_the_bits(self, lo, hi, n):
+        assume(math.isfinite(lo + hi) and math.isfinite(hi - lo))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        want = [mid + half * math.cos(math.pi * (2 * j - 1) / (2 * n)) for j in range(1, n + 1)]
+        want.reverse()
+        assert [p.hex() for p in chebyshev_points(n, lo, hi)] == [p.hex() for p in want]
+
+    @given(st.floats(1e308, HUGE), st.floats(1e308, HUGE), st.sampled_from("+-±"),
+           st.sampled_from([1, 2, 40, PROBE_POINTS]))
+    @example(1e308, 1e308, "±", PROBE_POINTS)
+    @example(1e308, 1.7e308, "+", PROBE_POINTS)
+    def test_points_on_an_interval_whose_sum_or_width_overflows(self, u, v, signs, n):
+        # 0.5 * (lo + hi) or 0.5 * (hi - lo) was inf, and so was every point
+        lo, hi = min(u, v), max(u, v)
+        if signs == "-":
+            lo, hi = -hi, -lo
+        elif signs == "±":
+            lo = -lo
+        assert math.isinf(lo + hi) or math.isinf(hi - lo)
+        pts = chebyshev_points(n, lo, hi)
+        assert len(pts) == n
+        assert all(lo <= p <= hi for p in pts)
+        assert pts == sorted(pts)
 
 
 class TestDescribe:

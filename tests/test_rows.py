@@ -85,8 +85,9 @@ def envelope(violations, count: int) -> dict:
 CHUNKS = st.one_of(st.integers(1, 5), st.just(cli._CHUNK_ROWS))
 
 
-def check_rows(subcommand, reprs, rows, chunk) -> str:
-    buf, emit = cli._check_rows(subcommand, reprs)
+def csv_rows(subcommand, reprs, rows, chunk) -> str:
+    buf = io.StringIO()
+    emit = cli._csv_rows(subcommand, reprs, buf.write)
     for i in range(0, len(rows), chunk):
         emit(rows[i:i + chunk])
     return buf.getvalue()
@@ -97,7 +98,7 @@ def check_rows(subcommand, reprs, rows, chunk) -> str:
 def test_check_convex_rows_match_csv_writer(data, chunk):
     reprs, rows = data
     want = csv_writer_text(["x", "y", "t", "defect"], rows)
-    assert check_rows("check-convex", reprs, rows, chunk) == want
+    assert csv_rows("check-convex", reprs, rows, chunk) == want
 
 
 @settings(deadline=None)
@@ -105,13 +106,11 @@ def test_check_convex_rows_match_csv_writer(data, chunk):
 def test_check_dominated_rows_match_csv_writer(data, chunk):
     reprs, rows = data
     want = csv_writer_text(["x", "y", "t", "gap", "lhs_abs", "rhs"], rows)
-    assert check_rows("check-dominated", reprs, rows, chunk) == want
+    assert csv_rows("check-dominated", reprs, rows, chunk) == want
 
 
 def search_csv(records, reprs, chunk) -> str:
-    buf = io.StringIO()
-    cli._write_search_csv(buf.write, records, reprs, chunk)
-    return buf.getvalue()
+    return csv_rows("search", reprs, records, chunk)
 
 
 def search_json(records, reprs, chunk) -> str:
