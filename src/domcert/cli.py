@@ -280,6 +280,8 @@ def _build_kernel(ns, problems: list[str]):
     if ns.h is not None and ns.h_custom is not None:
         problems.append("--h and --h-custom are mutually exclusive")
         return None
+    if ns.s is not None and (ns.h_custom is not None or ns.h != "t^s"):
+        problems.append("--s: only the --h t^s kernel reads it")
     if ns.h_custom is not None:
         e = _parse_expr(ns.h_custom, "--h-custom", problems)
         if e is None or quad_tol_problem(ns.quad_tol):  # a bad tol is reported later
@@ -300,7 +302,7 @@ def _build_kernel(ns, problems: list[str]):
         problems.append("--h t^s needs --s")
         return None
     try:
-        return make_kernel(kind, s=ns.s if kind == "power" else None)
+        return make_kernel(kind, s=ns.s)
     except KernelError as exc:
         problems.append(f"--h: {exc}")
         return None

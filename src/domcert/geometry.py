@@ -14,6 +14,7 @@ import math
 from .errors import ReasonError
 from .expr import Binary, Const, Expr, Node, Unary, Var
 from .kernels import PROBE_POINTS, chebyshev_points
+from .quadrature import midpoint
 from .record import Record
 
 
@@ -121,15 +122,13 @@ def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:
     alpha and beta come from the values u(a) and u(b) at the ends (alpha
     from their halves when b - a overflows).  A tree built only from affine
     ops passes as it is.  Any other must pass two probes within tol times
-    the largest of 1 and |u| at a, the midpoint m (from halves when a + b
-    overflows) and b: the second difference u(a) - 2u(m) + u(b), then the
-    distance of u from the line alpha*x + beta at PROBE_POINTS Chebyshev
-    points in (a, b).
+    the largest of 1 and |u| at a, the midpoint m and b: the second
+    difference u(a) - 2u(m) + u(b) (from halves when that form overflows),
+    then the distance of u from the line alpha*x + beta at PROBE_POINTS
+    Chebyshev points in (a, b).
     """
     a, b = domain.a, domain.b
-    m = 0.5 * (a + b)
-    if math.isinf(m):  # a + b overflows: a finite sum keeps its bits
-        m = 0.5 * a + 0.5 * b
+    m = midpoint(a, b)
     ua, um, ub = e.evaluate(a), e.evaluate(m), e.evaluate(b)
     if math.isinf(b - a):  # halving is exact: a finite width keeps the bits of the plain ratio
         alpha = (0.5 * ub - 0.5 * ua) / (0.5 * b - 0.5 * a)
@@ -139,6 +138,8 @@ def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:
     if _degree(e.root) is None:
         bound = tol * max(abs(ua), abs(um), abs(ub), 1.0)
         second = ua - 2.0 * um + ub
+        if math.isinf(second):  # 2u(m) or a partial sum overflows: a finite form keeps its bits
+            second = 2.0 * (0.5 * ua - um + 0.5 * ub)
         if abs(second) > bound:
             raise GeometryError(
                 "invalid",

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .convexity import FunctionPair, check_tolerances
+from .convexity import FunctionPair, _violates, check_tolerances
 from .errors import ReasonError
 from .geometry import AffineMap
 from .kernels import _BUILT_IN, Kernel, make_kernel
-from .quadrature import integrate
+from .quadrature import integrate, midpoint
 
 NEGATIVE_RHS_WARNING = (
     "right side is negative: the dominator may violate its convexity precondition"
@@ -124,14 +124,12 @@ def _means(pair: FunctionPair, lo: float, hi: float, tol: float):
 
 
 def _holds(lhs: float, rhs: float, atol: float, rtol: float) -> tuple[float, bool]:
-    if math.isinf(rhs) and rhs > 0.0:
+    """(margin, holds): holds unless the margin violates as a sampled gap does."""
+    if rhs == math.inf:
         # an infinite bound cannot be violated, whatever the left side
         return math.inf, True
     margin = rhs - lhs
-    scale = max(abs(lhs), abs(rhs))
-    if math.isinf(scale):
-        return margin, margin > 0.0
-    return margin, margin >= -(atol + rtol * scale)
+    return margin, not _violates(margin, lhs, rhs, atol, rtol)
 
 
 def hh_bounds_report(
@@ -173,7 +171,7 @@ def hh_bounds_report(
         vacuous = False
         if bound == "midpoint":
             if mid is None:
-                m = 0.5 * (phi.image_a + phi.image_b)
+                m = midpoint(phi.image_a, phi.image_b)
                 mid = pair.f.evaluate(m), pair.g.evaluate(m)
             vf, vg = mid
             c = h.midpoint_coefficient
@@ -244,9 +242,6 @@ def hh_endpoint_report(
     return hh_bounds_report(pair, phi, [(h, "endpoint")], tol, atol, rtol)[0]
 
 
-_SPECIAL_KINDS = tuple(_BUILT_IN)
-
-
 def special_case_report(
     pair: FunctionPair,
     phi: AffineMap,
@@ -263,8 +258,8 @@ def special_case_report(
     integral is finite (so 'reciprocal' yields a single entry).
     """
     if which == "all":
-        kinds = _SPECIAL_KINDS
-    elif which in _SPECIAL_KINDS:
+        kinds = tuple(_BUILT_IN)
+    elif which in _BUILT_IN:
         kinds = (which,)
     else:
         raise ValueError(f"unknown special case {which!r}")
@@ -273,7 +268,7 @@ def special_case_report(
 
     def jobs():  # kernels are built as the engine pulls them: earlier faults win
         for kind in kinds:
-            k = make_kernel(kind, s=s if kind == "power" else None)
+            k = make_kernel(kind, s=s)
             name = f"power(s={k.s!r})" if kind == "power" else kind
             for bound in ("midpoint",) if k.divergent else ("midpoint", "endpoint"):
                 labels.append(f"{name}/{bound}")

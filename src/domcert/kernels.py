@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .errors import ReasonError
 from .expr import EvalError, Expr, parse
-from .quadrature import QuadratureError, integrate_open01
+from .quadrature import QuadratureError, integrate_open01, midpoint
 from .record import Record
 
 PROBE_POINTS = 4097
@@ -40,12 +40,7 @@ class KernelError(ReasonError):
 
 def chebyshev_points(n: int, lo: float, hi: float) -> list[float]:
     """n Chebyshev-spaced points strictly inside (lo, hi), ascending."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # from halves when the sum or the width overflows; a finite one keeps its bits
-    if math.isinf(mid):
-        mid = 0.5 * lo + 0.5 * hi
-    if math.isinf(half):
-        half = 0.5 * hi - 0.5 * lo
+    mid, half = midpoint(lo, hi), midpoint(hi, -lo)  # half is half the width
     pts = [mid + half * math.cos(math.pi * (2 * j - 1) / (2 * n)) for j in range(1, n + 1)]
     pts.reverse()
     return pts

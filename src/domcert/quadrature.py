@@ -13,6 +13,11 @@ by the looped form through _guarded, which names the fault and retries a
 fault at an end one nudge inside; a panel's bits do not depend on which
 pass computed it.
 
+Every midpoint in the package is midpoint(a, b), which takes halves only
+when a + b overflows, so intervals near the top of the float range keep
+finite panel centers.  integrate's total is +-inf when it overflows and
+nan when the panels hold inf and -inf, where math.fsum would raise.
+
 integrate_open01 handles integrands only defined on the open unit interval
 by integrating over [eps, 1-eps] for eps = 1e-2, 1e-4, ..., 1e-12.  If the
 last step changed the value by more than 1% the integral is reported as
@@ -76,13 +81,22 @@ _WGK_CENTER = 2.0 - 2.0 * math.fsum(_WGK)
 _WG_CENTER = 2.0 - 2.0 * math.fsum(_WG)
 
 
+def midpoint(a: float, b: float) -> float:
+    """0.5 * (a + b), from halves only when a + b overflows: a finite sum
+    keeps its bits.  Half the width of [a, b] is midpoint(b, -a)."""
+    m = 0.5 * (a + b)
+    if math.isinf(m):
+        return 0.5 * a + 0.5 * b
+    return m
+
+
 def _looped_panel(fun, a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod pass over [a, b]: (kronrod value, error estimate).
 
     The reference form, run through _guarded when the straight-line pass
     below faults or ends with a non-finite sum.
     """
-    c = 0.5 * (a + b)
+    c = midpoint(a, b)
     h = 0.5 * (b - a)
     acc_k = 0.0
     acc_g = 0.0
@@ -106,7 +120,7 @@ def _panel(fun, a: float, b: float) -> tuple[float, float] | None:
     the same order, so the same bits.  None when a sum is not finite (the
     difference of the two sums is then inf or nan; it can also overflow on
     its own, which costs only a rerun)."""
-    c = 0.5 * (a + b)
+    c = midpoint(a, b)
     h = 0.5 * (b - a)
     d = h * 0.9914553711208126
     s0 = fun(c - d) + fun(c + d)
@@ -203,7 +217,7 @@ def integrate(
             )
         entry = heappop(heap)
         _, pa, pb, pv, pe = entry
-        mid = 0.5 * (pa + pb)
+        mid = midpoint(pa, pb)
         if not pa < mid < pb:
             # cannot split further at double precision; park the panel
             frozen.append(entry)
@@ -218,9 +232,22 @@ def integrate(
         panels += 1
 
     pieces = sorted(heap + frozen, key=lambda p: p[1])
-    total_value = math.fsum(p[3] for p in pieces)
-    total_error = math.fsum(p[4] for p in pieces)
+    total_value = _total([p[3] for p in pieces])
+    total_error = _total([p[4] for p in pieces])
     return QuadResult(total_value, total_error, len(pieces))
+
+
+def _total(parts: list[float]) -> float:
+    """math.fsum(parts), or where fsum raises: +-inf for a total beyond the
+    largest float (summed at a power-of-two scale that keeps every partial
+    sum finite), nan for inf and -inf among the parts."""
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        scale = 2.0 ** len(parts).bit_length()
+        return math.fsum([p / scale for p in parts]) * scale
+    except ValueError:  # inf and -inf among the parts
+        return math.nan
 
 
 _LADDER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)

@@ -408,9 +408,11 @@ class TestValidationCollection:
     @pytest.mark.parametrize("interval, phi, echo", [
         (("1e308", "1.7e308"), "x", "identity"),
         (("-1e308", "1e308"), "0.5*x + 0*sin(x)", "0.5*x + 0.0"),
+        (("1e308", "1.7e308"), "x+0*sin(x)", "identity"),
     ])
     def test_a_phi_probed_on_a_huge_interval_is_kept(self, capsys, interval, phi, echo):
-        # probes at 0.5 * (a + b) or at the Chebyshev points met inf: exit 2
+        # probes at 0.5 * (a + b) or at the Chebyshev points met inf, or the
+        # second difference u(a) - 2u(m) + u(b) overflowed: exit 2
         code, doc = run_json(capsys, "check-convex", "--f", "x", "--interval", *interval,
                              "--phi", phi, "--random", "10")
         assert code == 0
@@ -426,6 +428,64 @@ class TestValidationCollection:
         assert doc["error"] == {"message": "the integral of g = '1e308' over [0.0, 1.0] is inf"
                                            " with error nan; bounds are undefined",
                                 "problems": []}
+
+    def test_a_margin_of_minus_inf_never_holds(self, capsys):
+        # atol + rtol * scale overflowed to inf: margin -inf, holds and exit 0
+        code, doc = run_json(capsys, "verify-hh", "--f=-0.3e308", "--g", "0.3e308",
+                             "--interval", "0", "1", "--bound", "midpoint", "--h-custom", "0.1",
+                             "--rtol", "2")
+        assert code == 1
+        [report] = doc["result"]["reports"]
+        assert (report["margin"], report["holds"]) == ("-inf", False)
+
+    def test_an_image_whose_sum_overflows_is_integrated(self, capsys):
+        # a panel center 0.5 * (a + b) was inf: "integrand failed at x=inf", exit 2
+        code, doc = run_json(capsys, "verify-hh", "--f", "1e-308*x", "--g", "1.5e-308*x",
+                             "--interval", "1e308", "1.7e308")
+        assert code == 0
+        assert [(r["bound_kind"], r["lhs"], r["rhs"], r["margin"])
+                for r in doc["result"]["reports"]] == [("midpoint", 0.0, 0.0, 0.0),
+                                                       ("endpoint", 0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("f, g, interval, message", [
+        # two finite panels whose sum overflows: fsum's OverflowError escaped
+        ("1e-308*x", "2e-308*x", ("1e308", "1.7e308"),
+         "the integral of g = '2e-308*x' over [1e+308, 1.7e+308] is inf with error 0.0"),
+        # panels of -inf and inf: fsum's ValueError escaped
+        ("1.7e308*((x-0.5)/abs(x-0.5)) + 1e300*x^9", "1", ("-1", "1.6"),
+         "the integral of f = '1.7e308*((x-0.5)/abs(x-0.5)) + 1e300*x^9' over [-1.0, 1.6]"
+         " is nan with error nan"),
+    ])
+    def test_an_integral_whose_panel_sum_fails_is_refused(self, capsys, f, g, interval,
+                                                          message):
+        code, doc = run_json(capsys, "verify-hh", "--f", f, "--g", g, "--interval", *interval)
+        assert code == 2
+        assert doc["error"] == {"message": f"{message}; bounds are undefined", "problems": []}
+
+    @pytest.mark.parametrize("kernel", [(), ("--h", "t"), ("--h", "1/t"), ("--h-custom", "t")])
+    def test_s_is_refused_unless_a_kernel_reads_it(self, capsys, kernel):
+        # it was ignored: exit 0
+        code, doc = run_json(capsys, "check-convex", "--f", "x^2", "--interval", "0", "1",
+                             *kernel, "--s", "7")
+        assert code == 2
+        assert doc["error"]["problems"] == ["--s: only the --h t^s kernel reads it"]
+
+    @pytest.mark.parametrize("argv, problems", [
+        (("--f", "x^2", "--interval", "0", "1", "--h", "t^2"),
+         ["--h: unknown kernel 't^2' (choose 't', 't^s', '1/t', '1', or --h-custom)"]),
+        (("--f", "x^2", "--interval", "0", "1", "--h", "t^s", "--s", "2"),
+         ["--h: power kernel needs 0 < s < 1, got 2.0"]),
+        (("--f", "x^2", "--interval", "0", "1", "--phi", "x+"),
+         ["--phi: expected a number, name, '-', or '(' at offset 2 in 'x+'"]),
+        (("--f", "x^2", "--interval", "0", "1", "--phi", "t"),
+         ["--phi: the map expression uses 'x', got 't'"]),
+        (("--f", "x^2"), ["--interval A B is required"]),
+        (("--interval", "0", "1"), ["--f is required"]),
+    ])
+    def test_each_bad_input_names_its_flag(self, capsys, argv, problems):
+        code, doc = run_json(capsys, "check-convex", *argv)
+        assert code == 2
+        assert doc["error"]["problems"] == problems
 
     @pytest.mark.parametrize("flag, value", [("--h", "1/t"), ("--h-custom", "t-5")])
     def test_special_case_takes_no_kernel(self, capsys, flag, value):
@@ -610,6 +670,14 @@ class TestConfigFile:
         assert code == 2
         assert doc["error"]["message"] == (
             f"config file {str(conf)!r}: line 3: config files cannot nest")
+
+    def test_an_unbalanced_quote_is_a_line_problem(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text('interval = 0 1\nf = "x^2\n')
+        code, doc = run_json(capsys, "check-convex", "--config", str(conf))
+        assert code == 2
+        assert doc["error"]["message"] == (
+            f"config file {str(conf)!r}: line 2: No closing quotation")
 
     def test_missing_config_file_is_two(self, capsys, tmp_path):
         code, out = run(capsys, "check-convex", "--config", str(tmp_path / "nope.conf"))

@@ -123,6 +123,19 @@ class TestParseErrors:
             parse("x^(1+")
         assert "x^(1+" in str(info.value)
 
+    def test_a_long_source_is_excerpted_around_the_offset(self):
+        source = "x + " * 30 + "$" + " + x" * 30
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert info.value.offset == 120
+        assert info.value.excerpt == source[80:160]
+        assert str(info.value).endswith(f"at offset 120 in {source[80:160]!r}")
+
+    def test_a_literal_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse("2*1e999")
+        assert (info.value.offset, info.value.expected) == (2, "a finite constant")
+
 
 class TestEvaluation:
     def test_division_by_zero_is_domain_error(self):

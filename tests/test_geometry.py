@@ -129,10 +129,23 @@ class TestAffineFromExpr:
     @pytest.mark.parametrize("a, b, source, describe", [
         (1e308, 1.7e308, "x", "identity"),
         (-1e308, 1e308, "0.5*x + 0*sin(x)", "0.5*x + 0.0"),
+        (1e308, 1.7e308, "x+0*sin(x)", "identity"),
     ])
     def test_probes_on_an_interval_whose_sum_or_width_overflows(self, a, b, source, describe):
-        # the midpoint 0.5 * (a + b) or every Chebyshev probe point was +-inf
+        # the midpoint 0.5 * (a + b), every Chebyshev probe point, or the
+        # second difference (2u(m) overflowing) was +-inf
         assert affine_from_expr(parse(source), Interval(a, b)).describe() == describe
+
+    def test_a_second_difference_whose_plain_form_overflows_is_refused_by_its_value(self):
+        # the refusal named a second difference of -inf
+        e = parse("x + 1e307*sin(x)")
+        ua, um, ub = e.evaluate(1e308), e.evaluate(1.35e308), e.evaluate(1.7e308)
+        assert ua - 2.0 * um + ub == -math.inf
+        with pytest.raises(GeometryError) as info:
+            affine_from_expr(e, Interval(1e308, 1.7e308))
+        second = 2.0 * (0.5 * ua - um + 0.5 * ub)
+        assert str(info.value) == (f"expression {e.source!r} is not affine "
+                                   f"(second difference {second!r} on a 3-point probe)")
 
 
 INTERVALS = [Interval(0.0, 1.0), Interval(-1.0, 2.0), Interval(0.25, 1.5)]

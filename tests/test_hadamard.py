@@ -178,6 +178,45 @@ class TestReportMechanics:
         assert not r.holds
         assert r.margin == pytest.approx(-1e300 / 12.0)
 
+    @pytest.mark.parametrize("lhs, rhs, atol, rtol, margin, holds", [
+        (1.0, 1.0, 0.0, 0.0, 0.0, True),
+        (1.0, 1.0 - 2.0 ** -40, 1e-12, 0.0, -2.0 ** -40, True),
+        (1.0, 1.0 - 2.0 ** -40, 0.0, 0.0, -2.0 ** -40, False),
+        (1.0, 0.5, 1e-9, 1e-9, -0.5, False),
+        (math.inf, 1.0, 1e-9, 1e-9, -math.inf, False),
+        (1.0, -math.inf, 1e-9, 0.0, -math.inf, False),
+        (1.0, math.inf, 1e-9, 1e-9, math.inf, True),
+        (math.inf, math.inf, 1e-9, 1e-9, math.inf, True),
+        # atol + rtol * scale overflowed to inf, and -inf >= -inf held
+        (1.2e308, -1.2e308, 1e-9, 2.0, -math.inf, False),
+    ])
+    def test_a_bound_holds_unless_its_margin_violates(self, lhs, rhs, atol, rtol, margin, holds):
+        assert hadamard._holds(lhs, rhs, atol, rtol) == (margin, holds)
+
+    def test_a_margin_of_minus_inf_never_holds(self):
+        pair = FunctionPair(parse("-0.3e308"), parse("0.3e308"))
+        r = hh_midpoint_report(pair, make_kernel("custom", expr=parse("0.1")), IDENT, rtol=2.0)
+        assert r.lhs == pytest.approx(1.2e308) and r.rhs == pytest.approx(-1.2e308)
+        assert (r.margin, r.holds) == (-math.inf, False)
+
+    def test_an_image_whose_sum_overflows_is_integrated_and_probed(self):
+        # 0.5 * (a + b) was inf at every panel center and at the midpoint m
+        huge = identity_map(Interval(1e308, 1.7e308))
+        pair = FunctionPair(parse("1e-308*x"), parse("1.5e-308*x"))
+        h = make_kernel("linear")
+        reports = hh_bounds_report(pair, huge, [(h, "midpoint"), (h, "endpoint")])
+        assert [(r.lhs, r.rhs, r.margin, r.holds) for r in reports] == [(0.0, 0.0, 0.0, True)] * 2
+
+    def test_an_integral_whose_panel_sum_overflows_is_refused(self):
+        # its two panels are finite, and fsum raised OverflowError on their sum
+        huge = identity_map(Interval(1e308, 1.7e308))
+        pair = FunctionPair(parse("1e-308*x"), parse("2e-308*x"))
+        with pytest.raises(ReportError) as info:
+            hh_midpoint_report(pair, make_kernel("linear"), huge)
+        assert info.value.reason == "range"
+        assert str(info.value) == ("the integral of g = '2e-308*x' over [1e+308, 1.7e+308] is inf"
+                                   " with error 0.0; bounds are undefined")
+
     def test_overflowing_midpoint_weight_is_degenerate(self):
         # h(1/2) = 1e-310 makes 1/(2 h(1/2)) inf, and c f(m) = inf * 0 made
         # the report nan and failed instead of saying why

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,13 @@ from domcert.quadrature import (
     QuadratureError,
     QuadResult,
     _guarded,
+    _total,
     integrate,
     integrate_open01,
+    midpoint,
 )
+
+HUGE = 1.7976931348623157e308
 
 
 class TestConstantExactness:
@@ -107,6 +112,54 @@ class TestDriver:
         assert isinstance(r, QuadResult)
         with pytest.raises(Exception):
             r.value = 0.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+HUGE_PARTS = st.lists(st.tuples(st.floats(1e300, HUGE), st.booleans()).map(
+    lambda p: -p[0] if p[1] else p[0]), min_size=1, max_size=20)
+
+
+class TestFloatEdges:
+    @given(FINITE, FINITE)
+    def test_a_midpoint_keeps_the_bits_of_a_finite_sum(self, a, b):
+        if math.isfinite(a + b):
+            assert midpoint(a, b).hex() == (0.5 * (a + b)).hex()
+        else:  # from halves: finite, and between a and b
+            assert midpoint(a, b) == 0.5 * a + 0.5 * b
+            assert min(a, b) <= midpoint(a, b) <= max(a, b)
+
+    def test_an_interval_whose_sum_overflows_is_integrated(self):
+        # every panel's center 0.5 * (a + b) was inf, and so was the value
+        r = integrate(lambda x: 1e-308 * x, 1e308, 1.7e308)
+        assert r.value == pytest.approx(1e-308 * 0.7e308 * 1.35e308, rel=1e-12)
+
+    def test_a_total_that_overflows_is_inf(self):
+        # two finite panels whose sum overflows: fsum raised OverflowError
+        r = integrate(lambda x: 0.6e308 if x < 2 else 0.5e308, 0.0, 4.0)
+        assert r.value == math.inf
+        assert r.error_estimate == 0.0
+
+    def test_a_total_of_inf_and_minus_inf_is_nan(self):
+        # panels of -inf and inf: fsum raised ValueError
+        r = integrate(lambda x: math.copysign(1.7e308, x) + 1e300 * x ** 9, -1.0, 1.0)
+        assert math.isnan(r.value)
+
+    @given(st.lists(FINITE, max_size=20))
+    def test_a_total_keeps_fsums_bits(self, parts):
+        try:
+            want = math.fsum(parts)
+        except OverflowError:
+            return
+        assert _total(parts).hex() == want.hex()
+
+    @given(HUGE_PARTS)
+    def test_a_total_is_the_rounded_exact_sum_or_inf(self, parts):
+        exact = sum(map(Fraction, parts))
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = -math.inf if exact < 0 else math.inf
+        assert _total(parts) == want
 
 
 class TestGuardedWrapper:
