@@ -2,7 +2,10 @@
 
 One subcommand per statement checked, each listed with its help and inputs
 in _COMMANDS; `domcert --help` prints them.  Options may come before or
-after the subcommand.
+after the subcommand.  The parser is built on the first call of main and
+shared by later ones.  Well-formed argv (the subcommand, exact long flags
+and their values) is read by one scan of its option table (_Parser.scan);
+anything else goes through argparse, which keeps its messages and help.
 
 Exit codes: 0 every checked statement held, 1 a violation or failed bound
 was found, 2 configuration or evaluation error.  Errors are emitted as a
@@ -87,6 +90,76 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._table = None  # what scan reads, taken from the actions on its first call
+
+    def _read_table(self):
+        """(options, positional, defaults): each flag of a store or
+        store-constant action with a fixed value count -> (dest, nargs, type,
+        choices, const), except --config (help is neither kind); the one
+        positional's (dest, choices); and the namespace parse_args starts
+        from."""
+        options = {}
+        for flag, action in self._option_string_actions.items():
+            if (action.dest != "config"
+                    and isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+                    and (action.nargs is None or isinstance(action.nargs, int))):
+                options[flag] = (action.dest, action.nargs, action.type, action.choices,
+                                 action.const)
+        (positional,) = [a for a in self._actions if not a.option_strings]
+        defaults = {}
+        for action in self._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        return options, (positional.dest, positional.choices), defaults
+
+    def scan(self, argv: list[str]) -> argparse.Namespace | None:
+        """The namespace parse_args(argv) returns, read in one pass, when
+        every token is the subcommand, an exact long flag or a value argparse
+        would take for it (one starting with "-" only as a negative number);
+        None for anything else (an abbreviation, --flag=value, help,
+        --config, a missing, unconvertible or out-of-choice value, a second
+        positional, no subcommand), which parse_args then reads with its own
+        messages."""
+        if self._table is None:
+            self._table = self._read_table()
+        options, (sub_dest, sub_choices), defaults = self._table
+        ns = argparse.Namespace()
+        ns.__dict__.update(defaults)
+        sub = None
+        i, n = 0, len(argv)
+        while i < n:
+            token = argv[i]
+            i += 1
+            option = options.get(token)
+            if option is None:
+                if sub is not None or token not in sub_choices:
+                    return None
+                sub = token
+                continue
+            dest, nargs, convert, choices, const = option
+            if nargs == 0:
+                setattr(ns, dest, const)
+                continue
+            stop = i + (nargs or 1)
+            if stop > n:
+                return None
+            values = []
+            for text in argv[i:stop]:
+                if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+                    return None
+                try:
+                    value = text if convert is None else convert(text)
+                except ValueError:
+                    return None
+                if choices is not None and value not in choices:
+                    return None
+                values.append(value)
+            i = stop
+            setattr(ns, dest, values if nargs else values[0])
+        if sub is None:
+            return None
+        setattr(ns, sub_dest, sub)
+        return ns
 
     # collect argparse complaints instead of letting it exit directly
     def error(self, message):
@@ -247,9 +320,11 @@ def _parse_argv(argv: list[str]):
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    ns = _PARSER.parse_args(argv)
-    if ns.config is not None:
-        ns = _PARSER.parse_args(_load_config(ns.config, _PARSER) + argv)
+    ns = _PARSER.scan(argv)
+    if ns is None:
+        ns = _PARSER.parse_args(argv)
+        if ns.config is not None:
+            ns = _PARSER.parse_args(_load_config(ns.config, _PARSER) + argv)
     for name, command in _COMMANDS.items():
         if command.option is None:
             continue

@@ -124,156 +124,129 @@ Node = Union[Const, Var, Unary, Binary]
 # ---------------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # num | name | op | lparen | rparen | end
-    text: str
-    offset: int
-
-
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_PUNCT = {"+": "op", "-": "op", "*": "op", "/": "op", "^": "op", "(": "lparen", ")": "rparen"}
 
 
-def _tokenize(source: str) -> list[Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, kind one of num, name, op,
+    lparen, rparen, and an end token ("end", "", len(source))."""
     toks = []
+    append = toks.append
     i, n = 0, len(source)
     while i < n:
         ch = source[i]
         if ch.isspace():
             i += 1
             continue
-        if ch in "+-*/^":
-            toks.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            toks.append(Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            toks.append(Token("rparen", ch, i))
+        kind = _PUNCT.get(ch)
+        if kind is not None:
+            append((kind, ch, i))
             i += 1
             continue
         m = _NUM_RE.match(source, i)
         if m:
-            toks.append(Token("num", m.group(), i))
+            append(("num", m.group(), i))
             i = m.end()
             continue
         m = _NAME_RE.match(source, i)
         if m:
-            toks.append(Token("name", m.group(), i))
+            append(("name", m.group(), i))
             i = m.end()
             continue
         raise ParseError(i, "a number, name, operator, or parenthesis", source)
-    toks.append(Token("end", "", n))
+    append(("end", "", n))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: one method per grammar level, each reading the token list at
+# self.i.  An op token is the only kind whose text is an operator, so an
+# operator is matched by its text alone.
 # ---------------------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
+    def __init__(self, tokens: list[tuple[str, str, int]], source: str):
         self.tokens = tokens
         self.source = source
         self.i = 0
         self.var: str | None = None
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(tok.offset, "an operator or end of input", self.source)
-        return node
-
     def expr(self) -> Node:
-        return self.binary("+-", lambda: self.binary("*/", self.factor))
-
-    def binary(self, ops: str, operand) -> Node:
-        """A left-associative chain of operands joined by the ops."""
-        node = operand()
+        node = self.term()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ops:
-                self.i += 1
-                node = Binary(tok.text, node, operand())
-            else:
+            op = tokens[self.i][1]
+            if op != "+" and op != "-":
                 return node
+            self.i += 1
+            node = Binary(op, node, self.term())
+
+    def term(self) -> Node:
+        node = self.factor()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.i][1]
+            if op != "*" and op != "/":
+                return node
+            self.i += 1
+            node = Binary(op, node, self.factor())
 
     def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.tokens[self.i][1] == "-":
             self.i += 1
             operand = self.factor()
             # fold a negated literal so "-2" is a constant, not Unary(neg)
             if isinstance(operand, Const):
                 return Const(-operand.value)
             return Unary("neg", operand)
-        return self.power()
-
-    def power(self) -> Node:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self.tokens[self.i][1] == "^":
             self.i += 1
             return Binary("^", base, self.factor())
         return base
 
     def atom(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "num":
-            value = float(tok.text)
+        tokens = self.tokens
+        kind, text, offset = tokens[self.i]
+        self.i += 1
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                raise ParseError(tok.offset, "a finite constant", self.source)
+                raise ParseError(offset, "a finite constant", self.source)
             return Const(value)
-        if tok.kind == "lparen":
-            node = self.expr()
-            self.expect_rparen()
-            return node
-        if tok.kind == "name":
-            if self.peek().kind == "lparen":
-                if tok.text not in _FUNCTIONS:
+        if kind == "name":
+            if tokens[self.i][0] != "lparen":
+                if text in _CONSTANTS:
+                    return Const(_CONSTANTS[text])
+                if text not in _VARIABLES:
                     raise ParseError(
-                        tok.offset,
-                        "a known function name (abs, exp, ln, sqrt, sin, cos)",
-                        self.source,
+                        offset, "a known name: 'x', 't', 'pi', 'e', or a function", self.source
                     )
-                self.i += 1
-                arg = self.expr()
-                self.expect_rparen()
-                return Unary(tok.text, arg)
-            if tok.text in _CONSTANTS:
-                return Const(_CONSTANTS[tok.text])
-            if tok.text in _VARIABLES:
                 if self.var is None:
-                    self.var = tok.text
-                elif self.var != tok.text:
+                    self.var = text
+                elif self.var != text:
                     raise ParseError(
-                        tok.offset,
+                        offset,
                         f"the variable '{self.var}' (one variable per expression)",
                         self.source,
                     )
-                return Var(tok.text)
-            raise ParseError(
-                tok.offset, "a known name: 'x', 't', 'pi', 'e', or a function", self.source
-            )
-        raise ParseError(tok.offset, "a number, name, '-', or '('", self.source)
-
-    def expect_rparen(self) -> None:
-        tok = self.peek()
-        if tok.kind != "rparen":
-            raise ParseError(tok.offset, "')'", self.source)
+                return Var(text)
+            if text not in _FUNCTIONS:
+                raise ParseError(
+                    offset, "a known function name (abs, exp, ln, sqrt, sin, cos)", self.source
+                )
+            self.i += 1
+        elif kind != "lparen":
+            raise ParseError(offset, "a number, name, '-', or '('", self.source)
+        node = self.expr()
+        kind, _, offset = tokens[self.i]
+        if kind != "rparen":
+            raise ParseError(offset, "')'", self.source)
         self.i += 1
+        return node if text == "(" else Unary(text, node)
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +578,11 @@ class Expr:
 
 def parse(source: str) -> Expr:
     """Parse source text; raises ParseError with offset/expected/excerpt."""
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, source)
-    root = parser.parse()
+    parser = _Parser(_tokenize(source), source)
+    root = parser.expr()
+    kind, _, offset = parser.tokens[parser.i]
+    if kind != "end":
+        raise ParseError(offset, "an operator or end of input", source)
     return Expr(root, parser.var, source)
 
 

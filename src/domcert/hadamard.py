@@ -14,7 +14,8 @@ an error.  The endpoint form needs no symmetric h (the integral of h(1-t)
 is H for every h); c and H are fixed when the kernel is built.  When H
 diverges, a side with a nonzero endpoint sum is infinite with that sum's
 sign (lhs = +inf) and a zero sum leaves -mean; the report is vacuous, and
-cannot fail, only when rhs = +inf.
+cannot fail, only when rhs = +inf.  That is the only bound with a side
+that may be infinite: any other whose lhs or rhs overflows is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class ReportError(ReasonError):
     """reason is 'degenerate' (phi has a single-point image, or a midpoint
     weight is not finite) or 'range' (the image of phi is wider than the
     largest float, or the integral of f or g over it, or its error, is not
-    finite, so the means are undefined)."""
+    finite, so the means are undefined, or a side of a bound is not finite
+    although the kernel's integral is)."""
 
 
 class _HHReport(NamedTuple):
@@ -168,7 +170,7 @@ def hh_bounds_report(
         if means is None:
             means = _means(pair, lo, hi, tol / 4.0)
         mean_f, mean_g, quad_err = means
-        vacuous = False
+        divergent = vacuous = False
         if bound == "midpoint":
             if mid is None:
                 m = midpoint(phi.image_a, phi.image_b)
@@ -184,7 +186,8 @@ def hh_bounds_report(
                     pair.g.evaluate(phi.image_a) + pair.g.evaluate(phi.image_b),
                 )
             vf, vg = ends
-            if math.isinf(h.integral):
+            divergent = math.isinf(h.integral)
+            if divergent:
                 # an endpoint sum of exactly zero kills the divergent term
                 lhs = math.inf if vf != 0.0 else abs(0.0 - mean_f)
                 rhs = math.copysign(math.inf, vg) if vg != 0.0 else 0.0 - mean_g
@@ -193,6 +196,9 @@ def hh_bounds_report(
                 lhs = abs(vf * h.integral - mean_f)
                 rhs = vg * h.integral - mean_g
                 quad_err = quad_err + h.integral_error * (abs(vf) + abs(vg))
+        if not divergent and not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ReportError("range", f"the {bound} bound has lhs = {lhs!r} and rhs = {rhs!r}, "
+                                       "not both finite; the bound is undefined")
 
         warnings = []
         if vf < 0.0:

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
 from domcert import cli
@@ -305,6 +307,152 @@ class TestNegativeExponentNotation:
         assert doc["error"]["message"] == message
 
 
+# the scan's argv are drawn from the parser's own long options
+_SCAN_PARSER = cli.build_parser()
+_LONG = sorted(flag for flag in _SCAN_PARSER._option_string_actions if flag.startswith("--"))
+_VALUE = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["-1.5E+2", "-1e", "-inf", "-.5e1", "1e-3", "-0.0", "nan", "1_0", " 2",
+                     "x^2", "t", "json", "csv", "midpoint", "both", "linear", "all", "",
+                     "-", "--", "-x", "-1 2", "-h", *cli._COMMANDS]),
+    st.text("-=.e1x ", max_size=4),
+)
+
+
+# values argparse takes for an option of each type ("-inf" is an option to it)
+_TYPED = {int: st.integers(-3, 40).map(str),
+          float: st.one_of(st.floats().map(repr).filter(lambda text: text != "-inf"),
+                           st.sampled_from(["-1.5E+2", "-.5e1", "1e-3", "-0.0"])),
+          None: st.sampled_from(["x^2", "t", "x", "", "0.5*x", "-1", *cli._COMMANDS])}
+
+
+def _values(draw, action, fitting: bool = False) -> list[str]:
+    """As many values as the action takes, of its type or choices: always
+    when fitting, mostly otherwise, and else 0-3 values of any kind."""
+    if not fitting and draw(st.integers(0, 5)) == 0:
+        return draw(st.lists(_VALUE, max_size=3))
+    if action.choices is not None:
+        value = st.sampled_from(list(action.choices))
+    else:
+        value = _TYPED.get(action.type, _VALUE)
+    count = 1 if action.nargs is None else action.nargs if isinstance(action.nargs, int) else 1
+    return [draw(value) for _ in range(count)]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """Options spelt exactly, abbreviated or as --flag=value, each with its
+    own values or 0-3 others, repeated or not, and the subcommand (none, one
+    or two) anywhere."""
+    flags = st.sampled_from([*_LONG * 3, *["--random", "--samples"] * 2, "-h"])
+    argv = []
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(flags)
+        values = _values(draw, _SCAN_PARSER._option_string_actions[flag])
+        spelling = draw(st.sampled_from(["exact"] * 6 + ["abbreviated", "joined"]))
+        if spelling == "abbreviated":
+            flag = flag[:draw(st.integers(2, len(flag)))]
+        if spelling == "joined" and values:
+            flag = f"{flag}={values.pop(0)}"
+        argv += [flag, *values]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(list(cli._COMMANDS))))
+    return argv
+
+
+@st.composite
+def _well_formed_argv(draw) -> list[str]:
+    """Exact long options with the values they take, repeated or not, and
+    one subcommand anywhere."""
+    flags = st.sampled_from([flag for flag in _LONG if flag not in ("--help", "--config")])
+    chunks = []
+    for _ in range(draw(st.integers(0, 8))):
+        flag = draw(flags)
+        chunks.append([flag, *_values(draw, _SCAN_PARSER._option_string_actions[flag],
+                                      fitting=True)])
+    chunks.insert(draw(st.integers(0, len(chunks))), [draw(st.sampled_from(list(cli._COMMANDS)))])
+    return [token for chunk in chunks for token in chunk]
+
+
+def _fields(ns) -> dict:
+    # repr tells nan and -0.0 apart, and a list from a tuple
+    return {dest: repr(value) for dest, value in vars(ns).items()}
+
+
+class TestArgvScan:
+    """main reads well-formed argv in one scan of its parser's option table,
+    and leaves every other argv to argparse, which keeps its messages."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_argv())
+    def test_the_scan_is_parse_args_or_none(self, argv):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):  # --help prints
+                want = _SCAN_PARSER.parse_args(argv)
+        except (cli._ArgvError, cli._HelpShown):
+            want = None
+        got = _SCAN_PARSER.scan(argv)
+        if want is None:
+            assert got is None
+        elif got is not None:
+            assert _fields(got) == _fields(want)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_well_formed_argv())
+    def test_well_formed_argv_is_scanned(self, argv):
+        got = _SCAN_PARSER.scan(argv)
+        assert got is not None
+        assert _fields(got) == _fields(_SCAN_PARSER.parse_args(argv))
+
+    WELL_FORMED = [
+        ("--format", "text", "check-convex", "--f", "x^2", "--interval", "0", "1",
+         "--grid", "3", "3", "3", "--h", "1"),
+        ("--grid", "3", "3", "3", "check-dominated", *BASE, "--random", "50", "--samples", "40",
+         "--seed", "2"),
+        ("equivalence", *BASE, "--phi", "0.5*x", "--grid", "3", "3", "3", "--format", "csv"),
+        ("--bound", "midpoint", "verify-hh", *BASE, "--h-custom", "t^(-0.5)", "--quad-tol",
+         "1e-9", "--atol", "1e-8", "--rtol", "0"),
+        ("--which", "power", "special-case", *BASE, "--s", "0.5", "--format", "text"),
+        ("search", *BAD, "--grid", "4", "4", "4", "--refine", "--eps-t", "1e-3"),
+        TestNegativeExponentNotation.ARGV,
+        # a repeated flag: the last one wins
+        ("check-convex", "--f", "x", "--f", "x^2", "--interval", "0", "1", "--grid", "3", "3",
+         "3", "--format", "json", "--format", "text"),
+    ]
+
+    @pytest.mark.parametrize("argv", WELL_FORMED)
+    def test_well_formed_argv_never_reaches_argparse(self, capsys, monkeypatch, argv):
+        def refuse(args=None, namespace=None):
+            raise AssertionError(f"parse_args({args!r})")
+
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        assert run(capsys, *argv) == run_cli(*argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("check-convex", "--f=x^2", "--interval", "0", "1"),
+        ("check-convex", "--f", "x^2", "--inter", "0", "1"),
+        ("check-convex", "-h"),
+        ("check-convex", "--config", "{conf}"),
+    ])
+    def test_other_argv_reaches_argparse(self, capsys, monkeypatch, tmp_path, argv):
+        conf = tmp_path / "run.conf"
+        conf.write_text("f = x^2\ninterval = 0 1\ngrid = 3 3 3\n")
+        argv = [token.format(conf=conf) for token in argv]
+        parser, calls = cli.build_parser(), []
+        parse_args = parser.parse_args
+
+        def counted(args=None, namespace=None):
+            calls.append(args)
+            return parse_args(args, namespace)
+
+        monkeypatch.setattr(cli, "_PARSER", parser)
+        monkeypatch.setattr(parser, "parse_args", counted)
+        code, _ = run(capsys, *argv)
+        assert code == 0 and calls[0] == argv
+
+
 class TestValidationCollection:
     def test_all_problems_reported_at_once(self, capsys):
         code, doc = run_json(
@@ -437,6 +585,28 @@ class TestValidationCollection:
         assert code == 1
         [report] = doc["result"]["reports"]
         assert (report["margin"], report["holds"]) == ("-inf", False)
+
+    @pytest.mark.parametrize("argv, message", [
+        # vg * H overflowed under H = 2: lhs = rhs = inf, holds and exit 0
+        (("--f", "0.6e308", "--g", "0.5e308", "--bound", "endpoint", "--h-custom", "2"),
+         "the endpoint bound has lhs = inf and rhs = inf"),
+        # c f(m) and c g(m) overflowed: rhs = inf, holds and exit 0
+        (("--f", "2e10", "--g=-1e10", "--bound", "midpoint", "--h-custom", "1e-300"),
+         "the midpoint bound has lhs = inf and rhs = inf"),
+    ])
+    def test_an_infinite_side_under_a_finite_integral_is_refused(self, capsys, argv, message):
+        code, doc = run_json(capsys, "verify-hh", *argv, "--interval", "0", "1")
+        assert code == 2
+        assert doc["error"] == {"message": f"{message}, not both finite; the bound is undefined",
+                                "problems": []}
+
+    def test_an_infinite_side_under_a_divergent_integral_is_vacuous(self, capsys):
+        code, doc = run_json(capsys, "verify-hh", "--f", "0.6e308", "--g", "0.5e308",
+                             "--interval", "0", "1", "--bound", "endpoint", "--h", "1/t")
+        assert code == 0
+        [report] = doc["result"]["reports"]
+        assert (report["lhs"], report["rhs"], report["holds"], report["vacuous"]) == (
+            "inf", "inf", True, True)
 
     def test_an_image_whose_sum_overflows_is_integrated(self, capsys):
         # a panel center 0.5 * (a + b) was inf: "integrand failed at x=inf", exit 2

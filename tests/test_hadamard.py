@@ -199,6 +199,34 @@ class TestReportMechanics:
         assert r.lhs == pytest.approx(1.2e308) and r.rhs == pytest.approx(-1.2e308)
         assert (r.margin, r.holds) == (-math.inf, False)
 
+    @pytest.mark.parametrize("h, bound, f, g", [
+        # vg * H overflowed under H = 2: lhs = rhs = inf held, although the
+        # exact lhs 1.8e308 exceeds the exact rhs 1.5e308
+        ("2", "endpoint", "0.6e308", "0.5e308"),
+        # c f(m) and c g(m) overflowed at c = 5e299: the exact margin is
+        # about -5e309, and rhs = inf held
+        ("1e-300", "midpoint", "2e10", "-1e10"),
+        # only the left side overflowed, and its margin of -inf failed
+        ("2", "endpoint", "0.6e308", "1"),
+    ])
+    def test_a_side_that_overflows_under_a_finite_integral_is_refused(self, h, bound, f, g):
+        pair = FunctionPair(parse(f), parse(g))
+        kernel = make_kernel("custom", expr=parse(h))
+        assert math.isfinite(kernel.integral)
+        with pytest.raises(ReportError) as info:
+            hh_bounds_report(pair, IDENT, [(kernel, bound)])
+        assert info.value.reason == "range"
+        assert str(info.value).startswith(f"the {bound} bound has lhs = inf and rhs = ")
+        assert str(info.value).endswith(", not both finite; the bound is undefined")
+
+    @pytest.mark.parametrize("g, rhs, holds", [("0.5e308", math.inf, True),
+                                               ("-0.5e308", -math.inf, False)])
+    def test_an_infinite_side_under_a_divergent_integral_is_decided(self, g, rhs, holds):
+        # the same pair under H = inf: the sides are infinite by the kernel
+        pair = FunctionPair(parse("0.6e308"), parse(g))
+        r = hh_endpoint_report(pair, make_kernel("reciprocal"), IDENT)
+        assert (r.lhs, r.rhs, r.holds, r.vacuous) == (math.inf, rhs, holds, holds)
+
     def test_an_image_whose_sum_overflows_is_integrated_and_probed(self):
         # 0.5 * (a + b) was inf at every panel center and at the midpoint m
         huge = identity_map(Interval(1e308, 1.7e308))
