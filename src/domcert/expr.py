@@ -34,6 +34,25 @@ inline op raises, the guarded form runs again at that point and names the
 fault; it is also the reference the specialized form must match bit for
 bit.  A sweep over a pair whose g holds a subtree equal to f's tree reads
 f's value there instead of computing it again (``copies``).
+
+parse runs that cold path (_tokenize, _Parser, _emit, _shape_code) once per
+template key.  A source's key is its pieces between number literals
+(_NUM_RE as a split) with each literal's class: zero, another integer, a
+finite non-integer, or infinite.  Those are the only properties of a
+constant _emit branches on, since the pieces fix each literal's sign.  The
+first time the cold path accepts a source of a key, parse makes its
+template: a function of the literal values, one closure per node, that
+builds the tree anew and binds the values to the compiled specialized body.
+The tree is the one the parser makes from the pieces with the literals
+replaced by the tags 1..n, each tag's sign the one unary-minus folding gave
+it, and the template is kept only if each tag is used once.  A template
+compiles nothing but the body the cold path compiles, so a first source
+costs two to three cold parses; a later source of its key costs a split, a
+float() per literal and that function.  The _TEMPLATE_BOUND templates made
+last are kept.  A key with an infinite literal never gets a template, so
+the cold path runs and raises its ParseError.  Nesting deeper than the
+parser's or the emitter's recursion, or compile's limit on nested
+parentheses, takes is a ParseError.
 """
 
 from __future__ import annotations
@@ -41,7 +60,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomcertError
 
@@ -367,16 +386,26 @@ class _Slots:
             self.values.append(node.value)
         return name
 
+    def text(self, source: str) -> str:
+        """The text of a lambda of the slots, in order, that returns what
+        the lambda source evaluates to."""
+        return f"lambda {', '.join(self.names.values())}: {source}"
+
     def bind(self, source: str):
         """The function the lambda source evaluates to, with the slots bound
         to their values as a closure."""
-        params = ", ".join(self.names.values())
-        return eval(_shape_code(f"lambda {params}: {source}"), _EVAL_ENV)(*self.values)
+        return eval(_shape_code(self.text(source)), _EVAL_ENV)(*self.values)
 
 
 # the users are expression bodies (_compile) and sweep loops (convexity); a
 # cached code object holds about 2 KB for an expression and 9-13 KB for a
-# sweep loop, and two cycles of a bench workload compile 19-63 shapes
+# sweep loop, and two cycles of a bench workload compile 19-63 shapes.
+# parse keeps the _TEMPLATE_BOUND templates made last, about 4.5 KB each;
+# the bench workloads make 31-33 in 12 cycles of bounds-mix, 18 in two of
+# sweep-grid and 16 in two of rows-random
+_TEMPLATE_BOUND = 128
+
+
 @lru_cache(maxsize=128)
 def _shape_code(source: str, mode: str = "eval"):
     """source compiled, once per process while it stays in the cache."""
@@ -576,14 +605,150 @@ class Expr:
         return f"Expr({self.source!r})"
 
 
-def parse(source: str) -> Expr:
-    """Parse source text; raises ParseError with offset/expected/excerpt."""
+# ---------------------------------------------------------------------------
+# Parsing: the cold path, and the templates parse serves a key from
+# ---------------------------------------------------------------------------
+
+_TOO_DEEP = "an expression nested less deeply"
+# the source as its pieces between number literals, and the literals
+_split = re.compile(f"({_NUM_RE.pattern})").split
+
+
+def _tree(source: str) -> tuple[Node, str | None]:
+    """The tree and the variable of source, or ParseError."""
     parser = _Parser(_tokenize(source), source)
-    root = parser.expr()
+    try:
+        root = parser.expr()
+    except RecursionError:
+        raise ParseError(0, _TOO_DEEP, source) from None
     kind, _, offset = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(offset, "an operator or end of input", source)
-    return Expr(root, parser.var, source)
+    return root, parser.var
+
+
+def _parse_cold(source: str) -> Expr:
+    """parse without templates."""
+    root, var = _tree(source)
+    try:
+        return Expr(root, var, source)
+    except (RecursionError, SyntaxError):  # _emit's depth or compile's nesting limit
+        raise ParseError(0, _TOO_DEEP, source) from None
+
+
+class _NoTemplate(Exception):
+    """The tagged tree does not stand for the source's tree."""
+
+
+_new_node = tuple.__new__
+_new_expr = object.__new__
+
+
+def _template(source: str, root: Node, var_name: str | None, pieces: list[str],
+              values: list[float]):
+    """(make, the Expr of source) for source, whose tree the parser made as
+    root with var_name, or None.  make(s, literal values) is the Expr of
+    every source s of source's pieces whose literals have the classes of
+    values.  Its tree is the one the parser makes from the pieces with the
+    literals replaced by the tags 1..n, each tag used once; a tag's sign is
+    the one unary-minus folding gave it, and pi and e stay the parser's
+    values.  Its body is root's specialized body, looked up in _shape_code
+    on each call as the cold path does, with each slot read from the
+    literal it holds.  None when the tags do not stand for root's
+    constants, when make does not make root again, or when root is nested
+    too deeply to emit or compile."""
+    n = len(values)
+    tagged = "".join(p + str(i) for i, p in enumerate(pieces[:-1], 1)) + pieces[-1]
+    uses = [0] * n
+    # id of a Const of root -> the function of the literal values giving its value
+    value_of: dict[int, Callable[[list[float]], float]] = {}
+
+    def walk(node: Node, tag: Node) -> Callable[[list[float]], Node]:
+        """The function of the literal values that makes node anew; tag is
+        the same place in the tagged tree."""
+        cls = node.__class__
+        if cls is not tag.__class__:
+            raise _NoTemplate
+        if cls is Const:
+            k = tag.value
+            if k.is_integer() and 1.0 <= abs(k) <= n:
+                i = int(abs(k)) - 1
+                uses[i] += 1
+                value = (lambda v: -v[i]) if k < 0.0 else (lambda v: v[i])
+            elif k in _CONSTANTS.values() and node == tag:  # pi or e
+                value = lambda v: k
+            else:
+                raise _NoTemplate
+            value_of[id(node)] = value
+            return lambda v: _new_node(Const, (value(v),))
+        if cls is Var:
+            name = tag.name
+            return lambda v: _new_node(Var, (name,))
+        op = tag.op
+        if node.op != op:
+            raise _NoTemplate
+        if cls is Unary:
+            arg = walk(node.arg, tag.arg)
+            return lambda v: _new_node(Unary, (op, arg(v)))
+        left, right = walk(node.left, tag.left), walk(node.right, tag.right)
+        return lambda v: _new_node(Binary, (op, left(v), right(v)))
+
+    # an Expr is made without __init__, which would emit and compile the body again
+    set_root, set_var_name, set_source, set_fn = (
+        getattr(Expr, name).__set__ for name in ("root", "var_name", "source", "_fn")
+    )
+
+    def make(source: str, values: list[float]) -> Expr:
+        e = _new_expr(Expr)
+        set_root(e, build(values))
+        set_var_name(e, var_name)
+        set_source(e, source)
+        set_fn(e, eval(_shape_code(body), _EVAL_ENV)(*[f(values) for f in slot_values]))
+        return e
+
+    try:
+        build = walk(root, _tree(tagged)[0])
+        if uses != [1] * n:
+            raise _NoTemplate
+        slots = _Slots()
+        body = slots.text(f"lambda v: {_emit(root, slots=slots)}")
+        slot_values = [value_of[i] for i in slots.names]
+        expr = make(source, values)
+        if expr.root != root:
+            raise _NoTemplate
+    except (_NoTemplate, ParseError, RecursionError, SyntaxError):
+        return None
+    return make, expr
+
+
+_TEMPLATES: dict[tuple, Callable[[str, list[float]], Expr]] = {}  # key -> make, oldest first
+
+
+def parse(source: str) -> Expr:
+    """Parse source text; raises ParseError with offset/expected/excerpt.
+
+    The key of source is its pieces between number literals with each
+    literal's class: 0 for zero, 1 for another integer, 2 for a finite
+    non-integer, 3 for infinity, which no template has."""
+    parts = _split(source)
+    values = [float(text) for text in parts[1::2]]
+    parts[1::2] = [
+        0 if v == 0.0 else 1 if v.is_integer() else 2 if v < math.inf else 3 for v in values
+    ]
+    key = tuple(parts)
+    make = _TEMPLATES.get(key)
+    if make is not None:
+        try:
+            return make(source, values)
+        except RecursionError:  # the cold path names the nesting
+            pass
+    made = _template(source, *_tree(source), parts[0::2], values)
+    if made is None:
+        return _parse_cold(source)
+    if len(_TEMPLATES) >= _TEMPLATE_BOUND:
+        del _TEMPLATES[next(iter(_TEMPLATES))]
+    _TEMPLATES[key], expr = made
+    return expr
 
 
 def combine(op: str, left: Expr, right: Expr) -> Expr:

@@ -1220,6 +1220,59 @@ class TestErrorEnvelope:
         assert "x=" in doc["error"]["message"]
 
 
+def _nest(n: int) -> str:
+    return "(" * n + "x" + ")" * n
+
+
+def _sum(n: int) -> str:
+    return "+".join(["x"] * n)
+
+
+class TestDeepNesting:
+    """An expression nested past what the parser's or the emitter's
+    recursion or compile's parenthesis limit takes is refused with exit 2,
+    naming its flag; it was a traceback and exit 1.  Each repro runs in a
+    fresh process, as a shell user runs it."""
+
+    GRID = ("--interval", "0", "1", "--grid", "3", "3", "3")
+
+    @pytest.mark.parametrize("source", [
+        _nest(300),  # the parser's recursion
+        _sum(250),  # compile's parenthesis limit
+        _sum(1200),  # the emitter's recursion
+        "^".join(["x"] * 300),  # compile's parenthesis limit, right-nested
+    ], ids=["parentheses-300", "sum-250", "sum-1200", "power-tower-300"])
+    def test_deep_nesting_is_refused(self, source):
+        code, out = run_cli("check-convex", "--f", source, *self.GRID)
+        assert code == 2, out
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["error"]["problems"] == [
+            f"--f: expected an expression nested less deeply at offset 0 in {source[:40]!r}"
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ("check-convex", "--f", _nest(150), *GRID),
+        ("check-convex", "--f", _sum(199), *GRID),
+        ("equivalence", "--f", _sum(199), "--g", f"3*({_sum(199)})", *GRID),
+        ("verify-hh", "--f", _sum(199), "--g", f"3*({_sum(199)})", "--interval", "0", "1"),
+    ], ids=["parentheses-150", "check-convex-sum-199", "equivalence-sum-199",
+            "verify-hh-sum-199"])
+    def test_nesting_below_the_limits_runs(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 0, out
+
+    @pytest.mark.parametrize("flag", ["--g", "--phi", "--h-custom"])
+    def test_each_expression_flag_is_named(self, capsys, flag):
+        flags = {"--f": "x", "--g": "2*x", flag: _sum(1200)}
+        code, doc = run_json(capsys, "verify-hh", *(a for kv in flags.items() for a in kv),
+                             "--interval", "0", "1")
+        assert code == 2
+        assert doc["error"]["problems"] == [
+            f"{flag}: expected an expression nested less deeply at offset 0 in {_sum(1200)[:40]!r}"
+        ]
+
+
 class TestErrorPrecedence:
     """Which fault a check reports when several could be; byte-pinned."""
 

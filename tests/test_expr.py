@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import pytest
 from conftest import respelled
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+import domcert.expr as expr_module
 from domcert.expr import (
     Binary,
     Const,
@@ -13,9 +15,13 @@ from domcert.expr import (
     Unary,
     Var,
     _EVAL_ENV,
+    _TEMPLATE_BOUND,
+    _TEMPLATES,
     _emit,
     _nonfinite,
+    _parse_cold,
     _shape_code,
+    _template,
     combine,
     constant,
     copies,
@@ -517,3 +523,248 @@ def test_copies_finds_the_same_ops_on_the_same_constants():
                   Binary("*", Var("x"), Const(-2.0))) == set()
     assert copies(parse("2*(exp(t)*0.5)").root, f) == set()
     assert len(copies(parse("2*(exp(x)*0.5)").root, f)) == 1
+
+
+# Templates: parse serves a source whose key (its pieces between number
+# literals, with each literal's class) it has seen accepted from a template,
+# and must give what the cold parse gives, to the bit, or its exact error.
+
+
+def _nest(n: int) -> str:
+    return "(" * n + "x" + ")" * n
+
+
+def _sum(n: int) -> str:
+    return "+".join(["x"] * n)
+
+
+def _tower(n: int) -> str:
+    return "^".join(["x"] * n)
+
+
+_POINTS = [0.0, -0.0, 0.5, 2.0, -1.5, 3.0, 1e-300, 1e300, -1e300, math.inf, math.nan]
+
+
+def _parsed(parser, source: str, points=_POINTS):
+    """Everything parse gives for source: the tree by repr (which keeps -0.0
+    apart), the variable, the source, both emitted forms and the values or
+    faults at points; or the error's type, message and offset."""
+    try:
+        e = parser(source)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
+    return (repr(e.root), e.var_name, e.source, _emit(e.root), _emit(e.root, guarded=True),
+            [_cached_outcomes(e, v) for v in points])
+
+
+def _class(text: str) -> str:
+    v = float(text)
+    if v == math.inf:
+        return "inf"
+    return "zero" if v == 0.0 else "integer" if v.is_integer() else "fraction"
+
+
+# literals of each class that split alone wherever a literal stood
+_OF_CLASS = {
+    "zero": ["0", "0.0", "00", "0e3", ".0"],
+    "integer": ["3", "7.", "2E+1", "40", "1e2"],
+    "fraction": [".25", "1.5", "3.e-2", "0.1", "12.75"],
+    "inf": ["1e999", "2e400"],
+}
+_ADVERSARIAL = ["2..", "..5", "1..2", "x2", "sin2", "pi2", "1e", "2e5e5", "2 .5", "1e400"]
+_FILLERS = st.one_of(
+    st.sampled_from(["0", "00", "2.", ".5", "1e5", "1.e-3", "1E+2", "1e400"]),
+    st.sampled_from(_ADVERSARIAL),
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.integers(min_value=0, max_value=10**6).map(str),
+)
+_HOLE = "#"  # a number literal still to be filled in
+
+
+def _source_tree(children):
+    space = st.sampled_from(["", " "])
+    return st.one_of(
+        st.tuples(st.integers(1, 3), children).map(lambda a: "-" * a[0] + a[1]),
+        st.tuples(children, space, st.sampled_from("+-*/"), space, children).map("".join),
+        # ^ with a literal exponent: 0, negative, integral or not, as filled
+        st.tuples(children, st.sampled_from(["^", "^-", "^--", " ^ ", "^(-"]),
+                  st.sampled_from([_HOLE, "x", "pi", "e"])).map(
+            lambda a: "".join(a) + (")" if a[1].endswith("(-") else "")
+        ),
+        st.tuples(children, st.sampled_from(["/", " / ", "/-"])).map(lambda a: "".join(a) + _HOLE),
+        children.map(lambda a: f"({a})"),
+        st.tuples(st.sampled_from(["abs", "exp", "ln", "sqrt", "sin", "cos"]), children).map(
+            lambda a: f"{a[0]}({a[1]})"
+        ),
+    )
+
+
+_SHAPES = st.recursive(
+    st.sampled_from([_HOLE, _HOLE, _HOLE, "x", "x", "t", "pi", "e", f" {_HOLE} "]),
+    _source_tree,
+    max_leaves=7,
+)
+
+
+def _filled(shape: str, literals: list[str]) -> str:
+    pieces = shape.split(_HOLE)
+    return "".join(p + lit for p, lit in zip(pieces, literals)) + pieces[-1]
+
+
+@contextlib.contextmanager
+def _cold_calls():
+    """The list of the sources the parser reads: empty while parse serves
+    from templates; on a miss, the source and then its tagged form."""
+    calls = []
+    tree = expr_module._tree
+
+    def counted(source):
+        calls.append(source)
+        return tree(source)
+
+    expr_module._tree = counted
+    try:
+        yield calls
+    finally:
+        expr_module._tree = tree
+
+
+def _check_against_cold(shape: str, literals: list[str], choice: int, points) -> None:
+    """Parse a primer of the target's key, then the target twice: each
+    outcome equals the cold parse's."""
+    target = _filled(shape, literals)
+    parts = expr_module._split(target)
+    primer = _filled(_HOLE.join(parts[0::2]), [
+        _OF_CLASS[_class(lit)][(choice + i) % len(_OF_CLASS[_class(lit)])]
+        for i, lit in enumerate(parts[1::2])
+    ])
+    assert _parsed(parse, primer, points) == _parsed(_parse_cold, primer, points), primer
+    want = _parsed(_parse_cold, target, points)
+    with _cold_calls() as calls:
+        for _ in range(2):
+            assert _parsed(parse, target, points) == want, (primer, target)
+    event("served from a template" if not calls else "cold parse")
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _SHAPES,
+    st.lists(_FILLERS, min_size=12, max_size=12),
+    st.integers(0, 4),
+    st.lists(st.one_of(st.sampled_from(_POINTS), st.floats()), min_size=1, max_size=3),
+)
+def test_a_template_parses_as_the_cold_path(shape, fillers, choice, points):
+    _check_against_cold(shape, fillers[: shape.count(_HOLE)], choice, points)
+
+
+@pytest.mark.parametrize("text", _ADVERSARIAL)
+@pytest.mark.parametrize("context", ["{}", "x*{}", "{}*x", "sin({})", "-{}^2", "x/{} + 1"])
+def test_adversarial_literals_parse_as_the_cold_path(text, context):
+    source = context.format(text)
+    for _ in range(2):
+        assert _parsed(parse, source) == _parsed(_parse_cold, source)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("2*x^3 + 1.5", "7*x^5 + 0.25"),
+    ("2*pi*t - e/4", "3*pi*t - e/7"),  # pi and e keep the parser's values
+    ("--2*x^-3", "--5*x^-1"),  # the sign of a folded literal
+    ("-0*x + x^-0", "-0.0*x + x^-00"),  # -0.0, and a zero exponent
+    ("ln(x + 1)/3", "ln(x + 4)/7"),
+])
+def test_a_source_of_a_cached_key_skips_the_cold_path(a, b):
+    parse(a)  # makes the template of its key, if not yet made
+    with _cold_calls() as calls:
+        e = parse(b)
+        again = parse(b)
+    assert calls == []
+    assert _parsed(lambda s: e, b) == _parsed(_parse_cold, b)
+    assert again.raw.__code__ is e.raw.__code__ and again.root is not e.root
+
+
+@pytest.mark.parametrize("a, b", [
+    ("x^2", "x^0.5"),  # an integral exponent or not
+    ("x^2", "x^0"),  # a zero exponent is the guarded pow
+    ("x/2", "x/0"),  # a nonzero divisor or zero
+    ("x*-0", "x*-2"),  # -0.0 keeps its sign
+])
+def test_a_literal_of_another_class_has_its_own_template(a, b):
+    _TEMPLATES.clear()
+    parse(a)
+    want = _parsed(_parse_cold, b)
+    for want_calls in ([b], []):  # the first parse of b makes its template
+        with _cold_calls() as calls:
+            assert _parsed(parse, b) == want
+        assert calls[:1] == want_calls
+    assert len(_TEMPLATES) == 2
+
+
+@pytest.mark.parametrize("source", ["2*x^", "x2", "1e400*x", "x+t", "pi2*x"])
+def test_a_template_comes_only_from_an_accepted_source(source):
+    held = dict(_TEMPLATES)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse(source)
+        assert _TEMPLATES == held
+
+
+def test_a_template_uses_each_tag_once():
+    def template(pieces, values):
+        return _template("2*x+2", _parse_cold("2*x+2").root, "x", pieces, values)
+
+    assert template(["", "*x+", ""], [2.0, 2.0]) is not None
+    # pieces that carry a tag of their own: tag 1 would stand for both
+    # constants, and only this source's constants are equal
+    assert template(["", "*x+1"], [2.0]) is None
+    # pieces that parse to another tree
+    assert template(["", "*x-", ""], [2.0, 2.0]) is None
+    assert template(["", "*x+", "+"], [2.0, 2.0]) is None
+
+
+def test_a_hit_needs_finite_literals():
+    for primer in ("2*x + 0.5", "2.5*x + 0.5", "2*x + 5", "2.5*x + 5"):
+        parse(primer)  # every class of finite literal but zero
+    for source in ("1e400*x + 0.5", "2*x + 1e999", "2e308*x + 0.5"):
+        want = _parsed(_parse_cold, source)
+        with _cold_calls() as calls:
+            assert _parsed(parse, source) == want
+        assert calls == [source]  # refused before a tagged form is read
+        with pytest.raises(ParseError, match="a finite constant"):
+            parse(source)
+
+
+def test_the_template_cache_stays_at_its_bound():
+    def source(n, c):
+        return f"{to_source(_nth_shape(n))}*{c}"
+
+    _TEMPLATES.clear()
+    for n in range(_TEMPLATE_BOUND + 20):
+        parse(source(n, 2.5))
+    assert len(_TEMPLATES) == _TEMPLATE_BOUND
+    # the first shapes are evicted; each parses again as the cold path does
+    for n in range(3):
+        want = _parsed(_parse_cold, source(n, 0.75))
+        with _cold_calls() as calls:
+            assert _parsed(parse, source(n, 0.75)) == want
+        assert calls[:1] == [source(n, 0.75)]
+        assert len(_TEMPLATES) == _TEMPLATE_BOUND
+
+
+@pytest.mark.parametrize("source", [_nest(300), _sum(250), _sum(1200), _tower(300),
+                                    "-" * 600 + "x", "exp(" * 300 + "x" + ")" * 300])
+def test_deep_nesting_is_a_parse_error(source):
+    held = dict(_TEMPLATES)
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert (info.value.offset, info.value.expected) == (0, "an expression nested less deeply")
+        assert str(info.value) == (
+            f"expected an expression nested less deeply at offset 0 in {source[:40]!r}"
+        )
+        assert _TEMPLATES == held  # no template from a refused source
+
+
+@pytest.mark.parametrize("source", [_nest(150), _sum(199), f"3*({_sum(199)})", _tower(150)])
+def test_nesting_below_the_limits_parses(source):
+    for _ in range(2):
+        assert _parsed(parse, source) == _parsed(_parse_cold, source)
