@@ -620,7 +620,15 @@ def _gap_function(pair: FunctionPair, h: Kernel, phi: AffineMap):
 
 
 def _finish_report(data: _SweepData, stat: str, plan: SamplePlan, roles: tuple) -> CheckReport:
+    """The report of statement stat; raises DomcertError when no sample
+    compared, its witness still the loop's (nan, nan, nan) placeholder."""
     worst, witness, lhs, rhs = data.worst[stat]
+    if worst == math.inf:
+        name = {"u": "convexity defect of the function", "g": "convexity defect of g",
+                "gap": "dominance gap", "l": "convexity defect of g + f",
+                "k": "convexity defect of g - f"}[stat]
+        raise DomcertError(f"no sampled {name} is below +inf (each of the {data.samples} "
+                           "samples is +inf or nan), so the samples decide nothing")
     warnings = [NEG_VALUES_WARNING.format(role=role) for role, n in roles if data.neg[n]]
     if _violates(worst, lhs, rhs, plan.atol, plan.rtol):
         verdict = VIOLATED

@@ -52,7 +52,6 @@ class _HHReport(NamedTuple):
     vacuous: bool
     quad_error: float
     warnings: list[str] | None = None
-    inputs_echo: dict | None = None
 
 
 class HHReport(_HHReport):
@@ -60,27 +59,15 @@ class HHReport(_HHReport):
 
     def __new__(cls, *fields, **named):
         report = super().__new__(cls, *fields, **named)
-        # a new list and dict for each report
+        # a new list for each report
         if report.warnings is None:
             report = report._replace(warnings=[])
-        if report.inputs_echo is None:
-            report = report._replace(inputs_echo={})
         return report
 
 
 class SpecialCaseEntry(NamedTuple):
     label: str
     report: HHReport
-
-
-def _echo(pair: FunctionPair, h: Kernel, phi: AffineMap) -> dict:
-    return {
-        "f": pair.f.source,
-        "g": pair.g.source,
-        "kernel": h.describe(),
-        "phi": phi.describe(),
-        "interval": [phi.domain.a, phi.domain.b],
-    }
 
 
 def _image_bounds(phi: AffineMap) -> tuple[float, float]:
@@ -174,18 +161,19 @@ def hh_bounds_report(
         if bound == "midpoint":
             if mid is None:
                 m = midpoint(phi.image_a, phi.image_b)
-                mid = pair.f.evaluate(m), pair.g.evaluate(m)
-            vf, vg = mid
+                vf, vg = pair.f.evaluate(m), pair.g.evaluate(m)
+                mid = vf, vg, vf < 0.0, vg < 0.0
+            vf, vg, neg_f, neg_g = mid
             c = h.midpoint_coefficient
             lhs = abs(mean_f - c * vf)
             rhs = mean_g - c * vg
         else:
             if ends is None:
-                ends = (
-                    pair.f.evaluate(phi.image_a) + pair.f.evaluate(phi.image_b),
-                    pair.g.evaluate(phi.image_a) + pair.g.evaluate(phi.image_b),
-                )
-            vf, vg = ends
+                fa, fb = pair.f.evaluate(phi.image_a), pair.f.evaluate(phi.image_b)
+                ga, gb = pair.g.evaluate(phi.image_a), pair.g.evaluate(phi.image_b)
+                # each endpoint value is probed, not only their sum
+                ends = fa + fb, ga + gb, fa < 0.0 or fb < 0.0, ga < 0.0 or gb < 0.0
+            vf, vg, neg_f, neg_g = ends
             divergent = math.isinf(h.integral)
             if divergent:
                 # an endpoint sum of exactly zero kills the divergent term
@@ -201,9 +189,9 @@ def hh_bounds_report(
                                        "not both finite; the bound is undefined")
 
         warnings = []
-        if vf < 0.0:
+        if neg_f:
             warnings.append(NEG_VALUES_WARNING.format(role="f"))
-        if vg < 0.0:
+        if neg_g:
             warnings.append(NEG_VALUES_WARNING.format(role="g"))
         if rhs < 0.0:
             warnings.append(NEGATIVE_RHS_WARNING)
@@ -218,7 +206,6 @@ def hh_bounds_report(
                 vacuous=vacuous,
                 quad_error=quad_err,
                 warnings=warnings,
-                inputs_echo=_echo(pair, h, phi),
             )
         )
     return reports

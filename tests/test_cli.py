@@ -736,6 +736,17 @@ class TestSubcommandResults:
         assert "linear/midpoint" in labels and "linear/endpoint" in labels
         assert not any(lab == "reciprocal/endpoint" for lab in labels)
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", [("verify-hh", "--bound", "both"),
+                                         ("special-case", "--which", "all", "--s", "0.5")])
+    def test_bound_envelopes_state_each_source_once(self, capsys, command, fmt):
+        # each report repeated f, g, the kernel, phi and the interval
+        f, g = "x*x+0.25", "2*x*x+0.75"
+        code, out = run(capsys, *command, "--f", f, "--g", g, "--interval", "0", "1",
+                        "--format", fmt)
+        assert code == 0
+        assert (out.count(f), out.count(g)) == (1, 1)
+
     def test_random_plan_echoed(self, capsys):
         code, doc = run_json(capsys, "check-dominated", *BASE, "--random", "100",
                              "--seed", "9")
@@ -1293,6 +1304,14 @@ class TestErrorPrecedence:
             # g - f overflows on the axes, g + f only inside: the sum is reported
             (("equivalence", "--f", "0.95e308*(sin(2*pi*x)^2-cos(2*pi*x)^2)", "--g", "0.95e308"),
              "non-finite result for input 0.25 while checking sample (x=0.0, y=0.5, t=0.5)"),
+            # every defect is +inf, so no sample compared: both held with a nan
+            # witness; g's gate, decided before the gap (every gap nan), names g
+            (("check-convex", "--f", "1.7e308", "--h", "1"),
+             "no sampled convexity defect of the function is below +inf (each of the 27 "
+             "samples is +inf or nan), so the samples decide nothing"),
+            (("check-dominated", "--f", "1.7e308", "--g", "1.7e308", "--h", "1"),
+             "no sampled convexity defect of g is below +inf (each of the 27 samples is +inf "
+             "or nan), so the samples decide nothing"),
         ],
     )
     def test_grid(self, capsys, args, message):

@@ -19,6 +19,7 @@ from domcert.convexity import (
     grid_axes,
     phi_h_defect,
 )
+from domcert.errors import DomcertError
 from domcert.expr import EvalError, combine, constant, parse
 from domcert.geometry import Interval, identity_map, make_affine
 from domcert.kernels import make_kernel
@@ -394,6 +395,19 @@ class TestInfiniteSides:
         assert rep.diff_convex.worst_gap == -math.inf
         assert rep.statement_holds == (False, False, False)
         assert rep.agreement
+
+    @pytest.mark.parametrize("plan", [OVERFLOW_GRID, SamplePlan.random(50, seed=1)])
+    def test_no_sample_below_plus_inf_decides_nothing(self, plan):
+        # every defect is +inf, or every gap inf - inf: it held with a nan witness
+        phi = identity_map(SYM)
+        for run, name in (
+            (lambda: check_phi_h_convex(parse("1.7e308"), ONE, phi, SYM, plan), "the function"),
+            (lambda: check_dominated(FunctionPair(parse("1.7e308"), parse("1.7e308")), ONE,
+                                     phi, SYM, plan), "g"),
+        ):
+            with pytest.raises(DomcertError) as info:
+                run()
+            assert str(info.value).startswith(f"no sampled convexity defect of {name} ")
 
     @pytest.mark.parametrize("refine", [False, True])
     def test_search_keeps_rows_with_an_infinite_side(self, refine):

@@ -79,11 +79,9 @@ class TestMidpointClosedForms:
         assert _close(r.rhs, 2.0 * want)
         assert r.holds
 
-    def test_quad_error_is_small_and_echoed(self):
+    def test_quad_error_is_small(self):
         r = hh_midpoint_report(PAIR, make_kernel("linear"), IDENT)
         assert 0.0 <= r.quad_error < 1e-9
-        assert r.inputs_echo["f"] == "x^2"
-        assert r.inputs_echo["interval"] == [0.0, 1.0]
 
 
 class TestEndpointClosedForms:
@@ -272,6 +270,29 @@ class TestReportMechanics:
         pair = FunctionPair(parse("x - 2"), parse("x^2 + 4"))
         r = hh_midpoint_report(pair, make_kernel("linear"), IDENT)
         assert any("negative" in w for w in r.warnings)
+
+    @pytest.mark.parametrize("f, g, midpoint, endpoint", [
+        # f(1/2) = -0.1; f(0) + f(1) = 0.8 and g stay nonnegative
+        ("x - 0.6", "x^2 + 4", ["f"], ["f"]),
+        # f(0) = -0.3 is probed, but f(0) + f(1) = 0.4 gave no warning
+        ("x - 0.3", "2*x^2 + 1", [], ["f"]),
+        ("0.1*x^2", "3*x^2 - 0.2", [], ["g"]),
+        # f(0) = -2 and f(1) = -1
+        ("x^2 - 2", "x^2 + 4", ["f"], ["f"]),
+    ])
+    def test_each_probed_value_warns_when_negative(self, f, g, midpoint, endpoint):
+        pair = FunctionPair(parse(f), parse(g))
+        h = make_kernel("linear")
+        mid, end = hh_bounds_report(pair, IDENT, [(h, "midpoint"), (h, "endpoint")])
+        for report, roles in ((mid, midpoint), (end, endpoint)):
+            assert report.rhs > 0.0
+            assert report.warnings == [hadamard.NEG_VALUES_WARNING.format(role=r) for r in roles]
+
+    def test_a_negative_rhs_warns_alone(self):
+        # g = 1 - x^2 is nonnegative on [0, 1], but its midpoint rhs is -1/12
+        pair = FunctionPair(parse("0.1*x^2"), parse("1 - x^2"))
+        r = hh_midpoint_report(pair, make_kernel("linear"), IDENT)
+        assert r.warnings == [hadamard.NEGATIVE_RHS_WARNING]
 
     def test_orientation_reversing_map(self):
         phi = make_affine(-1.0, 1.0, UNIT)  # image endpoints swap

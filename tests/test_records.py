@@ -45,9 +45,7 @@ _HOLDS_REPORT = (
 _RECIPROCAL_MID = (
     "HHReport(bound_kind='midpoint', lhs=0.2708333333333333, rhs=0.5416666666666666, "
     "margin=0.2708333333333333, holds=True, vacuous=False, "
-    "quad_error=1.6653345369377348e-16, warnings=[], inputs_echo={'f': 'x^2', "
-    "'g': '2*x^2', 'kernel': 'reciprocal: h(t) = 1/t', 'phi': 'identity', "
-    "'interval': [0.0, 1.0]})"
+    "quad_error=1.6653345369377348e-16, warnings=[])"
 )
 
 
@@ -86,8 +84,7 @@ def _sweep():
     (_hh,
      "HHReport(bound_kind='midpoint', lhs=0.0, rhs=0.08333333333333331, "
      "margin=0.08333333333333331, holds=True, vacuous=False, "
-     "quad_error=5.551115123125783e-17, warnings=[], inputs_echo={'f': 'x', 'g': 'x^2', "
-     "'kernel': 'linear: h(t) = t', 'phi': 'identity', 'interval': [0.0, 1.0]})"),
+     "quad_error=5.551115123125783e-17, warnings=[])"),
     (lambda: special_case_report(PAIR, IDENT, which="reciprocal"),
      f"[SpecialCaseEntry(label='reciprocal/midpoint', report={_RECIPROCAL_MID})]"),
     (lambda: UNIT, "Interval(a=0.0, b=1.0)"),
@@ -263,32 +260,17 @@ def test_report_lists_are_fresh_per_record():
     assert CheckReport("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0).warnings == []
     b = HHReport("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
     b.warnings.append("a warning")
-    b.inputs_echo["f"] = "x"
-    c = HHReport("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
-    assert (c.warnings, c.inputs_echo) == ([], {})
+    assert HHReport("midpoint", 0.0, 1.0, 1.0, True, False, 0.0).warnings == []
 
 
 @pytest.mark.parametrize("given", [[], ["a warning"]])
 def test_report_keeps_the_list_it_is_given(given):
-    fields = ("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)
-    assert CheckReport(*fields, given).warnings is given
-    assert CheckReport(*fields, warnings=given).warnings is given
-    fresh = CheckReport(*fields, None).warnings
-    assert fresh == [] and fresh is not given
-
-
-@pytest.mark.parametrize("warnings, echo", [([], {}), (["a warning"], {"f": "x"})])
-def test_hh_report_keeps_the_list_and_dict_it_is_given(warnings, echo):
-    fields = ("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
-    for report in (HHReport(*fields, warnings, echo),
-                   HHReport(*fields, warnings=warnings, inputs_echo=echo)):
-        assert report.warnings is warnings and report.inputs_echo is echo
-    only_echo = HHReport(*fields, None, echo)
-    assert only_echo.warnings == [] and only_echo.warnings is not warnings
-    assert only_echo.inputs_echo is echo
-    only_warnings = HHReport(*fields, warnings=warnings, inputs_echo=None)
-    assert only_warnings.warnings is warnings
-    assert only_warnings.inputs_echo == {} and only_warnings.inputs_echo is not echo
+    for cls, fields in ((CheckReport, ("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)),
+                        (HHReport, ("midpoint", 0.0, 1.0, 1.0, True, False, 0.0))):
+        assert cls(*fields, given).warnings is given
+        assert cls(*fields, warnings=given).warnings is given
+        fresh = cls(*fields, None).warnings
+        assert fresh == [] and fresh is not given
 
 
 @pytest.mark.parametrize("build", [
@@ -345,3 +327,9 @@ def test_keyword_construction():
         Interval(0.0)
     with pytest.raises(TypeError):
         Kernel("linear", None, None, 1e-10, 0.5)
+
+
+def test_hh_report_fields():
+    # the inputs are stated once, in the envelope, not in each report
+    assert HHReport._fields == ("bound_kind", "lhs", "rhs", "margin", "holds", "vacuous",
+                                "quad_error", "warnings")
