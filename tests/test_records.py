@@ -265,12 +265,20 @@ def test_report_lists_are_fresh_per_record():
 
 @pytest.mark.parametrize("given", [[], ["a warning"]])
 def test_report_keeps_the_list_it_is_given(given):
-    for cls, fields in ((CheckReport, ("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)),
-                        (HHReport, ("midpoint", 0.0, 1.0, 1.0, True, False, 0.0))):
-        assert cls(*fields, given).warnings is given
-        assert cls(*fields, warnings=given).warnings is given
-        fresh = cls(*fields, None).warnings
-        assert fresh == [] and fresh is not given
+    fields = ("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)
+    assert CheckReport(*fields, given).warnings is given
+    assert CheckReport(*fields, warnings=given).warnings is given
+    fresh = CheckReport(*fields, None).warnings
+    assert fresh == [] and fresh is not given
+
+
+@pytest.mark.parametrize("given", [[], ["a warning"]])
+def test_hh_report_keeps_the_list_it_is_given(given):
+    fields = ("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
+    assert HHReport(*fields, given).warnings is given
+    assert HHReport(*fields, warnings=given).warnings is given
+    fresh = HHReport(*fields, None).warnings
+    assert fresh == [] and fresh is not given
 
 
 @pytest.mark.parametrize("build", [
