@@ -9,12 +9,15 @@ anything else goes through argparse, which keeps its messages and help.
 
 Exit codes: 0 every checked statement held, 1 a violation or failed bound
 was found, 2 configuration or evaluation error.  Errors are emitted as a
-machine-readable envelope on stdout.  A JSON envelope is written in one
-direct pass over it (render_json), the bytes json.dumps(indent=2) writes
-with each non-finite float as a string.  A config file of key = value lines
-(keys are the long flag names, each with as many values as its flag takes)
-can pre-set any flag; explicit flags win.  main(argv) returns the exit
-code, for --help too.
+machine-readable envelope on stdout.  A JSON envelope holds the bytes
+json.dumps(indent=2) writes with each non-finite float as a string; a text
+envelope, its path = value lines.  An error envelope is a dict written by
+the generic encoders (render_json, render_text); any other is written
+without one, its head from the flags and built inputs, a bound result from
+its report records and any other result by the same encoders' walk.  A
+config file of key = value lines (keys are the long flag names, each with
+as many values as its flag takes) can pre-set any flag; explicit flags
+win.  main(argv) returns the exit code, for --help too.
 """
 
 from __future__ import annotations
@@ -461,29 +464,6 @@ def _check_report_dict(r) -> dict:
     }
 
 
-def _plan_dict(plan: SamplePlan) -> dict:
-    base = {"strategy": plan.strategy}
-    if plan.strategy == "grid":
-        base.update({"n_x": plan.n_x, "n_y": plan.n_y, "n_t": plan.n_t})
-    else:
-        base.update({"count": plan.count, "seed": plan.seed})
-    base.update({"t_clamp": plan.t_clamp, "atol": plan.atol, "rtol": plan.rtol})
-    return base
-
-
-def _inputs_dict(ns, built: argparse.Namespace) -> dict:
-    out: dict = {"f": ns.f}
-    if built.g is not None:  # built only for a subcommand that needs it
-        out["g"] = ns.g
-    if built.kernel is not None:
-        out["kernel"] = built.kernel.describe()
-    out["phi"] = built.phi.describe()
-    out["interval"] = [built.interval.a, built.interval.b]
-    out["plan"] = _plan_dict(built.plan)
-    out["quad_tol"] = ns.quad_tol
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -575,12 +555,193 @@ def render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# Envelopes written from ns, built and the result's records: the bytes
+# render_json and render_text write for the envelope dict {tool, version,
+# subcommand, inputs, result, exit_code}, without building it.  The head (up
+# to the result's value) is written straight from ns and built for every
+# subcommand; a bound result from one template per format, any other result
+# by the walkers.  The CLI's inputs have fixed types (argparse converts
+# them), so each field is formatted as the walker formats its type.
+# ---------------------------------------------------------------------------
+
+_HEAD_JSON = """{
+  "tool": %s,
+  "version": %s,
+  "subcommand": %s,
+  "inputs": {
+    "f": %s,%s%s
+    "phi": %s,
+    "interval": [
+      %s,
+      %s
+    ],
+    "plan": {
+      "strategy": %s,
+      %s,
+      "t_clamp": %s,
+      "atol": %s,
+      "rtol": %s
+    },
+    "quad_tol": %s
+  },
+  "result": """
+_HEAD_TEXT = """tool = %s
+version = %s
+subcommand = %s
+inputs.f = %s%s%s
+inputs.phi = %s
+inputs.interval[0] = %.12g
+inputs.interval[1] = %.12g
+inputs.plan.strategy = %s
+%s
+inputs.plan.t_clamp = %.12g
+inputs.plan.atol = %.12g
+inputs.plan.rtol = %.12g
+inputs.quad_tol = %.12g"""
+
+
+def _head_json(ns, built: argparse.Namespace) -> str:
+    """The JSON envelope up to the value of "result"."""
+    plan = built.plan
+    if plan.strategy == "grid":
+        sampling = '"n_x": %d,\n      "n_y": %d,\n      "n_t": %d' % (plan.n_x, plan.n_y,
+                                                                     plan.n_t)
+    else:
+        sampling = '"count": %d,\n      "seed": %d' % (plan.count, plan.seed)
+    # g and the kernel are built only for a subcommand that takes them
+    g = "" if built.g is None else '\n    "g": %s,' % _json_string(ns.g)
+    kernel = ("" if built.kernel is None
+              else '\n    "kernel": %s,' % _json_string(built.kernel.describe()))
+    return _HEAD_JSON % (
+        _json_string(TOOL), _json_string(__version__), _json_string(ns.subcommand),
+        _json_string(ns.f), g, kernel, _json_string(built.phi.describe()),
+        _json_float(built.interval.a), _json_float(built.interval.b),
+        _json_string(plan.strategy), sampling, _json_float(plan.t_clamp),
+        _json_float(plan.atol), _json_float(plan.rtol), _json_float(ns.quad_tol),
+    )
+
+
+def _head_text(ns, built: argparse.Namespace) -> str:
+    """The text envelope's lines before its result's, without the last newline."""
+    plan = built.plan
+    if plan.strategy == "grid":
+        sampling = "inputs.plan.n_x = %d\ninputs.plan.n_y = %d\ninputs.plan.n_t = %d" % (
+            plan.n_x, plan.n_y, plan.n_t)
+    else:
+        sampling = "inputs.plan.count = %d\ninputs.plan.seed = %d" % (plan.count, plan.seed)
+    g = "" if built.g is None else "\ninputs.g = " + ns.g
+    kernel = "" if built.kernel is None else "\ninputs.kernel = " + built.kernel.describe()
+    return _HEAD_TEXT % (
+        TOOL, __version__, ns.subcommand, ns.f, g, kernel, built.phi.describe(),
+        built.interval.a, built.interval.b, plan.strategy, sampling, plan.t_clamp,
+        plan.atol, plan.rtol, ns.quad_tol,
+    )
+
+
+def render_result_json(ns, built: argparse.Namespace, result: dict, code: int) -> str:
+    """A check, equivalence or search envelope: the head, then the walk of
+    its result (search rows go out through their own writes)."""
+    out = [_head_json(ns, built)]
+    _json(result, "  ", out)
+    out.append(',\n  "exit_code": %d\n}\n' % code)
+    return "".join(out)
+
+
+def render_result_text(ns, built: argparse.Namespace, result: dict, code: int) -> str:
+    lines = [_head_text(ns, built)]
+    _text_walk(result, "result", lines)
+    lines.append("exit_code = %d\n" % code)
+    return "\n".join(lines)
+
+
+# one HHReport, its warnings last: JSON with "@" for its indent, text with
+# "%s" for its path
+_REPORT_JSON = """{
+@  "bound_kind": %s,
+@  "lhs": %s,
+@  "rhs": %s,
+@  "margin": %s,
+@  "holds": %s,
+@  "vacuous": %s,
+@  "quad_error": %s,
+@  "warnings": %s
+@}"""
+# at the indent of a verify-hh report and of a special-case entry's report
+_REPORT_JSON_AT = {indent: _REPORT_JSON.replace("@", indent)
+                   for indent in (" " * 6, " " * 8)}
+_REPORT_TEXT = """%s.bound_kind = %s
+%s.lhs = %.12g
+%s.rhs = %.12g
+%s.margin = %.12g
+%s.holds = %s
+%s.vacuous = %s
+%s.quad_error = %.12g
+"""
+
+
+def _report_json(r, indent: str) -> str:
+    if r.warnings:
+        inner = indent + "    "
+        warnings = ("[\n" + inner + (",\n" + inner).join(map(_json_string, r.warnings))
+                    + "\n" + indent + "  ]")
+    else:
+        warnings = "[]"
+    return _REPORT_JSON_AT[indent] % (
+        _json_string(r.bound_kind), _json_float(r.lhs), _json_float(r.rhs),
+        _json_float(r.margin), "true" if r.holds else "false",
+        "true" if r.vacuous else "false", _json_float(r.quad_error), warnings,
+    )
+
+
+def _report_text(r, path: str, out: list) -> None:
+    out.append(_REPORT_TEXT % (
+        path, r.bound_kind, path, r.lhs, path, r.rhs, path, r.margin,
+        path, "true" if r.holds else "false", path, "true" if r.vacuous else "false",
+        path, r.quad_error,
+    ))
+    for i, w in enumerate(r.warnings):
+        out.append("%s.warnings[%d] = %s\n" % (path, i, w))
+
+
+def render_bounds_json(ns, built: argparse.Namespace, records: list, code: int) -> str:
+    """A verify-hh (HHReport records) or special-case (SpecialCaseEntry
+    records) envelope."""
+    if ns.subcommand == "verify-hh":
+        key, items = "reports", [_report_json(r, " " * 6) for r in records]
+    else:
+        key, items = "entries", [
+            '{\n        "label": %s,\n        "report": %s\n      }'
+            % (_json_string(e.label), _report_json(e.report, " " * 8))
+            for e in records
+        ]
+    listed = "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+    return '%s{\n    "%s": %s\n  },\n  "exit_code": %d\n}\n' % (
+        _head_json(ns, built), key, listed, code)
+
+
+def render_bounds_text(ns, built: argparse.Namespace, records: list, code: int) -> str:
+    out = [_head_text(ns, built), "\n"]
+    if ns.subcommand == "verify-hh":
+        for i, r in enumerate(records):
+            _report_text(r, "result.reports[%d]" % i, out)
+    else:
+        for i, e in enumerate(records):
+            path = "result.entries[%d]" % i
+            out.append("%s.label = %s\n" % (path, e.label))
+            _report_text(e.report, path + ".report", out)
+    out.append("exit_code = %d\n" % code)
+    return "".join(out)
+
+
 def _csv_line(cells) -> str:
     # the join of the sample rows; no label, verdict or bool needs quoting
     return ",".join([repr(c) if isinstance(c, float) else str(c) for c in cells]) + "\n"
 
 
-def render_csv(subcommand: str, result: dict) -> str:
+def render_csv(subcommand: str, result) -> str:
+    """equivalence's result dict, or the records of verify-hh (HHReport)
+    and special-case (SpecialCaseEntry), as CSV."""
     if subcommand == "equivalence":
         rows = [("check", "verdict", "samples_checked", "worst_gap", "x", "y", "t")]
         for name in ("dominance", "diff_convex", "sum_convex", "l_convex", "k_convex"):
@@ -590,13 +751,12 @@ def render_csv(subcommand: str, result: dict) -> str:
         return "".join(map(_csv_line, rows))
     # verify-hh and special-case: one row per bound
     if subcommand == "verify-hh":
-        labeled = [(r["bound_kind"], r) for r in result["reports"]]
+        labeled = [(r.bound_kind, r) for r in result]
     else:
-        labeled = [(e["label"], e["report"]) for e in result["entries"]]
+        labeled = [(e.label, e.report) for e in result]
     rows = [("label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error")]
     rows += [
-        (label, r["bound_kind"], r["lhs"], r["rhs"], r["margin"], r["holds"], r["vacuous"],
-         r["quad_error"])
+        (label, r.bound_kind, r.lhs, r.rhs, r.margin, r.holds, r.vacuous, r.quad_error)
         for label, r in labeled
     ]
     return "".join(map(_csv_line, rows))
@@ -725,8 +885,9 @@ class _SearchRows:
 
 
 def _dispatch(ns, built: argparse.Namespace, emit):
-    """Returns (result dict, exit code); emit gets the sample rows of check-*
-    in chunks."""
+    """Returns (result, exit code): the records of verify-hh and
+    special-case as they are, a dict for the others.  emit gets the sample
+    rows of check-* in chunks."""
     f, g, kernel = built.f, built.g, built.kernel
     phi, interval, plan = built.phi, built.interval, built.plan
 
@@ -743,27 +904,20 @@ def _dispatch(ns, built: argparse.Namespace, emit):
     if ns.subcommand == "equivalence":
         rep = equivalence_report(pair, kernel, phi, interval, plan)
         result = {name: _check_report_dict(v) if isinstance(v, CheckReport) else v
-                  for name, v in rep._asdict().items()}
+                  for name, v in zip(rep._fields, rep)}
         return result, (0 if all(rep.statement_holds) else 1)
 
     if ns.subcommand == "verify-hh":
         bounds = ("midpoint", "endpoint") if ns.bound == "both" else (ns.bound,)
         jobs = [(kernel, bound) for bound in bounds]
         reports = hh_bounds_report(pair, phi, jobs, ns.quad_tol, ns.atol, ns.rtol)
-        code = 0 if all(r.holds for r in reports) else 1
-        return {"reports": [r._asdict() for r in reports]}, code
+        return reports, (0 if all(r.holds for r in reports) else 1)
 
     if ns.subcommand == "special-case":
         entries = special_case_report(
             pair, phi, which=ns.which, s=ns.s, tol=ns.quad_tol, atol=ns.atol, rtol=ns.rtol
         )
-        code = 0 if all(e.report.holds for e in entries) else 1
-        result = {
-            "entries": [
-                {"label": e.label, "report": e.report._asdict()} for e in entries
-            ]
-        }
-        return result, code
+        return entries, (0 if all(e.report.holds for e in entries) else 1)
 
     # search: main writes the records in the output format
     records = search_violations(pair, kernel, phi, interval, plan, refine=ns.refine)
@@ -834,15 +988,11 @@ def main(argv: list[str] | None = None) -> int:
     elif fmt == "csv":
         sys.stdout.write(render_csv(ns.subcommand, result))
         return code
-    envelope = {
-        "tool": TOOL,
-        "version": __version__,
-        "subcommand": ns.subcommand,
-        "inputs": _inputs_dict(ns, built),
-        "result": result,
-        "exit_code": code,
-    }
-    sys.stdout.write(render_text(envelope) if fmt == "text" else render_json(envelope))
+    if ns.subcommand in ("verify-hh", "special-case"):
+        render = render_bounds_text if fmt == "text" else render_bounds_json
+    else:
+        render = render_result_text if fmt == "text" else render_result_json
+    sys.stdout.write(render(ns, built, result, code))
     return code
 
 

@@ -878,6 +878,12 @@ class TestConfigFile:
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+_RANDOM_WARNING = ("verify-hh", "--f", "x-0.3", "--g", "2*x^2+1", "--interval", "0", "1",
+                   "--random", "50", "--seed", "3", "--bound", "both")
+_VACUOUS = ("verify-hh", "--f", "0.6e308", "--g", "0.5e308", "--interval", "0", "1", "--h",
+            "1/t", "--bound", "endpoint")
+
+
 class TestPinnedBoundEnvelopes:
     """Bound envelopes byte for byte.  Products and the kernels t, 1 and 1/t
     keep libm out of the bytes; power(s=0.5) adds only 2.0**-0.5."""
@@ -895,6 +901,17 @@ class TestPinnedBoundEnvelopes:
                                   "--interval", "0", "1", "--which", "all", "--s", "0.5"),
         "verify_hh_degenerate_phi.json": ("verify-hh", "--f", "x*x", "--g", "2*x*x",
                                           "--interval", "0", "1", "--phi", "0*x+0.5"),
+        # every entry's label and report path in text
+        "special_case_all.txt": ("special-case", "--f", "x*x", "--g", "2*x*x", "--interval",
+                                 "0", "1", "--which", "all", "--s", "0.5", "--format", "text"),
+        # a random plan, and a warning on one report
+        "verify_hh_random_warning.json": _RANDOM_WARNING,
+        "verify_hh_random_warning.txt": (*_RANDOM_WARNING, "--format", "text"),
+        # sides of "inf" under the divergent 1/t: vacuous
+        "verify_hh_vacuous.json": _VACUOUS,
+        "verify_hh_vacuous.txt": (*_VACUOUS, "--format", "text"),
+        "verify_hh_both.csv": ("verify-hh", "--f", "x*x", "--g", "2*x*x", "--interval", "0",
+                               "1", "--bound", "both", "--format", "csv"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -11,8 +11,10 @@ frozen; the derivations use only freshman calculus on f = x^2, g = 2x^2:
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import simpson
 from domcert.convexity import FunctionPair
@@ -27,7 +29,7 @@ from domcert.hadamard import (
     special_case_report,
 )
 from domcert.kernels import Kernel, make_kernel
-from domcert.quadrature import QuadratureError
+from domcert.quadrature import QuadratureError, integrate
 from domcert import cli, hadamard
 
 UNIT = Interval(0.0, 1.0)
@@ -464,3 +466,131 @@ class TestSpecialCases:
     def test_all_reports_hold_for_dominated_pair(self):
         entries = special_case_report(PAIR, IDENT, which="all", s=0.5)
         assert entries and all(e.report.holds for e in entries)
+
+
+# ---------------------------------------------------------------------------
+# Integrals split at the kinks of abs of an affine argument, against an
+# exact reference: f = a*abs(x-c)+b*x^2 and g = k*x^2 are piecewise
+# polynomials in dyadic rationals (every float is one), so their means, their
+# values at m and at the ends, and lhs, rhs and margin are exact in Fraction,
+# with the kernel's constants taken as the floats it holds.
+# ---------------------------------------------------------------------------
+
+
+def _exact_bound(a, c, b, k, lo, hi, kernel, bound):
+    """(lhs, rhs, margin, scale) of the bound, exact; scale is the largest
+    magnitude of a term of lhs or rhs."""
+    a, c, b, k, lo, hi = map(Fraction, (a, c, b, k, lo, hi))
+
+    def f(x):
+        return a * abs(x - c) + b * x * x
+
+    def g(x):
+        return k * x * x
+
+    def kink_anti(x):  # an antiderivative of abs(x - c)
+        return (x - c) * abs(x - c) / 2
+
+    width = hi - lo
+    mean_square = (hi ** 3 - lo ** 3) / 3 / width
+    mean_f = a * (kink_anti(hi) - kink_anti(lo)) / width + b * mean_square
+    mean_g = k * mean_square
+    if bound == "midpoint":
+        weight = Fraction(kernel.midpoint_coefficient)
+        terms_f, terms_g = (mean_f, weight * f((lo + hi) / 2)), (mean_g, weight * g((lo + hi) / 2))
+    else:
+        h = Fraction(kernel.integral)
+        terms_f, terms_g = ((f(lo) + f(hi)) * h, mean_f), ((g(lo) + g(hi)) * h, mean_g)
+    lhs, rhs = abs(terms_f[0] - terms_f[1]), terms_g[0] - terms_g[1]
+    scale = max(abs(t) for t in (*terms_f, *terms_g))
+    return lhs, rhs, rhs - lhs, scale
+
+
+def _kinked_pair(a, c, b, k):
+    return FunctionPair(parse(f"({a!r})*abs(x-({c!r}))+({b!r})*x^2"), parse(f"({k!r})*x^2"))
+
+
+DYADIC = st.integers(-32, 32).map(lambda n: n / 16.0)
+COEFFICIENT = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+JOBS = st.sampled_from([("linear", "midpoint"), ("linear", "endpoint"), ("one", "midpoint"),
+                        ("one", "endpoint"), ("reciprocal", "midpoint")])
+
+
+class TestKinkSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(DYADIC, DYADIC).filter(lambda e: e[0] < e[1]), st.floats(0.0, 1.0),
+           COEFFICIENT.filter(lambda v: v != 0.0), COEFFICIENT, st.floats(0.0, 8.0), JOBS)
+    def test_the_margin_is_exact_within_its_error(self, edges, where, a, b, k, job):
+        lo, hi = edges
+        c = lo + (hi - lo) * where  # a kink anywhere in [lo, hi], its ends too
+        kernel = make_kernel(job[0])
+        (r,) = hh_bounds_report(_kinked_pair(a, c, b, k), identity_map(Interval(lo, hi)),
+                                [(kernel, job[1])])
+        _, _, margin, scale = _exact_bound(a, c, b, k, lo, hi, kernel, job[1])
+        slack = r.quad_error + 64 * math.ulp(float(scale))
+        assert abs(Fraction(r.margin) - margin) <= slack
+
+    def test_the_exact_reference_reads_repro_one(self):
+        # f = abs(x - c) against 2.9758476*x^2 on [0, 1] under h = t
+        _, _, margin, _ = _exact_bound(1.0, 0.5020147025901347, 0.0, 2.9758476, 0.0, 1.0,
+                                       make_kernel("linear"), "midpoint")
+        assert float(margin) == pytest.approx(-2.0564e-6, rel=1e-4)
+
+    def test_a_tree_without_a_kink_is_integrated_whole(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hadamard, "integrate",
+                            lambda *args: calls.append(args[1:]) or integrate(*args))
+        for source in ("x^2", "abs(x^2-0.25)", "abs(x-2)", "abs(0.5)*x"):
+            calls.clear()
+            got = hadamard._integral(parse(source), "f", 0.0, 1.0, 1e-10)
+            assert calls == [(0.0, 1.0, 1e-10)]
+            assert got == integrate(parse(source), 0.0, 1.0, 1e-10)
+
+    @pytest.mark.parametrize("source, kinks", [
+        ("abs(x-0.5020147025901347)", [0.5020147025901347]),
+        ("abs(3*x-1)+2*abs(0.25-x)", [0.25, 0.3333333333333333]),
+        ("abs(x)", [0.0]),  # the kink at a zero of the argument itself
+        ("abs(x-1e-300)", [1e-300]),
+        ("abs(x-0.5)+abs(2*x-1)", [0.5]),  # one kink, split once
+    ])
+    def test_kinks_are_where_the_evaluated_argument_changes_sign(self, source, kinks):
+        assert hadamard._kinks(parse(source), -1.0, 1.0) == kinks
+
+    def test_each_kink_has_its_sign_change_on_either_side(self):
+        u = parse("0.1*x-0.0370000000000001")
+        (kink,) = hadamard._kinks(parse(f"abs({u.source})"), 0.0, 1.0)
+        assert u.evaluate(math.nextafter(kink, -1.0)) < 0.0 <= u.evaluate(kink)
+
+    def test_the_pieces_share_the_budget_and_add_up(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hadamard, "integrate",
+                            lambda *args: calls.append(args[1:]) or integrate(*args))
+        got = hadamard._integral(parse("abs(x-0.25)+abs(x-0.75)"), "f", 0.0, 1.0, 3e-10)
+        assert calls == [(0.0, 0.25, 1e-10), (0.25, 0.75, 1e-10), (0.75, 1.0, 1e-10)]
+        parts = [integrate(parse("abs(x-0.25)+abs(x-0.75)"), *call) for call in calls]
+        assert got == (math.fsum(p.value for p in parts), math.fsum(p.error_estimate for p in parts),
+                       sum(p.subdivisions for p in parts))
+
+    def test_the_split_of_a_budget_near_the_least_double_stays_positive(self):
+        r = hadamard._integral(parse("abs(x-0.5)"), "f", 0.0, 1.0, 5e-324)
+        assert r.value == 0.25 and r.error_estimate <= 1e-323
+
+
+class TestKinkRepros:
+    """ROADMAP item 2's repros, decided right once the integrals are split."""
+
+    def test_a_failing_midpoint_bound_fails(self, capsys):
+        code = cli.main(["verify-hh", "--f", "abs(x-0.5020147025901347)", "--g",
+                         "2.9758476*x^2", "--interval", "0", "1", "--bound", "midpoint"])
+        report = json.loads(capsys.readouterr().out)["result"]["reports"][0]
+        assert code == 1 and not report["holds"]
+        assert report["margin"] == pytest.approx(-2.0564e-6, rel=1e-4)
+
+    def test_a_holding_endpoint_bound_of_a_dominated_pair_holds(self, capsys):
+        f = "2.8412749897708003*x^2+abs(x-0.5016166896796358)"
+        g = f"{f}+1.149332136674603e-07*abs(x-0.8515481239966675)"
+        code = cli.main(["verify-hh", "--f", f, "--g", g, "--interval", "0", "1",
+                         "--bound", "endpoint"])
+        report = json.loads(capsys.readouterr().out)["result"]["reports"][0]
+        assert code == 0 and report["holds"]
+        assert report["margin"] == pytest.approx(1.45292e-8, rel=1e-5)

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from domcert import cli
 from domcert.convexity import SamplePlan, grid_axes
 from domcert.geometry import Interval
+from domcert.hadamard import HHReport, SpecialCaseEntry
 from domcert.search import ViolationRecord
 
 SPECIAL = st.sampled_from([
@@ -227,11 +228,12 @@ def test_equivalence_csv_matches_csv_writer(result):
        st.lists(st.tuples(st.sampled_from(["linear", "power", "reciprocal", "one"]), BOUND),
                 max_size=8))
 def test_bound_csv_matches_csv_writer(reports, entries):
+    # render_csv reads the records main passes it: HHReport and SpecialCaseEntry
     want = csv_writer_cells(BOUND_HEADER, [bound_cells(r["bound_kind"], r) for r in reports])
-    assert cli.render_csv("verify-hh", {"reports": reports}) == want
+    assert cli.render_csv("verify-hh", [HHReport(**r) for r in reports]) == want
     labeled = [(f"{name}/{r['bound_kind']}", r) for name, r in entries]
     want = csv_writer_cells(BOUND_HEADER, [bound_cells(label, r) for label, r in labeled])
-    result = {"entries": [{"label": label, "report": r} for label, r in labeled]}
+    result = [SpecialCaseEntry(label, HHReport(**r)) for label, r in labeled]
     assert cli.render_csv("special-case", result) == want
 
 
@@ -263,3 +265,115 @@ NESTED = st.recursive(
 @given(NESTED)
 def test_render_json_matches_json_dumps(obj):
     assert cli.render_json(obj) == json.dumps(_sanitize(obj), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Envelopes written from their records: the bytes of the envelope dict the
+# CLI used to build (old_envelope) through json.dumps and render_text.
+# ---------------------------------------------------------------------------
+
+
+def old_plan(plan: SamplePlan) -> dict:
+    base = {"strategy": plan.strategy}
+    if plan.strategy == "grid":
+        base.update({"n_x": plan.n_x, "n_y": plan.n_y, "n_t": plan.n_t})
+    else:
+        base.update({"count": plan.count, "seed": plan.seed})
+    base.update({"t_clamp": plan.t_clamp, "atol": plan.atol, "rtol": plan.rtol})
+    return base
+
+
+def old_envelope(ns, built, result: dict, code: int) -> dict:
+    inputs: dict = {"f": ns.f}
+    if built.g is not None:
+        inputs["g"] = ns.g
+    if built.kernel is not None:
+        inputs["kernel"] = built.kernel.describe()
+    inputs["phi"] = built.phi.describe()
+    inputs["interval"] = [built.interval.a, built.interval.b]
+    inputs["plan"] = old_plan(built.plan)
+    inputs["quad_tol"] = ns.quad_tol
+    return {"tool": cli.TOOL, "version": cli.__version__, "subcommand": ns.subcommand,
+            "inputs": inputs, "result": result, "exit_code": code}
+
+
+def built_request(argv: list[str]):
+    ns = cli._parse_argv(argv)
+    problems: list[str] = []
+    built = cli._build_inputs(ns, problems)
+    assert problems == []
+    return ns, built
+
+
+LABEL = st.one_of(st.sampled_from(["linear/midpoint", "power(s=0.5)/endpoint",
+                                   "reciprocal/midpoint"]), TEXT)
+REPORT = st.builds(
+    HHReport, st.sampled_from(["midpoint", "endpoint"]), FLOATS, FLOATS, FLOATS,
+    st.booleans(), st.booleans(), FLOATS, st.lists(TEXT, max_size=3),
+)
+KERNEL_FLAGS = st.sampled_from([[], ["--h", "t"], ["--h", "t^s", "--s", "0.25"],
+                                ["--h", "1/t"], ["--h", "1"], ["--h-custom", "t+1"],
+                                ["--h-custom", "1/sqrt(t)"]])
+PLAN_FLAGS = st.one_of(
+    st.tuples(st.integers(1, 50), st.integers(1, 50), st.integers(1, 50)).map(
+        lambda n: ["--grid", *map(str, n)]),
+    st.tuples(st.integers(1, 10**6), st.integers(0, 2**40)).map(
+        lambda n: ["--random", str(n[0]), "--seed", str(n[1])]),
+)
+TOLERANCE = st.floats(0.0, 1.0).map(repr)
+
+
+@st.composite
+def bound_request(draw):
+    """(ns, built, records): a verify-hh or special-case request built as
+    main builds it, with f and g echoed as drawn text, and drawn records."""
+    a = draw(st.integers(-2**24, 2**24)) / 16.0  # dyadic: the map below is exact
+    b = a + draw(st.integers(1, 2**24)) / 16.0
+    argv = ["--f", "x*x", "--g", "2*x*x", "--interval", repr(a), repr(b),
+            *draw(PLAN_FLAGS), "--atol", draw(TOLERANCE), "--rtol", draw(TOLERANCE),
+            "--eps-t", repr(draw(st.floats(1e-12, 0.25))),
+            "--quad-tol", repr(draw(st.floats(1e-14, 1e-3)))]
+    if draw(st.booleans()):
+        argv += ["--phi", draw(st.sampled_from(["0.5*x+0.5*" + repr(a), "x", "1*x+0"]))]
+    if draw(st.booleans()):
+        ns, built = built_request(["verify-hh", *argv, *draw(KERNEL_FLAGS)])
+        records = draw(st.lists(REPORT, min_size=1, max_size=3))
+    else:
+        ns, built = built_request(["special-case", *argv, "--s", "0.5"])
+        records = draw(st.lists(st.builds(SpecialCaseEntry, LABEL, REPORT), min_size=1,
+                                max_size=7))
+    ns.f, ns.g = draw(TEXT), draw(TEXT)  # the writers echo them as given
+    return ns, built, records
+
+
+def old_bound_result(subcommand: str, records: list) -> dict:
+    if subcommand == "verify-hh":
+        return {"reports": [r._asdict() for r in records]}
+    return {"entries": [{"label": e.label, "report": e.report._asdict()} for e in records]}
+
+
+@settings(deadline=None, max_examples=300)
+@given(bound_request(), st.sampled_from([0, 1]))
+def test_bound_writers_match_the_envelope_dict(request, code):
+    ns, built, records = request
+    envelope = old_envelope(ns, built, old_bound_result(ns.subcommand, records), code)
+    assert (cli.render_bounds_json(ns, built, records, code)
+            == json.dumps(_sanitize(envelope), indent=2) + "\n")
+    assert cli.render_bounds_text(ns, built, records, code) == cli.render_text(envelope)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-convex", "--f", "x^2", "--interval", "-1", "2", "--grid", "3", "3", "3",
+     "--h", "t^s", "--s", "0.5", "--phi", "0.5*x+0.5"],
+    ["equivalence", "--f", "x^2", "--g", "3*x^2+1", "--interval", "0", "1", "--random", "20",
+     "--seed", "4", "--h-custom", "t+1"],
+])
+def test_the_head_writers_match_the_envelope_dict(argv, capsys):
+    ns, built = built_request(argv)
+    result, code = cli._dispatch(ns, built, None)
+    envelope = old_envelope(ns, built, result, code)
+    want_json = json.dumps(_sanitize(envelope), indent=2) + "\n"
+    assert cli.render_result_json(ns, built, result, code) == want_json
+    assert cli.render_result_text(ns, built, result, code) == cli.render_text(envelope)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == want_json
