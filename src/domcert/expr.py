@@ -474,6 +474,28 @@ def copies(root: Node, sub: Node) -> set[int]:
     return set().union(*(copies(child, sub) for child in root[1:]))  # the operands
 
 
+def _degree(node: Node) -> int | None:
+    """0 for a tree without the variable and 1 for an affine one, built from
+    +, -, unary minus, * with a constant side and / by a constant; None for
+    any other tree."""
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Unary):
+        return _degree(node.arg) if node.op == "neg" else None
+    left, right = _degree(node.left), _degree(node.right)
+    if left is None or right is None:
+        return None
+    if node.op in "+-":
+        return max(left, right)
+    if node.op == "*" and left + right <= 1:
+        return left + right
+    if node.op == "/" and right == 0:
+        return left
+    return None
+
+
 def _operand(node: Node, text: str, temp: str) -> tuple[str, str]:
     """(text reading the operand, text evaluating it first): a constant or a
     variable is read twice, anything else is bound to temp."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ReasonError
-from .expr import Binary, Const, Expr, Node, Unary, Var
+from .expr import Expr, _degree
 from .kernels import PROBE_POINTS, chebyshev_points
 from .quadrature import midpoint
 from .record import Record
@@ -92,28 +92,6 @@ def make_affine(alpha: float, beta: float, domain: Interval) -> AffineMap:
 
 def identity_map(domain: Interval) -> AffineMap:
     return make_affine(1.0, 0.0, domain)
-
-
-def _degree(node: Node) -> int | None:
-    """0 for a tree without the variable and 1 for an affine one, built from
-    +, -, unary minus, * with a constant side and / by a constant; None for
-    any other tree."""
-    if isinstance(node, Const):
-        return 0
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Unary):
-        return _degree(node.arg) if node.op == "neg" else None
-    left, right = _degree(node.left), _degree(node.right)
-    if left is None or right is None:
-        return None
-    if node.op in "+-":
-        return max(left, right)
-    if node.op == "*" and left + right <= 1:
-        return left + right
-    if node.op == "/" and right == 0:
-        return left
-    return None
 
 
 def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:

@@ -7,15 +7,12 @@ H = integral of h over (0, 1), the verified statements are
     endpoint:  |(f(phi a) + f(phi b)) H - mean(f)|
                                               <=  (g(phi a) + g(phi b)) H - mean(g)
 
-where mean(u) is the integral average of u over the image of phi.  Each
-integral is split at the kinks of u's abs(v) subtrees whose argument v is
-affine (geometry._degree), where a Gauss-Kronrod panel can miss the kink
-with an estimate of zero: each kink is the float where the evaluated v
-changes sign, and the pieces share the quadrature budget.  A tree without
-such a kink is integrated whole, as one call of integrate.  Both
-right sides can only be trusted when g actually belongs to the kernel's
+where mean(u) is the integral average of u over the image of phi, each
+integral split at u's kinks by quadrature.integrate_split.  Both right
+sides can only be trusted when g actually belongs to the kernel's
 convexity class; a negative right side therefore produces a warning, not
-an error.  The endpoint form needs no symmetric h (the integral of h(1-t)
+an error, as does a bound that holds only by the tolerance (a negative
+margin).  The endpoint form needs no symmetric h (the integral of h(1-t)
 is H for every h); c and H are fixed when the kernel is built.  When H
 diverges, a side with a nonzero endpoint sum is infinite with that sum's
 sign (lhs = +inf) and a zero sum leaves -mean; the report is vacuous, and
@@ -30,15 +27,15 @@ from typing import Iterable, NamedTuple
 
 from .convexity import FunctionPair, _violates, check_tolerances
 from .errors import ReasonError
-from .expr import Binary, EvalError, Expr, Unary
-from .geometry import AffineMap, _degree
+from .geometry import AffineMap
 from .kernels import _BUILT_IN, Kernel, make_kernel
-from .quadrature import QuadResult, _total, integrate, midpoint
+from .quadrature import integrate_split, midpoint
 
 NEGATIVE_RHS_WARNING = (
     "right side is negative: the dominator may violate its convexity precondition"
 )
 NEG_VALUES_WARNING = "{role} is negative at a probed point (codomain should be [0, inf))"
+WITHIN_TOL_WARNING = "margin is negative but within tolerance"
 
 
 class ReportError(ReasonError):
@@ -103,79 +100,8 @@ def quad_tol_problem(tol: float) -> str | None:
     return None
 
 
-def _sign_change(v, lo: float, hi: float) -> float | None:
-    """The float in (lo, hi) where v, of opposite signs at lo and hi,
-    leaves lo's sign: the upper end of a bracket of two adjacent doubles,
-    bisected over the doubles in order after a try at a few of them around
-    the secant root, where an affine v changes sign.  None when v does not
-    change sign strictly inside, or faults."""
-    import struct  # only an integrand with an abs pays for it
-
-    def ordinal(x: float) -> int:  # doubles in order: -0.0 and 0.0 are 0
-        n = struct.unpack("<q", struct.pack("<d", x))[0]
-        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
-
-    def at(n: int) -> float:
-        return struct.unpack("<d", struct.pack("<Q", n if n >= 0 else -n | 1 << 63))[0]
-
-    try:
-        va, vb = v(lo), v(hi)
-        if not (va < 0.0 < vb or vb < 0.0 < va):
-            return None
-        negative = va < 0.0
-
-        def lo_side(n: int) -> bool:
-            w = v(at(n))
-            return w < 0.0 if negative else w > 0.0
-
-        a, top = ordinal(lo), ordinal(hi)
-        b = top
-        n = ordinal(lo + (hi - lo) * (va / (va - vb)))
-        if a < n - 4 and n + 4 < b and lo_side(n - 4) and not lo_side(n + 4):
-            a, b = n - 4, n + 4
-        while b - a > 1:
-            m = (a + b) // 2
-            if lo_side(m):
-                a = m
-            else:
-                b = m
-    except (EvalError, ArithmeticError, ValueError):
-        return None
-    return at(b) if b != top else None
-
-
-def _kinks(u: Expr, lo: float, hi: float) -> list[float]:
-    """The sign changes in (lo, hi) of the affine arguments of u's abs
-    subtrees, ascending.  A tree with no abs has none, read from its
-    source without a walk."""
-    if "abs" not in u.source:
-        return []
-    kinks = set()
-    stack = [u.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unary):
-            if node.op == "abs" and _degree(node.arg) == 1:
-                kink = _sign_change(Expr(node.arg, u.var_name).raw, lo, hi)
-                if kink is not None:
-                    kinks.add(kink)
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack += (node.left, node.right)
-    return sorted(kinks)
-
-
 def _integral(u, role: str, lo: float, hi: float, tol: float):
-    edges = [lo, *_kinks(u, lo, hi), hi]
-    if len(edges) == 2:
-        r = integrate(u, lo, hi, tol)
-    else:
-        # each piece a share of tol (not below the least double, for a tol near it)
-        share = max(tol / (len(edges) - 1), 5e-324)
-        parts = [integrate(u, a, b, share) for a, b in zip(edges, edges[1:])]
-        r = QuadResult(_total([p.value for p in parts]),
-                       _total([p.error_estimate for p in parts]),
-                       sum(p.subdivisions for p in parts))
+    r = integrate_split(u, lo, hi, tol)
     if math.isfinite(r.value) and math.isfinite(r.error_estimate):
         return r
     raise ReportError("range", f"the integral of {role} = {u.source!r} over [{lo!r}, {hi!r}] is "
@@ -265,6 +191,7 @@ def hh_bounds_report(
             raise ReportError("range", f"the {bound} bound has lhs = {lhs!r} and rhs = {rhs!r}, "
                                        "not both finite; the bound is undefined")
 
+        margin, holds = _holds(lhs, rhs, atol, rtol)
         warnings = []
         if neg_f:
             warnings.append(NEG_VALUES_WARNING.format(role="f"))
@@ -272,7 +199,8 @@ def hh_bounds_report(
             warnings.append(NEG_VALUES_WARNING.format(role="g"))
         if rhs < 0.0:
             warnings.append(NEGATIVE_RHS_WARNING)
-        margin, holds = _holds(lhs, rhs, atol, rtol)
+        if holds and margin < 0.0:
+            warnings.append(WITHIN_TOL_WARNING)
         reports.append(
             HHReport(
                 bound_kind=bound,

@@ -18,16 +18,22 @@ when a + b overflows, so intervals near the top of the float range keep
 finite panel centers.  integrate's total is +-inf when it overflows and
 nan when the panels hold inf and -inf, where math.fsum would raise.
 
+integrate_split, the entry point for an integral of an Expr, splits [a, b]
+at the kinks of the tree's abs(v) subtrees with an affine v (expr._degree),
+where a panel can miss the kink with an estimate of zero: each kink is the
+float where the evaluated v changes sign.  Any other callable or tree is
+one call of integrate, which never splits.
+
 integrate_open01 handles integrands only defined on the open unit interval
-by integrating over [eps, 1-eps] for eps = 1e-2, 1e-4, ..., 1e-12.  If the
-last step changed the value by more than 1% the integral is reported as
-+inf; otherwise the tail is extrapolated geometrically: with d the last
-two steps and rho = |d_last| / |d_prev| < 0.9, it adds d_last * rho /
-(1 - rho).  Divergence is a value here, not an error.  Known misreadings:
-a convergent t^-p with p above about 0.8 still changes by more than 1% at
-the last step and comes back +inf (t^-0.9, whose integral is 10, does), and
-an integrand that diverges slower than any power of eps can pass as
-convergent with a large error estimate.
+by integrating over [eps, 1-eps] with integrate_split for eps = 1e-2, 1e-4,
+..., 1e-12.  If the last step changed the value by more than 1% the
+integral is reported as +inf; otherwise the tail is extrapolated
+geometrically: with d the last two steps and rho = |d_last| / |d_prev| <
+0.9, it adds d_last * rho / (1 - rho).  Divergence is a value here, not an
+error.  Known misreadings: a convergent t^-p with p above about 0.8 still
+changes by more than 1% at the last step and comes back +inf (t^-0.9,
+whose integral is 10, does), and an integrand that diverges slower than
+any power of eps can pass as convergent with a large error estimate.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from heapq import heappush, heappop
 from typing import Callable, NamedTuple
 
 from .errors import ReasonError
-from .expr import EvalError, Expr
+from .expr import Binary, EvalError, Expr, Unary, _degree
 
 
 class QuadratureError(ReasonError):
@@ -250,22 +256,92 @@ def _total(parts: list[float]) -> float:
         return math.nan
 
 
+def _sign_change(v, lo: float, hi: float) -> float | None:
+    """The float in (lo, hi) where v, of opposite signs at lo and hi,
+    leaves lo's sign: the upper end of a bracket of two adjacent doubles,
+    bisected over the doubles in order after a try at a few of them around
+    the secant root, where an affine v changes sign.  None when v does not
+    change sign strictly inside, or faults."""
+    import struct  # only an integrand with an abs pays for it
+
+    def ordinal(x: float) -> int:  # doubles in order: -0.0 and 0.0 are 0
+        n = struct.unpack("<q", struct.pack("<d", x))[0]
+        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+
+    def at(n: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", n if n >= 0 else -n | 1 << 63))[0]
+
+    try:
+        va, vb = v(lo), v(hi)
+        if not (va < 0.0 < vb or vb < 0.0 < va):
+            return None
+        negative = va < 0.0
+
+        def lo_side(n: int) -> bool:
+            w = v(at(n))
+            return w < 0.0 if negative else w > 0.0
+
+        a, top = ordinal(lo), ordinal(hi)
+        b = top
+        n = ordinal(lo + (hi - lo) * (va / (va - vb)))
+        if a < n - 4 and n + 4 < b and lo_side(n - 4) and not lo_side(n + 4):
+            a, b = n - 4, n + 4
+        while b - a > 1:
+            m = (a + b) // 2
+            if lo_side(m):
+                a = m
+            else:
+                b = m
+    except (EvalError, ArithmeticError, ValueError):
+        return None
+    return at(b) if b != top else None
+
+
+def _kinks(u: Expr, lo: float, hi: float) -> list[float]:
+    """The sign changes in (lo, hi) of the affine arguments of u's abs
+    subtrees, ascending.  A tree with no abs has none, read from its
+    source without a walk."""
+    if "abs" not in u.source:
+        return []
+    kinks = set()
+    stack = [u.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unary):
+            if node.op == "abs" and _degree(node.arg) == 1:
+                kink = _sign_change(Expr(node.arg, u.var_name).raw, lo, hi)
+                if kink is not None:
+                    kinks.add(kink)
+            stack.append(node.arg)
+        elif isinstance(node, Binary):
+            stack += (node.left, node.right)
+    return sorted(kinks)
+
+
+def integrate_split(fun: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+    """integrate(fun, a, b, tol) split at the kinks of an Expr fun: the pieces get
+    equal shares of tol, not below the least double, and add up with _total."""
+    valid = a < b and math.isfinite(b - a) and tol > 0.0  # else integrate refuses it whole
+    edges = [a, *_kinks(fun, a, b), b] if valid and isinstance(fun, Expr) else [a, b]
+    if len(edges) == 2:
+        return integrate(fun, a, b, tol)
+    share = max(tol / (len(edges) - 1), 5e-324)
+    parts = [integrate(fun, p, q, share) for p, q in zip(edges, edges[1:])]
+    return QuadResult(_total([p.value for p in parts]),
+                      _total([p.error_estimate for p in parts]),
+                      sum(p.subdivisions for p in parts))
+
+
 _LADDER = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
 
-def integrate_open01(
-    fun: Callable[[float], float],
-    tol: float = 1e-10,
-    max_panels: int = 1_000_000,
-) -> QuadResult:
+def integrate_open01(fun: Callable[[float], float], tol: float = 1e-10) -> QuadResult:
     """Integrate over the open interval (0, 1), tolerating endpoint blowup.
 
     A divergent integral comes back as QuadResult(inf, inf, n); check
     math.isinf(result.value) rather than expecting an exception.
     """
-    results = [
-        integrate(fun, eps, 1.0 - eps, tol, max_panels=max_panels) for eps in _LADDER
-    ]
+    results = [integrate_split(fun, eps, 1.0 - eps, tol) for eps in _LADDER]
     values = [r.value for r in results]
     subdivisions = sum(r.subdivisions for r in results)
 

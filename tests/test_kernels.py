@@ -157,6 +157,64 @@ class TestCustomKernels:
         assert "t^0.25" in k.describe()
 
 
+class TestConstantBits:
+    """(h(1/2), 1/(2 h(1/2)), integral, its error) as float.hex, frozen: only a
+    kernel with a kink of abs in (0, 1) has its integral split."""
+
+    @pytest.mark.parametrize("kind, s, expr, bits", [
+        ("linear", None, None, ("0x1.0000000000000p-1", "0x1.0000000000000p+0",
+                                "0x1.0000000000000p-1", "0x0.0p+0")),
+        ("power", 0.25, None, ("0x1.ae89f995ad3adp-1", "0x1.306fe0a31b715p-1",
+                               "0x1.999999999999ap-1", "0x0.0p+0")),
+        ("power", 0.5, None, ("0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bcdp-1",
+                              "0x1.5555555555555p-1", "0x0.0p+0")),
+        ("power", 0.75, None, ("0x1.306fe0a31b715p-1", "0x1.ae89f995ad3adp-1",
+                               "0x1.2492492492492p-1", "0x0.0p+0")),
+        ("reciprocal", None, None, ("0x1.0000000000000p+1", "0x1.0000000000000p-2", "inf",
+                                    "0x0.0p+0")),
+        ("one", None, None, ("0x1.0000000000000p+0", "0x1.0000000000000p-1",
+                             "0x1.0000000000000p+0", "0x0.0p+0")),
+        ("custom", None, "t^(-0.5)", ("0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bccp-2",
+                                      "0x1.ffffffff920ebp+0", "0x1.4f8b81a71a490p-16")),
+    ])
+    def test_constants_keep_their_bits(self, kind, s, expr, bits):
+        k = make_kernel(kind, s=s, expr=expr and parse(expr))
+        got = (k.half_value, k.midpoint_coefficient, k.integral, k.integral_error)
+        assert tuple(v.hex() for v in got) == bits
+
+
+def _exact_abs_kernel_integral(c: float, k: float, d: float) -> Fraction:
+    """The integral over (0, 1) of c*abs(t - k) + d, in rationals."""
+    c, k, d = Fraction(c), Fraction(k), Fraction(d)
+    if k <= 0:
+        inner = Fraction(1, 2) - k
+    elif k >= 1:
+        inner = k - Fraction(1, 2)
+    else:
+        inner = (k * k + (1 - k) * (1 - k)) / 2
+    return c * inner + d
+
+
+class TestKinkedKernels:
+    """A custom kernel's integral is split at its abs kinks, as f's and g's are."""
+
+    def test_the_kink_repro_is_within_its_error(self):
+        k = make_kernel("custom", expr=parse("abs(t-0.5020147025901347)+0.1"))
+        # unsplit it was 0.35000000000000003 with error 1.2e-10
+        for exact in (_exact_abs_kernel_integral(1.0, 0.5020147025901347, 0.1),
+                      Fraction(0.35000405902652665)):  # (c^2 + (1-c)^2)/2 + 1/10
+            assert abs(Fraction(k.integral) - exact) <= k.integral_error
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64).map(lambda n: n / 16.0),
+           st.integers(-2 ** 19, 3 * 2 ** 19).map(lambda n: n / 2.0 ** 20),
+           st.integers(1, 32).map(lambda n: n / 16.0))
+    def test_the_integral_is_exact_within_its_error(self, c, k, d):
+        h = make_kernel("custom", expr=parse(f"{c!r}*abs(t-({k!r}))+{d!r}"))
+        exact = _exact_abs_kernel_integral(c, k, d)
+        assert abs(Fraction(h.integral) - exact) <= h.integral_error + 4 * math.ulp(float(exact))
+
+
 class TestChebyshevProbe:
     def test_points_are_interior_and_sorted(self):
         pts = chebyshev_points(33, 0.0, 1.0)

@@ -224,6 +224,43 @@ class TestOpenUnitInterval:
         assert isinstance(r, QuadResult)
 
 
+class TestSplitContract:
+    """integrate_split splits only an Expr, and integrate never splits: a tracer
+    that hands integrate a counting closure, and a kink-blind reference that
+    calls it on a plain callable, see the bits of an untraced run."""
+
+    C = 0.5020147025901347
+
+    def test_a_plain_callable_is_integrated_whole(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *args: calls.append(args[1:]) or integrate(*args))
+        fun = parse(f"abs(x-{self.C!r})").evaluate
+        got = quadrature.integrate_split(fun, 0.0, 1.0, 1e-10)
+        assert calls == [(0.0, 1.0, 1e-10)]
+        assert got == integrate(fun, 0.0, 1.0, 1e-10)
+
+    def test_integrate_given_a_kinked_expr_makes_one_unsplit_call(self):
+        e = parse(f"abs(x-{self.C!r})")
+        whole = integrate(e, 0.0, 1.0, 1e-10)
+        assert whole == integrate(lambda x: e.evaluate(x), 0.0, 1.0, 1e-10)
+        exact = (Fraction(self.C) ** 2 + (1 - Fraction(self.C)) ** 2) / 2
+        split = quadrature.integrate_split(e, 0.0, 1.0, 1e-10)
+        assert abs(Fraction(split.value) - exact) <= split.error_estimate + math.ulp(0.25)
+        assert abs(Fraction(whole.value) - exact) > 1e-6  # the kink the unsplit panels missed
+
+    @pytest.mark.parametrize("a, b, tol", [
+        (-1e308, 1e308, 1e-10),  # each piece about the kink at 0 has a finite width
+        (1.0, -1.0, 1e-10), (-1.0, 1.0, 0.0), (-1.0, 1.0, -1.0), (-1.0, 1.0, math.nan),
+    ])
+    def test_a_kinked_expr_is_refused_as_integrate_refuses_it(self, a, b, tol):
+        with pytest.raises(ValueError) as whole:
+            integrate(parse("abs(x)"), a, b, tol)
+        with pytest.raises(ValueError) as split:
+            quadrature.integrate_split(parse("abs(x)"), a, b, tol)
+        assert str(split.value) == str(whole.value)
+
+
 # ---------------------------------------------------------------------------
 # The straight-line panel against the looped guarded one.  With _panel
 # patched to report a non-finite sum on every panel, integrate runs each
