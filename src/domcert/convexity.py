@@ -42,6 +42,7 @@ from .record import Record
 
 NEG_VALUES_WARNING = "{role} takes negative sampled values (codomain should be [0, inf))"
 WITHIN_TOL_WARNING = "worst sampled value is negative but within tolerance"
+NAN_WARNING = "{nans} of {samples} samples are nan and decide nothing"
 
 HOLDS = "holds-on-samples"
 VIOLATED = "violated"
@@ -423,10 +424,11 @@ def _sweep_source(
             "except (OverflowError, ValueError):", "    emitting = True", "    raise")
 
     def reduce(depth: int) -> None:
-        for s in stats:
+        for s in stats:  # a value above the worst pays one comparison
             v, lhs, rhs = _sides(s)
-            put(depth, f"if {v} <= w_{s} and ({v} < w_{s} or (x, y, t) < wit_{s}):",
-                f"    w_{s}, wit_{s}, wl_{s}, wr_{s} = {v}, (x, y, t), {lhs}, {rhs}")
+            put(depth, f"if not {v} > w_{s}:", f"    if {v} != {v}: nan_{s} += 1",
+                f"    elif {v} < w_{s} or (x, y, t) < wit_{s}:",
+                f"        w_{s}, wit_{s}, wl_{s}, wr_{s} = {v}, (x, y, t), {lhs}, {rhs}")
         # a convexity row carries the defect alone
         v, lhs, rhs = _sides(stats[-1])
         row = "(x, y, t, %s)" % ", ".join((v, lhs, rhs) if "gap" in stats else ("d_u",))
@@ -452,7 +454,7 @@ def _sweep_source(
     if seeds:
         put(1, "cut = INF", "put_seed = seeds.append")
     for s in stats:
-        put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s} = INF, (NAN, NAN, NAN), NAN, NAN")
+        put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s}, nan_{s} = INF, (NAN, NAN, NAN), NAN, NAN, 0")
     put(1, *(f"fail_{n} = None" for n in derived), "try:")
     if grid:
         for n in fns:  # each function over the x axis, then over the y axis
@@ -505,9 +507,10 @@ def _sweep_source(
     if not guarded:  # an inline op's: the guarded form names it
         put(1, "except (OverflowError, ValueError) as exc:",
             *(["    if emitting: raise"] if rows else []), "    raise _Rerun(exc) from None")
-    put(1, "return {%s}, {%s}, {%s}" % (
+    put(1, "return {%s}, {%s}, {%s}, {%s}" % (
         ", ".join(f"{s!r}: (w_{s}, wit_{s}, wl_{s}, wr_{s})" for s in stats),
         ", ".join(f"{n!r}: neg_{n}" for n in fns),
+        ", ".join(f"{s!r}: nan_{s}" for s in stats),
         ", ".join(f"{n!r}: fail_{n}" for n in derived)))
     if grid:
         params = "xs, ys, ts, pxs, pys"
@@ -538,6 +541,7 @@ class _SweepData(NamedTuple):
     samples: int
     worst: dict  # statement -> (worst value, witness, lhs, rhs)
     neg: dict  # function -> whether it took a negative sampled value
+    nans: dict  # statement -> how many samples gave it a nan value
 
 
 def _plan_sweep(
@@ -592,7 +596,7 @@ def _plan_sweep(
                              *slots.values)
 
     try:
-        worst, neg, fails = run(False, emit, found, seeds)
+        worst, neg, nans, fails = run(False, emit, found, seeds)
     except _Rerun as rerun:
         run(True, None, None, None)  # faults at the same op and sample, and names the op
         raise rerun.args[0] from None
@@ -600,7 +604,7 @@ def _plan_sweep(
         if fails.get(n):
             p, *where = fails[n]
             raise _annotate(_nonfinite(p), *where)
-    return _SweepData(samples, worst, neg)
+    return _SweepData(samples, worst, neg, nans)
 
 
 def _gap_function(pair: FunctionPair, h: Kernel, phi: AffineMap):
@@ -630,6 +634,8 @@ def _finish_report(data: _SweepData, stat: str, plan: SamplePlan, roles: tuple) 
         raise DomcertError(f"no sampled {name} is below +inf (each of the {data.samples} "
                            "samples is +inf or nan), so the samples decide nothing")
     warnings = [NEG_VALUES_WARNING.format(role=role) for role, n in roles if data.neg[n]]
+    if data.nans[stat]:
+        warnings.append(NAN_WARNING.format(nans=data.nans[stat], samples=data.samples))
     if _violates(worst, lhs, rhs, plan.atol, plan.rtol):
         verdict = VIOLATED
     else:

@@ -496,6 +496,37 @@ def _degree(node: Node) -> int | None:
     return None
 
 
+def _power_form(node: Node) -> tuple[float, float, float] | None:
+    """(C, a, b) with node = C*t^a*(1-t)^b on (0, 1), C positive and finite; None
+    unless node is built from constants, t, 1 - t, *, /, unary minus and ^."""
+
+    def fold(node: Node) -> tuple[float, float, float] | None:  # C of any sign
+        if isinstance(node, Const):
+            return node.value, 0.0, 0.0
+        if isinstance(node, Var):
+            return 1.0, 1.0, 0.0
+        if isinstance(node, Unary):  # -u is -1*u
+            return fold(Binary("*", Const(-1.0), node.arg)) if node.op == "neg" else None
+        if node.op == "-" and node.left == Const(1.0) and isinstance(node.right, Var):
+            return 1.0, 0.0, 1.0
+        left, right = fold(node.left), fold(node.right)
+        if left is None or right is None or node.op in "+-":
+            return None
+        (c, a, b), (k, p, q) = left, right
+        if node.op == "*":
+            return c * k, a + p, b + q
+        if node.op == "^" and (p or q or not c > 0.0):  # a constant k on a positive factor
+            return None
+        try:
+            return (c / k, a - p, b - q) if node.op == "/" else (math.pow(c, k), a * k, b * k)
+        except (ZeroDivisionError, OverflowError):  # by zero, or past the largest float
+            return None
+
+    form = fold(node)
+    ok = form is not None and 0.0 < form[0] < math.inf and math.isfinite(form[1] + form[2])
+    return form if ok else None
+
+
 def _operand(node: Node, text: str, temp: str) -> tuple[str, str]:
     """(text reading the operand, text evaluating it first): a constant or a
     variable is read twice, anything else is bound to temp."""

@@ -12,7 +12,7 @@ their constants, fixed when the kernel is built:
 Custom kernels are arbitrary positive expressions in t; positivity and
 evaluability are spot-checked point by point on a fixed 4097-point Chebyshev
 grid at construction, and the first bad point raises.  The integral is
-computed numerically (possibly +inf).
+_integral's: closed for a power form, else numerical (possibly +inf).
 
 A custom kernel's constants are computed once per process for each
 expression tree and quad_tol, and the 128 most recent are kept: a later
@@ -27,7 +27,7 @@ import math
 from functools import lru_cache
 
 from .errors import ReasonError
-from .expr import EvalError, Expr, parse
+from .expr import EvalError, Expr, _power_form, parse
 from .quadrature import QuadratureError, integrate_open01, midpoint
 from .record import Record
 
@@ -51,19 +51,48 @@ def _probe_grid() -> list[float]:
     return chebyshev_points(PROBE_POINTS, 0.0, 1.0)
 
 
-# kind -> (h(t), h(1/2), 1 / (2 h(1/2)), integral over (0, 1)) of the table above
+# kind -> (h(t), h(1/2), 1 / (2 h(1/2))) of the table above, not 0.5 / h(1/2)
 _BUILT_IN = {
-    "linear": lambda s: ("t", 0.5, 1.0, 0.5),
-    "power": lambda s: (f"t^{s!r}", 0.5 ** s, 2.0 ** (s - 1.0), 1.0 / (s + 1.0)),
-    "reciprocal": lambda s: ("1/t", 2.0, 0.25, math.inf),
-    "one": lambda s: ("1", 1.0, 0.5, 1.0),
+    "linear": lambda s: ("t", 0.5, 1.0),
+    "power": lambda s: (f"t^{s!r}", 0.5 ** s, 2.0 ** (s - 1.0)),
+    "reciprocal": lambda s: ("1/t", 2.0, 0.25),
+    "one": lambda s: ("1", 1.0, 0.5),
 }
 
 
 @lru_cache(maxsize=256)
-def _built_in_expr(source: str) -> Expr:
-    """parse(source), once per source: an Expr is immutable, so kernels share it."""
-    return parse(source)
+def _built_in_expr(source: str) -> tuple[Expr, float, float]:
+    """(parse(source), H, its error) once per source: kernels share the Expr."""
+    expr = parse(source)
+    return (expr, *_integral(expr, 1e-10))  # a power form: quad_tol goes unread
+
+
+def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
+    """(H, its error) of h = expr over (0, 1).  A power form C*t^a*(1-t)^b has
+    H = +inf if a <= -1 or b <= -1, C/(a+1) or C/(b+1) if the other exponent
+    is 0, else C*B(a+1, b+1) by lgamma, with error H*4*eps*(1 + the lgamma
+    terms' magnitudes); other trees take integrate_open01's.  +inf has error 0."""
+    form = _power_form(expr.root)
+    if form is None:
+        try:
+            result = integrate_open01(expr, quad_tol)
+        except QuadratureError as exc:
+            if exc.reason != "eval":
+                raise
+            raise KernelError("domain", f"custom kernel {expr.source!r} fails inside (0,1): "
+                              f"{exc}") from exc
+        value, error = result.value, result.error_estimate
+    else:
+        c, a, b = form
+        if a <= -1.0 or b <= -1.0:
+            value, error = math.inf, 0.0
+        elif a == 0.0 or b == 0.0:  # a + b + 1.0 is a + 1.0 or b + 1.0
+            value, error = c / (a + b + 1.0), 0.0
+        else:
+            terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
+            value = c * math.exp(terms[0] + terms[1] - terms[2])
+            error = value * 4.0 * math.ulp(1.0) * (1.0 + sum(map(abs, terms)))
+    return value, 0.0 if math.isinf(value) else error
 
 
 def outside_error(t: float) -> EvalError:
@@ -71,8 +100,8 @@ def outside_error(t: float) -> EvalError:
 
 
 class Kernel(Record):
-    """h(t) = expr, with its constants fixed here: closed forms for the
-    built-in kinds, computed with quad_tol for a custom expression.  Raises
+    """h(t) = expr, with its constants fixed here, the integral by _integral
+    with quad_tol, which only a custom expression may read.  Raises
     KernelError for an invalid kind, exponent or expression.  The constants
     are fields: they take part in equality and hashing.
     """
@@ -97,8 +126,8 @@ class Kernel(Record):
         if kind == "custom":
             half, coefficient, integral, error = _custom_constants(expr, quad_tol)
         else:
-            source, half, coefficient, integral = _BUILT_IN[kind](s)
-            expr, error = _built_in_expr(source), 0.0
+            source, half, coefficient = _BUILT_IN[kind](s)
+            expr, integral, error = _built_in_expr(source)
         self._set(kind, s, expr, half, coefficient, integral, error)
 
     def value(self, t: float) -> float:
@@ -137,16 +166,7 @@ def _custom_constants(expr: Expr | None, quad_tol: float) -> tuple[float, ...]:
         )
     _check_probe(expr)
     half = expr.evaluate(0.5)
-    try:
-        result = integrate_open01(expr, quad_tol)
-    except QuadratureError as exc:
-        if exc.reason == "eval":
-            raise KernelError(
-                "domain", f"custom kernel {expr.source!r} fails inside (0,1): {exc}"
-            ) from exc
-        raise
-    error = 0.0 if math.isinf(result.value) else result.error_estimate
-    return half, 0.5 / half, result.value, error
+    return half, 0.5 / half, *_integral(expr, quad_tol)
 
 
 def _check_probe(expr: Expr) -> None:

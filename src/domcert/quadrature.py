@@ -30,10 +30,9 @@ by integrating over [eps, 1-eps] with integrate_split for eps = 1e-2, 1e-4,
 integral is reported as +inf; otherwise the tail is extrapolated
 geometrically: with d the last two steps and rho = |d_last| / |d_prev| <
 0.9, it adds d_last * rho / (1 - rho).  Divergence is a value here, not an
-error.  Known misreadings: a convergent t^-p with p above about 0.8 still
-changes by more than 1% at the last step and comes back +inf (t^-0.9,
-whose integral is 10, does), and an integrand that diverges slower than
-any power of eps can pass as convergent with a large error estimate.
+error.  kernels._integral calls it only for a tree without a power form.  An
+integrand that diverges slower than any power of eps can pass as
+convergent with a large error estimate.
 """
 
 from __future__ import annotations

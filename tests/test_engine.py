@@ -654,19 +654,20 @@ def _sha256(text: str) -> str:
 
 
 def test_a_loop_without_rows_or_seeds_compiles_as_before():
-    # the sha256 of this source before rows came in chunks and seeds were
-    # picked in the loop: sweeps that hand off no rows run the same code
+    # the sha256 of this source since the reduction counts nan samples:
+    # sweeps that hand off no rows run the code they ran before rows came in
+    # chunks and seeds were picked in the loop
     roots = {"f": parse("x^2").root, "g": parse("2*x^2").root}
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots())
     assert "emit" not in source.split("\n", 1)[1]
     assert _sha256(source) == (
-        "31cf2ce0ace9ef5f62033bc8f18fdea41eddb9862411ba5047cbca88c0509757")
+        "951211b1c73930617655b9aadac19cfd98adcacb76eab3db4cf62bcbf49103ad")
     # the same loop's guarded form, and both forms of one body, as written
     # when each form had an emitter of its own
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots(),
                            guarded=True)
     assert _sha256(source) == (
-        "74ad1a8d20d4799ed039aeb70c5c01894e116e7b1cb49d883f1ced390d33f263")
+        "66aa4d8332b386ea45c0c1c19630abc36397fb84a5711cedb47fbaf4fbc390d1")
     root = parse(_EVERY_OP).root
     assert [_sha256(_emit(root, slots=slots, guarded=guarded))
             for guarded in (True, False) for slots in (_Slots(), None)] == [
@@ -675,6 +676,37 @@ def test_a_loop_without_rows_or_seeds_compiles_as_before():
         "ab6b8ae7ba2680fb18ba333e1d7d5ed81714b411170943aee181bfd05cc948b0",
         "3d9e8b27ccea6af494961457b2fc0ad73d4a33bd320190ae37c104b364b9da82",
     ]
+
+
+# families whose weighted sides overflow on [0, 1] while every value is finite;
+# under a kernel of 1e10 the two sides of one that changes sign are -inf and
+# inf, so g's own defect is nan too
+_OVERFLOWING = ["1.7e308*x", "8e307*(x+1)", "1.7e308*x^2", "6e307*exp(x)", "1.7e308*(x-0.5)"]
+
+
+@SETTINGS
+@given(st.sampled_from(_OVERFLOWING), st.sampled_from(["1", "0.75"]),
+       st.sampled_from([*KERNELS, make_kernel("custom", expr=parse("1e10"))]), st.data())
+def test_nan_samples_are_counted_as_a_scalar_loop_counts_them(f, scale, h, data):
+    if data.draw(st.booleans()):
+        n = st.integers(1, 6)
+        plan = SamplePlan.grid(data.draw(n), data.draw(n), data.draw(n))
+    else:
+        plan = SamplePlan.random(data.draw(st.integers(1, 60)), seed=data.draw(st.integers(0, 99)))
+    pair, ident = FunctionPair(parse(f), parse(f"{scale}*({f})")), identity_map(UNIT)
+    parts = [_gap_parts(pair, h, ident, *xyt) for xyt in _triples(plan, UNIT)]
+    sweep = _plan_sweep((pair.f, pair.g), ("g", "gap"), h, ident, UNIT, plan)
+    assert sweep.nans == {"g": sum(dg != dg for _, _, dg in parts),
+                          "gap": sum(gap != gap for gap, _, _ in parts)}
+
+
+def test_a_verdict_says_how_many_samples_were_nan():
+    # g(x) + g(y) overflows, so inf - inf leaves 30 of the 75 gaps nan
+    pair = FunctionPair(parse("1.7e308*x"), parse("1.7e308*x"))
+    rep = check_dominated(pair, make_kernel("one"), identity_map(UNIT), UNIT,
+                          SamplePlan.grid(5, 5, 3))
+    assert rep.verdict == HOLDS and rep.samples_checked == 75
+    assert rep.warnings == ["30 of 75 samples are nan and decide nothing"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import simpson
 from domcert import kernels, quadrature
-from domcert.expr import EvalError, parse
+from domcert.expr import EvalError, _power_form, parse
 from domcert.kernels import (
     PROBE_POINTS,
     Kernel,
@@ -158,8 +158,8 @@ class TestCustomKernels:
 
 
 class TestConstantBits:
-    """(h(1/2), 1/(2 h(1/2)), integral, its error) as float.hex, frozen: only a
-    kernel with a kink of abs in (0, 1) has its integral split."""
+    """(h(1/2), 1/(2 h(1/2)), integral, its error) as float.hex, frozen: the
+    built-in kinds' integrals and a custom power form's are closed forms."""
 
     @pytest.mark.parametrize("kind, s, expr, bits", [
         ("linear", None, None, ("0x1.0000000000000p-1", "0x1.0000000000000p+0",
@@ -175,12 +175,96 @@ class TestConstantBits:
         ("one", None, None, ("0x1.0000000000000p+0", "0x1.0000000000000p-1",
                              "0x1.0000000000000p+0", "0x0.0p+0")),
         ("custom", None, "t^(-0.5)", ("0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bccp-2",
-                                      "0x1.ffffffff920ebp+0", "0x1.4f8b81a71a490p-16")),
+                                      "0x1.0000000000000p+1", "0x0.0p+0")),
+        # the ladder read it as +inf: its integral is 10
+        ("custom", None, "t^(-0.9)", ("0x1.ddb680117ab12p+0", "0x1.125fbee250664p-2",
+                                      "0x1.4000000000001p+3", "0x0.0p+0")),
+        # the ladder read it as +inf
+        ("custom", None, "1e308", ("0x1.1ccf385ebc8a0p+1023", "0x0.3986b3c0cf469p-1022",
+                                   "0x1.1ccf385ebc8a0p+1023", "0x0.0p+0")),
     ])
     def test_constants_keep_their_bits(self, kind, s, expr, bits):
         k = make_kernel(kind, s=s, expr=expr and parse(expr))
         got = (k.half_value, k.midpoint_coefficient, k.integral, k.integral_error)
         assert tuple(v.hex() for v in got) == bits
+
+
+class TestPowerForm:
+    """A tree C*t^a*(1-t)^b gets the closed form C*B(a+1, b+1) of its
+    integral, within the error it states; any other tree keeps the ladder."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(0.0, 0.999, exclude_min=True), st.sampled_from(["t^-{!r}", "(1-t)^-{!r}"]))
+    @example(0.9, "t^-{!r}")
+    @example(0.999, "(1-t)^-{!r}")
+    @example(5e-324, "t^-{!r}")
+    def test_an_integrable_singularity_gives_one_over_one_minus_p(self, p, template):
+        k = make_kernel("custom", expr=parse(template.format(p)))
+        exact = 1 / (1 - Fraction(p))
+        # C/(a+1) rounds a + 1 and the quotient, as the built-in 1/(s+1) does
+        # under its error of 0.0
+        assert abs(Fraction(k.integral) - exact) <= k.integral_error + 2 * math.ulp(float(exact))
+
+    def test_integer_exponents_are_within_the_stated_error(self):
+        for c in (1.0, 3.0, 0.1):
+            for m in range(1, 60):
+                for n in range(1, 60):
+                    value, error = kernels._integral(parse(f"{c!r}*t^{m}*(1-t)^{n}"), 1e-10)
+                    exact = Fraction(c) * Fraction(
+                        math.factorial(m) * math.factorial(n), math.factorial(m + n + 1))
+                    assert 0.0 < error and abs(Fraction(value) - exact) <= error, (c, m, n)
+
+    @pytest.mark.parametrize("source, form", [
+        ("t", (1.0, 1.0, 0.0)), ("1-t", (1.0, 0.0, 1.0)), ("3", (3.0, 0.0, 0.0)),
+        ("1e300/t", (1e300, -1.0, 0.0)), ("2*t^0.5*(1-t)^0.5", (2.0, 0.5, 0.5)),
+        ("1/(t*(1-t))", (1.0, -1.0, -1.0)), ("-t*-2", (2.0, 1.0, 0.0)),
+        ("(4*t^2)^0.5", (2.0, 1.0, 0.0)), ("t^(1/2)/t", (1.0, -0.5, 0.0)),
+        ("t^-0.9", (1.0, -0.9, 0.0)),
+    ])
+    def test_power_forms(self, source, form):
+        assert _power_form(parse(source).root) == form
+
+    @pytest.mark.parametrize("source", [
+        "t+1", "1+t^0.5", "1-2*t", "exp(t)", "ln(t+1)", "abs(t)", "sqrt(t)", "cos(t)",
+        "-t", "-2*t^0.5", "(-t)^2", "0*t", "t/0", "t^t", "2^t", "(1e200*t)^2",
+        "(t^(1e308*10))^0",
+    ])
+    def test_no_power_form(self, source):
+        # sums, functions, a C that is not positive and finite, and exponents
+        # that are not constant or not finite
+        assert _power_form(parse(source).root) is None
+
+    @given(st.sampled_from(["linear", "reciprocal", "one", "power"]),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_every_built_in_source_has_a_form(self, kind, s):
+        assert _power_form(parse(kernels._BUILT_IN[kind](s)[0]).root) is not None
+
+    @pytest.mark.parametrize("source, integral", [
+        ("1/t", math.inf), ("1/(1-t)", math.inf), ("1e300/t", math.inf), ("1e308", 1e308),
+        ("t^-0.9", 10.000000000000002), ("2*t^0.5*(1-t)^0.5", math.pi / 4),
+    ])
+    def test_a_power_form_never_reaches_the_ladder(self, monkeypatch, source, integral):
+        def refuse(*args):
+            raise AssertionError("integrate_open01 called")
+
+        monkeypatch.setattr(kernels, "integrate_open01", refuse)
+        kernels._custom_constants.cache_clear()
+        kernels._built_in_expr.cache_clear()
+        assert make_kernel("custom", expr=parse(source)).integral == integral
+        for kind in ("linear", "reciprocal", "one"):
+            make_kernel(kind)
+        make_kernel("power", s=0.37)
+
+    def test_a_tree_without_a_form_takes_the_ladder(self, monkeypatch):
+        calls = []
+
+        def ladder(expr, tol):
+            calls.append((expr.source, tol))
+            return quadrature.QuadResult(0.5, 1e-3, 1)
+
+        monkeypatch.setattr(kernels, "integrate_open01", ladder)
+        assert kernels._integral(parse("1/(t*(1-ln(t))^2)"), 1e-7) == (0.5, 1e-3)
+        assert calls == [("1/(t*(1-ln(t))^2)", 1e-7)]
 
 
 def _exact_abs_kernel_integral(c: float, k: float, d: float) -> Fraction:
@@ -427,7 +511,7 @@ def _counting(mp):
         return run
 
     mp.setattr(kernels, "_check_probe", counted("probe", kernels._check_probe))
-    mp.setattr(kernels, "integrate_open01", counted("integral", kernels.integrate_open01))
+    mp.setattr(kernels, "_integral", counted("integral", kernels._integral))
     return calls
 
 

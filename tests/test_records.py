@@ -80,7 +80,8 @@ def _sweep():
      "statement_holds=(True, True, True), agreement=True)"),
     (_sweep,
      "_SweepData(samples=4, worst={'g': (0.0, (0.0, 0.0, 0.5), 0.0, 0.0), "
-     "'gap': (0.0, (0.0, 0.0, 0.5), 0.0, 0.0)}, neg={'f': False, 'g': False})"),
+     "'gap': (0.0, (0.0, 0.0, 0.5), 0.0, 0.0)}, neg={'f': False, 'g': False}, "
+     "nans={'g': 0, 'gap': 0})"),
     (_hh,
      "HHReport(bound_kind='midpoint', lhs=0.0, rhs=0.08333333333333331, "
      "margin=0.08333333333333331, holds=True, vacuous=False, "
@@ -208,9 +209,10 @@ def test_validated_records_equal_only_their_own_class():
 
 
 def test_kernel_equality_includes_the_computed_constants():
-    # the same expression integrated to two tolerances
-    fine = make_kernel("custom", expr=parse("t^(-0.5)"))
-    coarse = make_kernel("custom", expr=parse("t^(-0.5)"), quad_tol=1e-6)
+    # the same expression integrated to two tolerances (a tree without a
+    # power form, whose integral the ladder computes to quad_tol)
+    fine = make_kernel("custom", expr=parse("t^(-0.5)+1"))
+    coarse = make_kernel("custom", expr=parse("t^(-0.5)+1"), quad_tol=1e-6)
     assert (fine.kind, fine.s, fine.expr) == (coarse.kind, coarse.s, coarse.expr)
     assert fine.integral != coarse.integral
     assert fine != coarse and hash(fine) != hash(coarse)
