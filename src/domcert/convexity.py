@@ -106,24 +106,14 @@ class FunctionPair(NamedTuple):
     g: Expr
 
 
-class _CheckReport(NamedTuple):
+class CheckReport(NamedTuple):
     verdict: str
     samples_checked: int
     worst_gap: float
     witness: tuple[float, float, float]
     witness_lhs: float
     witness_rhs: float
-    warnings: list[str] | None = None
-
-
-class CheckReport(_CheckReport):
-    __slots__ = ()
-
-    def __new__(cls, *fields, **named):
-        report = super().__new__(cls, *fields, **named)
-        if report.warnings is None:  # a new list for each report
-            report = report._replace(warnings=[])
-        return report
+    warnings: list[str] | tuple[()] = ()
 
     def holds(self) -> bool:
         return self.verdict == HOLDS

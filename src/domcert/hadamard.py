@@ -46,7 +46,7 @@ class ReportError(ReasonError):
     although the kernel's integral is)."""
 
 
-class _HHReport(NamedTuple):
+class HHReport(NamedTuple):
     bound_kind: str  # 'midpoint' or 'endpoint'
     lhs: float
     rhs: float
@@ -54,18 +54,7 @@ class _HHReport(NamedTuple):
     holds: bool
     vacuous: bool
     quad_error: float
-    warnings: list[str] | None = None
-
-
-class HHReport(_HHReport):
-    __slots__ = ()
-
-    def __new__(cls, *fields, **named):
-        report = super().__new__(cls, *fields, **named)
-        # a new list for each report
-        if report.warnings is None:
-            report = report._replace(warnings=[])
-        return report
+    warnings: list[str] | tuple[()] = ()
 
 
 class SpecialCaseEntry(NamedTuple):

@@ -71,8 +71,10 @@ def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
     """(H, its error) of h = expr over (0, 1).  A power form C*t^a*(1-t)^b has
     H = +inf if a <= -1 or b <= -1, C/(a+1) or C/(b+1) if the other exponent
     is 0, else C*B(a+1, b+1) by lgamma, with error H*4*eps*(1 + the lgamma
-    terms' magnitudes); other trees take integrate_open01's.  +inf has error 0."""
-    form = _power_form(expr.root)
+    terms' magnitudes).  A C past the float range is carried as its log,
+    and H = exp(log C + the lgamma terms), its error counting log C's too.
+    Other trees take integrate_open01's.  +inf has error 0."""
+    form = _power_form(expr.root) or _power_form(expr.root, logs=True)
     if form is None:
         try:
             result = integrate_open01(expr, quad_tol)
@@ -84,14 +86,20 @@ def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
         value, error = result.value, result.error_estimate
     else:
         c, a, b = form
+        scaled = isinstance(c, tuple)  # (log C, its error in eps)
         if a <= -1.0 or b <= -1.0:
             value, error = math.inf, 0.0
-        elif a == 0.0 or b == 0.0:  # a + b + 1.0 is a + 1.0 or b + 1.0
+        elif (a == 0.0 or b == 0.0) and not scaled:  # a + b + 1.0 is a + 1.0 or b + 1.0
             value, error = c / (a + b + 1.0), 0.0
         else:
             terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
-            value = c * math.exp(terms[0] + terms[1] - terms[2])
-            error = value * 4.0 * math.ulp(1.0) * (1.0 + sum(map(abs, terms)))
+            beta = terms[0] + terms[1] - terms[2]
+            try:
+                value = math.exp(c[0] + beta) if scaled else c * math.exp(beta)
+            except OverflowError:  # H past the largest float
+                value = math.inf
+            size = 1.0 + sum(map(abs, terms)) + (c[1] if scaled else 0.0)
+            error = value * 4.0 * math.ulp(1.0) * size
     return value, 0.0 if math.isinf(value) else error
 
 

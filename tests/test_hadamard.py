@@ -31,6 +31,7 @@ from domcert.hadamard import (
 from domcert.kernels import Kernel, make_kernel
 from domcert.quadrature import QuadratureError, integrate
 from domcert import cli, hadamard, quadrature
+from domcert import expr as expr_module
 
 UNIT = Interval(0.0, 1.0)
 IDENT = identity_map(UNIT)
@@ -567,15 +568,28 @@ class TestKinkSplit:
             assert calls == [(0.0, 1.0, 1e-10)]
             assert got == integrate(parse(source), 0.0, 1.0, 1e-10)
 
-    @pytest.mark.parametrize("source, kinks", [
+    KINKS = pytest.mark.parametrize("source, kinks", [
         ("abs(x-0.5020147025901347)", [0.5020147025901347]),
         ("abs(3*x-1)+2*abs(0.25-x)", [0.25, 0.3333333333333333]),
         ("abs(x)", [0.0]),  # the kink at a zero of the argument itself
         ("abs(x-1e-300)", [1e-300]),
         ("abs(x-0.5)+abs(2*x-1)", [0.5]),  # one kink, split once
     ])
+
+    @KINKS
     def test_kinks_are_where_the_evaluated_argument_changes_sign(self, source, kinks):
         assert quadrature._kinks(parse(source), -1.0, 1.0) == kinks
+
+    @KINKS
+    def test_kinks_build_no_expr(self, monkeypatch, source, kinks):
+        # each argument is compiled, not wrapped in an Expr with its source
+        u = parse(source)
+
+        def refuse(*args):
+            raise AssertionError("to_source called")
+
+        monkeypatch.setattr(expr_module, "to_source", refuse)
+        assert quadrature._kinks(u, -1.0, 1.0) == kinks
 
     def test_each_kink_has_its_sign_change_on_either_side(self):
         u = parse("0.1*x-0.0370000000000001")

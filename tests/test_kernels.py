@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,56 @@ class TestPowerForm:
         monkeypatch.setattr(kernels, "integrate_open01", ladder)
         assert kernels._integral(parse("1/(t*(1-ln(t))^2)"), 1e-7) == (0.5, 1e-3)
         assert calls == [("1/(t*(1-ln(t))^2)", 1e-7)]
+
+
+class TestScaledPowerForm:
+    """A power form whose C is past the float range is carried as log C, so its
+    integral is a closed form too, within the error it states."""
+
+    REPRO = "(1e170*t^40*(1-t)^40)^2"  # C = 1e340, H = 1e340*B(81, 81)
+
+    def test_the_overflowing_constant_repro_is_within_its_error_and_quick(self):
+        kernels._custom_constants.cache_clear()
+        start = time.perf_counter()
+        k = make_kernel("custom", expr=parse(self.REPRO))
+        elapsed = time.perf_counter() - start
+        exact = Fraction(1e170) ** 2 * Fraction(math.factorial(80) ** 2, math.factorial(161))
+        assert _power_form(parse(self.REPRO).root) is None  # C^2 overflows the plain fold
+        assert math.isfinite(k.integral) and 0.0 < k.integral_error < 1e-11 * k.integral
+        assert abs(Fraction(k.integral) - exact) <= k.integral_error
+        assert elapsed < 0.1  # the ladder ran 15 s, then ran out of panels
+
+    @pytest.mark.parametrize("source, form", [
+        ("(1e200*t)^2", (2.0, 0.0)), ("1e-200*1e-200*1e300*t", (1.0, 0.0)),
+        ("(1e170*t^40*(1-t)^40)^2", (80.0, 80.0)), ("1e308*1e308/(t*(1-t))^0.5", (-0.5, -0.5)),
+    ])
+    def test_a_constant_past_the_float_range_has_a_log_form(self, source, form):
+        assert _power_form(parse(source).root) is None
+        (log, n), *exponents = _power_form(parse(source).root, logs=True)
+        assert tuple(exponents) == form and 0.0 < n
+
+    @pytest.mark.parametrize("source", [
+        "t", "1-t", "3", "1e300/t", "2*t^0.5*(1-t)^0.5", "1/(t*(1-t))", "-t*-2",
+        "(4*t^2)^0.5", "t^(1/2)/t", "t^-0.9", "0.1*t^7/(1-t)^3*1e-5",
+    ])
+    def test_a_log_form_agrees_with_the_plain_form(self, source):
+        c, a, b = _power_form(parse(source).root)
+        (log, n), la, lb = _power_form(parse(source).root, logs=True)
+        assert (la, lb) == (a, b)
+        assert abs(log - math.log(c)) <= (n + abs(log) + 1.0) * math.ulp(1.0)
+
+    @pytest.mark.parametrize("source", [
+        "t+1", "1+t^0.5", "exp(t)", "-t", "-2*t^0.5", "(-t)^2", "0*t", "t/0", "t^t", "2^t",
+        "(t^(1e308*10))^0", "(-1e200*t)^2", "0*1e300*1e300",
+    ])
+    def test_no_log_form(self, source):
+        assert _power_form(parse(source).root, logs=True) is None
+
+    def test_a_scaled_form_takes_the_lgamma_rule_with_a_zero_exponent(self):
+        # C = 1e-100 underflows in the plain fold (1e-200*1e-200 is 0.0)
+        value, error = kernels._integral(parse("1e-200*1e-200*1e300*t"), 1e-10)
+        exact = Fraction(1e-200) ** 2 * Fraction(1e300) / 2
+        assert abs(Fraction(value) - exact) <= error < 1e-111
 
 
 def _exact_abs_kernel_integral(c: float, k: float, d: float) -> Fraction:

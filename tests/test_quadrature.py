@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import simpson
 from domcert import quadrature
@@ -152,6 +152,21 @@ class TestFloatEdges:
             return
         assert _total(parts).hex() == want.hex()
 
+    @given(st.lists(st.one_of(FINITE, st.floats(1e307, HUGE), st.floats(-HUGE, -1e307)),
+                    max_size=12).flatmap(lambda parts: st.permutations(parts).map(
+                        lambda shuffled: (parts, shuffled))))
+    @example(([HUGE, HUGE, -HUGE], [HUGE, -HUGE, HUGE]))
+    def test_a_total_is_free_of_the_order_of_its_parts(self, orders):
+        # integrate sums its panels in heap order: fsum is exactly rounded, and
+        # its overflow fallback is too, also where fsum raises in one order only
+        parts, shuffled = orders
+        assert _total(parts).hex() == _total(shuffled).hex()
+
+    def test_fsum_can_overflow_in_one_order_only(self):
+        with pytest.raises(OverflowError):
+            math.fsum([HUGE, HUGE, -HUGE])
+        assert math.fsum([HUGE, -HUGE, HUGE]) == HUGE == _total([HUGE, HUGE, -HUGE])
+
     @given(HUGE_PARTS)
     def test_a_total_is_the_rounded_exact_sum_or_inf(self, parts):
         exact = sum(map(Fraction, parts))
@@ -222,6 +237,66 @@ class TestOpenUnitInterval:
     def test_divergence_is_a_value_not_an_exception(self):
         r = integrate_open01(lambda t: 1.0 / t)
         assert isinstance(r, QuadResult)
+
+
+def _six_rung_open01(fun, tol):
+    """integrate_open01 over the ladder 1e-2, 1e-4, ..., 1e-12, whose first three
+    rungs fed only the summed subdivisions: (value, error) of the last three."""
+    results = [quadrature.integrate_split(fun, eps, 1.0 - eps, tol)
+               for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)]
+    values = [r.value for r in results]
+    d_last = values[-1] - values[-2]
+    if abs(d_last) > 0.01 * max(abs(values[-1]), 1e-300):
+        return math.inf, math.inf
+    d_prev = values[-2] - values[-3]
+    tail = 0.0
+    if d_last != 0.0 and d_prev != 0.0:
+        rho = abs(d_last) / abs(d_prev)
+        if rho < 0.9:
+            tail = d_last * rho / (1.0 - rho)
+    return values[-1] + tail, results[-1].error_estimate + abs(d_last) + abs(tail)
+
+
+# kernels without a power form: smooth, singular at an end, divergent, kinked,
+# and one that faults inside (0, 1)
+NO_FORM_KERNELS = [
+    "t^(-0.5)+1", "1/(t*(1-ln(t))^2)", "1/sqrt(t-1e-8)", "exp(t)", "1+t", "sqrt(t)",
+    "-ln(t)", "1/t+1", "1/(1-t)+1", "t^-0.9+0.1", "cos(t)", "2+sin(10*t)",
+    "abs(t-0.3)+0.1", "exp(-1/t)+1", "ln(1+t)+1", "1/sqrt(t*(1-t))", "-ln(1-t)",
+    "1/(t^0.5+(1-t)^0.5)", "t^t", "1/(t*(1-t))+1", "abs(2*t-1)+abs(t-0.25)",
+    "(1-t)^(-0.5)+t",
+]
+
+
+def _bits_or_fault(run):
+    """[value, error] of run() as float.hex, or the exception's type and message."""
+    try:
+        return [v.hex() for v in run()[:2]]
+    except Exception as exc:  # the outcome, whatever it is, is what is compared
+        return type(exc), str(exc)
+
+
+class TestThreeRungLadder:
+    """integrate_open01 integrates only the three rungs its result reads."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("source", NO_FORM_KERNELS)
+    def test_the_ladder_matches_the_six_rung_reference(self, monkeypatch, source, tol):
+        fun = parse(source)
+        want = _bits_or_fault(lambda: _six_rung_open01(fun, tol))
+        calls = []
+        split = quadrature.integrate_split
+        monkeypatch.setattr(quadrature, "integrate_split",
+                            lambda *args: calls.append(args[1:]) or split(*args))
+        got = _bits_or_fault(lambda: integrate_open01(fun, tol))
+        assert got == want
+        if isinstance(got, list):  # a fault stops the ladder at its rung
+            assert calls == [(eps, 1.0 - eps, tol) for eps in (1e-8, 1e-10, 1e-12)]
+
+    def test_the_battery_holds_a_fault_and_a_divergence(self):
+        fault = _bits_or_fault(lambda: integrate_open01(parse("1/sqrt(t-1e-8)")))
+        assert fault[0] is QuadratureError and "sqrt of a negative value" in fault[1]
+        assert integrate_open01(parse("1/t+1")).value == math.inf
 
 
 class TestSplitContract:

@@ -256,22 +256,13 @@ def test_result_records_are_immutable_tuples(build, cls, name):
     assert record._asdict()[name] == getattr(record, name)
 
 
-def test_report_lists_are_fresh_per_record():
-    a = CheckReport("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)
-    a.warnings.append("a warning")
-    assert CheckReport("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0).warnings == []
-    b = HHReport("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
-    b.warnings.append("a warning")
-    assert HHReport("midpoint", 0.0, 1.0, 1.0, True, False, 0.0).warnings == []
-
-
 @pytest.mark.parametrize("given", [[], ["a warning"]])
 def test_report_keeps_the_list_it_is_given(given):
     fields = ("holds-on-samples", 1, 0.0, (0.0, 0.0, 0.5), 0.0, 0.0)
     assert CheckReport(*fields, given).warnings is given
     assert CheckReport(*fields, warnings=given).warnings is given
-    fresh = CheckReport(*fields, None).warnings
-    assert fresh == [] and fresh is not given
+    assert CheckReport(*fields).warnings == ()  # immutable: no default is shared mutably
+    assert CheckReport.__bases__ == (tuple,)  # a plain NamedTuple
 
 
 @pytest.mark.parametrize("given", [[], ["a warning"]])
@@ -279,8 +270,8 @@ def test_hh_report_keeps_the_list_it_is_given(given):
     fields = ("midpoint", 0.0, 1.0, 1.0, True, False, 0.0)
     assert HHReport(*fields, given).warnings is given
     assert HHReport(*fields, warnings=given).warnings is given
-    fresh = HHReport(*fields, None).warnings
-    assert fresh == [] and fresh is not given
+    assert HHReport(*fields).warnings == ()
+    assert HHReport.__bases__ == (tuple,)
 
 
 @pytest.mark.parametrize("build", [
