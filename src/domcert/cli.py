@@ -957,8 +957,11 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[str] = []
     built = _build_inputs(ns, problems)
     if ns.subcommand == "special-case":
-        if ns.which in ("power", "all") and ns.s is None:
+        reads_s = ns.which in ("power", "all")
+        if reads_s and ns.s is None:
             problems.append("--which power (or all) needs --s")
+        elif ns.s is not None and not reads_s:
+            problems.append("--s: only --which power or all reads it")
         elif ns.s is not None and not 0.0 < ns.s < 1.0:
             problems.append(f"--s must lie in (0, 1), got {ns.s!r}")
     if problems:

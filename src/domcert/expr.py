@@ -43,12 +43,12 @@ constant _emit branches on, since the pieces fix each literal's sign.  The
 first time the cold path accepts a source of a key, parse makes its
 template: a function of the literal values, one closure per node, that
 builds the tree anew and binds the values to the compiled specialized body.
-The tree is the one the parser makes from the pieces with the literals
-replaced by the tags 1..n, each tag's sign the one unary-minus folding gave
-it, and the template is kept only if each tag is used once.  A template
+The parser names each literal's Const and the sign unary-minus folding gave
+it, so the template knows which value each constant holds; a source whose
+signed literals are not its split's values takes the cold path.  A template
 compiles nothing but the body the cold path compiles, so a first source
-costs two to three cold parses; a later source of its key costs a split, a
-float() per literal and that function.  The _TEMPLATE_BOUND templates made
+costs one cold parse; a later source of its key costs a split, a float()
+per literal and that function.  The _TEMPLATE_BOUND templates made
 last are kept.  A key with an infinite literal never gets a template, so
 the cold path runs and raises its ParseError.  Nesting deeper than the
 parser's or the emitter's recursion, or compile's limit on nested
@@ -192,6 +192,7 @@ class _Parser:
         self.source = source
         self.i = 0
         self.var: str | None = None
+        self.literals: list[list] = []  # [Const, sign] of each number literal
 
     def expr(self) -> Node:
         node = self.term()
@@ -219,7 +220,10 @@ class _Parser:
             operand = self.factor()
             # fold a negated literal so "-2" is a constant, not Unary(neg)
             if isinstance(operand, Const):
-                return Const(-operand.value)
+                node = Const(-operand.value)
+                if self.literals and self.literals[-1][0] is operand:  # not pi or e
+                    self.literals[-1] = [node, -self.literals[-1][1]]
+                return node
             return Unary("neg", operand)
         base = self.atom()
         if self.tokens[self.i][1] == "^":
@@ -235,7 +239,9 @@ class _Parser:
             value = float(text)
             if not math.isfinite(value):
                 raise ParseError(offset, "a finite constant", self.source)
-            return Const(value)
+            node = Const(value)
+            self.literals.append([node, 1.0])
+            return node
         if kind == "name":
             if tokens[self.i][0] != "lparen":
                 if text in _CONSTANTS:
@@ -698,8 +704,9 @@ _TOO_DEEP = "an expression nested less deeply"
 _split = re.compile(f"({_NUM_RE.pattern})").split
 
 
-def _tree(source: str) -> tuple[Node, str | None]:
-    """The tree and the variable of source, or ParseError."""
+def _tree(source: str) -> tuple[Node, str | None, list[list]]:
+    """The tree, the variable and the [Const, sign] of each number literal
+    of source, or ParseError."""
     parser = _Parser(_tokenize(source), source)
     try:
         root = parser.expr()
@@ -708,73 +715,58 @@ def _tree(source: str) -> tuple[Node, str | None]:
     kind, _, offset = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(offset, "an operator or end of input", source)
-    return root, parser.var
+    return root, parser.var, parser.literals
 
 
 def _parse_cold(source: str) -> Expr:
     """parse without templates."""
-    root, var = _tree(source)
+    root, var, _ = _tree(source)
     try:
         return Expr(root, var, source)
     except (RecursionError, SyntaxError):  # _emit's depth or compile's nesting limit
         raise ParseError(0, _TOO_DEEP, source) from None
 
 
-class _NoTemplate(Exception):
-    """The tagged tree does not stand for the source's tree."""
-
-
 _new_node = tuple.__new__
 _new_expr = object.__new__
 
 
-def _template(source: str, root: Node, var_name: str | None, pieces: list[str],
-              values: list[float]):
-    """(make, the Expr of source) for source, whose tree the parser made as
-    root with var_name, or None.  make(s, literal values) is the Expr of
-    every source s of source's pieces whose literals have the classes of
-    values.  Its tree is the one the parser makes from the pieces with the
-    literals replaced by the tags 1..n, each tag used once; a tag's sign is
-    the one unary-minus folding gave it, and pi and e stay the parser's
-    values.  Its body is root's specialized body, looked up in _shape_code
-    on each call as the cold path does, with each slot read from the
-    literal it holds.  None when the tags do not stand for root's
-    constants, when make does not make root again, or when root is nested
-    too deeply to emit or compile."""
-    n = len(values)
-    tagged = "".join(p + str(i) for i, p in enumerate(pieces[:-1], 1)) + pieces[-1]
-    uses = [0] * n
+def _template(source: str, values: list[float], root: Node, var_name: str | None,
+              literals: list[list]):
+    """(make, the Expr of source) for source, whose tree, variable and
+    literals the parser made as root, var_name and literals, or None.
+    make(s, literal values) is the Expr of every source s of source's
+    pieces whose literals have the classes of values: root with the i-th
+    literal's Const holding values[i] times its sign, pi and e the parser's,
+    and root's specialized body, looked up in _shape_code on each call as
+    the cold path does, each slot read from the literal it holds.  None
+    when the signed literals are not values, or when root is nested too
+    deeply to walk, emit or compile."""
+    if [sign * node.value for node, sign in literals] != values:
+        return None
     # id of a Const of root -> the function of the literal values giving its value
-    value_of: dict[int, Callable[[list[float]], float]] = {}
+    value_of: dict[int, Callable[[list[float]], float]] = {
+        id(node): (lambda v, i=i: -v[i]) if sign < 0.0 else (lambda v, i=i: v[i])
+        for i, (node, sign) in enumerate(literals)
+    }
 
-    def walk(node: Node, tag: Node) -> Callable[[list[float]], Node]:
-        """The function of the literal values that makes node anew; tag is
-        the same place in the tagged tree."""
+    def walk(node: Node) -> Callable[[list[float]], Node]:
+        """The function of the literal values that makes node anew."""
         cls = node.__class__
-        if cls is not tag.__class__:
-            raise _NoTemplate
         if cls is Const:
-            k = tag.value
-            if k.is_integer() and 1.0 <= abs(k) <= n:
-                i = int(abs(k)) - 1
-                uses[i] += 1
-                value = (lambda v: -v[i]) if k < 0.0 else (lambda v: v[i])
-            elif k in _CONSTANTS.values() and node == tag:  # pi or e
-                value = lambda v: k
-            else:
-                raise _NoTemplate
-            value_of[id(node)] = value
+            value = value_of.get(id(node))
+            if value is None:  # pi or e
+                k = node.value
+                value = value_of[id(node)] = lambda v: k
             return lambda v: _new_node(Const, (value(v),))
         if cls is Var:
-            name = tag.name
+            name = node.name
             return lambda v: _new_node(Var, (name,))
-        op = tag.op
-        if node.op != op:
-            raise _NoTemplate
+        op = node.op
         if cls is Unary:
-            arg = walk(node.arg, tag.arg)
+            arg = walk(node.arg)
             return lambda v: _new_node(Unary, (op, arg(v)))
-        left, right = walk(node.left, tag.left), walk(node.right, tag.right)
+        left, right = walk(node.left), walk(node.right)
         return lambda v: _new_node(Binary, (op, left(v), right(v)))
 
     # an Expr is made without __init__, which would emit and compile the body again
@@ -791,18 +783,13 @@ def _template(source: str, root: Node, var_name: str | None, pieces: list[str],
         return e
 
     try:
-        build = walk(root, _tree(tagged)[0])
-        if uses != [1] * n:
-            raise _NoTemplate
+        build = walk(root)
         slots = _Slots()
         body = slots.text(f"lambda v: {_emit(root, slots=slots)}")
         slot_values = [value_of[i] for i in slots.names]
-        expr = make(source, values)
-        if expr.root != root:
-            raise _NoTemplate
-    except (_NoTemplate, ParseError, RecursionError, SyntaxError):
+        return make, make(source, values)
+    except (RecursionError, SyntaxError):
         return None
-    return make, expr
 
 
 _TEMPLATES: dict[tuple, Callable[[str, list[float]], Expr]] = {}  # key -> make, oldest first
@@ -826,7 +813,7 @@ def parse(source: str) -> Expr:
             return make(source, values)
         except RecursionError:  # the cold path names the nesting
             pass
-    made = _template(source, *_tree(source), parts[0::2], values)
+    made = _template(source, values, *_tree(source))
     if made is None:
         return _parse_cold(source)
     if len(_TEMPLATES) >= _TEMPLATE_BOUND:

@@ -211,8 +211,9 @@ class TestFlatParser:
     @pytest.mark.parametrize("flag", sorted(_OWN))
     def test_owner_takes_its_option_on_either_side(self, capsys, flag):
         owner, tokens = _OWN[flag]
-        argv = (*BASE, "--grid", "3", "3", "3", *(("--s", "0.5") if owner == "special-case"
-                                                  else ()))
+        argv = (*BASE, "--grid", "3", "3", "3")
+        if owner == "special-case":  # the default, all, reads --s; so does power
+            argv, tokens = (*argv, "--s", "0.5"), ("--which", "power")
         after = run(capsys, owner, *argv, *tokens)
         assert run(capsys, *tokens, owner, *argv) == after
         assert after != run(capsys, owner, *argv)  # not the default
@@ -670,6 +671,12 @@ class TestValidationCollection:
         code, doc = run_json(capsys, "special-case", *BASE, "--which", "power")
         assert code == 2
         assert any("--s" in p for p in doc["error"]["problems"])
+
+    @pytest.mark.parametrize("which", sorted(set(cli._BUILT_IN) - {"power"}))
+    def test_s_needs_a_which_that_reads_it(self, capsys, which):
+        code, doc = run_json(capsys, "special-case", *BASE, "--which", which, "--s", "0.5")
+        assert code == 2
+        assert doc["error"]["problems"] == ["--s: only --which power or all reads it"]
 
 
 class TestSubcommandResults:

@@ -614,7 +614,7 @@ def _filled(shape: str, literals: list[str]) -> str:
 @contextlib.contextmanager
 def _cold_calls():
     """The list of the sources the parser reads: empty while parse serves
-    from templates; on a miss, the source and then its tagged form."""
+    from templates; on a miss, the source alone."""
     calls = []
     tree = expr_module._tree
 
@@ -695,7 +695,7 @@ def test_a_literal_of_another_class_has_its_own_template(a, b):
     for want_calls in ([b], []):  # the first parse of b makes its template
         with _cold_calls() as calls:
             assert _parsed(parse, b) == want
-        assert calls[:1] == want_calls
+        assert calls == want_calls
     assert len(_TEMPLATES) == 2
 
 
@@ -708,17 +708,49 @@ def test_a_template_comes_only_from_an_accepted_source(source):
         assert _TEMPLATES == held
 
 
-def test_a_template_uses_each_tag_once():
-    def template(pieces, values):
-        return _template("2*x+2", _parse_cold("2*x+2").root, "x", pieces, values)
+@settings(max_examples=500, deadline=None)
+@given(_SHAPES, st.lists(_FILLERS, min_size=12, max_size=12))
+def test_the_parser_names_each_literal_of_the_split(shape, fillers):
+    source = _filled(shape, fillers[: shape.count(_HOLE)])
+    try:
+        root, _, literals = expr_module._tree(source)
+    except ParseError:
+        event("refused")
+        return
+    split = [float(text) for text in expr_module._split(source)[1::2]]
+    # in order and bit for bit, -0.0 apart from 0.0
+    assert [(sign * node.value).hex() for node, sign in literals] == [v.hex() for v in split]
 
-    assert template(["", "*x+", ""], [2.0, 2.0]) is not None
-    # pieces that carry a tag of their own: tag 1 would stand for both
-    # constants, and only this source's constants are equal
-    assert template(["", "*x+1"], [2.0]) is None
-    # pieces that parse to another tree
-    assert template(["", "*x-", ""], [2.0, 2.0]) is None
-    assert template(["", "*x+", "+"], [2.0, 2.0]) is None
+    def consts(node):
+        if isinstance(node, Const):
+            return [node]
+        return [] if isinstance(node, Var) else [c for child in node[1:] for c in consts(child)]
+
+    # each literal's Const is a node of the tree, held once
+    held = [id(c) for c in consts(root)]
+    assert all(held.count(id(node)) == 1 for node, _ in literals)
+
+
+def test_a_template_needs_the_parser_literals_to_be_the_values(monkeypatch):
+    source = "-2*x+3"
+    root, var, literals = expr_module._tree(source)
+    assert _template(source, [2.0, 3.0], root, var, literals) is not None
+    for values in ([3.0, 2.0], [-2.0, 3.0], [2.0], [2.0, 3.0, 3.0]):
+        assert _template(source, values, root, var, literals) is None
+    # a parser whose literals disagree with the split: parse gives the cold
+    # path's Expr and keeps no template
+    want = _parsed(_parse_cold, "5*x+7")
+    tree = expr_module._tree
+
+    def reversed_literals(s):
+        root, var, literals = tree(s)
+        return root, var, literals[::-1]
+
+    monkeypatch.setattr(expr_module, "_tree", reversed_literals)
+    _TEMPLATES.clear()
+    for _ in range(2):
+        assert _parsed(parse, "5*x+7") == want
+    assert _TEMPLATES == {}
 
 
 def test_a_hit_needs_finite_literals():
@@ -728,7 +760,7 @@ def test_a_hit_needs_finite_literals():
         want = _parsed(_parse_cold, source)
         with _cold_calls() as calls:
             assert _parsed(parse, source) == want
-        assert calls == [source]  # refused before a tagged form is read
+        assert calls == [source]  # the cold path's one read refuses it
         with pytest.raises(ParseError, match="a finite constant"):
             parse(source)
 
