@@ -1,11 +1,13 @@
 """Command line front end.
 
 One subcommand per statement checked, each listed with its help and inputs
-in _COMMANDS; `domcert --help` prints them.  Options may come before or
-after the subcommand.  The parser is built on the first call of main and
-shared by later ones.  Well-formed argv (the subcommand, exact long flags
-and their values) is read by one scan of its option table (_Parser.scan);
-anything else goes through argparse, which keeps its messages and help.
+in _COMMANDS, and every option once in _OPTIONS; `domcert --help` prints
+them.  Options may come before or after the subcommand.  Well-formed argv
+(the subcommand, exact long flags and their values) is read by one scan of
+the option table (_scan).  Anything else goes to argparse, which keeps its
+messages and help: main's parser is built from the same table the first
+time the scan hands argv on, and reused by later calls; build_parser()
+returns a new one on each call.
 
 Exit codes: 0 every checked statement held, 1 a violation or failed bound
 was found, 2 configuration or evaluation error.  Errors are emitted as a
@@ -22,11 +24,11 @@ win.  main(argv) returns the exit code, for --help too.
 
 from __future__ import annotations
 
-import argparse
 import io
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
@@ -56,24 +58,81 @@ class _Command(NamedTuple):
     help: str
     needs_g: bool
     needs_kernel: bool
-    # (flag, default, add_argument keywords) of the option only it takes
-    option: tuple | None = None
 
 
 _COMMANDS = {
     "check-convex": _Command("sample the convexity defect of --f", False, True),
     "check-dominated": _Command("sample the dominance gap of (--f, --g)", True, True),
     "equivalence": _Command("evaluate the three equivalent dominance statements", True, True),
-    "verify-hh": _Command("check the two-sided integral bounds", True, True, (
-        "--bound", "both", {"choices": ("midpoint", "endpoint", "both"),
-                            "help": "verify-hh: which bound form to check (default both)"})),
-    "special-case": _Command("run the bounds for the built-in kernels", True, False, (
-        "--which", "all", {"choices": (*_BUILT_IN, "all"),
-                           "help": "special-case: which built-in kernel (default all)"})),
-    "search": _Command("search for violating (x, y, t) triples", True, True, (
-        "--refine", False, {"action": "store_true",
-                            "help": "search: sharpen the worst samples by coordinate descent"})),
+    "verify-hh": _Command("check the two-sided integral bounds", True, True),
+    "special-case": _Command("run the bounds for the built-in kernels", True, False),
+    "search": _Command("search for violating (x, y, t) triples", True, True),
 }
+
+
+class _Option(NamedTuple):
+    flag: str
+    group: str  # its heading in --help
+    keywords: dict  # add_argument's
+    # the one subcommand that takes it: argv leaves it None, so that one
+    # given to another subcommand shows, and the owner gets keywords' default
+    owner: str | None = None
+
+
+_OPTIONS = (
+    _Option("--f", "expressions", dict(help="expression for f, e.g. 'x^2'")),
+    _Option("--g", "expressions", dict(help="expression for the dominator g")),
+    _Option("--h", "kernel", dict(
+        help="built-in kernel: one of 't', 't^s' (needs --s), '1/t', '1' (default t)")),
+    _Option("--s", "kernel", dict(type=float, help="exponent for the 't^s' kernel, in (0, 1)")),
+    _Option("--h-custom", "kernel", dict(help="custom kernel expression in t, must be positive")),
+    _Option("--interval", "domain", dict(nargs=2, type=float, metavar=("A", "B"),
+                                         help="domain interval")),
+    _Option("--phi", "domain", dict(
+        default="identity",
+        help="affine map: 'identity' or an affine expression in x (default identity)")),
+    _Option("--grid", "sampling", dict(nargs=3, type=int, metavar=("NX", "NY", "NT"),
+                                       default=(21, 21, 19),
+                                       help="grid sample counts for x, y, t (default 21 21 19)")),
+    _Option("--random", "sampling", dict(
+        type=int, dest="random_count", metavar="COUNT",
+        help="use COUNT seeded random triples instead of the grid")),
+    _Option("--samples", "sampling", dict(type=int, dest="random_count", metavar="COUNT",
+                                          help="alias for --random")),
+    _Option("--seed", "sampling", dict(type=int, default=0, help="seed for random sampling")),
+    _Option("--eps-t", "sampling", dict(
+        type=float, default=1e-6, help="clamp keeping t inside [eps, 1-eps] (default 1e-6)")),
+    _Option("--atol", "tolerances", dict(type=float, default=1e-9, help="absolute tolerance")),
+    _Option("--rtol", "tolerances", dict(type=float, default=1e-9, help="relative tolerance")),
+    _Option("--quad-tol", "tolerances", dict(type=float, default=1e-10,
+                                             help="quadrature error budget")),
+    _Option("--format", "output", dict(choices=("json", "text", "csv"), default="json",
+                                       help="output format")),
+    _Option("--config", "output", dict(help="key = value file mirroring the flags")),
+    _Option("--bound", "one subcommand each", dict(
+        choices=("midpoint", "endpoint", "both"), default="both",
+        help="verify-hh: which bound form to check (default both)"), "verify-hh"),
+    _Option("--which", "one subcommand each", dict(
+        choices=(*_BUILT_IN, "all"), default="all",
+        help="special-case: which built-in kernel (default all)"), "special-case"),
+    _Option("--refine", "one subcommand each", dict(
+        action="store_true", default=False,
+        help="search: sharpen the worst samples by coordinate descent"), "search"),
+)
+
+
+def _dest(option: _Option) -> str:
+    return option.keywords.get("dest", option.flag[2:].replace("-", "_"))
+
+
+# what the scan reads: each flag but --config (help is not in the table) ->
+# (dest, nargs, type, choices), nargs 0 for a store_true flag; and the
+# namespace parse_args starts from
+_SCANNED = {o.flag: (_dest(o), 0 if "action" in o.keywords else o.keywords.get("nargs"),
+                     o.keywords.get("type"), o.keywords.get("choices"))
+            for o in _OPTIONS if o.flag != "--config"}
+_DEFAULTS = {"subcommand": None,
+             **{_dest(o): None if o.owner else o.keywords.get("default") for o in _OPTIONS}}
 
 
 class _ArgvError(DomcertError):
@@ -89,91 +148,64 @@ class _HelpShown(Exception):
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-        self._table = None  # what scan reads, taken from the actions on its first call
-
-    def _read_table(self):
-        """(options, positional, defaults): each flag of a store or
-        store-constant action with a fixed value count -> (dest, nargs, type,
-        choices, const), except --config (help is neither kind); the one
-        positional's (dest, choices); and the namespace parse_args starts
-        from."""
-        options = {}
-        for flag, action in self._option_string_actions.items():
-            if (action.dest != "config"
-                    and isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
-                    and (action.nargs is None or isinstance(action.nargs, int))):
-                options[flag] = (action.dest, action.nargs, action.type, action.choices,
-                                 action.const)
-        (positional,) = [a for a in self._actions if not a.option_strings]
-        defaults = {}
-        for action in self._actions:
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                defaults.setdefault(action.dest, action.default)
-        return options, (positional.dest, positional.choices), defaults
-
-    def scan(self, argv: list[str]) -> argparse.Namespace | None:
-        """The namespace parse_args(argv) returns, read in one pass, when
-        every token is the subcommand, an exact long flag or a value argparse
-        would take for it (one starting with "-" only as a negative number);
-        None for anything else (an abbreviation, --flag=value, help,
-        --config, a missing, unconvertible or out-of-choice value, a second
-        positional, no subcommand), which parse_args then reads with its own
-        messages."""
-        if self._table is None:
-            self._table = self._read_table()
-        options, (sub_dest, sub_choices), defaults = self._table
-        ns = argparse.Namespace()
-        ns.__dict__.update(defaults)
-        sub = None
-        i, n = 0, len(argv)
-        while i < n:
-            token = argv[i]
-            i += 1
-            option = options.get(token)
-            if option is None:
-                if sub is not None or token not in sub_choices:
-                    return None
-                sub = token
-                continue
-            dest, nargs, convert, choices, const = option
-            if nargs == 0:
-                setattr(ns, dest, const)
-                continue
-            stop = i + (nargs or 1)
-            if stop > n:
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace parse_args(argv) returns, read in one pass, when every
+    token is the subcommand, an exact long flag or a value argparse would
+    take for it (one starting with "-" only as a negative number); None for
+    anything else (an abbreviation, --flag=value, help, --config, a missing,
+    unconvertible or out-of-choice value, a second positional, no
+    subcommand), which parse_args then reads with its own messages."""
+    ns = SimpleNamespace(**_DEFAULTS)
+    sub = None
+    i, n = 0, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        option = _SCANNED.get(token)
+        if option is None:
+            if sub is not None or token not in _COMMANDS:
                 return None
-            values = []
-            for text in argv[i:stop]:
-                if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
-                    return None
-                try:
-                    value = text if convert is None else convert(text)
-                except ValueError:
-                    return None
-                if choices is not None and value not in choices:
-                    return None
-                values.append(value)
-            i = stop
-            setattr(ns, dest, values if nargs else values[0])
-        if sub is None:
+            sub = token
+            continue
+        dest, nargs, convert, choices = option
+        if nargs == 0:
+            setattr(ns, dest, True)
+            continue
+        stop = i + (nargs or 1)
+        if stop > n:
             return None
-        setattr(ns, sub_dest, sub)
-        return ns
+        values = []
+        for text in argv[i:stop]:
+            if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+                return None
+            try:
+                value = text if convert is None else convert(text)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values.append(value)
+        i = stop
+        setattr(ns, dest, values if nargs else values[0])
+    if sub is None:
+        return None
+    ns.subcommand = sub
+    return ns
 
-    # collect argparse complaints instead of letting it exit directly
-    def error(self, message):
-        raise _ArgvError(message)
 
-    # and the exit after --help, so that main returns its status
-    def exit(self, status=0, message=None):
-        raise _HelpShown(status)
+def build_parser():
+    """A new argparse parser of the subcommand and every option in
+    _OPTIONS, which raises _ArgvError for a complaint and _HelpShown after
+    the help instead of exiting."""
+    import argparse  # only argv the scan hands on pays for it
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _ArgvError(message)
 
-def build_parser() -> argparse.ArgumentParser:
+        def exit(self, status=0, message=None):
+            raise _HelpShown(status)
+
     parser = _Parser(
         prog=TOOL,
         description=__doc__.splitlines()[0],
@@ -182,59 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument(
         "subcommand", choices=_COMMANDS, metavar="subcommand", help="the check to run (below)"
     )
-    ex = parser.add_argument_group("expressions")
-    ex.add_argument("--f", help="expression for f, e.g. 'x^2'")
-    ex.add_argument("--g", help="expression for the dominator g")
-    ke = parser.add_argument_group("kernel")
-    ke.add_argument(
-        "--h", help="built-in kernel: one of 't', 't^s' (needs --s), '1/t', '1' (default t)"
-    )
-    ke.add_argument("--s", type=float, help="exponent for the 't^s' kernel, in (0, 1)")
-    ke.add_argument("--h-custom", help="custom kernel expression in t, must be positive")
-    dm = parser.add_argument_group("domain")
-    dm.add_argument(
-        "--interval", nargs=2, type=float, metavar=("A", "B"), help="domain interval"
-    )
-    dm.add_argument(
-        "--phi",
-        default="identity",
-        help="affine map: 'identity' or an affine expression in x (default identity)",
-    )
-    pl = parser.add_argument_group("sampling")
-    pl.add_argument(
-        "--grid", nargs=3, type=int, metavar=("NX", "NY", "NT"), default=(21, 21, 19),
-        help="grid sample counts for x, y, t (default 21 21 19)",
-    )
-    pl.add_argument(
-        "--random", type=int, dest="random_count", metavar="COUNT",
-        help="use COUNT seeded random triples instead of the grid",
-    )
-    pl.add_argument(
-        "--samples", type=int, dest="random_count", metavar="COUNT", help="alias for --random"
-    )
-    pl.add_argument("--seed", type=int, default=0, help="seed for random sampling")
-    pl.add_argument(
-        "--eps-t", type=float, default=1e-6,
-        help="clamp keeping t inside [eps, 1-eps] (default 1e-6)",
-    )
-    tl = parser.add_argument_group("tolerances")
-    tl.add_argument("--atol", type=float, default=1e-9, help="absolute tolerance")
-    tl.add_argument("--rtol", type=float, default=1e-9, help="relative tolerance")
-    tl.add_argument("--quad-tol", type=float, default=1e-10, help="quadrature error budget")
-    ou = parser.add_argument_group("output")
-    ou.add_argument(
-        "--format", choices=("json", "text", "csv"), default="json", help="output format"
-    )
-    ou.add_argument("--config", help="key = value file mirroring the flags")
-    own = parser.add_argument_group("one subcommand each")
-    for command in _COMMANDS.values():
-        if command.option is not None:
-            flag, _, keywords = command.option
-            # None until _parse_argv checks it against the subcommand
-            own.add_argument(flag, default=None, **keywords)
+    groups = {}
+    for option in _OPTIONS:
+        if option.group not in groups:
+            groups[option.group] = parser.add_argument_group(option.group)
+        # an owned option is None until _parse_argv checks it against the subcommand
+        keywords = {**option.keywords, "default": None} if option.owner else option.keywords
+        groups[option.group].add_argument(option.flag, **keywords)
     return parser
 
 
@@ -243,21 +233,26 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _option(parser: argparse.ArgumentParser, key: str) -> argparse.Action | None:
-    """The option --key, or the one option it abbreviates as argparse reads
-    it; None leaves an unknown or ambiguous key to argparse."""
-    actions = parser._option_string_actions
-    action = actions.get(f"--{key}")
-    if action is None:
-        matches = {a for flag, a in actions.items() if flag.startswith(f"--{key}")}
-        if len(matches) == 1:
-            (action,) = matches
-    return action
+# the values a config line gives each long flag but --config: --help and a
+# store_true flag take none
+_TAKES = {"--help": 0, **{flag: 1 if nargs is None else nargs
+                          for flag, (_, nargs, _, _) in _SCANNED.items()}}
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
-    """The file's lines as flags for parser; a line whose value count is not
-    its option's is a problem, since in front of argv a value short would
+def _config_flag(key: str) -> str | None:
+    """--key, or the one long flag it abbreviates as argparse reads it; None
+    leaves an unknown or ambiguous key to argparse."""
+    flags = (*_TAKES, "--config")
+    flag = f"--{key}"
+    if flag in flags:
+        return flag
+    matches = [f for f in flags if f.startswith(flag)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _load_config(path: str) -> list[str]:
+    """The file's lines as flags; a line whose value count is not its
+    option's is a problem, since in front of argv a value short would
     take the subcommand."""
     import shlex  # only a --config request pays for it
 
@@ -280,11 +275,11 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
         if not value:  # a bare flag in front of argv would take the subcommand
             problems.append(f"line {lineno}: {key} has no value")
             continue
-        action = _option(parser, key)
-        if action is not None and action.dest == "config":
+        flag = _config_flag(key)
+        if flag == "--config":
             problems.append(f"line {lineno}: config files cannot nest")
             continue
-        want = None if action is None else 1 if action.nargs is None else action.nargs
+        want = _TAKES.get(flag)
         if want == 0:
             low = value.lower()
             if low in ("1", "true", "yes", "on"):
@@ -310,9 +305,10 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
     return flags
 
 
-# main's parser, built on its first call and shared by every later one:
-# parsing never changes it (config lines are spliced into argv instead)
-_PARSER: argparse.ArgumentParser | None = None
+# main's argparse parser, built the first time the scan hands argv on and
+# shared by every later call: parsing never changes it (config lines are
+# spliced into argv instead)
+_PARSER = None
 
 
 def _parse_argv(argv: list[str]):
@@ -321,23 +317,23 @@ def _parse_argv(argv: list[str]):
     flag wins.  An option of one subcommand given to another is an error,
     and its owner gets its default."""
     global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    ns = _PARSER.scan(argv)
+    ns = _scan(argv)
     if ns is None:
+        if _PARSER is None:
+            _PARSER = build_parser()
         ns = _PARSER.parse_args(argv)
         if ns.config is not None:
-            ns = _PARSER.parse_args(_load_config(ns.config, _PARSER) + argv)
-    for name, command in _COMMANDS.items():
-        if command.option is None:
+            ns = _PARSER.parse_args(_load_config(ns.config) + argv)
+    for option in _OPTIONS:
+        if option.owner is None:
             continue
-        flag, default, _ = command.option
-        dest = flag[2:]
-        if name == ns.subcommand:
+        dest = _dest(option)
+        if option.owner == ns.subcommand:
             if getattr(ns, dest) is None:
-                setattr(ns, dest, default)
+                setattr(ns, dest, option.keywords["default"])
         elif getattr(ns, dest) is not None:
-            raise _ArgvError(f"argument {flag}: only the {name} subcommand takes it")
+            raise _ArgvError(f"argument {option.flag}: only the {option.owner} subcommand"
+                             " takes it")
     return ns
 
 
@@ -404,9 +400,9 @@ def _build_phi(ns, interval, problems: list[str]):
         return None
 
 
-def _build_inputs(ns, problems: list[str]) -> argparse.Namespace:
+def _build_inputs(ns, problems: list[str]) -> SimpleNamespace:
     command = _COMMANDS[ns.subcommand]
-    built = argparse.Namespace(f=None, g=None, kernel=None, phi=None, interval=None, plan=None)
+    built = SimpleNamespace(f=None, g=None, kernel=None, phi=None, interval=None, plan=None)
     if ns.interval is None:
         problems.append("--interval A B is required")
     else:
@@ -601,7 +597,7 @@ inputs.plan.rtol = %.12g
 inputs.quad_tol = %.12g"""
 
 
-def _head_json(ns, built: argparse.Namespace) -> str:
+def _head_json(ns, built: SimpleNamespace) -> str:
     """The JSON envelope up to the value of "result"."""
     plan = built.plan
     if plan.strategy == "grid":
@@ -622,7 +618,7 @@ def _head_json(ns, built: argparse.Namespace) -> str:
     )
 
 
-def _head_text(ns, built: argparse.Namespace) -> str:
+def _head_text(ns, built: SimpleNamespace) -> str:
     """The text envelope's lines before its result's, without the last newline."""
     plan = built.plan
     if plan.strategy == "grid":
@@ -639,7 +635,7 @@ def _head_text(ns, built: argparse.Namespace) -> str:
     )
 
 
-def render_result_json(ns, built: argparse.Namespace, result: dict, code: int) -> str:
+def render_result_json(ns, built: SimpleNamespace, result: dict, code: int) -> str:
     """A check, equivalence or search envelope: the head, then the walk of
     its result (search rows go out through their own writes)."""
     out = [_head_json(ns, built)]
@@ -648,7 +644,7 @@ def render_result_json(ns, built: argparse.Namespace, result: dict, code: int) -
     return "".join(out)
 
 
-def render_result_text(ns, built: argparse.Namespace, result: dict, code: int) -> str:
+def render_result_text(ns, built: SimpleNamespace, result: dict, code: int) -> str:
     lines = [_head_text(ns, built)]
     _text_walk(result, "result", lines)
     lines.append("exit_code = %d\n" % code)
@@ -704,7 +700,7 @@ def _report_text(r, path: str, out: list) -> None:
         out.append("%s.warnings[%d] = %s\n" % (path, i, w))
 
 
-def render_bounds_json(ns, built: argparse.Namespace, records: list, code: int) -> str:
+def render_bounds_json(ns, built: SimpleNamespace, records: list, code: int) -> str:
     """A verify-hh (HHReport records) or special-case (SpecialCaseEntry
     records) envelope."""
     if ns.subcommand == "verify-hh":
@@ -720,7 +716,7 @@ def render_bounds_json(ns, built: argparse.Namespace, records: list, code: int) 
         _head_json(ns, built), key, listed, code)
 
 
-def render_bounds_text(ns, built: argparse.Namespace, records: list, code: int) -> str:
+def render_bounds_text(ns, built: SimpleNamespace, records: list, code: int) -> str:
     out = [_head_text(ns, built), "\n"]
     if ns.subcommand == "verify-hh":
         for i, r in enumerate(records):
@@ -884,7 +880,7 @@ class _SearchRows:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(ns, built: argparse.Namespace, emit):
+def _dispatch(ns, built: SimpleNamespace, emit):
     """Returns (result, exit code): the records of verify-hh and
     special-case as they are, a dict for the others.  emit gets the sample
     rows of check-* in chunks."""

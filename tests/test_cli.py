@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -133,8 +134,9 @@ class TestMinusInfinity:
 
 
 class TestSharedParser:
-    """main builds its parser once per process and every request after the
-    first reuses it, malformed ones included, with a fresh process's bytes."""
+    """main builds its argparse parser once per process, for the first
+    request the scan hands on, and every later one reuses it, with a fresh
+    process's bytes."""
 
     def test_one_build_serves_every_request(self, capsys, monkeypatch, tmp_path):
         conf = tmp_path / "run.conf"
@@ -169,14 +171,13 @@ class TestSharedParser:
         assert cli.build_parser() is not cli.build_parser()
 
 
-_OWN = {  # option only one subcommand takes -> (owner, its tokens)
-    "--bound": ("verify-hh", ("--bound", "midpoint")),
-    "--which": ("special-case", ("--which", "linear")),
-    "--refine": ("search", ("--refine",)),
-}
+# option only one subcommand takes -> its owner in the option table
+_OWNER = {option.flag: option.owner for option in cli._OPTIONS if option.owner}
+_OWN = {"--bound": ("--bound", "midpoint"), "--which": ("--which", "linear"),
+        "--refine": ("--refine",)}  # and its tokens
 _CONFIG_LINE = {"--bound": "bound = midpoint", "--which": "which = linear",
                 "--refine": "refine = true"}
-_FOREIGN = [(sub, flag) for sub in cli._COMMANDS for flag, (owner, _) in _OWN.items()
+_FOREIGN = [(sub, flag) for sub in cli._COMMANDS for flag, owner in _OWNER.items()
             if sub != owner]
 
 
@@ -186,14 +187,13 @@ class TestFlatParser:
     any input is built."""
 
     def test_every_foreign_pair_is_listed(self):
-        owned = {name: c.option[0] for name, c in cli._COMMANDS.items() if c.option}
-        assert owned == {owner: flag for flag, (owner, _) in _OWN.items()}
+        assert set(_OWNER) == set(_OWN)
         assert len(_FOREIGN) == 15
 
     @pytest.mark.parametrize("sub, flag", _FOREIGN)
     @pytest.mark.parametrize("via", ["flag", "config", "abbreviation"])
     def test_foreign_option_is_two(self, capsys, tmp_path, sub, flag, via):
-        owner, tokens = _OWN[flag]
+        owner, tokens = _OWNER[flag], _OWN[flag]
         if via == "config":
             conf = tmp_path / "run.conf"
             conf.write_text(_CONFIG_LINE[flag] + "\n")
@@ -210,7 +210,7 @@ class TestFlatParser:
 
     @pytest.mark.parametrize("flag", sorted(_OWN))
     def test_owner_takes_its_option_on_either_side(self, capsys, flag):
-        owner, tokens = _OWN[flag]
+        owner, tokens = _OWNER[flag], _OWN[flag]
         argv = (*BASE, "--grid", "3", "3", "3")
         if owner == "special-case":  # the default, all, reads --s; so does power
             argv, tokens = (*argv, "--s", "0.5"), ("--which", "power")
@@ -219,11 +219,8 @@ class TestFlatParser:
         assert after != run(capsys, owner, *argv)  # not the default
 
     def test_owner_gets_its_default(self):
-        defaults = {}
-        for name, command in cli._COMMANDS.items():
-            if command.option:
-                ns = cli._parse_argv([name])
-                defaults[name] = getattr(ns, command.option[0][2:])
+        defaults = {owner: getattr(cli._parse_argv([owner]), flag[2:])
+                    for flag, owner in _OWNER.items()}
         assert defaults == {"verify-hh": "both", "special-case": "all", "search": False}
 
     def test_options_before_the_subcommand(self, capsys):
@@ -253,6 +250,55 @@ class TestFlatParser:
         assert out.startswith("usage: domcert") and "subcommands:" in out
         assert main(["check-convex", "--f", "x^2", "--interval", "0", "1", "--grid", "1", "1",
                      "1"]) == 0  # the shared parser still parses
+
+
+# the one flat help's option groups, each with its flags and their help
+_HELP_GROUPS = (
+    ("expressions", (("--f", "expression for f, e.g. 'x^2'"),
+                     ("--g", "expression for the dominator g"))),
+    ("kernel", (("--h", "built-in kernel: one of 't', 't^s' (needs --s), '1/t', '1' (default t)"),
+                ("--s", "exponent for the 't^s' kernel, in (0, 1)"),
+                ("--h-custom", "custom kernel expression in t, must be positive"))),
+    ("domain", (("--interval", "domain interval"),
+                ("--phi", "affine map: 'identity' or an affine expression in x (default"
+                          " identity)"))),
+    ("sampling", (("--grid", "grid sample counts for x, y, t (default 21 21 19)"),
+                  ("--random", "use COUNT seeded random triples instead of the grid"),
+                  ("--samples", "alias for --random"),
+                  ("--seed", "seed for random sampling"),
+                  ("--eps-t", "clamp keeping t inside [eps, 1-eps] (default 1e-6)"))),
+    ("tolerances", (("--atol", "absolute tolerance"), ("--rtol", "relative tolerance"),
+                    ("--quad-tol", "quadrature error budget"))),
+    ("output", (("--format", "output format"),
+                ("--config", "key = value file mirroring the flags"))),
+    ("one subcommand each", (
+        ("--bound", "verify-hh: which bound form to check (default both)"),
+        ("--which", "special-case: which built-in kernel (default all)"),
+        ("--refine", "search: sharpen the worst samples by coordinate descent"))),
+)
+_HELP_SHA256 = "2b65c11b363ad26aad009cc79774b64597c02f14463721beab1d58deefc75662"
+
+
+class TestHelpText:
+    """`--help` and a subcommand's `-h` print the one flat help: byte for
+    byte at 80 columns on Python 3.11, and on the others, whose argparse
+    lays help out differently, with each group and each flag's help in
+    order."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-hh", "-h"]])
+    def test_help(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if sys.version_info[:2] == (3, 11):
+            assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256
+            return
+        # wrapped lines break at spaces or after hyphens: compare without them
+        text, at = "".join(out.split()), 0
+        for title, options in _HELP_GROUPS:
+            for piece in (f"{title}:", *(part for option in options for part in option)):
+                piece = "".join(piece.split())
+                at = text.index(piece, at) + len(piece)
 
 
 class TestNegativeExponentNotation:
@@ -308,9 +354,12 @@ class TestNegativeExponentNotation:
         assert doc["error"]["message"] == message
 
 
-# the scan's argv are drawn from the parser's own long options
+# the scan's argv are drawn from the option table and argparse's help flags;
+# the parser built from the table is the reference
 _SCAN_PARSER = cli.build_parser()
-_LONG = sorted(flag for flag in _SCAN_PARSER._option_string_actions if flag.startswith("--"))
+_KEYWORDS = {option.flag: option.keywords for option in cli._OPTIONS}
+_KEYWORDS.update({"-h": {"action": "help"}, "--help": {"action": "help"}})
+_LONG = sorted(flag for flag in _KEYWORDS if flag.startswith("--"))
 _VALUE = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats().map(repr),
@@ -328,16 +377,17 @@ _TYPED = {int: st.integers(-3, 40).map(str),
           None: st.sampled_from(["x^2", "t", "x", "", "0.5*x", "-1", *cli._COMMANDS])}
 
 
-def _values(draw, action, fitting: bool = False) -> list[str]:
-    """As many values as the action takes, of its type or choices: always
-    when fitting, mostly otherwise, and else 0-3 values of any kind."""
+def _values(draw, keywords: dict, fitting: bool = False) -> list[str]:
+    """As many values as the option of these add_argument keywords takes,
+    of its type or choices: always when fitting, mostly otherwise, and else
+    0-3 values of any kind."""
     if not fitting and draw(st.integers(0, 5)) == 0:
         return draw(st.lists(_VALUE, max_size=3))
-    if action.choices is not None:
-        value = st.sampled_from(list(action.choices))
+    if "choices" in keywords:
+        value = st.sampled_from(list(keywords["choices"]))
     else:
-        value = _TYPED.get(action.type, _VALUE)
-    count = 1 if action.nargs is None else action.nargs if isinstance(action.nargs, int) else 1
+        value = _TYPED.get(keywords.get("type"), _VALUE)
+    count = 0 if "action" in keywords else keywords.get("nargs", 1)
     return [draw(value) for _ in range(count)]
 
 
@@ -350,7 +400,7 @@ def _argv(draw) -> list[str]:
     argv = []
     for _ in range(draw(st.integers(0, 6))):
         flag = draw(flags)
-        values = _values(draw, _SCAN_PARSER._option_string_actions[flag])
+        values = _values(draw, _KEYWORDS[flag])
         spelling = draw(st.sampled_from(["exact"] * 6 + ["abbreviated", "joined"]))
         if spelling == "abbreviated":
             flag = flag[:draw(st.integers(2, len(flag)))]
@@ -370,8 +420,7 @@ def _well_formed_argv(draw) -> list[str]:
     chunks = []
     for _ in range(draw(st.integers(0, 8))):
         flag = draw(flags)
-        chunks.append([flag, *_values(draw, _SCAN_PARSER._option_string_actions[flag],
-                                      fitting=True)])
+        chunks.append([flag, *_values(draw, _KEYWORDS[flag], fitting=True)])
     chunks.insert(draw(st.integers(0, len(chunks))), [draw(st.sampled_from(list(cli._COMMANDS)))])
     return [token for chunk in chunks for token in chunk]
 
@@ -382,8 +431,8 @@ def _fields(ns) -> dict:
 
 
 class TestArgvScan:
-    """main reads well-formed argv in one scan of its parser's option table,
-    and leaves every other argv to argparse, which keeps its messages."""
+    """main reads well-formed argv in one scan of the option table, and
+    leaves every other argv to argparse, which keeps its messages."""
 
     @settings(max_examples=1000, deadline=None)
     @given(_argv())
@@ -393,7 +442,7 @@ class TestArgvScan:
                 want = _SCAN_PARSER.parse_args(argv)
         except (cli._ArgvError, cli._HelpShown):
             want = None
-        got = _SCAN_PARSER.scan(argv)
+        got = cli._scan(argv)
         if want is None:
             assert got is None
         elif got is not None:
@@ -402,7 +451,7 @@ class TestArgvScan:
     @settings(max_examples=500, deadline=None)
     @given(_well_formed_argv())
     def test_well_formed_argv_is_scanned(self, argv):
-        got = _SCAN_PARSER.scan(argv)
+        got = cli._scan(argv)
         assert got is not None
         assert _fields(got) == _fields(_SCAN_PARSER.parse_args(argv))
 
@@ -424,11 +473,11 @@ class TestArgvScan:
 
     @pytest.mark.parametrize("argv", WELL_FORMED)
     def test_well_formed_argv_never_reaches_argparse(self, capsys, monkeypatch, argv):
-        def refuse(args=None, namespace=None):
-            raise AssertionError(f"parse_args({args!r})")
+        def refuse():
+            raise AssertionError("build_parser()")
 
-        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
-        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", refuse)
         assert run(capsys, *argv) == run_cli(*argv)
 
     @pytest.mark.parametrize("argv", [
@@ -858,6 +907,24 @@ class TestConfigFile:
         assert code == 2
         assert doc["error"]["message"] == (
             f"config file {str(conf)!r}: line 3: config files cannot nest")
+
+    def test_a_key_names_the_flag_argparse_reads(self):
+        # every prefix of every long flag, against the parser's own table
+        actions = cli.build_parser()._option_string_actions
+        keys = {flag[2:k] for flag in actions if flag[:2] == "--"
+                for k in range(3, len(flag) + 1)}
+        for key in sorted(keys | {"x", "nope"}):
+            action = actions.get(f"--{key}")
+            if action is None:
+                matches = {a for flag, a in actions.items() if flag.startswith(f"--{key}")}
+                action = matches.pop() if len(matches) == 1 else None
+            flag = cli._config_flag(key)
+            if action is None:
+                assert flag is None, key
+                continue
+            assert flag in action.option_strings, key
+            if flag != "--config":
+                assert cli._TAKES[flag] == (1 if action.nargs is None else action.nargs), key
 
     def test_an_unbalanced_quote_is_a_line_problem(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
@@ -1385,8 +1452,13 @@ class TestImportGraph:
 
     def test_import_and_a_sample_request(self):
         assert self.HEAVY.isdisjoint(self.loaded())
-        # sample rows are written without the csv module
-        assert self.HEAVY.isdisjoint(self.loaded(self.SETUP, [*self.SETUP, "--format", "csv"]))
+        # sample rows are written without the csv module, and well-formed
+        # argv is read without argparse
+        assert (self.HEAVY | {"argparse"}).isdisjoint(
+            self.loaded(self.SETUP, [*self.SETUP, "--format", "csv"]))
+
+    def test_a_joined_flag_loads_argparse(self):
+        assert "argparse" in self.loaded(["check-convex", "--f=x^2", "--interval", "0", "1"])
 
     def test_bound_csv_render_loads_no_csv(self):
         # bound and equivalence rows are joined without the csv module
