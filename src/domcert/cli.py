@@ -14,9 +14,10 @@ was found, 2 configuration or evaluation error.  Errors are emitted as a
 machine-readable envelope on stdout.  A JSON envelope holds the bytes
 json.dumps(indent=2) writes with each non-finite float as a string; a text
 envelope, its path = value lines.  An error envelope is a dict written by
-the generic encoders (render_json, render_text); any other is written
-without one, its head from the flags and built inputs, a bound result from
-its report records and any other result by the same encoders' walk.  A
+the generic encoders (render_json, render_text); a success envelope is the
+head, written from the flags and built inputs, then one walk of the result
+dict every subcommand returns, by the same encoders, which write a bound
+report (HHReport) from templates built from HHReport._fields.  A
 config file of key = value lines (keys are the long flag names, each with
 as many values as its flag takes) can pre-set any flag; explicit flags
 win.  main(argv) returns the exit code, for --help too.
@@ -28,6 +29,7 @@ import io
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -45,7 +47,7 @@ from .convexity import (
 from .errors import DomcertError
 from .expr import ParseError, parse
 from .geometry import GeometryError, Interval, affine_from_expr, identity_map
-from .hadamard import hh_bounds_report, quad_tol_problem, special_case_report
+from .hadamard import HHReport, hh_bounds_report, quad_tol_problem, special_case_report
 from .kernels import _BUILT_IN, KernelError, make_kernel
 from .search import search_violations
 
@@ -441,6 +443,14 @@ def _build_inputs(ns, problems: list[str]) -> SimpleNamespace:
     problem = quad_tol_problem(ns.quad_tol)
     if problem:
         problems.append(f"--quad-tol {problem}")
+    if ns.subcommand == "special-case":  # --s is power's, for --which power or all
+        reads_s = ns.which in ("power", "all")
+        if reads_s and ns.s is None:
+            problems.append("--which power (or all) needs --s")
+        elif ns.s is not None and not reads_s:
+            problems.append("--s: only --which power or all reads it")
+        elif ns.s is not None and not 0.0 < ns.s < 1.0:
+            problems.append(f"--s must lie in (0, 1), got {ns.s!r}")
     return built
 
 
@@ -471,23 +481,45 @@ def _json_float(v: float) -> str:
     return '"nan"' if v != v else '"inf"' if v > 0.0 else '"-inf"'
 
 
+# A leaf's text by its class: JSON's, and text's (a float by %.12g, a bool
+# as in JSON, anything else by str()).  A subclass of a leaf class is
+# written as its nearest base class in the table.
+_BOOL = {False: "false", True: "true"}.__getitem__
+_JSON_LEAF = {str: _json_string, float: _json_float, int: int.__repr__, bool: _BOOL,
+              type(None): lambda v: "null"}
+_TEXT_LEAF = {str: str, int: str, float: "%.12g".__mod__, bool: _BOOL}
+
+
+def _base_leaf(table: dict, obj):
+    return next((table[t] for t in type(obj).__mro__ if t in table), None)
+
+
+# An HHReport is a record leaf of the walk, written as the dict of its
+# fields (warnings last) would be, each value as the walk writes its class.
+# Its keys come from HHReport._fields: the JSON head before each value is
+# built ahead at the indent of a verify-hh report and of a special-case
+# entry's report, and the CSV columns are the fields but warnings.
+_REPORT_KEYS = (*(k for k in HHReport._fields if k != "warnings"), "warnings")
+_report_values = itemgetter(*map(HHReport._fields.index, _REPORT_KEYS))
+
+
+def _report_json_heads(indent: str) -> list[str]:
+    return [("{" if i == 0 else ",") + "\n" + indent + "  " + _json_string(k) + ": "
+            for i, k in enumerate(_REPORT_KEYS)]
+
+
+_REPORT_JSON_AT = {indent: _report_json_heads(indent) for indent in (" " * 6, " " * 8)}
+_BOUND_CSV_HEADER = ("label", *_REPORT_KEYS[:-1])
+
+
 def _json(obj, indent: str, out: list) -> None:
     """Appends the text json.dumps(obj, indent=2) writes for obj at the
     nesting of indent, with a non-finite float as the string "inf", "-inf"
-    or "nan" and a tuple as a list.  Keys are strings.  _SearchRows writes
-    its own rows."""
-    if isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, float):
-        out.append(_json_float(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+    or "nan", an HHReport as the dict of its fields and any other tuple as
+    a list.  Keys are strings.  _SearchRows writes its own rows."""
+    leaf = _JSON_LEAF.get(obj.__class__)
+    if leaf is not None:
+        out.append(leaf(obj))
     elif isinstance(obj, dict):
         if obj:
             inner = indent + "  "
@@ -499,6 +531,17 @@ def _json(obj, indent: str, out: list) -> None:
             out.append("\n" + indent + "}")
         else:
             out.append("{}")
+    elif obj.__class__ is HHReport:
+        inner = indent + "  "
+        heads = _REPORT_JSON_AT.get(indent) or _report_json_heads(indent)
+        for head, value in zip(heads, _report_values(obj)):
+            leaf = _JSON_LEAF.get(value.__class__)
+            if leaf is None:
+                out.append(head)
+                _json(value, inner, out)
+            else:
+                out.append(head + leaf(value))
+        out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)):
         if obj:
             inner = indent + "  "
@@ -512,6 +555,8 @@ def _json(obj, indent: str, out: list) -> None:
             out.append("[]")
     elif isinstance(obj, _SearchRows):
         obj.json(indent, out)
+    elif (leaf := _base_leaf(_JSON_LEAF, obj)) is not None:
+        out.append(leaf(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -524,25 +569,28 @@ def render_json(envelope: dict) -> str:
     return "".join(out)
 
 
-def _leaf(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
-
-
 def _text_walk(obj, path: str, out: list[str]) -> None:
-    if isinstance(obj, dict):
+    leaf = _TEXT_LEAF.get(obj.__class__)
+    if leaf is not None:
+        out.append(f"{path} = {leaf(obj)}")
+    elif isinstance(obj, dict):
         for k, v in obj.items():
             _text_walk(v, f"{path}.{k}" if path else str(k), out)
+    elif obj.__class__ is HHReport:
+        prefix = path + "." if path else ""
+        for key, v in zip(_REPORT_KEYS, _report_values(obj)):
+            leaf = _TEXT_LEAF.get(v.__class__)
+            if leaf is None:
+                _text_walk(v, prefix + key, out)
+            else:
+                out.append(f"{prefix}{key} = {leaf(v)}")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _text_walk(v, f"{path}[{i}]", out)
     elif isinstance(obj, _SearchRows):
         obj.text(out)
     else:
-        out.append(f"{path} = {_leaf(obj)}")
+        out.append(f"{path} = {(_base_leaf(_TEXT_LEAF, obj) or str)(obj)}")
 
 
 def render_text(envelope: dict) -> str:
@@ -552,11 +600,10 @@ def render_text(envelope: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Envelopes written from ns, built and the result's records: the bytes
+# Envelopes written from ns, built and the result dict: the bytes
 # render_json and render_text write for the envelope dict {tool, version,
 # subcommand, inputs, result, exit_code}, without building it.  The head (up
-# to the result's value) is written straight from ns and built for every
-# subcommand; a bound result from one template per format, any other result
+# to the result's value) is written straight from ns and built, the result
 # by the walkers.  The CLI's inputs have fixed types (argparse converts
 # them), so each field is formatted as the walker formats its type.
 # ---------------------------------------------------------------------------
@@ -636,8 +683,9 @@ def _head_text(ns, built: SimpleNamespace) -> str:
 
 
 def render_result_json(ns, built: SimpleNamespace, result: dict, code: int) -> str:
-    """A check, equivalence or search envelope: the head, then the walk of
-    its result (search rows go out through their own writes)."""
+    """A success envelope: the head, then the walk of its result (bound
+    reports go out from their templates, search rows through their own
+    writes)."""
     out = [_head_json(ns, built)]
     _json(result, "  ", out)
     out.append(',\n  "exit_code": %d\n}\n' % code)
@@ -651,93 +699,13 @@ def render_result_text(ns, built: SimpleNamespace, result: dict, code: int) -> s
     return "\n".join(lines)
 
 
-# one HHReport, its warnings last: JSON with "@" for its indent, text with
-# "%s" for its path
-_REPORT_JSON = """{
-@  "bound_kind": %s,
-@  "lhs": %s,
-@  "rhs": %s,
-@  "margin": %s,
-@  "holds": %s,
-@  "vacuous": %s,
-@  "quad_error": %s,
-@  "warnings": %s
-@}"""
-# at the indent of a verify-hh report and of a special-case entry's report
-_REPORT_JSON_AT = {indent: _REPORT_JSON.replace("@", indent)
-                   for indent in (" " * 6, " " * 8)}
-_REPORT_TEXT = """%s.bound_kind = %s
-%s.lhs = %.12g
-%s.rhs = %.12g
-%s.margin = %.12g
-%s.holds = %s
-%s.vacuous = %s
-%s.quad_error = %.12g
-"""
-
-
-def _report_json(r, indent: str) -> str:
-    if r.warnings:
-        inner = indent + "    "
-        warnings = ("[\n" + inner + (",\n" + inner).join(map(_json_string, r.warnings))
-                    + "\n" + indent + "  ]")
-    else:
-        warnings = "[]"
-    return _REPORT_JSON_AT[indent] % (
-        _json_string(r.bound_kind), _json_float(r.lhs), _json_float(r.rhs),
-        _json_float(r.margin), "true" if r.holds else "false",
-        "true" if r.vacuous else "false", _json_float(r.quad_error), warnings,
-    )
-
-
-def _report_text(r, path: str, out: list) -> None:
-    out.append(_REPORT_TEXT % (
-        path, r.bound_kind, path, r.lhs, path, r.rhs, path, r.margin,
-        path, "true" if r.holds else "false", path, "true" if r.vacuous else "false",
-        path, r.quad_error,
-    ))
-    for i, w in enumerate(r.warnings):
-        out.append("%s.warnings[%d] = %s\n" % (path, i, w))
-
-
-def render_bounds_json(ns, built: SimpleNamespace, records: list, code: int) -> str:
-    """A verify-hh (HHReport records) or special-case (SpecialCaseEntry
-    records) envelope."""
-    if ns.subcommand == "verify-hh":
-        key, items = "reports", [_report_json(r, " " * 6) for r in records]
-    else:
-        key, items = "entries", [
-            '{\n        "label": %s,\n        "report": %s\n      }'
-            % (_json_string(e.label), _report_json(e.report, " " * 8))
-            for e in records
-        ]
-    listed = "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
-    return '%s{\n    "%s": %s\n  },\n  "exit_code": %d\n}\n' % (
-        _head_json(ns, built), key, listed, code)
-
-
-def render_bounds_text(ns, built: SimpleNamespace, records: list, code: int) -> str:
-    out = [_head_text(ns, built), "\n"]
-    if ns.subcommand == "verify-hh":
-        for i, r in enumerate(records):
-            _report_text(r, "result.reports[%d]" % i, out)
-    else:
-        for i, e in enumerate(records):
-            path = "result.entries[%d]" % i
-            out.append("%s.label = %s\n" % (path, e.label))
-            _report_text(e.report, path + ".report", out)
-    out.append("exit_code = %d\n" % code)
-    return "".join(out)
-
-
 def _csv_line(cells) -> str:
     # the join of the sample rows; no label, verdict or bool needs quoting
     return ",".join([repr(c) if isinstance(c, float) else str(c) for c in cells]) + "\n"
 
 
-def render_csv(subcommand: str, result) -> str:
-    """equivalence's result dict, or the records of verify-hh (HHReport)
-    and special-case (SpecialCaseEntry), as CSV."""
+def render_csv(subcommand: str, result: dict) -> str:
+    """The result dict of equivalence, verify-hh or special-case as CSV."""
     if subcommand == "equivalence":
         rows = [("check", "verdict", "samples_checked", "worst_gap", "x", "y", "t")]
         for name in ("dominance", "diff_convex", "sum_convex", "l_convex", "k_convex"):
@@ -745,16 +713,13 @@ def render_csv(subcommand: str, result) -> str:
             rows.append((name, r["verdict"], r["samples_checked"], r["worst_gap"],
                          *(r["witness"][k] for k in "xyt")))
         return "".join(map(_csv_line, rows))
-    # verify-hh and special-case: one row per bound
+    # verify-hh and special-case: one row per bound, labelled by its kind or entry
     if subcommand == "verify-hh":
-        labeled = [(r.bound_kind, r) for r in result]
+        labeled = [(r.bound_kind, r) for r in result["reports"]]
     else:
-        labeled = [(e.label, e.report) for e in result]
-    rows = [("label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error")]
-    rows += [
-        (label, r.bound_kind, r.lhs, r.rhs, r.margin, r.holds, r.vacuous, r.quad_error)
-        for label, r in labeled
-    ]
+        labeled = [(e["label"], e["report"]) for e in result["entries"]]
+    rows = [_BOUND_CSV_HEADER]
+    rows += [(label, *_report_values(r)[:-1]) for label, r in labeled]
     return "".join(map(_csv_line, rows))
 
 
@@ -765,11 +730,11 @@ def render_csv(subcommand: str, result) -> str:
 # for a random plan, whose rows are then formatted whole, every %s a %r).
 # Zeros stay out of the table: 0.0 and -0.0 are one key but two reprs, and
 # a refined point can be the other zero of an axis.
-# Search text rows print every float as _leaf does.  Rows are formatted a
-# chunk at a time (_CHUNK_ROWS), so no text of every row is built at once:
-# search rows are written to the output in place, and check-* rows arrive
-# from the sweep in chunks and are buffered whole, so that a fault drops
-# them.
+# Search text rows print every float as the text walk does.  Rows are
+# formatted a chunk at a time (_CHUNK_ROWS), so no text of every row is
+# built at once: search rows are written to the output in place, and
+# check-* rows arrive from the sweep in chunks and are buffered whole, so
+# that a fault drops them.
 # ---------------------------------------------------------------------------
 
 _GAP_HEADER = "x,y,t,gap,lhs_abs,rhs\n"
@@ -881,9 +846,8 @@ class _SearchRows:
 
 
 def _dispatch(ns, built: SimpleNamespace, emit):
-    """Returns (result, exit code): the records of verify-hh and
-    special-case as they are, a dict for the others.  emit gets the sample
-    rows of check-* in chunks."""
+    """Returns (result dict, exit code).  emit gets the sample rows of
+    check-* in chunks."""
     f, g, kernel = built.f, built.g, built.kernel
     phi, interval, plan = built.phi, built.interval, built.plan
 
@@ -907,13 +871,14 @@ def _dispatch(ns, built: SimpleNamespace, emit):
         bounds = ("midpoint", "endpoint") if ns.bound == "both" else (ns.bound,)
         jobs = [(kernel, bound) for bound in bounds]
         reports = hh_bounds_report(pair, phi, jobs, ns.quad_tol, ns.atol, ns.rtol)
-        return reports, (0 if all(r.holds for r in reports) else 1)
+        return {"reports": reports}, (0 if all(r.holds for r in reports) else 1)
 
     if ns.subcommand == "special-case":
         entries = special_case_report(
             pair, phi, which=ns.which, s=ns.s, tol=ns.quad_tol, atol=ns.atol, rtol=ns.rtol
         )
-        return entries, (0 if all(e.report.holds for e in entries) else 1)
+        result = {"entries": [{"label": e.label, "report": e.report} for e in entries]}
+        return result, (0 if all(e.report.holds for e in entries) else 1)
 
     # search: main writes the records in the output format
     records = search_violations(pair, kernel, phi, interval, plan, refine=ns.refine)
@@ -952,14 +917,6 @@ def main(argv: list[str] | None = None) -> int:
 
     problems: list[str] = []
     built = _build_inputs(ns, problems)
-    if ns.subcommand == "special-case":
-        reads_s = ns.which in ("power", "all")
-        if reads_s and ns.s is None:
-            problems.append("--which power (or all) needs --s")
-        elif ns.s is not None and not reads_s:
-            problems.append("--s: only --which power or all reads it")
-        elif ns.s is not None and not 0.0 < ns.s < 1.0:
-            problems.append(f"--s must lie in (0, 1), got {ns.s!r}")
     if problems:
         return _error_envelope(ns.subcommand, fmt, "invalid configuration", problems)
 
@@ -987,10 +944,7 @@ def main(argv: list[str] | None = None) -> int:
     elif fmt == "csv":
         sys.stdout.write(render_csv(ns.subcommand, result))
         return code
-    if ns.subcommand in ("verify-hh", "special-case"):
-        render = render_bounds_text if fmt == "text" else render_bounds_json
-    else:
-        render = render_result_text if fmt == "text" else render_result_json
+    render = render_result_text if fmt == "text" else render_result_json
     sys.stdout.write(render(ns, built, result, code))
     return code
 

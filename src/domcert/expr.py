@@ -544,6 +544,17 @@ def _power_form(node: Node, logs: bool = False) -> tuple | None:
     return form if 0.0 < form[0] < math.inf else None
 
 
+def _summands(node: Node, sign: float = 1.0) -> list[tuple[float, Node]]:
+    """node as a signed sum: (sign, term) for each term of its top-level
+    +, - and unary minus, left to right."""
+    if isinstance(node, Unary) and node.op == "neg":
+        return _summands(node.arg, -sign)
+    if isinstance(node, Binary) and node.op in "+-":
+        return [*_summands(node.left, sign),
+                *_summands(node.right, -sign if node.op == "-" else sign)]
+    return [(sign, node)]
+
+
 def _log_constant(v: float) -> tuple[float, float, float]:
     """v as (sign, log |v|, n): math.log is within an ulp, so n = |log v|.
     A zero has a nan log, which no fold makes finite."""

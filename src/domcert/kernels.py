@@ -12,7 +12,8 @@ their constants, fixed when the kernel is built:
 Custom kernels are arbitrary positive expressions in t; positivity and
 evaluability are spot-checked point by point on a fixed 4097-point Chebyshev
 grid at construction, and the first bad point raises.  The integral is
-_integral's: closed for a power form, else numerical (possibly +inf).
+_integral's: closed for a power form or a sum of them, else numerical
+(possibly +inf).
 
 A custom kernel's constants are computed once per process for each
 expression tree and quad_tol, and the 128 most recent are kept: a later
@@ -27,8 +28,8 @@ import math
 from functools import lru_cache
 
 from .errors import ReasonError
-from .expr import EvalError, Expr, _power_form, parse
-from .quadrature import QuadratureError, integrate_open01, midpoint
+from .expr import EvalError, Expr, Unary, _power_form, _summands, parse
+from .quadrature import QuadratureError, _total, integrate_open01, midpoint
 from .record import Record
 
 PROBE_POINTS = 4097
@@ -68,39 +69,83 @@ def _built_in_expr(source: str) -> tuple[Expr, float, float]:
 
 
 def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
-    """(H, its error) of h = expr over (0, 1).  A power form C*t^a*(1-t)^b has
-    H = +inf if a <= -1 or b <= -1, C/(a+1) or C/(b+1) if the other exponent
-    is 0, else C*B(a+1, b+1) by lgamma, with error H*4*eps*(1 + the lgamma
-    terms' magnitudes).  A C past the float range is carried as its log,
-    and H = exp(log C + the lgamma terms), its error counting log C's too.
-    Other trees take integrate_open01's.  +inf has error 0."""
+    """(H, its error) of h = expr over (0, 1): _closed_form's for a power
+    form, _sum_integral's for a sum of them, else integrate_open01's.  +inf
+    has error 0."""
     form = _power_form(expr.root) or _power_form(expr.root, logs=True)
-    if form is None:
+    result = _closed_form(*form) if form is not None else _sum_integral(expr.root)
+    if result is None:
         try:
-            result = integrate_open01(expr, quad_tol)
+            ladder = integrate_open01(expr, quad_tol)
         except QuadratureError as exc:
             if exc.reason != "eval":
                 raise
             raise KernelError("domain", f"custom kernel {expr.source!r} fails inside (0,1): "
                               f"{exc}") from exc
-        value, error = result.value, result.error_estimate
-    else:
-        c, a, b = form
-        scaled = isinstance(c, tuple)  # (log C, its error in eps)
-        if a <= -1.0 or b <= -1.0:
-            value, error = math.inf, 0.0
-        elif (a == 0.0 or b == 0.0) and not scaled:  # a + b + 1.0 is a + 1.0 or b + 1.0
-            value, error = c / (a + b + 1.0), 0.0
-        else:
-            terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
-            beta = terms[0] + terms[1] - terms[2]
-            try:
-                value = math.exp(c[0] + beta) if scaled else c * math.exp(beta)
-            except OverflowError:  # H past the largest float
-                value = math.inf
-            size = 1.0 + sum(map(abs, terms)) + (c[1] if scaled else 0.0)
-            error = value * 4.0 * math.ulp(1.0) * size
+        result = ladder.value, ladder.error_estimate
+    value, error = result
     return value, 0.0 if math.isinf(value) else error
+
+
+def _closed_form(c, a: float, b: float) -> tuple[float, float]:
+    """(H, its error) of C*t^a*(1-t)^b: H = +inf if a <= -1 or b <= -1,
+    C/(a+1) or C/(b+1) if the other exponent is 0, else C*B(a+1, b+1) by
+    lgamma, with error H*4*eps*(1 + the lgamma terms' magnitudes).  A C past
+    the float range is carried as (log C, its error in eps), and H = exp(log
+    C + the lgamma terms), its error counting log C's too."""
+    scaled = isinstance(c, tuple)
+    if a <= -1.0 or b <= -1.0:
+        return math.inf, 0.0
+    if (a == 0.0 or b == 0.0) and not scaled:  # a + b + 1.0 is a + 1.0 or b + 1.0
+        return c / (a + b + 1.0), 0.0
+    terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
+    beta = terms[0] + terms[1] - terms[2]
+    try:
+        value = math.exp(c[0] + beta) if scaled else c * math.exp(beta)
+    except OverflowError:  # H past the largest float
+        value = math.inf
+    size = 1.0 + sum(map(abs, terms)) + (c[1] if scaled else 0.0)
+    return value, value * 4.0 * math.ulp(1.0) * size
+
+
+def _sum_integral(root) -> tuple[float, float] | None:
+    """(H, its error) of a sum of two or more power forms C*t^a*(1-t)^b, each
+    term signed by the +, - and unary minus above it and by its own C, or
+    None (the ladder) unless every term has a form.  The signed Cs are
+    collected by (a, b): H = +inf if a collected C with a <= -1 or b <= -1
+    is positive, None if one is negative; else H is the fsum of the terms'
+    closed forms, with error the sum of theirs plus eps times the sum of
+    their magnitudes."""
+    summands = _summands(root)
+    if len(summands) < 2:
+        return None
+    collected: dict[tuple[float, float], list[float]] = {}
+    for sign, node in summands:
+        form = _power_form(node)
+        if form is None:  # a negative C, as in -0.5*t, is -1 times -node's
+            form, sign = _power_form(Unary("neg", node)), -sign
+        if form is None:
+            return None
+        c, a, b = form
+        collected.setdefault((a, b), []).append(sign * c)
+    values, error, divergent = [], 0.0, False
+    for (a, b), cs in collected.items():
+        if a <= -1.0 or b <= -1.0:
+            c = _total(cs)
+            if c < 0.0:
+                return None
+            divergent = divergent or c > 0.0
+            continue
+        for c in cs:
+            value, term_error = _closed_form(abs(c), a, b)
+            values.append(math.copysign(value, c))
+            error += term_error
+    if divergent:
+        return math.inf, 0.0
+    value = _total(values)
+    if value != value:  # terms past the float range of both signs
+        return None
+    return value, error + math.ulp(1.0) * _total(list(map(abs, values)))
 
 
 def outside_error(t: float) -> EvalError:

@@ -192,7 +192,8 @@ class TestConstantBits:
 
 class TestPowerForm:
     """A tree C*t^a*(1-t)^b gets the closed form C*B(a+1, b+1) of its
-    integral, within the error it states; any other tree keeps the ladder."""
+    integral, within the error it states, and so does each term of a sum of
+    them; any other tree keeps the ladder."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.0, 0.999, exclude_min=True), st.sampled_from(["t^-{!r}", "(1-t)^-{!r}"]))
@@ -243,6 +244,10 @@ class TestPowerForm:
     @pytest.mark.parametrize("source, integral", [
         ("1/t", math.inf), ("1/(1-t)", math.inf), ("1e300/t", math.inf), ("1e308", 1e308),
         ("t^-0.9", 10.000000000000002), ("2*t^0.5*(1-t)^0.5", math.pi / 4),
+        # sums of power forms: a divergent term with a positive collected C is +inf
+        ("t^-0.9+1", 11.000000000000002), ("1/t+1", math.inf), ("1/(1-t)+t", math.inf),
+        ("2/t-1/t+1", math.inf), ("1/t-1/t+1", 1.0), ("(1-t)^(-0.5)+t", 2.5),
+        ("-0.5*t+1", 0.75), ("1-(-t)", 1.5),
     ])
     def test_a_power_form_never_reaches_the_ladder(self, monkeypatch, source, integral):
         def refuse(*args):
@@ -256,7 +261,12 @@ class TestPowerForm:
             make_kernel(kind)
         make_kernel("power", s=0.37)
 
-    def test_a_tree_without_a_form_takes_the_ladder(self, monkeypatch):
+    # a sum takes the ladder when a term has no form or a divergent C is negative
+    @pytest.mark.parametrize("source", [
+        "1/(t*(1-ln(t))^2)", "exp(t)", "1/sqrt(t)+1/(t+0.5)", "1/t^2-1/t+1", "t-3/t+1/t",
+        "0*t+1", "t^0.5+exp(t)",
+    ])
+    def test_a_tree_without_a_form_takes_the_ladder(self, monkeypatch, source):
         calls = []
 
         def ladder(expr, tol):
@@ -264,8 +274,8 @@ class TestPowerForm:
             return quadrature.QuadResult(0.5, 1e-3, 1)
 
         monkeypatch.setattr(kernels, "integrate_open01", ladder)
-        assert kernels._integral(parse("1/(t*(1-ln(t))^2)"), 1e-7) == (0.5, 1e-3)
-        assert calls == [("1/(t*(1-ln(t))^2)", 1e-7)]
+        assert kernels._integral(parse(source), 1e-7) == (0.5, 1e-3)
+        assert calls == [(source, 1e-7)]
 
 
 class TestScaledPowerForm:
@@ -316,6 +326,38 @@ class TestScaledPowerForm:
         value, error = kernels._integral(parse("1e-200*1e-200*1e300*t"), 1e-10)
         exact = Fraction(1e-200) ** 2 * Fraction(1e300) / 2
         assert abs(Fraction(value) - exact) <= error < 1e-111
+
+
+# a signed term c*t^m*(1-t)^n with integer exponents: (sign, c, m, n)
+SIGNED_TERM = st.tuples(st.sampled_from(["+", "-"]), st.floats(1e-3, 1e3), st.integers(0, 6),
+                        st.integers(0, 6))
+
+
+class TestSumOfPowerForms:
+    """A sum of power forms gets the fsum of the terms' closed forms, within the
+    error it states (TestPowerForm holds which sums reach the ladder)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SIGNED_TERM, min_size=2, max_size=4))
+    @example([("+", 0.1, 0, 0), ("-", 0.1, 1, 0), ("+", 0.3, 1, 0)])
+    @example([("-", 2.5, 0, 3), ("+", 3.0, 0, 0)])  # a leading -2.5 is a negative C
+    def test_integer_exponents_are_within_the_stated_error(self, terms):
+        source = "".join(f"{sign}{c!r}*t^{m}*(1-t)^{n}" for sign, c, m, n in terms)
+        value, error = kernels._integral(parse(source.lstrip("+")), 1e-10)
+        exact = sum((1 if sign == "+" else -1) * Fraction(c) * Fraction(
+            math.factorial(m) * math.factorial(n), math.factorial(m + n + 1))
+            for sign, c, m, n in terms)
+        assert abs(Fraction(value) - exact) <= error, source
+
+    def test_equal_terms_sum_as_one_term(self):
+        # each term's closed form is exact here, so the sum keeps the one-term bits
+        assert kernels._integral(parse("t^-0.5+t^-0.5"), 1e-10)[0] == 4.0
+        assert kernels._integral(parse("2*t^-0.5"), 1e-10) == (4.0, 0.0)
+
+    @pytest.mark.parametrize("source", ["exp(t)", "1/sqrt(t)+1/(t+0.5)"])
+    def test_a_ladder_kernel_keeps_its_bits(self, source):
+        r = quadrature.integrate_open01(parse(source), 1e-10)
+        assert kernels._integral(parse(source), 1e-10) == (r.value, r.error_estimate)
 
 
 def _exact_abs_kernel_integral(c: float, k: float, d: float) -> Fraction:
@@ -524,11 +566,7 @@ class TestMidpointWeight:
     @example(half=1.7976931348623157e308)
     @example(half=2.8e-309)
     def test_the_weight_is_the_rounded_exact_one(self, half):
-        with pytest.MonkeyPatch.context() as mp:
-            # a stand-in integral: the weight comes from h(1/2) alone, past the memo
-            mp.setattr(kernels, "integrate_open01",
-                       lambda expr, tol: quadrature.QuadResult(1.0, 0.0, 1))
-            got = kernels._custom_constants.__wrapped__(parse(repr(half)), 1e-6)
+        got = kernels._custom_constants.__wrapped__(parse(repr(half)), 1e-6)
         assert (got[0], got[1]) == (half, float(Fraction(1) / (2 * Fraction(half))))
 
     def test_a_weight_past_where_twice_h_overflows(self):

@@ -204,6 +204,14 @@ EQUIVALENCE = ("dominance", "diff_convex", "sum_convex", "l_convex", "k_convex")
 BOUND_HEADER = ["label", "bound_kind", "lhs", "rhs", "margin", "holds", "vacuous", "quad_error"]
 
 
+def dispatched(subcommand: str, records: list) -> dict:
+    """The result dict _dispatch returns for verify-hh (HHReport records) or
+    special-case (SpecialCaseEntry records)."""
+    if subcommand == "verify-hh":
+        return {"reports": records}
+    return {"entries": [{"label": e.label, "report": e.report} for e in records]}
+
+
 def bound_cells(label, r) -> list:
     return [label, *(r[k] for k in BOUND_HEADER[1:])]
 
@@ -228,13 +236,14 @@ def test_equivalence_csv_matches_csv_writer(result):
        st.lists(st.tuples(st.sampled_from(["linear", "power", "reciprocal", "one"]), BOUND),
                 max_size=8))
 def test_bound_csv_matches_csv_writer(reports, entries):
-    # render_csv reads the records main passes it: HHReport and SpecialCaseEntry
+    # render_csv reads the result dict _dispatch returns, its reports HHReport records
     want = csv_writer_cells(BOUND_HEADER, [bound_cells(r["bound_kind"], r) for r in reports])
-    assert cli.render_csv("verify-hh", [HHReport(**r) for r in reports]) == want
+    records = [HHReport(**r) for r in reports]
+    assert cli.render_csv("verify-hh", dispatched("verify-hh", records)) == want
     labeled = [(f"{name}/{r['bound_kind']}", r) for name, r in entries]
     want = csv_writer_cells(BOUND_HEADER, [bound_cells(label, r) for label, r in labeled])
-    result = [SpecialCaseEntry(label, HHReport(**r)) for label, r in labeled]
-    assert cli.render_csv("special-case", result) == want
+    records = [SpecialCaseEntry(label, HHReport(**r)) for label, r in labeled]
+    assert cli.render_csv("special-case", dispatched("special-case", records)) == want
 
 
 class Pair(NamedTuple):
@@ -357,9 +366,10 @@ def old_bound_result(subcommand: str, records: list) -> dict:
 def test_bound_writers_match_the_envelope_dict(request, code):
     ns, built, records = request
     envelope = old_envelope(ns, built, old_bound_result(ns.subcommand, records), code)
-    assert (cli.render_bounds_json(ns, built, records, code)
+    result = dispatched(ns.subcommand, records)
+    assert (cli.render_result_json(ns, built, result, code)
             == json.dumps(_sanitize(envelope), indent=2) + "\n")
-    assert cli.render_bounds_text(ns, built, records, code) == cli.render_text(envelope)
+    assert cli.render_result_text(ns, built, result, code) == cli.render_text(envelope)
 
 
 @pytest.mark.parametrize("argv", [
@@ -377,3 +387,35 @@ def test_the_head_writers_match_the_envelope_dict(argv, capsys):
     assert cli.render_result_text(ns, built, result, code) == cli.render_text(envelope)
     assert cli.main(argv) == code
     assert capsys.readouterr().out == want_json
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-hh", "--f", "x^2", "--g", "2*x^2", "--interval", "0", "1", "--h", "1/t"],
+    ["special-case", "--f", "x^2", "--g", "2*x^2", "--interval", "0", "1", "--s", "0.5"],
+])
+def test_dispatch_returns_the_bound_result_dict(argv, capsys):
+    # one key, its HHReport records as they are: main writes the bytes of the
+    # envelope of their dicts
+    ns, built = built_request(argv)
+    result, code = cli._dispatch(ns, built, None)
+    if ns.subcommand == "verify-hh":
+        records = result["reports"]
+        reports = records
+    else:
+        records = [SpecialCaseEntry(**entry) for entry in result["entries"]]
+        reports = [e.report for e in records]
+    assert result == dispatched(ns.subcommand, records)
+    assert reports and all(type(r) is HHReport for r in reports)
+    envelope = old_envelope(ns, built, old_bound_result(ns.subcommand, records), code)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == json.dumps(_sanitize(envelope), indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(REPORT, st.integers(0, 5))
+def test_a_report_at_any_depth_is_written_as_its_dict(report, depth):
+    nested, as_dict = report, report._asdict()
+    for _ in range(depth):
+        nested, as_dict = {"r": [nested]}, {"r": [as_dict]}
+    assert cli.render_json(nested) == json.dumps(_sanitize(as_dict), indent=2) + "\n"
+    assert cli.render_text(nested) == cli.render_text(as_dict)
