@@ -33,7 +33,8 @@ only where an operand can make it fault: ``^`` with a constant exponent,
 inline op raises, the guarded form runs again at that point and names the
 fault; it is also the reference the specialized form must match bit for
 bit.  A sweep over a pair whose g holds a subtree equal to f's tree reads
-f's value there instead of computing it again (``copies``).
+f's value there instead of computing it again (``copies``).  Questions
+about a tree's shape, its power form and its kinks, are analysis's.
 
 parse runs that cold path (_tokenize, _Parser, _emit, _shape_code) once per
 template key.  A source's key is its pieces between number literals
@@ -478,101 +479,6 @@ def copies(root: Node, sub: Node) -> set[int]:
     if root == sub:
         return {id(root)}
     return set().union(*(copies(child, sub) for child in root[1:]))  # the operands
-
-
-def _degree(node: Node) -> int | None:
-    """0 for a tree without the variable and 1 for an affine one, built from
-    +, -, unary minus, * with a constant side and / by a constant; None for
-    any other tree."""
-    if isinstance(node, Const):
-        return 0
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Unary):
-        return _degree(node.arg) if node.op == "neg" else None
-    left, right = _degree(node.left), _degree(node.right)
-    if left is None or right is None:
-        return None
-    if node.op in "+-":
-        return max(left, right)
-    if node.op == "*" and left + right <= 1:
-        return left + right
-    if node.op == "/" and right == 0:
-        return left
-    return None
-
-
-def _power_form(node: Node, logs: bool = False) -> tuple | None:
-    """(C, a, b) with node = C*t^a*(1-t)^b on (0, 1), C positive and finite; None
-    unless node is built from constants, t, 1 - t, *, /, unary minus and ^.
-    With logs, C is (log C, n) for any positive C with a finite log, the log
-    within n*eps of log C's exact value: the form of a C past the float range."""
-
-    def fold(node: Node, logs: bool) -> tuple | None:  # C of any sign
-        if isinstance(node, Const):
-            return (_log_constant(node.value) if logs else node.value), 0.0, 0.0
-        one = (1.0, 0.0, 0.0) if logs else 1.0
-        if isinstance(node, Var):
-            return one, 1.0, 0.0
-        if isinstance(node, Unary):  # -u is -1*u
-            return fold(Binary("*", Const(-1.0), node.arg), logs) if node.op == "neg" else None
-        if node.op == "-" and node.left == Const(1.0) and isinstance(node.right, Var):
-            return one, 0.0, 1.0
-        left, right = fold(node.left, logs), fold(node.right, logs and node.op != "^")
-        if left is None or right is None or node.op in "+-":
-            return None
-        (c, a, b), (k, p, q) = left, right
-        if node.op == "*":
-            exponents = a + p, b + q
-        elif node.op == "/":
-            exponents = a - p, b - q
-        elif p or q or not (c[0] if logs else c) > 0.0:  # ^: a constant k on a positive C
-            return None
-        else:
-            exponents = a * k, b * k
-        try:
-            return _times(node.op, c, k, logs), *exponents
-        except (ZeroDivisionError, OverflowError):  # by zero, or past the largest float
-            return None
-
-    form = fold(node, logs)
-    if form is None or not math.isfinite(form[1] + form[2]):
-        return None
-    if logs:
-        (sign, log, n), a, b = form
-        return ((log, n), a, b) if sign > 0.0 and math.isfinite(log) else None
-    return form if 0.0 < form[0] < math.inf else None
-
-
-def _summands(node: Node, sign: float = 1.0) -> list[tuple[float, Node]]:
-    """node as a signed sum: (sign, term) for each term of its top-level
-    +, - and unary minus, left to right."""
-    if isinstance(node, Unary) and node.op == "neg":
-        return _summands(node.arg, -sign)
-    if isinstance(node, Binary) and node.op in "+-":
-        return [*_summands(node.left, sign),
-                *_summands(node.right, -sign if node.op == "-" else sign)]
-    return [(sign, node)]
-
-
-def _log_constant(v: float) -> tuple[float, float, float]:
-    """v as (sign, log |v|, n): math.log is within an ulp, so n = |log v|.
-    A zero has a nan log, which no fold makes finite."""
-    log = math.log(abs(v)) if v else math.nan
-    return math.copysign(1.0, v), log, abs(log)
-
-
-def _times(op: str, c, k, logs: bool):
-    """c * k, c / k or c ^ k (op), for floats, or with logs for (sign, log |c|, n)
-    and k of the same kind (a float for ^): each rounded log adds half an ulp
-    of itself to n, and ^ scales the error of log |c| by |k|."""
-    if not logs:
-        return c * k if op == "*" else c / k if op == "/" else math.pow(c, k)
-    if op == "^":
-        sign, log, n = 1.0, c[1] * k, abs(k) * c[2]
-    else:
-        sign, log, n = c[0] * k[0], c[1] + k[1] if op == "*" else c[1] - k[1], c[2] + k[2]
-    return sign, log, n + 0.5 * abs(log)
 
 
 def _operand(node: Node, text: str, temp: str) -> tuple[str, str]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 
 from .errors import ReasonError
-from .expr import Expr, _degree
+from .analysis import is_affine
+from .expr import Expr
 from .kernels import PROBE_POINTS, chebyshev_points
 from .quadrature import midpoint
 from .record import Record
@@ -113,7 +114,7 @@ def affine_from_expr(e: Expr, domain: Interval, tol: float = 1e-9) -> AffineMap:
     else:
         alpha = (ub - ua) / (b - a)
     beta = ua - alpha * a
-    if _degree(e.root) is None:
+    if not is_affine(e.root):
         bound = tol * max(abs(ua), abs(um), abs(ub), 1.0)
         second = ua - 2.0 * um + ub
         if math.isinf(second):  # 2u(m) or a partial sum overflows: a finite form keeps its bits

@@ -28,7 +28,8 @@ import math
 from functools import lru_cache
 
 from .errors import ReasonError
-from .expr import EvalError, Expr, Unary, _power_form, _summands, parse
+from .analysis import power_form, summands
+from .expr import EvalError, Expr, parse
 from .quadrature import QuadratureError, _total, integrate_open01, midpoint
 from .record import Record
 
@@ -72,8 +73,8 @@ def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
     """(H, its error) of h = expr over (0, 1): _closed_form's for a power
     form, _sum_integral's for a sum of them, else integrate_open01's.  +inf
     has error 0."""
-    form = _power_form(expr.root) or _power_form(expr.root, logs=True)
-    result = _closed_form(*form) if form is not None else _sum_integral(expr.root)
+    form = power_form(expr.root)
+    result = form and _closed_form(*form) or _sum_integral(expr.root)
     if result is None:
         try:
             ladder = integrate_open01(expr, quad_tol)
@@ -87,13 +88,15 @@ def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
     return value, 0.0 if math.isinf(value) else error
 
 
-def _closed_form(c, a: float, b: float) -> tuple[float, float]:
-    """(H, its error) of C*t^a*(1-t)^b: H = +inf if a <= -1 or b <= -1,
-    C/(a+1) or C/(b+1) if the other exponent is 0, else C*B(a+1, b+1) by
-    lgamma, with error H*4*eps*(1 + the lgamma terms' magnitudes).  A C past
-    the float range is carried as (log C, its error in eps), and H = exp(log
-    C + the lgamma terms), its error counting log C's too."""
-    scaled = isinstance(c, tuple)
+def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
+    """(H, its error) of C*t^a*(1-t)^b, C = c if c is positive and finite,
+    else log_c = (sign, log C, n) if its C is positive with a finite log,
+    else None: H = +inf if a <= -1 or b <= -1, C/(a+1) or C/(b+1) if the
+    other exponent is 0, else C*B(a+1, b+1) by lgamma (exp(log C + lgammas)
+    for log_c), with error H*4*eps*(1 + the lgammas' magnitudes (+ n))."""
+    scaled = c is None or not 0.0 < c < math.inf
+    if scaled and not (log_c and log_c[0] > 0.0 and math.isfinite(log_c[1])):
+        return None
     if a <= -1.0 or b <= -1.0:
         return math.inf, 0.0
     if (a == 0.0 or b == 0.0) and not scaled:  # a + b + 1.0 is a + 1.0 or b + 1.0
@@ -101,47 +104,44 @@ def _closed_form(c, a: float, b: float) -> tuple[float, float]:
     terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
     beta = terms[0] + terms[1] - terms[2]
     try:
-        value = math.exp(c[0] + beta) if scaled else c * math.exp(beta)
+        value = math.exp(log_c[1] + beta) if scaled else c * math.exp(beta)
     except OverflowError:  # H past the largest float
         value = math.inf
-    size = 1.0 + sum(map(abs, terms)) + (c[1] if scaled else 0.0)
+    size = 1.0 + sum(map(abs, terms)) + (log_c[2] if scaled else 0.0)
     return value, value * 4.0 * math.ulp(1.0) * size
 
 
 def _sum_integral(root) -> tuple[float, float] | None:
-    """(H, its error) of a sum of two or more power forms C*t^a*(1-t)^b, each
-    term signed by the +, - and unary minus above it and by its own C, or
-    None (the ladder) unless every term has a form.  The signed Cs are
-    collected by (a, b): H = +inf if a collected C with a <= -1 or b <= -1
-    is positive, None if one is negative; else H is the fsum of the terms'
-    closed forms, with error the sum of theirs plus eps times the sum of
-    their magnitudes."""
-    summands = _summands(root)
-    if len(summands) < 2:
+    """(H, its error) of a sum of two or more power forms, each term's finite
+    nonzero C signed by the +, - and unary minus above it, or None (the
+    ladder).  The Cs are collected by (a, b), a total of 0 cancelling.  An
+    end whose least exponent left (a at 0, b at 1) is <= -1 diverges with
+    the sign of the total of the Cs there: H = +inf if every one is
+    positive, else None.  With none, H is the fsum of the terms' closed
+    forms, with error the sum of theirs plus eps times that of |term|."""
+    terms = summands(root)
+    if len(terms) < 2:
         return None
     collected: dict[tuple[float, float], list[float]] = {}
-    for sign, node in summands:
-        form = _power_form(node)
-        if form is None:  # a negative C, as in -0.5*t, is -1 times -node's
-            form, sign = _power_form(Unary("neg", node)), -sign
-        if form is None:
+    for sign, node in terms:
+        c, _, a, b = power_form(node) or (None,) * 4
+        if c is None or not 0.0 < abs(c) < math.inf:
             return None
-        c, a, b = form
         collected.setdefault((a, b), []).append(sign * c)
-    values, error, divergent = [], 0.0, False
+    live = [key for key, cs in collected.items() if _total(cs)]
+    least = [min([key[end] for key in live], default=0.0) for end in (0, 1)]
+    ends = [_total([c for key in live if key[end] == least[end] for c in collected[key]])
+            for end in (0, 1) if least[end] <= -1.0]
+    if ends:
+        return (math.inf, 0.0) if min(ends) > 0.0 else None
+    values, error = [], 0.0
     for (a, b), cs in collected.items():
-        if a <= -1.0 or b <= -1.0:
-            c = _total(cs)
-            if c < 0.0:
-                return None
-            divergent = divergent or c > 0.0
+        if a <= -1.0 or b <= -1.0:  # its Cs cancel
             continue
         for c in cs:
-            value, term_error = _closed_form(abs(c), a, b)
+            value, term_error = _closed_form(abs(c), None, a, b)
             values.append(math.copysign(value, c))
             error += term_error
-    if divergent:
-        return math.inf, 0.0
     value = _total(values)
     if value != value:  # terms past the float range of both signs
         return None

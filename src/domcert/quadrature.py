@@ -19,7 +19,7 @@ finite panel centers.  integrate's total is +-inf when it overflows and
 nan when the panels hold inf and -inf, where math.fsum would raise.
 
 integrate_split, the entry point for an integral of an Expr, splits [a, b]
-at the kinks of the tree's abs(v) subtrees with an affine v (expr._degree),
+at the kinks of its abs(v) subtrees with an affine v (analysis.breakpoints),
 where a panel can miss the kink with an estimate of zero: each kink is the
 float where the evaluated v changes sign.  Any other callable or tree is
 one call of integrate, which never splits.
@@ -30,9 +30,9 @@ and 1e-12.  If the last step changed the value by more than 1% the
 integral is reported as +inf; otherwise the tail is extrapolated
 geometrically: with d the last two steps and rho = |d_last| / |d_prev| <
 0.9, it adds d_last * rho / (1 - rho).  Divergence is a value here, not an
-error.  kernels._integral calls it only for a tree without a power form.  An
-integrand that diverges slower than any power of eps can pass as
-convergent with a large error estimate.
+error.  kernels._integral calls it only for a tree without a power form or a
+sum of them.  An integrand that diverges slower than any power of eps can
+pass as convergent with a large error estimate.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from heapq import heappush, heappop
 from typing import Callable, NamedTuple
 
 from .errors import ReasonError
-from .expr import Binary, EvalError, Expr, Unary, _compile, _degree
+from .analysis import breakpoints
+from .expr import EvalError, Expr
 
 
 class QuadratureError(ReasonError):
@@ -254,73 +255,11 @@ def _total(parts: list[float]) -> float:
         return math.nan
 
 
-def _sign_change(v, lo: float, hi: float) -> float | None:
-    """The float in (lo, hi) where v, of opposite signs at lo and hi,
-    leaves lo's sign: the upper end of a bracket of two adjacent doubles,
-    bisected over the doubles in order after a try at a few of them around
-    the secant root, where an affine v changes sign.  None when v does not
-    change sign strictly inside, or faults."""
-    import struct  # only an integrand with an abs pays for it
-
-    def ordinal(x: float) -> int:  # doubles in order: -0.0 and 0.0 are 0
-        n = struct.unpack("<q", struct.pack("<d", x))[0]
-        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
-
-    def at(n: int) -> float:
-        return struct.unpack("<d", struct.pack("<Q", n if n >= 0 else -n | 1 << 63))[0]
-
-    try:
-        va, vb = v(lo), v(hi)
-        if not (va < 0.0 < vb or vb < 0.0 < va):
-            return None
-        negative = va < 0.0
-
-        def lo_side(n: int) -> bool:
-            w = v(at(n))
-            return w < 0.0 if negative else w > 0.0
-
-        a, top = ordinal(lo), ordinal(hi)
-        b = top
-        n = ordinal(lo + (hi - lo) * (va / (va - vb)))
-        if a < n - 4 and n + 4 < b and lo_side(n - 4) and not lo_side(n + 4):
-            a, b = n - 4, n + 4
-        while b - a > 1:
-            m = (a + b) // 2
-            if lo_side(m):
-                a = m
-            else:
-                b = m
-    except (EvalError, ArithmeticError, ValueError):
-        return None
-    return at(b) if b != top else None
-
-
-def _kinks(u: Expr, lo: float, hi: float) -> list[float]:
-    """The sign changes in (lo, hi) of the affine arguments of u's abs
-    subtrees, ascending.  A tree with no abs has none, read from its
-    source without a walk."""
-    if "abs" not in u.source:
-        return []
-    kinks = set()
-    stack = [u.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Unary):
-            if node.op == "abs" and _degree(node.arg) == 1:
-                kink = _sign_change(_compile(node.arg), lo, hi)
-                if kink is not None:
-                    kinks.add(kink)
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack += (node.left, node.right)
-    return sorted(kinks)
-
-
 def integrate_split(fun: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
     """integrate(fun, a, b, tol) split at the kinks of an Expr fun: the pieces get
     equal shares of tol, not below the least double, and add up with _total."""
     valid = a < b and math.isfinite(b - a) and tol > 0.0  # else integrate refuses it whole
-    edges = [a, *_kinks(fun, a, b), b] if valid and isinstance(fun, Expr) else [a, b]
+    edges = [a, *breakpoints(fun, a, b), b] if valid and isinstance(fun, Expr) else [a, b]
     if len(edges) == 2:
         return integrate(fun, a, b, tol)
     share = max(tol / (len(edges) - 1), 5e-324)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import simpson
+from domcert.analysis import breakpoints
 from domcert.convexity import FunctionPair
 from domcert.expr import parse
 from domcert.geometry import Interval, identity_map, make_affine
@@ -537,7 +538,7 @@ JOBS = st.sampled_from([("linear", "midpoint"), ("linear", "endpoint"), ("one", 
 
 class TestKinkSplit:
     """The bounds' integrals, split at their kinks by quadrature.integrate_split,
-    and the splitter itself (quadrature._kinks and integrate_split)."""
+    and the splitter itself (analysis.breakpoints and integrate_split)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.tuples(DYADIC, DYADIC).filter(lambda e: e[0] < e[1]), st.floats(0.0, 1.0),
@@ -578,7 +579,7 @@ class TestKinkSplit:
 
     @KINKS
     def test_kinks_are_where_the_evaluated_argument_changes_sign(self, source, kinks):
-        assert quadrature._kinks(parse(source), -1.0, 1.0) == kinks
+        assert breakpoints(parse(source), -1.0, 1.0) == kinks
 
     @KINKS
     def test_kinks_build_no_expr(self, monkeypatch, source, kinks):
@@ -589,11 +590,11 @@ class TestKinkSplit:
             raise AssertionError("to_source called")
 
         monkeypatch.setattr(expr_module, "to_source", refuse)
-        assert quadrature._kinks(u, -1.0, 1.0) == kinks
+        assert breakpoints(u, -1.0, 1.0) == kinks
 
     def test_each_kink_has_its_sign_change_on_either_side(self):
         u = parse("0.1*x-0.0370000000000001")
-        (kink,) = quadrature._kinks(parse(f"abs({u.source})"), 0.0, 1.0)
+        (kink,) = breakpoints(parse(f"abs({u.source})"), 0.0, 1.0)
         assert u.evaluate(math.nextafter(kink, -1.0)) < 0.0 <= u.evaluate(kink)
 
     def test_the_pieces_share_the_budget_and_add_up(self, monkeypatch):

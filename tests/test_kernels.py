@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import simpson
 from domcert import kernels, quadrature
-from domcert.expr import EvalError, _power_form, parse
+from domcert.analysis import power_form
+from domcert.expr import EvalError, parse
 from domcert.kernels import (
     PROBE_POINTS,
     Kernel,
@@ -18,6 +19,23 @@ from domcert.kernels import (
 
 
 HUGE = 1.7976931348623157e308
+
+
+def _plain_form(root):
+    """power_form(root) as (C, a, b) when C is positive and finite, else None."""
+    form = power_form(root)
+    if form is None or form[0] is None or not 0.0 < form[0] < math.inf:
+        return None
+    return form[0], *form[2:]
+
+
+def _log_form(root):
+    """power_form(root) as ((log C, n), a, b) when C is positive with a finite
+    log, else None."""
+    form = power_form(root)
+    if form is None or form[1] is None or not (form[1][0] > 0.0 and math.isfinite(form[1][1])):
+        return None
+    return form[1][1:], *form[2:]
 
 
 class TestBuiltinConstants:
@@ -224,7 +242,7 @@ class TestPowerForm:
         ("t^-0.9", (1.0, -0.9, 0.0)),
     ])
     def test_power_forms(self, source, form):
-        assert _power_form(parse(source).root) == form
+        assert _plain_form(parse(source).root) == form
 
     @pytest.mark.parametrize("source", [
         "t+1", "1+t^0.5", "1-2*t", "exp(t)", "ln(t+1)", "abs(t)", "sqrt(t)", "cos(t)",
@@ -234,12 +252,12 @@ class TestPowerForm:
     def test_no_power_form(self, source):
         # sums, functions, a C that is not positive and finite, and exponents
         # that are not constant or not finite
-        assert _power_form(parse(source).root) is None
+        assert _plain_form(parse(source).root) is None
 
     @given(st.sampled_from(["linear", "reciprocal", "one", "power"]),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_every_built_in_source_has_a_form(self, kind, s):
-        assert _power_form(parse(kernels._BUILT_IN[kind](s)[0]).root) is not None
+        assert _plain_form(parse(kernels._BUILT_IN[kind](s)[0]).root) is not None
 
     @pytest.mark.parametrize("source, integral", [
         ("1/t", math.inf), ("1/(1-t)", math.inf), ("1e300/t", math.inf), ("1e308", 1e308),
@@ -248,6 +266,8 @@ class TestPowerForm:
         ("t^-0.9+1", 11.000000000000002), ("1/t+1", math.inf), ("1/(1-t)+t", math.inf),
         ("2/t-1/t+1", math.inf), ("1/t-1/t+1", 1.0), ("(1-t)^(-0.5)+t", 2.5),
         ("-0.5*t+1", 0.75), ("1-(-t)", 1.5),
+        # the least exponent at an end decides it: t^-2 outgrows -1/t
+        ("1/t^2-1/t+1", math.inf), ("1/(t*t)-1/t+1", math.inf), ("1/(1-t)^2-1/(1-t)", math.inf),
     ])
     def test_a_power_form_never_reaches_the_ladder(self, monkeypatch, source, integral):
         def refuse(*args):
@@ -261,10 +281,11 @@ class TestPowerForm:
             make_kernel(kind)
         make_kernel("power", s=0.37)
 
-    # a sum takes the ladder when a term has no form or a divergent C is negative
+    # a sum takes the ladder when a term has no form, or the Cs of the least
+    # exponent at a diverging end do not total a positive C
     @pytest.mark.parametrize("source", [
-        "1/(t*(1-ln(t))^2)", "exp(t)", "1/sqrt(t)+1/(t+0.5)", "1/t^2-1/t+1", "t-3/t+1/t",
-        "0*t+1", "t^0.5+exp(t)",
+        "1/(t*(1-ln(t))^2)", "exp(t)", "1/sqrt(t)+1/(t+0.5)", "t-3/t+1/t", "1/t-(1-t)/t",
+        "0*t+1", "t^0.5+exp(t)", "1/t^2-2/t^2+1/(1-t)",
     ])
     def test_a_tree_without_a_form_takes_the_ladder(self, monkeypatch, source):
         calls = []
@@ -290,7 +311,7 @@ class TestScaledPowerForm:
         k = make_kernel("custom", expr=parse(self.REPRO))
         elapsed = time.perf_counter() - start
         exact = Fraction(1e170) ** 2 * Fraction(math.factorial(80) ** 2, math.factorial(161))
-        assert _power_form(parse(self.REPRO).root) is None  # C^2 overflows the plain fold
+        assert _plain_form(parse(self.REPRO).root) is None  # C^2 overflows the plain fold
         assert math.isfinite(k.integral) and 0.0 < k.integral_error < 1e-11 * k.integral
         assert abs(Fraction(k.integral) - exact) <= k.integral_error
         assert elapsed < 0.1  # the ladder ran 15 s, then ran out of panels
@@ -300,8 +321,8 @@ class TestScaledPowerForm:
         ("(1e170*t^40*(1-t)^40)^2", (80.0, 80.0)), ("1e308*1e308/(t*(1-t))^0.5", (-0.5, -0.5)),
     ])
     def test_a_constant_past_the_float_range_has_a_log_form(self, source, form):
-        assert _power_form(parse(source).root) is None
-        (log, n), *exponents = _power_form(parse(source).root, logs=True)
+        assert _plain_form(parse(source).root) is None
+        (log, n), *exponents = _log_form(parse(source).root)
         assert tuple(exponents) == form and 0.0 < n
 
     @pytest.mark.parametrize("source", [
@@ -309,8 +330,8 @@ class TestScaledPowerForm:
         "(4*t^2)^0.5", "t^(1/2)/t", "t^-0.9", "0.1*t^7/(1-t)^3*1e-5",
     ])
     def test_a_log_form_agrees_with_the_plain_form(self, source):
-        c, a, b = _power_form(parse(source).root)
-        (log, n), la, lb = _power_form(parse(source).root, logs=True)
+        c, a, b = _plain_form(parse(source).root)
+        (log, n), la, lb = _log_form(parse(source).root)
         assert (la, lb) == (a, b)
         assert abs(log - math.log(c)) <= (n + abs(log) + 1.0) * math.ulp(1.0)
 
@@ -319,7 +340,7 @@ class TestScaledPowerForm:
         "(t^(1e308*10))^0", "(-1e200*t)^2", "0*1e300*1e300",
     ])
     def test_no_log_form(self, source):
-        assert _power_form(parse(source).root, logs=True) is None
+        assert _log_form(parse(source).root) is None
 
     def test_a_scaled_form_takes_the_lgamma_rule_with_a_zero_exponent(self):
         # C = 1e-100 underflows in the plain fold (1e-200*1e-200 is 0.0)
