@@ -264,6 +264,8 @@ def _least(rows: list) -> list:
     return heapq.nsmallest(REFINE_SEEDS, rows, key=_ORDER)
 
 
+# +inf as a literal, a constant of the compiled loop rather than a global
+_INF = "1e309"
 # _violates in the loop; a value that is not below 0.0 never violates
 _VIOLATES = "{v} < 0.0 and ({v} < -(atol + rtol * max(abs({lhs}), abs({rhs}))) or {v} == -INF)"
 
@@ -313,7 +315,9 @@ class _Body:
     of evaluation) for the statements in stats: the values of the functions
     at a point, their defects and the gap, in the op order of the scalar
     forms above.  guarded=True writes the bodies in the guarded form, with g
-    reading nothing of f.  The trees' constants are named by slots."""
+    reading nothing of f, and tests each value's finiteness and sign in
+    statements of their own: the reference of the one-comparison tests.
+    The trees' constants are named by slots."""
 
     def __init__(self, roots: dict, kernel: Node, stats: tuple, slots: _Slots, guarded: bool):
         self.roots, self.kernel, self.stats = roots, kernel, stats
@@ -328,27 +332,47 @@ class _Body:
     def put(self, depth: int, *code: str) -> None:
         self.lines.extend("    " * depth + c for c in code)
 
-    def evaluate(self, depth: int, n: str, at: str, p: str) -> None:
+    def evaluate(self, depth: int, n: str, at: str, p: str, neg: bool = False) -> None:
         """Value of n at the point p into the variable n + at; g reads f's
-        value from f + at.
+        value from f + at.  neg=True also sets neg_<n> where it is negative.
 
         v - v is 0.0 for finite v and nan (truthy) for inf or nan: the
-        isfinite check of Expr.evaluate without a call.
+        isfinite check of Expr.evaluate without a call.  With neg, one
+        chained comparison, 0.0 <= v < +inf, passes a finite nonnegative
+        value, and only a value it stops pays for v - v and the sign test.
         """
         dst = n + at
         if n in self.roots:
             reads = dict.fromkeys(self.shared, "f" + at) if n == "g" else None
             code = _emit(self.roots[n], p, self.slots, self.guarded, reads)
-            self.put(depth, f"{dst} = {code}", f"if {dst} - {dst}: raise _nonfinite({p})")
+            self.put(depth, f"{dst} = {code}")
+            fault = f"if {dst} - {dst}: raise _nonfinite({p})"
+            flag = f"neg_{n} = True"  # past the fault, a stopped value is negative
         else:  # a fault here is raised after the pass: these sweeps ran last
-            self.put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}",
-                     f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)")
+            self.put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}")
+            fault = f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)"
+            flag = f"if {dst} < 0.0: neg_{n} = True"
+        if neg and not self.guarded:
+            self.put(depth, f"if not 0.0 <= {dst} < {_INF}:", f"    {fault}", f"    {flag}")
+        else:
+            self.put(depth, fault)
+
+    def signs(self, depth: int, ats: tuple, neg: bool) -> None:
+        """The guarded form's sign tests of the values at each of ats."""
+        if neg and self.guarded:
+            for n in self.fns:
+                test = " or ".join(f"{n}{at} < 0.0" for at in ats)
+                self.put(depth, f"if {test}: neg_{n} = True")
 
     def kernel_at(self, dst: str, t: str) -> list[str]:
-        return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
-                f"{dst} = {_emit(self.kernel, t, self.slots, self.guarded)}",
-                f"if {dst} - {dst}: raise _nonfinite({t})",
-                f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
+        lines = [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
+                 f"{dst} = {_emit(self.kernel, t, self.slots, self.guarded)}"]
+        if self.guarded:
+            return lines + [f"if {dst} - {dst}: raise _nonfinite({t})",
+                            f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
+        return lines + [f"if not 0.0 < {dst} < {_INF}:",
+                        f"    if {dst} - {dst}: raise _nonfinite({t})",
+                        f"    raise _nonpositive({dst}, {t})"]
 
     def drawn(self, depth: int, neg: bool) -> None:
         """From a random point x, y, t (and omt = 1 - t) to the statements'
@@ -359,12 +383,11 @@ class _Body:
         for v in "xy":  # apply raises the GeometryError of a point off phi's domain
             self.put(depth, f"if not da <= {v} <= db: apply({v})", f"p{v} = alpha * {v} + beta")
         for n in self.fns:
-            self.evaluate(depth, n, "px", "px")
-            self.evaluate(depth, n, "py", "py")
+            self.evaluate(depth, n, "px", "px", neg)
+            self.evaluate(depth, n, "py", "py", neg)
         if not self.pair:  # the single-function sweep read it after u(px), u(py)
             self.put(depth, *kernel_lines)
-        if neg:
-            self.put(depth, *(f"if {n}px < 0.0 or {n}py < 0.0: neg_{n} = True" for n in self.fns))
+        self.signs(depth, ("px", "py"), neg)
         self.put(depth, "p = t * px + omt * py")
         self.values(depth, {n: f"ht * {n}px + h1t * {n}py" for n in self.defects}, neg)
 
@@ -372,13 +395,14 @@ class _Body:
         """The statements' values at the point p, each defect's weighted side
         given by weighted."""
         for n in self.fns:
-            self.evaluate(depth, n, "m", "p")
-        if neg:
-            self.put(depth, *(f"if {n}m < 0.0: neg_{n} = True" for n in self.fns))
+            self.evaluate(depth, n, "m", "p", neg)
+        self.signs(depth, ("m",), neg)
         for n in self.defects:
             self.put(depth, f"r_{n} = {weighted[n]}", f"d_{n} = r_{n} - {n}m")
-        if "gap" in self.stats:
-            self.put(depth, "a_f = abs(d_f)", "gap = d_g - a_f")
+        if "gap" in self.stats:  # abs(d_f), its zero and nan left to abs
+            self.put(depth, "a_f = " + ("abs(d_f)" if self.guarded else
+                                        "d_f if d_f > 0.0 else -d_f if d_f < 0.0 else abs(d_f)"),
+                     "gap = d_g - a_f")
 
 
 def _sweep_source(

@@ -29,7 +29,9 @@ takes for each constant operand.  A text compiles once per process
 compiled code.  The specialized form, the one every path runs, guards an op
 only where an operand can make it fault: ``^`` with a constant exponent,
 ``/`` by a nonzero constant, ``exp``, ``sin`` and ``cos`` run inline, and
-``ln``/``sqrt`` call their fault helper only on the bad branch.  When an
+``ln``/``sqrt`` call their fault helper only on the bad branch.  ``abs`` is
+written inline too, as two comparisons that leave zero and nan to the
+builtin, and a positive even exponent needs no zero guard.  When an
 inline op raises, the guarded form runs again at that point and names the
 fault; it is also the reference the specialized form must match bit for
 bit.  A sweep over a pair whose g holds a subtree equal to f's tree reads
@@ -39,11 +41,13 @@ about a tree's shape, its power form and its kinks, are analysis's.
 parse runs that cold path (_tokenize, _Parser, _emit, _shape_code) once per
 template key.  A source's key is its pieces between number literals
 (_NUM_RE as a split) with each literal's class: zero, another integer, a
-finite non-integer, or infinite.  Those are the only properties of a
-constant _emit branches on, since the pieces fix each literal's sign.  The
-first time the cold path accepts a source of a key, parse makes its
-template: a function of the literal values, one closure per node, that
-builds the tree anew and binds the values to the compiled specialized body.
+finite non-integer, infinite, or an even integer in a place where it can be
+an exponent (after "^" and only "-", "(" or spaces).  Those are the only
+properties of a constant _emit branches on, since the pieces fix each
+literal's sign.  The first time the cold path accepts a source of a key,
+parse makes its template: a function of the literal values, one closure
+per node, that builds the tree anew and binds the values to the compiled
+specialized body.
 The parser names each literal's Const and the sign unary-minus folding gave
 it, so the template knows which value each constant holds; a source whose
 signed literals are not its split's values takes the cold path.  A template
@@ -279,14 +283,18 @@ class _Parser:
 # Evaluation: a tree compiles to python source, written by _emit.  Its
 # guarded form calls a helper for every op that can fault; it is the
 # reference.  Its specialized form, the one every path runs, keeps a guard
-# only where an operand can fault.  Const, Var, neg, abs and + - * are
-# written the same in both; the forms part only at these ops:
+# only where an operand can fault.  Const, Var, neg and + - * are written
+# the same in both; the forms part only at these ops:
 #
+#   abs                 inline: u if u > 0.0, -u if u < 0.0, else the
+#                       builtin, so zero and nan come out as abs gives them
 #   L^c, c constant     inline ** (float ** and math.pow call the same C
 #                       pow); the helper only where the base can fault: a
 #                       zero base for c < 0, a base <= 0 for c not an
 #                       integer, and 0.0 (_g_pow's +0.0) for a zero base
-#                       when c is a positive integer
+#                       when c is a positive odd integer.  A positive even
+#                       c is a bare **: C pow gives +0.0 for a base of
+#                       +-0.0 there
 #   L/c, c != 0         plain /; a leaf over any divisor calls the helper
 #                       only for a zero divisor
 #   ln, sqrt            the helper only on the bad branch
@@ -440,10 +448,11 @@ def _emit(
         inner = _emit(node.arg, var, slots, guarded, reads)
         if op == "neg":
             return f"(-{inner})"
-        if op == "abs":
-            return f"_abs({inner})"
         if guarded:
-            return f"_g_{op}({inner})"
+            return f"_abs({inner})" if op == "abs" else f"_g_{op}({inner})"
+        if op == "abs":  # zero and nan fall through to abs, which sets the sign
+            use, bind = _operand(node.arg, inner, "_a")
+            return f"({use} if {bind} > 0.0 else -{use} if {use} < 0.0 else _abs({use}))"
         if op in ("ln", "sqrt"):
             use, bind = _operand(node.arg, inner, "_a")
             test = "> 0.0" if op == "ln" else ">= 0.0"
@@ -457,6 +466,8 @@ def _emit(
     if not guarded:
         if op == "^" and isinstance(right, Const) and right.value != 0.0:
             c = right.value
+            if c > 0.0 and c % 2.0 == 0.0:  # an even power of -0.0 is +0.0 too
+                return f"({left_text}**{right_text})"
             use, bind = _operand(left, left_text, "_b")
             if not c.is_integer():
                 return f"({use}**{right_text} if {bind} > 0.0 else _g_pow({use},{right_text}))"
@@ -619,6 +630,9 @@ class Expr:
 _TOO_DEEP = "an expression nested less deeply"
 # the source as its pieces between number literals, and the literals
 _split = re.compile(f"({_NUM_RE.pattern})").split
+# a piece a literal exponent can follow: only "-", "(" and spaces come
+# between "^" and a literal that is the exponent's whole tree
+_exponent = re.compile(r"\^[\s(-]*\Z").search
 
 
 def _tree(source: str) -> tuple[Node, str | None, list[list]]:
@@ -717,11 +731,15 @@ def parse(source: str) -> Expr:
 
     The key of source is its pieces between number literals with each
     literal's class: 0 for zero, 1 for another integer, 2 for a finite
-    non-integer, 3 for infinity, which no template has."""
+    non-integer, 3 for infinity, which no template has, and 4 for an even
+    integer that can be an exponent."""
     parts = _split(source)
     values = [float(text) for text in parts[1::2]]
     parts[1::2] = [
-        0 if v == 0.0 else 1 if v.is_integer() else 2 if v < math.inf else 3 for v in values
+        0 if v == 0.0
+        else (4 if v % 2.0 == 0.0 and _exponent(before) else 1) if v.is_integer()
+        else 2 if v < math.inf else 3
+        for v, before in zip(values, parts[0::2])
     ]
     key = tuple(parts)
     make = _TEMPLATES.get(key)

@@ -93,7 +93,12 @@ def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
     else log_c = (sign, log C, n) if its C is positive with a finite log,
     else None: H = +inf if a <= -1 or b <= -1, C/(a+1) or C/(b+1) if the
     other exponent is 0, else C*B(a+1, b+1) by lgamma (exp(log C + lgammas)
-    for log_c), with error H*4*eps*(1 + the lgammas' magnitudes (+ n))."""
+    for log_c), with error H*4*eps*(1 + the lgammas' magnitudes (+ n)).
+    Where a lgamma overflows (a + b + 2 past about 2.5e305), log B(x, y) is
+    lgamma(m) - m*log(M) + theta, m <= M the two arguments, with theta
+    between -m^2/M and m/M (ln z - 1/z < digamma(z) < ln z), so H gains the
+    error H*min(e - 1, expm1(m*max(m, 1)/M)); None if lgamma(m) overflows
+    too."""
     scaled = c is None or not 0.0 < c < math.inf
     if scaled and not (log_c and log_c[0] > 0.0 and math.isfinite(log_c[1])):
         return None
@@ -101,14 +106,24 @@ def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
         return math.inf, 0.0
     if (a == 0.0 or b == 0.0) and not scaled:  # a + b + 1.0 is a + 1.0 or b + 1.0
         return c / (a + b + 1.0), 0.0
-    terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
+    spread = 0.0
+    try:
+        terms = (math.lgamma(a + 1.0), math.lgamma(b + 1.0), math.lgamma(a + b + 2.0))
+    except OverflowError:
+        m, big = sorted((a + 1.0, b + 1.0))
+        try:
+            terms = (math.lgamma(m), 0.0, m * math.log(big))
+        except OverflowError:
+            return None
+        spread = min(math.e - 1.0, math.expm1(m * max(m, 1.0) / big))
     beta = terms[0] + terms[1] - terms[2]
     try:
         value = math.exp(log_c[1] + beta) if scaled else c * math.exp(beta)
     except OverflowError:  # H past the largest float
         value = math.inf
     size = 1.0 + sum(map(abs, terms)) + (log_c[2] if scaled else 0.0)
-    return value, value * 4.0 * math.ulp(1.0) * size
+    error = value * 4.0 * math.ulp(1.0) * size if value else 0.0  # size may be inf
+    return value, error + value * spread if spread else error
 
 
 def _sum_integral(root) -> tuple[float, float] | None:
@@ -139,7 +154,10 @@ def _sum_integral(root) -> tuple[float, float] | None:
         if a <= -1.0 or b <= -1.0:  # its Cs cancel
             continue
         for c in cs:
-            value, term_error = _closed_form(abs(c), None, a, b)
+            closed = _closed_form(abs(c), None, a, b)
+            if closed is None:  # both exponents past about 2.5e305
+                return None
+            value, term_error = closed
             values.append(math.copysign(value, c))
             error += term_error
     value = _total(values)

@@ -283,7 +283,7 @@ ENDS = st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-3.0, 0.25), (1e-8, 1.0 - 1e-8
 
 def _bits(integral, root):
     """The bits of integral(root), or the class of what it raises: an lgamma
-    past the largest float raises OverflowError on both sides."""
+    past the largest float raises OverflowError in the reference."""
     try:
         result = integral(root)
     except OverflowError as exc:
@@ -306,9 +306,15 @@ class TestAgainstTheReference:
     @example(parse("t^1e308*(1-t)").root)
     @example(parse("(((1-t)*t)^1e308)^0.5").root)  # a + b is finite only at the top
     @example(parse("1/t-t^1e308*(1-t)").root)
+    @example(parse("1+t^1e308*(1-t)").root)
     def test_h_and_its_error_keep_their_bits(self, root):
         want, got = _bits(ref_integral, root), _bits(new_integral, root)
-        if got != want:
+        if want is OverflowError and got != ("inf", "0.0"):
+            # where the reference's lgamma raised, log B takes its
+            # large-argument form (tests/test_kernels.py holds its values), or
+            # with both exponents past the lgamma range the ladder
+            assert got is None or float(got[1]) >= 0.0
+        elif got != want:
             # the ends are decided before any term's closed form: a sum the
             # reference left to the ladder for a negative divergent C, or
             # whose positive divergent C it never reached for a term's lgamma

@@ -18,6 +18,7 @@ import pytest
 from conftest import respelled
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from domcert import convexity
 from domcert.convexity import (
     HOLDS,
     NEG_VALUES_WARNING,
@@ -43,7 +44,8 @@ from domcert.convexity import (
 from domcert.errors import DomcertError
 from domcert.expr import EvalError, Expr, _emit, _shape_code, _Slots, combine, parse
 from domcert.geometry import GeometryError, Interval, identity_map, make_affine
-from domcert.kernels import KernelError, make_kernel
+from domcert.kernels import Kernel, KernelError, make_kernel
+from domcert.record import _restore
 from domcert.search import search_violations
 
 KERNELS = [
@@ -649,21 +651,146 @@ _EVERY_OP = ("-x + abs(x - 2) * exp(-x) - ln(x) + ln(x^2 + 1) - sqrt(x) * sqrt(x
              " + x/2 + x/0 + 1/(x - 1) + x/x + x*(-3)")
 
 
+# The loop tests each value's finiteness and sign with one comparison, and
+# writes abs(d_f) inline; the guarded loop keeps a statement for each test
+# and abs itself.  The two must agree on every report, warning and fault.
+
+
+def _guarded_sweep(*args):
+    """_plan_sweep(*args) through the guarded loop alone."""
+    real = convexity._sweep_source
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexity, "_sweep_source", lambda *a: real(*a[:6], True, *a[7:]))
+        return _plan_sweep(*args)
+
+
+def _lean_and_guarded(fns, stats, h, phi, interval, plan):
+    outcomes = []
+    for sweep in (_plan_sweep, _guarded_sweep):
+        try:
+            outcomes.append(repr(sweep(fns, stats, h, phi, interval, plan)))
+        except DomcertError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+_STATS = [("u",), ("g", "gap"), ("gap", "l", "k")]
+# negative, -0.0, infinite and nan values of f, g, g + f and g - f
+_EDGE_SOURCES = ["x-0.5", "-abs(x-0.3)", "x*(-0.0)", "(x-0.5)^2-0.01", "1.7e308*x+1.7e308*x",
+                 "1e308*x", "1.7e308*(x-0.5)", "-(x^4)", "1/(x-0.5)", "exp(710*x)"]
+
+
+@SETTINGS
+@given(setups(), st.sampled_from(_EDGE_SOURCES), st.sampled_from(_EDGE_SOURCES + [None]))
+def test_the_lean_loop_is_the_guarded_loop(setup, f, g):
+    pair, h, phi, interval, plan = setup
+    if g is not None:
+        pair = FunctionPair(parse(f), parse(g))
+    for stats in _STATS:
+        fns = (pair.f,) if stats == ("u",) else pair
+        lean, guarded = _lean_and_guarded(fns, stats, h, phi, interval, plan)
+        assert lean == guarded
+
+
+def _unbuilt_kernel(source: str) -> Kernel:
+    """A custom kernel of source with made-up constants: a sweep reads only
+    its expression, and a build would refuse it or integrate its spike."""
+    return _restore(Kernel, ("custom", None, parse(source), 1.0, 0.5, 1.0, 0.0))
+
+
+# h is +inf at exactly t = c, or 0 there
+def _kernel_inf_at(c: float) -> Kernel:
+    return _unbuilt_kernel(f"1+1e308/(abs(t-{c!r})*1e300+1e-10)")
+
+
+def _kernel_zero_at(c: float) -> Kernel:
+    return _unbuilt_kernel(f"abs(t-{c!r})")
+
+
+_T_AXIS_3 = grid_axes(SamplePlan.grid(3, 3, 3), UNIT)[2]
+_FIRST_X, _, _FIRST_T = _random_triples(SamplePlan.random(30, seed=4), UNIT)[0]
+
+
+def _at(plan) -> float:
+    """The c of the sources below: on the 3x3x3 grid p = t at x = 1, y = 0,
+    so c is a midpoint p and no grid point; on the random plan c is the
+    first x."""
+    return _T_AXIS_3[0] if plan.strategy == "grid" else _FIRST_X
+
+
+_PLANS_3 = [SamplePlan.grid(3, 3, 3), SamplePlan.random(30, seed=4)]
+_DIP = "(1-2e-300/(1e-300+abs(x-{c})))"  # -1 at x = c, about 1 elsewhere
+_SPIKE = "(1e308/(1e-10+1e300*abs(x-{c})))"  # +inf at x = c, finite elsewhere
+_HALF_SPIKE = "(1.7e308/(1+1e300*abs(x-{c})))"  # twice it is +inf at x = c
+_NEG = NEG_VALUES_WARNING.format
+
+
+@pytest.mark.parametrize("plan", _PLANS_3)
+@pytest.mark.parametrize("f, g, stats, warned", [
+    ("x-0.5", None, ("u",), lambda r: _NEG(role="function") in r.warnings),
+    ("x-0.5", "x^2+1", ("g", "gap"), lambda r: _NEG(role="f") in r.warnings),
+    ("x^2", "x^2-0.5", ("gap", "l", "k"), lambda r: _NEG(role="g") in r.dominance.warnings),
+    # negative at x = c alone
+    (_DIP, None, ("u",), lambda r: _NEG(role="function") in r.warnings),
+    ("x^2+1", _DIP, ("gap", "l", "k"), lambda r: _NEG(role="g") in r.dominance.warnings),
+    # a derived value: g - f < 0
+    ("x+2", "x^2", ("gap", "l", "k"), lambda r: _NEG(role="function") in r.k_convex.warnings),
+    ("1", _DIP + "+1", ("gap", "l", "k"), lambda r: _NEG(role="function") in r.k_convex.warnings),
+])
+def test_a_negative_value_still_warns(f, g, stats, warned, plan):
+    c = repr(_at(plan))
+    fns = tuple(parse(s.format(c=c)) for s in (f, g) if s is not None)
+    h, ident = make_kernel("linear"), identity_map(UNIT)
+    lean, guarded = _lean_and_guarded(fns, stats, h, ident, UNIT, plan)
+    assert lean == guarded
+    check = {("u",): check_phi_h_convex, ("g", "gap"): check_dominated,
+             ("gap", "l", "k"): equivalence_report}[stats]
+    assert warned(check(fns[0] if g is None else FunctionPair(*fns), h, ident, UNIT, plan))
+
+
+@pytest.mark.parametrize("plan", _PLANS_3)
+@pytest.mark.parametrize("f, g, h, stats, message", [
+    # a root value
+    ("1.7e308*x+1.7e308*x", None, None, ("u",), "non-finite result for input "),
+    ("x^2", "1.7e308*x+1.7e308*x", None, ("g", "gap"), "non-finite result for input "),
+    (_SPIKE, None, None, ("u",), "non-finite result for input "),
+    ("x^2", _SPIKE, None, ("g", "gap"), "non-finite result for input "),
+    # a derived value: g + f past the largest float, raised after the pass
+    ("1e308*x", "1.7e308*x", None, ("gap", "l", "k"), "non-finite result for input "),
+    (_HALF_SPIKE, _HALF_SPIKE + "+0", None, ("gap", "l", "k"), "non-finite result for input "),
+    # a kernel value
+    ("x^2", None, "inf", ("u",), "non-finite result for input "),
+    ("x^2", "x^2+1", "inf", ("gap", "l", "k"), "non-finite result for input "),
+    ("x^2", None, "zero", ("u",), " is 0.0 at t="),
+    ("x^2", "x^2+1", "zero", ("g", "gap"), " is 0.0 at t="),
+])
+def test_a_non_finite_value_still_raises_at_its_sample(f, g, h, stats, message, plan):
+    t = _T_AXIS_3[0] if plan.strategy == "grid" else _FIRST_T
+    kernel = {None: make_kernel("linear"), "inf": _kernel_inf_at(t), "zero": _kernel_zero_at(t)}[h]
+    c = repr(_at(plan))
+    fns = tuple(parse(s.format(c=c)) for s in (f, g) if s is not None)
+    lean, guarded = _lean_and_guarded(fns, stats, kernel, identity_map(UNIT), UNIT, plan)
+    assert lean == guarded
+    assert lean[0] in ("EvalError", "KernelError") and message in lean[1]
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_a_loop_without_rows_or_seeds_compiles_as_before():
-    # the sha256 of this source since the reduction counts nan samples:
-    # sweeps that hand off no rows run the code they ran before rows came in
-    # chunks and seeds were picked in the loop
+    # the sha256 of this source since each value's finiteness and sign take
+    # one comparison and abs and even powers are inline: sweeps that hand off
+    # no rows run the code they ran before rows came in chunks and seeds were
+    # picked in the loop
     roots = {"f": parse("x^2").root, "g": parse("2*x^2").root}
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots())
     assert "emit" not in source.split("\n", 1)[1]
     assert _sha256(source) == (
-        "951211b1c73930617655b9aadac19cfd98adcacb76eab3db4cf62bcbf49103ad")
+        "6b4ca64ace54d9bb9b495190503f91a87dd787e634d724459e2933d294fab980")
     # the same loop's guarded form, and both forms of one body, as written
-    # when each form had an emitter of its own
+    # when each form had an emitter of its own (the specialized body since
+    # abs and even powers are inline)
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots(),
                            guarded=True)
     assert _sha256(source) == (
@@ -673,8 +800,8 @@ def test_a_loop_without_rows_or_seeds_compiles_as_before():
             for guarded in (True, False) for slots in (_Slots(), None)] == [
         "fc5a33341adcca7dc9db709a33a2170b9cc945bf90b3a88dc83e21772381e530",
         "e0b669643eb39cb129a682d6552c83d5379018cfebab3d5446874b33fc3f302e",
-        "ab6b8ae7ba2680fb18ba333e1d7d5ed81714b411170943aee181bfd05cc948b0",
-        "3d9e8b27ccea6af494961457b2fc0ad73d4a33bd320190ae37c104b364b9da82",
+        "d73e41e6178eb61262e31cc3b7b13983f49148acdef958801dd03d10c8433e5e",
+        "057c3788729374f66778fba269c44eb1c7519e8661dc00586c56528b8ac80326",
     ]
 
 

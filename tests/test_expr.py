@@ -1,5 +1,6 @@
 import contextlib
 import math
+import struct
 
 import pytest
 from conftest import respelled
@@ -412,6 +413,38 @@ def test_inline_faults_name_the_op(source, v, message):
     assert (info.value.kind, str(info.value)) == ("overflow", message)
 
 
+# abs and positive even powers are inline in the specialized form: every
+# value, signed zeros and the sign of a nan included, keeps the guarded bits
+_BITS = struct.Struct("<d").pack
+_NEG_NAN = math.copysign(math.nan, -1.0)
+
+
+@pytest.mark.parametrize("source", ["abs(x)", "abs(x*1)", "abs(-x)", "-abs(x)", "abs(x)^3",
+                                    "x^2", "(x*1)^2", "x^4", "-x^2", "(-x)^1e20", "x^2*x^2"])
+@pytest.mark.parametrize("v", [0.0, -0.0, 2.5, -2.5, 5e-324, -5e-324, -1e-200, 1e200, -1e200,
+                               math.inf, -math.inf, math.nan, _NEG_NAN])
+def test_inline_abs_and_even_powers_keep_the_guarded_bits(source, v):
+    e = parse(source)
+    try:
+        want = _BITS(_fresh(_emit(e.root, guarded=True))(v))
+    except EvalError as exc:  # an even power past the largest float
+        assert str(exc) == "overflow in '^'"
+        with pytest.raises(OverflowError):
+            e.raw(v)
+        with pytest.raises(EvalError, match=r"^overflow in '\^'$"):
+            e.evaluate(v)
+        return
+    assert _BITS(e.raw(v)) == want
+
+
+def test_abs_and_even_powers_are_written_inline():
+    assert _emit(parse("abs(x)").root) == "(v if v > 0.0 else -v if v < 0.0 else _abs(v))"
+    assert _emit(parse("x^2").root) == "(v**2.0)"
+    assert _emit(parse("(x-1)^4").root) == "((v-1.0)**4.0)"
+    assert _emit(parse("x^3").root) == "(v**3.0 if v else 0.0)"  # -0.0^3 is -0.0
+    assert _BITS(_NEG_NAN) != _BITS(abs(_NEG_NAN))  # the case abs itself decides
+
+
 def test_zero_base_keeps_positive_zero():
     for source in ("x^3", "x^1001", "x^0.5"):
         assert repr(parse(source).evaluate(-0.0)) == "0.0"
@@ -462,6 +495,7 @@ def test_a_shared_shape_evaluates_as_a_fresh_literal_compile(root, values):
 
 @pytest.mark.parametrize("a, b", [
     ("2*x^3 + 1.5", "-7*x^5 + 0.25"),
+    ("2*x^2 + 1.5", "-7*x^4 + 0.25"),
     ("x^0.5", "x^(-2.5)"),  # a fractional exponent's sign takes no branch
     ("x^(-2)", "x^(-7)"),
     ("ln(x + 1)/3", "ln(x + 4)/(-0.5)"),
@@ -474,6 +508,7 @@ def test_constants_do_not_split_a_shape(a, b):
 
 @pytest.mark.parametrize("a, b", [
     ("x^2", "x^0.5"),  # integer or not
+    ("x^2", "x^3"),  # even or odd
     ("x^2", "x^(-2)"),  # sign of an integer exponent
     ("x^2", "x^0"),  # a zero exponent is the guarded pow
     ("x/2", "x/0"),  # a nonzero constant divisor
@@ -667,6 +702,8 @@ def test_adversarial_literals_parse_as_the_cold_path(text, context):
 
 @pytest.mark.parametrize("a, b", [
     ("2*x^3 + 1.5", "7*x^5 + 0.25"),
+    ("2*x^2 + 1.5", "7*x^4 + 0.25"),  # an even exponent, whatever the parity elsewhere
+    ("x^0.5*2", "x^0.5*3"),  # a literal that can be no exponent has no parity
     ("2*pi*t - e/4", "3*pi*t - e/7"),  # pi and e keep the parser's values
     ("--2*x^-3", "--5*x^-1"),  # the sign of a folded literal
     ("-0*x + x^-0", "-0.0*x + x^-00"),  # -0.0, and a zero exponent
@@ -684,6 +721,10 @@ def test_a_source_of_a_cached_key_skips_the_cold_path(a, b):
 
 @pytest.mark.parametrize("a, b", [
     ("x^2", "x^0.5"),  # an integral exponent or not
+    ("x^2", "x^3"),  # an even exponent is a bare power
+    ("x^ ( 4 )", "x^ ( 1 )"),
+    ("x^--2", "x^--3"),  # a folded double negation is a positive exponent
+    ("x^\t2", "x^\t3"),
     ("x^2", "x^0"),  # a zero exponent is the guarded pow
     ("x/2", "x/0"),  # a nonzero divisor or zero
     ("x*-0", "x*-2"),  # -0.0 keeps its sign

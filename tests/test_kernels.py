@@ -381,6 +381,56 @@ class TestSumOfPowerForms:
         assert kernels._integral(parse(source), 1e-10) == (r.value, r.error_estimate)
 
 
+class TestExponentsPastLgamma:
+    """A term whose lgamma overflows (a + b + 2 past about 2.5e305) gets
+    lgamma(m) - m*log(M) for log B, within the error it states; with both
+    exponents that large the kernel takes the ladder."""
+
+    REPRO = "1+t^1e308*(1-t)"  # lgamma(a + 1.0) raised OverflowError
+
+    def test_the_repro_is_one_without_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(kernels, "integrate_open01", None)  # calling it would fail
+        kernels._custom_constants.cache_clear()
+        k = make_kernel("custom", expr=parse(self.REPRO))
+        a = Fraction(1e308)
+        exact = 1 + 1 / ((a + 1) * (a + 2))
+        assert k.integral == 1.0 and abs(Fraction(k.integral) - exact) <= k.integral_error
+        assert k.integral_error < 1e-15
+
+    def test_a_term_whose_a_plus_b_plus_2_alone_overflows(self, monkeypatch):
+        math.lgamma(2e305 + 1.0)
+        with pytest.raises(OverflowError):
+            math.lgamma(4e305 + 2.0)
+        monkeypatch.setattr(kernels, "integrate_open01", None)
+        # B(2e305 + 1, 2e305 + 1) <= 4^-2e305: H is 1.0 in doubles
+        value, error = kernels._integral(parse("1+t^2e305*(1-t)^2e305"), 1e-10)
+        assert value == 1.0 and error <= math.ulp(1.0)
+
+    # references from loggamma at 700 digits
+    @pytest.mark.parametrize("a, b, beta", [
+        (1e308, -0.999, 491.75600896232365),
+        (1e308, -0.5, 1.772453850905516e-154),
+        (-0.3, 1.5e308, 2.4548746676107128e-216),
+        (2.6e305, 1e-300, 3.8461538461538464e-306),
+        (1e306, -1.0 + 2.0 ** -52, 4503599627369790.8),
+        (1e308, 1.0, 0.0),  # 1e-616
+    ])
+    def test_the_beta_function_is_within_the_stated_error(self, a, b, beta):
+        for c in (1.0, 3.0):
+            value, error = kernels._closed_form(c, None, a, b)
+            assert abs(Fraction(value) - Fraction(c) * Fraction(beta)) <= error
+
+    def test_a_visible_term_is_added(self):
+        value, error = kernels._integral(parse("1+t^1e308*(1-t)^-0.999"), 1e-10)
+        assert abs(value - 492.75600896232365) <= error < 1e-11
+
+    def test_both_exponents_past_it_take_the_ladder(self):
+        assert kernels._closed_form(1.0, None, 3e305, 3e305) is None
+        r = quadrature.integrate_open01(parse("1+t^3e305*(1-t)^3e305"), 1e-10)
+        assert kernels._integral(parse("1+t^3e305*(1-t)^3e305"), 1e-10) == (
+            r.value, r.error_estimate)
+
+
 def _exact_abs_kernel_integral(c: float, k: float, d: float) -> Fraction:
     """The integral over (0, 1) of c*abs(t - k) + d, in rationals."""
     c, k, d = Fraction(c), Fraction(k), Fraction(d)
