@@ -88,12 +88,18 @@ def _integral(expr: Expr, quad_tol: float) -> tuple[float, float]:
     return value, 0.0 if math.isinf(value) else error
 
 
+_NORMAL = 2.0 ** -1022  # the least normal float
+
+
 def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
     """(H, its error) of C*t^a*(1-t)^b, C = c if c is positive and finite,
     else log_c = (sign, log C, n) if its C is positive with a finite log,
     else None: H = +inf if a <= -1 or b <= -1, C/(a+1) or C/(b+1) if the
-    other exponent is 0, else C*B(a+1, b+1) by lgamma (exp(log C + lgammas)
-    for log_c), with error H*4*eps*(1 + the lgammas' magnitudes (+ n)).
+    other exponent is 0, else C*B(a+1, b+1) by lgamma, with error
+    H*4*eps*(1 + the lgammas' magnitudes (+ n)).  H is exp(log C + log B)
+    for log_c, and also where c*B is below the least normal float, which
+    the product may have rounded to 0: there |log C| joins the magnitudes
+    and the error gains ulp(H), the rounding step of a subnormal or 0.
     Where a lgamma overflows (a + b + 2 past about 2.5e305), log B(x, y) is
     lgamma(m) - m*log(M) + theta, m <= M the two arguments, with theta
     between -m^2/M and m/M (ln z - 1/z < digamma(z) < ln z), so H gains the
@@ -122,7 +128,13 @@ def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
     except OverflowError:  # H past the largest float
         value = math.inf
     size = 1.0 + sum(map(abs, terms)) + (log_c[2] if scaled else 0.0)
-    error = value * 4.0 * math.ulp(1.0) * size if value else 0.0  # size may be inf
+    floor = 0.0
+    if value < _NORMAL and not scaled:  # exp(beta) or the product underflowed
+        ln_c = math.log(c)
+        value = math.exp(ln_c + beta)
+        size += abs(ln_c)
+        floor = math.ulp(value)  # a subnormal's rounding step, not relative
+    error = (value * 4.0 * math.ulp(1.0) * size if value else 0.0) + floor  # size may be inf
     return value, error + value * spread if spread else error
 
 

@@ -5,13 +5,14 @@ difference between the two rule values is the panel error estimate.  The
 adaptive driver always splits the panel with the largest estimate (ties go
 to the leftmost), so runs are deterministic.
 
-A panel is straight-line code calling the integrand's raw body (Expr.raw
-for an expression, else the callable itself) and checking once that both
-sums are finite.  A panel that raises EvalError, ArithmeticError or
-ValueError there, or ends with a sum that is not finite, is computed again
-by the looped form through _guarded, which names the fault and retries a
-fault at an end one nudge inside; a panel's bits do not depend on which
-pass computed it.
+The rule is written once, as the straight-line _panel, and a panel runs it
+once or twice.  The first pass calls the integrand's raw body (Expr.raw
+for an expression, else the callable itself).  A pass that raises
+EvalError, ArithmeticError or ValueError, or ends with an estimate that is
+not finite, is run again on the integrand through _guarded, which names
+the fault and retries a fault at an end one nudge inside.  Where the raw
+body returns a finite value the integrand returns the same bits, so a
+panel's bits do not depend on which pass computed it.
 
 Every midpoint in the package is midpoint(a, b), which takes halves only
 when a + b overflows, so intervals near the top of the float range keep
@@ -56,37 +57,6 @@ class QuadResult(NamedTuple):
     subdivisions: int
 
 
-# 15-point Kronrod nodes (positive half, descending) with Kronrod weights;
-# every second node starting at index 1 is also a 7-point Gauss node.
-_XGK = (
-    0.99145537112081264,
-    0.94910791234275852,
-    0.86486442335976907,
-    0.74153118559939444,
-    0.58608723546769113,
-    0.40584515137739717,
-    0.20778495500789847,
-)
-_WGK = (
-    0.022935322010529225,
-    0.063092092629978553,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.16900472663926790,
-    0.19035057806478541,
-    0.20443294007529889,
-)
-_WG = (
-    0.12948496616886969,
-    0.27970539148927664,
-    0.38183005050511894,
-)
-# Center weights chosen so each rule integrates a constant exactly
-# (weights sum to exactly 2.0 in double precision).
-_WGK_CENTER = 2.0 - 2.0 * math.fsum(_WGK)
-_WG_CENTER = 2.0 - 2.0 * math.fsum(_WG)
-
-
 def midpoint(a: float, b: float) -> float:
     """0.5 * (a + b), from halves only when a + b overflows: a finite sum
     keeps its bits.  Half the width of [a, b] is midpoint(b, -a)."""
@@ -96,36 +66,13 @@ def midpoint(a: float, b: float) -> float:
     return m
 
 
-def _looped_panel(fun, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod pass over [a, b]: (kronrod value, error estimate).
-
-    The reference form, run through _guarded when the straight-line pass
-    below faults or ends with a non-finite sum.
-    """
-    c = midpoint(a, b)
-    h = 0.5 * (b - a)
-    acc_k = 0.0
-    acc_g = 0.0
-    # symmetric pairs first, center last: keeps constants exact by
-    # construction of the center weights above
-    for i in range(7):
-        dx = h * _XGK[i]
-        fs = fun(c - dx) + fun(c + dx)
-        acc_k += _WGK[i] * fs
-        if i % 2 == 1:
-            acc_g += _WG[i // 2] * fs
-    fc = fun(c)
-    acc_k += _WGK_CENTER * fc
-    acc_g += _WG_CENTER * fc
-    return h * acc_k, abs(h * (acc_k - acc_g))
-
-
-def _panel(fun, a: float, b: float) -> tuple[float, float] | None:
-    """_looped_panel in straight-line code with the nodes and weights as
-    literals, calling fun unguarded: the same calls, and the same sums in
-    the same order, so the same bits.  None when a sum is not finite (the
-    difference of the two sums is then inf or nan; it can also overflow on
-    its own, which costs only a rerun)."""
+def _panel(fun, a: float, b: float) -> tuple[float, float]:
+    """One pass of the 7-point Gauss / 15-point Kronrod pair (QUADPACK's
+    qk15) over [a, b]: (Kronrod value, |Kronrod - Gauss| as its error
+    estimate).  The Kronrod nodes go in symmetric pairs from the outside
+    in, left node first, then the center; every second pair is also a
+    Gauss pair.  Nothing is checked: a fault of fun propagates, and a sum
+    that is not finite leaves an estimate that is not finite."""
     c = midpoint(a, b)
     h = 0.5 * (b - a)
     d = h * 0.9914553711208126
@@ -143,15 +90,15 @@ def _panel(fun, a: float, b: float) -> tuple[float, float] | None:
     d = h * 0.20778495500789848
     s6 = fun(c - d) + fun(c + d)
     fc = fun(c)
+    # each center weight is 2 - 2*math.fsum(the rule's other weights), so
+    # that both rules integrate a dyadic constant exactly
     k = (0.0 + 0.022935322010529224 * s0 + 0.06309209262997856 * s1
          + 0.10479001032225017 * s2 + 0.14065325971552592 * s3
          + 0.1690047266392679 * s4 + 0.19035057806478542 * s5
          + 0.20443294007529889 * s6 + 0.20948214108472785 * fc)
     e = k - (0.0 + 0.1294849661688697 * s1 + 0.27970539148927664 * s3
              + 0.3818300505051189 * s5 + 0.4179591836734695 * fc)
-    if e - e == 0.0:
-        return h * k, abs(h * e)
-    return None
+    return h * k, abs(h * e)
 
 
 def _guarded(fun: Callable[[float], float], a: float, b: float):
@@ -184,11 +131,13 @@ def integrate(
 ) -> QuadResult:
     """Adaptively integrate fun over [a, b] to the requested tolerance.
 
-    fun is a callable or an Expr, whose raw body the panels call.
-    Returns a QuadResult whose error_estimate is the summed panel
-    estimates.  Raises QuadratureError('budget') when the panel limit is
-    reached first and QuadratureError('eval') when the integrand faults
-    at an interior node, and ValueError unless a < b and b - a is finite.
+    fun is a callable or an Expr, whose raw body each panel calls first;
+    a panel that faults there or ends with an estimate that is not finite
+    runs again through _guarded(fun, a, b).  Returns a QuadResult whose
+    error_estimate is the summed panel estimates.  Raises
+    QuadratureError('budget') when the panel limit is reached first and
+    QuadratureError('eval') when the integrand faults at an interior node,
+    and ValueError unless a < b and b - a is finite.
     """
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"need a < b with a finite width b - a, got [{a!r}, {b!r}]")
@@ -198,12 +147,12 @@ def integrate(
 
     def panel(pa: float, pb: float) -> tuple[float, float]:
         try:
-            out = _panel(raw, pa, pb)
+            value, err = _panel(raw, pa, pb)
         except (EvalError, ArithmeticError, ValueError):
-            out = None
-        if out is None:  # the guarded loop names the fault, or gives the same values
-            out = _looped_panel(_guarded(fun, a, b), pa, pb)
-        return out
+            err = math.nan
+        if err - err != 0.0:  # through _guarded: it names the fault, or gives the same bits
+            value, err = _panel(_guarded(fun, a, b), pa, pb)
+        return value, err
 
     value, err = panel(a, b)
     # heap entries: (-error, left, right, value, error); leftmost wins ties

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import simpson
+from test_quadrature import fault_pass_only
 from domcert import kernels, quadrature
 from domcert.analysis import power_form
 from domcert.expr import EvalError, parse
@@ -420,6 +421,18 @@ class TestExponentsPastLgamma:
             value, error = kernels._closed_form(c, None, a, b)
             assert abs(Fraction(value) - Fraction(c) * Fraction(beta)) <= error
 
+    # C*B below the least normal float: c * exp(beta) returned (0.0, 0.0) for
+    # the first, and a subnormal with error 0.0 for the second
+    @pytest.mark.parametrize("c, a, b, exact", [
+        (1e300, 1e308, 1.0, Fraction(1e300) / ((Fraction(1e308) + 1) * (Fraction(1e308) + 2))),
+        (1e-300, 25.0, 25.0, Fraction(1e-300) * Fraction(math.factorial(25) ** 2,
+                                                        math.factorial(51))),
+    ])
+    def test_an_underflowing_product_is_one_exp(self, c, a, b, exact):
+        value, error = kernels._closed_form(c, None, a, b)
+        assert value != 0.0 and abs(Fraction(value) - exact) <= error
+        assert error >= math.ulp(value)
+
     def test_a_visible_term_is_added(self):
         value, error = kernels._integral(parse("1+t^1e308*(1-t)^-0.999"), 1e-10)
         assert abs(value - 492.75600896232365) <= error < 1e-11
@@ -537,7 +550,7 @@ class TestDescribe:
 # ---------------------------------------------------------------------------
 # The probe, one pass over the grid that stops at its first bad point, and a
 # kernel built on the fast paths against one built with every panel of its
-# integral on the guarded loop.
+# integral run through _guarded by the looped reference rule.
 # ---------------------------------------------------------------------------
 
 GRID = kernels._probe_grid()
@@ -561,8 +574,7 @@ def _cold_build(expr, quad_tol):
 
 
 def _reference_build(expr, quad_tol):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_panel", lambda fun, a, b: None)
+    with fault_pass_only() as mp:
         # past the memo, so that it neither answers nor stores this build
         mp.setattr(kernels, "_custom_constants", kernels._custom_constants.__wrapped__)
         return _constants(make_kernel("custom", expr=expr, quad_tol=quad_tol))

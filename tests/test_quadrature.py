@@ -1,4 +1,6 @@
+import contextlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -337,10 +339,81 @@ class TestSplitContract:
 
 
 # ---------------------------------------------------------------------------
-# The straight-line panel against the looped guarded one.  With _panel
-# patched to report a non-finite sum on every panel, integrate runs each
-# panel through _guarded and _looped_panel: the reference path.
+# The reference: the G7/K15 rule as a loop over the tables of QUADPACK's
+# qk15 (Piessens et al., 1983), against the straight-line _panel.  Each of
+# _panel's constants is the published value cut to 17 significant digits,
+# then rounded to a double; for the third Kronrod weight that is one ulp
+# below the double nearest the published value.
 # ---------------------------------------------------------------------------
+
+# the positive Kronrod nodes, descending; the odd-indexed ones are the Gauss nodes
+PUBLISHED_XGK = (
+    "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+    "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245",
+)
+# the Kronrod weights of those nodes, then of the center
+PUBLISHED_WGK = (
+    "0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+    "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+    "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+    "0.204432940075298892414161999234649", "0.209482141084727828012999174891714",
+)
+# the Gauss weights of nodes 1, 3 and 5, then of the center
+PUBLISHED_WG = (
+    "0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+    "0.381830050505118944950369775488975", "0.417959183673469387755102040816327",
+)
+
+
+def _cut(digits: str) -> float:
+    return float(format(Decimal(digits), ".17g"))
+
+
+XGK = tuple(map(_cut, PUBLISHED_XGK))
+WGK = tuple(map(_cut, PUBLISHED_WGK[:-1]))
+WG = tuple(map(_cut, PUBLISHED_WG[:-1]))
+# the center weights are 2 - 2*(the sum of the others), so that each rule
+# integrates a dyadic constant exactly
+WGK_CENTER = 2.0 - 2.0 * math.fsum(WGK)
+WG_CENTER = 2.0 - 2.0 * math.fsum(WG)
+
+
+def looped_panel(fun, a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod pass over [a, b] from the tables: symmetric pairs
+    from the outside in, the center last."""
+    c = midpoint(a, b)
+    h = 0.5 * (b - a)
+    acc_k = 0.0
+    acc_g = 0.0
+    for i in range(7):
+        dx = h * XGK[i]
+        fs = fun(c - dx) + fun(c + dx)
+        acc_k += WGK[i] * fs
+        if i % 2 == 1:
+            acc_g += WG[i // 2] * fs
+    fc = fun(c)
+    acc_k += WGK_CENTER * fc
+    acc_g += WG_CENTER * fc
+    return h * acc_k, abs(h * (acc_k - acc_g))
+
+
+@contextlib.contextmanager
+def fault_pass_only():
+    """Within it, each panel's raw pass fails, so integrate reruns every
+    panel through _guarded, and that pass runs looped_panel: the reference
+    path.  Yields the MonkeyPatch, which undoes this on exit."""
+    guarded = quadrature._guarded(abs, 0.0, 1.0).__code__
+
+    def panel(fun, a, b):
+        if getattr(fun, "__code__", None) is not guarded:
+            raise ArithmeticError("the raw pass, made to fail")
+        return looped_panel(fun, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_panel", panel)
+        yield mp
 
 
 def _outcome(run):
@@ -353,8 +426,7 @@ def _outcome(run):
 
 def _both(fun, a, b, tol=1e-9, max_panels=400):
     fast = _outcome(lambda: integrate(fun, a, b, tol, max_panels))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_panel", lambda fun, a, b: None)
+    with fault_pass_only():
         looped = _outcome(lambda: integrate(fun, a, b, tol, max_panels))
     return fast, looped
 
@@ -388,6 +460,24 @@ PROPERTY = settings(max_examples=150, deadline=None)
 
 
 class TestStraightLinePanel:
+    def test_the_tables_are_the_published_rule(self):
+        published = [float(x) for x in PUBLISHED_XGK + PUBLISHED_WGK[:-1] + PUBLISHED_WG[:-1]]
+        cut = XGK + WGK + WG
+        assert all(abs(p - c) <= math.ulp(p) for p, c in zip(published, cut))
+        assert [i for i, (p, c) in enumerate(zip(published, cut)) if p != c] == [9]  # WGK[2]
+        assert abs(WGK_CENTER - float(PUBLISHED_WGK[-1])) <= 2 * math.ulp(WGK_CENTER)
+        assert abs(WG_CENTER - float(PUBLISHED_WG[-1])) <= 2 * math.ulp(WG_CENTER)
+
+    def test_the_center_weights_are_the_panels_literals(self):
+        def center_only(x):
+            return 1.0 if x == 0.0 else 0.0
+
+        # over [-1, 1] the panel is (Kronrod center weight, |the difference
+        # of the two|), and that difference is exact: they are within 2x
+        want = (WGK_CENTER, abs(WGK_CENTER - WG_CENTER))
+        assert quadrature._panel(center_only, -1.0, 1.0) == want
+        assert looped_panel(center_only, -1.0, 1.0) == want
+
     @PROPERTY
     @given(ends=ENDS, scale=st.floats(1e-3, 1e3))
     def test_same_nodes_same_sums(self, ends, scale):
@@ -400,12 +490,13 @@ class TestStraightLinePanel:
 
         fast_calls, looped_calls = [], []
         got = quadrature._panel(recording(fast_calls), *ends)
-        want = quadrature._looped_panel(recording(looped_calls), *ends)
+        want = looped_panel(recording(looped_calls), *ends)
         assert fast_calls == looped_calls
         assert repr(got) == repr(want)
 
     @PROPERTY
     @given(source=FAULT_TREES, ends=ENDS)
+    @example("1e308/(x*1000)", (0.0, 0.1))  # inf at the outer Kronrod node alone
     def test_expr_integrals_match_the_guarded_loop(self, source, ends):
         fast, looped = _both(parse(source), *ends)
         assert fast == looped
@@ -434,15 +525,40 @@ class TestStraightLinePanel:
         assert fast == looped
 
     @PROPERTY
+    @given(
+        source=FAULT_TREES,
+        ends=ENDS,
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+        where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.5)),
+    )
+    @example("x", (0.0, 1.0), math.inf, (0.5, 0.0))  # inf at the center only
+    @example("x", (0.0, 1.0), math.nan, (0.0, 1.0))  # nan at every node
+    @example("x", (0.0, 1.0), -math.inf, (0.0, 0.1))  # -inf at the left nodes
+    def test_callables_that_return_non_finite_values_match(self, source, ends, bad, where):
+        a, b = ends
+        inner = parse(source).raw
+        lo = a + where[0] * (b - a)
+        hi = lo + where[1] * (b - a)
+
+        def fun(x):  # never raises: the rerun gets the same non-finite values
+            if lo <= x <= hi:
+                return bad
+            try:
+                return inner(x)
+            except (EvalError, ArithmeticError, ValueError):
+                return math.nan
+
+        fast, looped = _both(fun, a, b)
+        assert fast == looped
+
+    @PROPERTY
     @given(source=FAULT_TREES, ends=ENDS)
     def test_panels_match_bit_for_bit(self, source, ends):
         raw = parse(source).raw
         try:
-            want = quadrature._looped_panel(raw, *ends)
+            want = looped_panel(raw, *ends)
         except (EvalError, ArithmeticError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 quadrature._panel(raw, *ends)
             return
-        got = quadrature._panel(raw, *ends)
-        # None only for a non-finite sum, which leaves a non-finite estimate
-        assert repr(got) == repr(want) if got is not None else not math.isfinite(want[1])
+        assert repr(quadrature._panel(raw, *ends)) == repr(want)
