@@ -16,11 +16,11 @@ json.dumps(indent=2) writes with each non-finite float as a string; a text
 envelope, its path = value lines.  An error envelope is a dict written by
 the generic encoders (render_json, render_text); a success envelope is the
 head, written from the flags and built inputs, then one walk of the result
-dict every subcommand returns, by the same encoders, which write a bound
-report (HHReport) from templates built from HHReport._fields.  A
-config file of key = value lines (keys are the long flag names, each with
-as many values as its flag takes) can pre-set any flag; explicit flags
-win.  main(argv) returns the exit code, for --help too.
+dict every subcommand returns, by the same encoders; a bound report
+(HHReport) is in it as the dict of its fields.  A config file of
+key = value lines (keys are the long flag names, each with as many values
+as its flag takes) can pre-set any flag; explicit flags win.  main(argv)
+returns the exit code, for --help too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import io
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -135,6 +134,8 @@ _SCANNED = {o.flag: (_dest(o), 0 if "action" in o.keywords else o.keywords.get("
             for o in _OPTIONS if o.flag != "--config"}
 _DEFAULTS = {"subcommand": None,
              **{_dest(o): None if o.owner else o.keywords.get("default") for o in _OPTIONS}}
+# the options of one subcommand each: (flag, dest, owner, default)
+_OWNED = tuple((o.flag, _dest(o), o.owner, o.keywords["default"]) for o in _OPTIONS if o.owner)
 
 
 class _ArgvError(DomcertError):
@@ -326,16 +327,12 @@ def _parse_argv(argv: list[str]):
         ns = _PARSER.parse_args(argv)
         if ns.config is not None:
             ns = _PARSER.parse_args(_load_config(ns.config) + argv)
-    for option in _OPTIONS:
-        if option.owner is None:
-            continue
-        dest = _dest(option)
-        if option.owner == ns.subcommand:
+    for flag, dest, owner, default in _OWNED:
+        if owner == ns.subcommand:
             if getattr(ns, dest) is None:
-                setattr(ns, dest, option.keywords["default"])
+                setattr(ns, dest, default)
         elif getattr(ns, dest) is not None:
-            raise _ArgvError(f"argument {option.flag}: only the {option.owner} subcommand"
-                             " takes it")
+            raise _ArgvError(f"argument {flag}: only the {owner} subcommand takes it")
     return ns
 
 
@@ -482,41 +479,22 @@ def _json_float(v: float) -> str:
 
 
 # A leaf's text by its class: JSON's, and text's (a float by %.12g, a bool
-# as in JSON, anything else by str()).  A subclass of a leaf class is
-# written as its nearest base class in the table.
+# as in JSON, anything else by str()).
 _BOOL = {False: "false", True: "true"}.__getitem__
 _JSON_LEAF = {str: _json_string, float: _json_float, int: int.__repr__, bool: _BOOL,
               type(None): lambda v: "null"}
 _TEXT_LEAF = {str: str, int: str, float: "%.12g".__mod__, bool: _BOOL}
 
 
-def _base_leaf(table: dict, obj):
-    return next((table[t] for t in type(obj).__mro__ if t in table), None)
-
-
-# An HHReport is a record leaf of the walk, written as the dict of its
-# fields (warnings last) would be, each value as the walk writes its class.
-# Its keys come from HHReport._fields: the JSON head before each value is
-# built ahead at the indent of a verify-hh report and of a special-case
-# entry's report, and the CSV columns are the fields but warnings.
-_REPORT_KEYS = (*(k for k in HHReport._fields if k != "warnings"), "warnings")
-_report_values = itemgetter(*map(HHReport._fields.index, _REPORT_KEYS))
-
-
-def _report_json_heads(indent: str) -> list[str]:
-    return [("{" if i == 0 else ",") + "\n" + indent + "  " + _json_string(k) + ": "
-            for i, k in enumerate(_REPORT_KEYS)]
-
-
-_REPORT_JSON_AT = {indent: _report_json_heads(indent) for indent in (" " * 6, " " * 8)}
-_BOUND_CSV_HEADER = ("label", *_REPORT_KEYS[:-1])
+# the bound CSV columns: a report's fields but warnings, the last
+_BOUND_CSV_HEADER = ("label", *HHReport._fields[:-1])
 
 
 def _json(obj, indent: str, out: list) -> None:
     """Appends the text json.dumps(obj, indent=2) writes for obj at the
     nesting of indent, with a non-finite float as the string "inf", "-inf"
-    or "nan", an HHReport as the dict of its fields and any other tuple as
-    a list.  Keys are strings.  _SearchRows writes its own rows."""
+    or "nan", and a tuple as a list.  Keys are strings.  _SearchRows
+    writes its own rows."""
     leaf = _JSON_LEAF.get(obj.__class__)
     if leaf is not None:
         out.append(leaf(obj))
@@ -525,23 +503,16 @@ def _json(obj, indent: str, out: list) -> None:
             inner = indent + "  "
             head = "{\n" + inner
             for key, value in obj.items():
-                out.append(head + _json_string(key) + ": ")
-                _json(value, inner, out)
+                leaf = _JSON_LEAF.get(value.__class__)
+                if leaf is None:
+                    out.append(head + _json_string(key) + ": ")
+                    _json(value, inner, out)
+                else:
+                    out.append(head + _json_string(key) + ": " + leaf(value))
                 head = ",\n" + inner
             out.append("\n" + indent + "}")
         else:
             out.append("{}")
-    elif obj.__class__ is HHReport:
-        inner = indent + "  "
-        heads = _REPORT_JSON_AT.get(indent) or _report_json_heads(indent)
-        for head, value in zip(heads, _report_values(obj)):
-            leaf = _JSON_LEAF.get(value.__class__)
-            if leaf is None:
-                out.append(head)
-                _json(value, inner, out)
-            else:
-                out.append(head + leaf(value))
-        out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)):
         if obj:
             inner = indent + "  "
@@ -555,8 +526,6 @@ def _json(obj, indent: str, out: list) -> None:
             out.append("[]")
     elif isinstance(obj, _SearchRows):
         obj.json(indent, out)
-    elif (leaf := _base_leaf(_JSON_LEAF, obj)) is not None:
-        out.append(leaf(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -574,23 +543,20 @@ def _text_walk(obj, path: str, out: list[str]) -> None:
     if leaf is not None:
         out.append(f"{path} = {leaf(obj)}")
     elif isinstance(obj, dict):
-        for k, v in obj.items():
-            _text_walk(v, f"{path}.{k}" if path else str(k), out)
-    elif obj.__class__ is HHReport:
         prefix = path + "." if path else ""
-        for key, v in zip(_REPORT_KEYS, _report_values(obj)):
+        for k, v in obj.items():
             leaf = _TEXT_LEAF.get(v.__class__)
             if leaf is None:
-                _text_walk(v, prefix + key, out)
+                _text_walk(v, f"{prefix}{k}", out)
             else:
-                out.append(f"{prefix}{key} = {leaf(v)}")
+                out.append(f"{prefix}{k} = {leaf(v)}")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _text_walk(v, f"{path}[{i}]", out)
     elif isinstance(obj, _SearchRows):
         obj.text(out)
     else:
-        out.append(f"{path} = {(_base_leaf(_TEXT_LEAF, obj) or str)(obj)}")
+        out.append(f"{path} = {obj}")
 
 
 def render_text(envelope: dict) -> str:
@@ -683,9 +649,8 @@ def _head_text(ns, built: SimpleNamespace) -> str:
 
 
 def render_result_json(ns, built: SimpleNamespace, result: dict, code: int) -> str:
-    """A success envelope: the head, then the walk of its result (bound
-    reports go out from their templates, search rows through their own
-    writes)."""
+    """A success envelope: the head, then the walk of its result (search
+    rows go out through their own writes)."""
     out = [_head_json(ns, built)]
     _json(result, "  ", out)
     out.append(',\n  "exit_code": %d\n}\n' % code)
@@ -715,11 +680,11 @@ def render_csv(subcommand: str, result: dict) -> str:
         return "".join(map(_csv_line, rows))
     # verify-hh and special-case: one row per bound, labelled by its kind or entry
     if subcommand == "verify-hh":
-        labeled = [(r.bound_kind, r) for r in result["reports"]]
+        labeled = [(r["bound_kind"], r) for r in result["reports"]]
     else:
         labeled = [(e["label"], e["report"]) for e in result["entries"]]
     rows = [_BOUND_CSV_HEADER]
-    rows += [(label, *_report_values(r)[:-1]) for label, r in labeled]
+    rows += [(label, *r.values())[:-1] for label, r in labeled]
     return "".join(map(_csv_line, rows))
 
 
@@ -871,13 +836,15 @@ def _dispatch(ns, built: SimpleNamespace, emit):
         bounds = ("midpoint", "endpoint") if ns.bound == "both" else (ns.bound,)
         jobs = [(kernel, bound) for bound in bounds]
         reports = hh_bounds_report(pair, phi, jobs, ns.quad_tol, ns.atol, ns.rtol)
-        return {"reports": reports}, (0 if all(r.holds for r in reports) else 1)
+        result = {"reports": [r._asdict() for r in reports]}
+        return result, (0 if all(r.holds for r in reports) else 1)
 
     if ns.subcommand == "special-case":
         entries = special_case_report(
             pair, phi, which=ns.which, s=ns.s, tol=ns.quad_tol, atol=ns.atol, rtol=ns.rtol
         )
-        result = {"entries": [{"label": e.label, "report": e.report} for e in entries]}
+        result = {"entries": [{"label": e.label, "report": e.report._asdict()}
+                              for e in entries]}
         return result, (0 if all(e.report.holds for e in entries) else 1)
 
     # search: main writes the records in the output format

@@ -98,8 +98,9 @@ def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
     other exponent is 0, else C*B(a+1, b+1) by lgamma, with error
     H*4*eps*(1 + the lgammas' magnitudes (+ n)).  H is exp(log C + log B)
     for log_c, and also where c*B is below the least normal float, which
-    the product may have rounded to 0: there |log C| joins the magnitudes
-    and the error gains ulp(H), the rounding step of a subnormal or 0.
+    the product may have rounded to 0: there |log C| joins the magnitudes.
+    An H below the least normal float, by either path, gains ulp(H) in its
+    error, the rounding step of a subnormal or 0.
     Where a lgamma overflows (a + b + 2 past about 2.5e305), log B(x, y) is
     lgamma(m) - m*log(M) + theta, m <= M the two arguments, with theta
     between -m^2/M and m/M (ln z - 1/z < digamma(z) < ln z), so H gains the
@@ -129,10 +130,11 @@ def _closed_form(c, log_c, a: float, b: float) -> tuple[float, float] | None:
         value = math.inf
     size = 1.0 + sum(map(abs, terms)) + (log_c[2] if scaled else 0.0)
     floor = 0.0
-    if value < _NORMAL and not scaled:  # exp(beta) or the product underflowed
-        ln_c = math.log(c)
-        value = math.exp(ln_c + beta)
-        size += abs(ln_c)
+    if value < _NORMAL:
+        if not scaled:  # exp(beta) or the product underflowed
+            ln_c = math.log(c)
+            value = math.exp(ln_c + beta)
+            size += abs(ln_c)
         floor = math.ulp(value)  # a subnormal's rounding step, not relative
     error = (value * 4.0 * math.ulp(1.0) * size if value else 0.0) + floor  # size may be inf
     return value, error + value * spread if spread else error

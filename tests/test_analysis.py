@@ -119,7 +119,10 @@ def ref_closed_form(c, a, b):
     except OverflowError:
         value = math.inf
     size = 1.0 + sum(map(abs, terms)) + (c[1] if scaled else 0.0)
-    return value, value * 4.0 * math.ulp(1.0) * size
+    error = value * 4.0 * math.ulp(1.0) * size
+    if scaled and value < 2.0 ** -1022:  # a subnormal or 0 H gains its rounding step
+        error += math.ulp(value)
+    return value, error
 
 
 def ref_sum_integral(root):
@@ -307,6 +310,8 @@ class TestAgainstTheReference:
     @example(parse("(((1-t)*t)^1e308)^0.5").root)  # a + b is finite only at the top
     @example(parse("1/t-t^1e308*(1-t)").root)
     @example(parse("1+t^1e308*(1-t)").root)
+    @example(parse("0.5^1e308").root)  # C carried as log C, H 0.0 with error ulp(0.0)
+    @example(parse("1e-200*1e-200*1e78*t*(1-t)").root)  # a subnormal H from log C
     def test_h_and_its_error_keep_their_bits(self, root):
         want, got = _bits(ref_integral, root), _bits(new_integral, root)
         if want is OverflowError and got != ("inf", "0.0"):

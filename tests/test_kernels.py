@@ -433,6 +433,20 @@ class TestExponentsPastLgamma:
         assert value != 0.0 and abs(Fraction(value) - exact) <= error
         assert error >= math.ulp(value)
 
+    # C carried as log C with a subnormal H: the error was relative alone,
+    # 0.0 for H = 1.5e-323, while C*B(2, 2) is about 1.67e-323
+    @pytest.mark.parametrize("source, exact", [
+        ("1e-200*1e-200*1e78*t*(1-t)",
+         Fraction(1e-200) * Fraction(1e-200) * Fraction(1e78) / 6),
+        ("1e-200*1e-200*t*(1-t)", Fraction(1e-200) * Fraction(1e-200) / 6),  # H rounds to 0
+    ])
+    def test_a_subnormal_scaled_form_states_its_rounding_step(self, source, exact):
+        form = power_form(parse(source).root)
+        assert form[0] == 0.0  # the product of the constants underflowed
+        value, error = kernels._closed_form(*form)
+        assert abs(Fraction(value) - exact) <= error
+        assert error >= math.ulp(value)
+
     def test_a_visible_term_is_added(self):
         value, error = kernels._integral(parse("1+t^1e308*(1-t)^-0.999"), 1e-10)
         assert abs(value - 492.75600896232365) <= error < 1e-11
