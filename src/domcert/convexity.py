@@ -18,10 +18,10 @@ is -inf, whatever that scale; near-zero negatives inside that band are
 reported as warnings.
 
 Each check is one pass over its plan: a generated loop evaluates f and g
-(or the one function) once per point and reduces every statement the
-check reports.  check_dominated takes g's gate from that pass, and in
-equivalence_report the l/k reports are the g + f / g - f reports, since
-decompose() builds those same trees.
+(or the one function) once per point, reduces every statement the check
+reports and raises each fault where it meets it.  check_dominated takes
+g's gate from that pass, and in equivalence_report the l/k reports are the
+g + f / g - f reports, since decompose() builds those same trees.
 """
 
 from __future__ import annotations
@@ -154,9 +154,10 @@ def phi_h_defect(
 ) -> float:
     """Defect of f at (x, y, t) through the map phi."""
     omt = 1.0 - t
+    ht, h1t = h.value(t), h.value(omt)
     px, py = phi.apply(x), phi.apply(y)
     ev = f.evaluate
-    return _defect_parts(ev, h.value(t), h.value(omt), t, omt, px, py, ev(px), ev(py))[0]
+    return _defect_parts(ev, ht, h1t, t, omt, px, py, ev(px), ev(py))[0]
 
 
 def _gap_parts(
@@ -230,15 +231,17 @@ def grid_axes(
 # Statements "u", "f", "g", "l", "k" are the defect of that function, with
 # l = g + f and k = g - f formed from the cached g and f values (the op
 # order of the trees decompose() builds); "gap" is defect_g - |defect_f|.
-# The loop keeps the op order of the scalar forms above and the evaluation
-# order of the separate sweeps it replaced, so reductions, witnesses, rows
-# and the fault reported first are unchanged.  Rows go to the caller's emit
-# _CHUNK_ROWS at a time, so no Python call is made per sample.  Where a
-# subtree of g equals f's tree (expr.copies: the same ops, variable and
-# constant bits), g reads f's value at the same point: at each sample, at px
-# and py in the random loop, and on the grid axes, where g's pass zips f's
-# values.  f ran first and gave a finite value, so its tree would give the
-# same bits there without a fault.
+# The loop keeps the op order of the scalar forms above, so reductions,
+# witnesses and rows are theirs, and it raises each fault where its one
+# pass meets it.  That order is the scalar forms' too: h(t) and h(1 - t),
+# then x and y mapped, then each function (f, g, g + f, g - f in turn) at px
+# and py, then at p.  A grid plan hoists the values at px and py into one
+# loop per axis, which evaluates every function at each point, and h into
+# the t axis after them.  Rows go to the caller's emit _CHUNK_ROWS at a
+# time, so no Python call is made per sample.  Where a subtree of g equals
+# f's tree (expr.copies: the same ops, variable and constant bits), g reads
+# f's value at the same point.  f ran first and gave a finite value, so its
+# tree would give the same bits there without a fault.
 # A random plan draws x, y and t in the loop, in that order, each as
 # rng.uniform does (a + (b - a) * r()), and maps x and y as AffineMap.apply
 # does (alpha * x + beta, which raises outside the map's domain), so the loop
@@ -311,22 +314,22 @@ _SWEEP_ENV = {
 
 
 class _Body:
-    """Source lines over the trees in roots ("u", or "f" then "g": the order
-    of evaluation) for the statements in stats: the values of the functions
-    at a point, their defects and the gap, in the op order of the scalar
-    forms above.  guarded=True writes the bodies in the guarded form, with g
-    reading nothing of f, and tests each value's finiteness and sign in
-    statements of their own: the reference of the one-comparison tests.
-    The trees' constants are named by slots."""
+    """Source lines over the trees in roots ("u", or "f" then "g") for the
+    statements in stats: the values of the functions at a point, their
+    defects and the gap, in the op order of the scalar forms above.  At a
+    point the functions run in the order of fns, g + f ("l") and g - f ("k")
+    after the roots, and each raises its fault there.  guarded=True writes
+    the bodies in the guarded form, with g reading nothing of f, and tests
+    each value's finiteness and sign in statements of their own: the
+    reference of the one-comparison tests.  The trees' constants are named
+    by slots."""
 
     def __init__(self, roots: dict, kernel: Node, stats: tuple, slots: _Slots, guarded: bool):
         self.roots, self.kernel, self.stats = roots, kernel, stats
         self.slots, self.guarded = slots, guarded
-        self.pair = len(roots) == 2
-        self.derived = [n for n in _DERIVED if n in stats]
-        self.fns = list(roots) + self.derived
+        self.fns = list(roots) + [n for n in _DERIVED if n in stats]
         self.defects = [n for n in self.fns if n in stats or (n in "fg" and "gap" in stats)]
-        self.shared = copies(roots["g"], roots["f"]) if self.pair and not guarded else set()
+        self.shared = copies(roots["g"], roots["f"]) if "g" in roots and not guarded else set()
         self.lines: list[str] = []
 
     def put(self, depth: int, *code: str) -> None:
@@ -345,15 +348,13 @@ class _Body:
         if n in self.roots:
             reads = dict.fromkeys(self.shared, "f" + at) if n == "g" else None
             code = _emit(self.roots[n], p, self.slots, self.guarded, reads)
-            self.put(depth, f"{dst} = {code}")
-            fault = f"if {dst} - {dst}: raise _nonfinite({p})"
-            flag = f"neg_{n} = True"  # past the fault, a stopped value is negative
-        else:  # a fault here is raised after the pass: these sweeps ran last
-            self.put(depth, f"{dst} = g{at} {_DERIVED[n]} f{at}")
-            fault = f"if {dst} - {dst} and fail_{n} is None: fail_{n} = ({p}, x, y, t, axis, av)"
-            flag = f"if {dst} < 0.0: neg_{n} = True"
-        if neg and not self.guarded:
-            self.put(depth, f"if not 0.0 <= {dst} < {_INF}:", f"    {fault}", f"    {flag}")
+        else:
+            code = f"g{at} {_DERIVED[n]} f{at}"
+        self.put(depth, f"{dst} = {code}")
+        fault = f"if {dst} - {dst}: raise _nonfinite({p})"
+        if neg and not self.guarded:  # past the fault, a stopped value is negative
+            self.put(depth, f"if not 0.0 <= {dst} < {_INF}:", f"    {fault}",
+                     f"    neg_{n} = True")
         else:
             self.put(depth, fault)
 
@@ -377,16 +378,12 @@ class _Body:
     def drawn(self, depth: int, neg: bool) -> None:
         """From a random point x, y, t (and omt = 1 - t) to the statements'
         values, with neg_ set where a function is negative if neg."""
-        kernel_lines = self.kernel_at("ht", "t") + self.kernel_at("h1t", "omt")
-        if self.pair:  # the pair sweep read the kernel first
-            self.put(depth, *kernel_lines)
+        self.put(depth, *self.kernel_at("ht", "t"), *self.kernel_at("h1t", "omt"))
         for v in "xy":  # apply raises the GeometryError of a point off phi's domain
             self.put(depth, f"if not da <= {v} <= db: apply({v})", f"p{v} = alpha * {v} + beta")
         for n in self.fns:
             self.evaluate(depth, n, "px", "px", neg)
             self.evaluate(depth, n, "py", "py", neg)
-        if not self.pair:  # the single-function sweep read it after u(px), u(py)
-            self.put(depth, *kernel_lines)
         self.signs(depth, ("px", "py"), neg)
         self.put(depth, "p = t * px + omt * py")
         self.values(depth, {n: f"ht * {n}px + h1t * {n}py" for n in self.defects}, neg)
@@ -430,7 +427,7 @@ def _sweep_source(
     """
     src = _Body(roots, kernel, stats, slots, guarded)
     put, evaluate, kernel_at = src.put, src.evaluate, src.kernel_at
-    fns, defects, derived = src.fns, src.defects, src.derived
+    fns, defects = src.fns, src.defects
 
     def flush(depth: int) -> None:
         # emit's own OverflowError or ValueError reaches the caller as it is
@@ -469,14 +466,12 @@ def _sweep_source(
         put(1, "cut = INF", "put_seed = seeds.append")
     for s in stats:
         put(1, f"w_{s}, wit_{s}, wl_{s}, wr_{s}, nan_{s} = INF, (NAN, NAN, NAN), NAN, NAN, 0")
-    put(1, *(f"fail_{n} = None" for n in derived), "try:")
+    put(1, "try:")
     if grid:
-        for n in fns:  # each function over the x axis, then over the y axis
-            reads = "fg" if n in _DERIVED else "f" if n == "g" and src.shared else ""
-            for a in "xy":
-                names = ", ".join(["av", "p", *(f"{r}_v" for r in reads)])
-                lists = ", ".join([f"{a}s", f"p{a}s", *(f"{r}_{a}" for r in reads)])
-                put(2, f"axis = {a!r}", f"{n}_{a} = []", f"for {names} in zip({lists}):")
+        for a in "xy":  # every function at each point of the x axis, then of the y axis
+            put(2, f"axis = {a!r}", *(f"{n}_{a} = []" for n in fns),
+                f"for av, p in zip({a}s, p{a}s):")
+            for n in fns:
                 evaluate(3, n, "_v", "p")
                 put(3, f"{n}_{a}.append({n}_v)")
         put(2, *(f"neg_{n} = min({n}_x) < 0.0 or min({n}_y) < 0.0" for n in fns))
@@ -521,11 +516,10 @@ def _sweep_source(
     if not guarded:  # an inline op's: the guarded form names it
         put(1, "except (OverflowError, ValueError) as exc:",
             *(["    if emitting: raise"] if rows else []), "    raise _Rerun(exc) from None")
-    put(1, "return {%s}, {%s}, {%s}, {%s}" % (
+    put(1, "return {%s}, {%s}, {%s}" % (
         ", ".join(f"{s!r}: (w_{s}, wit_{s}, wl_{s}, wr_{s})" for s in stats),
         ", ".join(f"{n!r}: neg_{n}" for n in fns),
-        ", ".join(f"{s!r}: nan_{s}" for s in stats),
-        ", ".join(f"{n!r}: fail_{n}" for n in derived)))
+        ", ".join(f"{s!r}: nan_{s}" for s in stats)))
     if grid:
         params = "xs, ys, ts, pxs, pys"
     else:
@@ -577,7 +571,9 @@ def _plan_sweep(
     in plan order, _CHUNK_ROWS of them but the last, until every sample's
     row has been passed; the rows of a chunk that a fault cuts short are
     dropped.  An OverflowError or ValueError of emit's own reaches the
-    caller as it is.
+    caller as it is.  A fault is raised where the pass meets it, in the
+    loop's order (the notes above _DERIVED): of two faults in one plan, the
+    one the pass reaches first is named.
     found, when given, gets each row that violates the plan's tolerances
     (_violates) under its point (x, y, t), a later row replacing an equal
     point's.  seeds, when given, ends up holding the REFINE_SEEDS least rows
@@ -610,14 +606,10 @@ def _plan_sweep(
                              *slots.values)
 
     try:
-        worst, neg, nans, fails = run(False, emit, found, seeds)
+        worst, neg, nans = run(False, emit, found, seeds)
     except _Rerun as rerun:
         run(True, None, None, None)  # faults at the same op and sample, and names the op
         raise rerun.args[0] from None
-    for n in _DERIVED:  # the sum sweep ran before the difference sweep
-        if fails.get(n):
-            p, *where = fails[n]
-            raise _annotate(_nonfinite(p), *where)
     return _SweepData(samples, worst, neg, nans)
 
 

@@ -119,10 +119,14 @@ def ref_closed_form(c, a, b):
     except OverflowError:
         value = math.inf
     size = 1.0 + sum(map(abs, terms)) + (c[1] if scaled else 0.0)
-    error = value * 4.0 * math.ulp(1.0) * size
-    if scaled and value < 2.0 ** -1022:  # a subnormal or 0 H gains its rounding step
-        error += math.ulp(value)
-    return value, error
+    floor = 0.0
+    if value < 2.0 ** -1022:  # a subnormal or 0 H, by one exp, gains its rounding step
+        if not scaled:
+            value = math.exp(math.log(c) + beta)
+            size += abs(math.log(c))
+        floor = math.ulp(value)
+    # a zero H has error floor alone, whatever its size (which may be inf)
+    return value, (value * 4.0 * math.ulp(1.0) * size if value else 0.0) + floor
 
 
 def ref_sum_integral(root):
@@ -312,6 +316,8 @@ class TestAgainstTheReference:
     @example(parse("1+t^1e308*(1-t)").root)
     @example(parse("0.5^1e308").root)  # C carried as log C, H 0.0 with error ulp(0.0)
     @example(parse("1e-200*1e-200*1e78*t*(1-t)").root)  # a subnormal H from log C
+    @example(parse("--(2^1e308)^-2").root)  # H 0.0 of an infinite size: error ulp(0.0)
+    @example(parse("1e-300*t^25*(1-t)^25").root)  # a plain C whose C*B is subnormal
     def test_h_and_its_error_keep_their_bits(self, root):
         want, got = _bits(ref_integral, root), _bits(new_integral, root)
         if want is OverflowError and got != ("inf", "0.0"):

@@ -1392,9 +1392,10 @@ class TestErrorPrecedence:
             # g + f overflows although f and g are finite
             (("equivalence", "--f", "1e308+x", "--g", "1e308+x"),
              "non-finite result for input 0.0 while checking grid point x=0.0"),
-            # g - f overflows on the axes, g + f only inside: the sum is reported
+            # g - f overflows on the axes, g + f only inside: the pass meets the
+            # difference first
             (("equivalence", "--f", "0.95e308*(sin(2*pi*x)^2-cos(2*pi*x)^2)", "--g", "0.95e308"),
-             "non-finite result for input 0.25 while checking sample (x=0.0, y=0.5, t=0.5)"),
+             "non-finite result for input 0.0 while checking grid point x=0.0"),
             # every defect is +inf, so no sample compared: both held with a nan
             # witness; g's gate, decided before the gap (every gap nan), names g
             (("check-convex", "--f", "1.7e308", "--h", "1"),

@@ -409,9 +409,9 @@ def test_kernel_fault_matches_kernel_value(plan):
     assert str(info.value) == want
 
 
-def test_random_loops_read_the_kernel_where_they_did():
-    # at a sample where h and f both fault, the pair loop reports h (read
-    # first) and the single-function loop reports f (h read after f(px), f(py))
+def test_random_loops_read_the_kernel_first():
+    # at a sample where h and f both fault, every random loop reports h: it
+    # reads h(t) and h(1 - t) before phi and the function values
     plan = SamplePlan.random(20000, seed=1)
     triples = _random_triples(plan, UNIT)
     i, want = _first_kernel_fault([v for _, _, t in triples for v in (t, 1.0 - t)])
@@ -422,8 +422,9 @@ def test_random_loops_read_the_kernel_where_they_did():
     assert str(info.value) == want
     with pytest.raises(KernelError):
         check_dominated(pair, NEAR_ROOT, ident, UNIT, plan)
-    with pytest.raises(EvalError, match="division by zero"):
+    with pytest.raises(KernelError) as info:
         check_phi_h_convex(f, NEAR_ROOT, ident, UNIT, plan)
+    assert str(info.value) == want
 
 
 # f's tree inside g (read there, not evaluated again) and a subtree repeated
@@ -755,7 +756,8 @@ def test_a_negative_value_still_warns(f, g, stats, warned, plan):
     ("x^2", "1.7e308*x+1.7e308*x", None, ("g", "gap"), "non-finite result for input "),
     (_SPIKE, None, None, ("u",), "non-finite result for input "),
     ("x^2", _SPIKE, None, ("g", "gap"), "non-finite result for input "),
-    # a derived value: g + f past the largest float, raised after the pass
+    # a derived value: g + f past the largest float, raised where the pass
+    # meets it, as a root value is
     ("1e308*x", "1.7e308*x", None, ("gap", "l", "k"), "non-finite result for input "),
     (_HALF_SPIKE, _HALF_SPIKE + "+0", None, ("gap", "l", "k"), "non-finite result for input "),
     # a kernel value
@@ -774,27 +776,119 @@ def test_a_non_finite_value_still_raises_at_its_sample(f, g, h, stats, message, 
     assert lean[0] in ("EvalError", "KernelError") and message in lean[1]
 
 
+# The pass names the first fault it meets in its own order.  The reference
+# is a plain loop, not written by the loop writer, that calls Kernel.value
+# and Expr.evaluate in that order: on a grid plan every function at each
+# point of the x axis, then of the y axis, h over the t axis (every h(t),
+# then every h(1 - t)), then every function at each sample's p; on a random
+# plan, at each sample, h(t) and h(1 - t), then each function at px and py,
+# then every function at p.
+
+
+def _first_fault(fns, h, phi, interval, plan):
+    """(class name, message) of the first fault of the plain loop, or None."""
+    def call(fn, v, where):
+        try:
+            fn(v)
+        except EvalError as exc:
+            raise EvalError(exc.kind, f"{exc} while checking {where}") from None
+
+    random_plan = plan.strategy == "random"
+    try:
+        if not random_plan:
+            xs, ys, ts = grid_axes(plan, interval)
+            for axis, points in (("x", xs), ("y", ys)):
+                for v in points:
+                    for u in fns:
+                        call(u.evaluate, phi.apply(v), f"grid point {axis}={v!r}")
+            for omt in (False, True):
+                for t in ts:
+                    call(h.value, 1.0 - t if omt else t, f"grid point t={t!r}")
+        for x, y, t in _triples(plan, interval):
+            where = f"sample (x={x!r}, y={y!r}, t={t!r})"
+            if random_plan:
+                call(h.value, t, where)
+                call(h.value, 1.0 - t, where)
+            px, py = phi.apply(x), phi.apply(y)
+            if random_plan:
+                for u in fns:
+                    call(u.evaluate, px, where)
+                    call(u.evaluate, py, where)
+            for u in fns:
+                call(u.evaluate, t * px + (1.0 - t) * py, where)
+    except DomcertError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _plan_points(phi, interval, plan):
+    """The points a plan evaluates functions at, and its t and 1 - t."""
+    points, ts = [], []
+    for x, y, t in _triples(plan, interval):
+        px, py = phi.apply(x), phi.apply(y)
+        points += [px, py, t * px + (1.0 - t) * py]
+        ts += [t, 1.0 - t]
+    return points, ts
+
+
+# each faults at c or past it: a division by zero, a ln of a non-positive
+# value, an overflow; the large ones make g + f or g - f overflow
+_FAULTING = ["1/(x-{c})", "ln({c}-x)", "1e308*(x-{c})+1e308", "0.95e308*(x-{c})", "-0.95e308",
+             "x^2"]
+
+
+@SETTINGS
+@given(st.sampled_from(INTERVALS), st.booleans(), st.integers(1, 25), st.integers(0, 99),
+       st.data())
+def test_the_pass_names_the_first_fault_of_a_plain_loop(interval, grid, count, seed, data):
+    if grid:
+        n = st.integers(1, 4)
+        plan = SamplePlan.grid(data.draw(n), data.draw(n), data.draw(n))
+    else:
+        plan = SamplePlan.random(count, seed=seed)
+    phi = data.draw(st.sampled_from([identity_map(interval), make_affine(-0.5, 0.75, interval)]))
+    points, ts = _plan_points(phi, interval, plan)
+    c = st.sampled_from(points).map(repr)
+    f = data.draw(st.sampled_from(_FAULTING)).format(c=data.draw(c))
+    g = data.draw(st.sampled_from(_FAULTING)).format(c=data.draw(c))
+    if data.draw(st.booleans()):  # g holds f's tree, and reads f's value
+        g = f"({f})+{g}"
+    pair = FunctionPair(parse(f), parse(g))
+    t = repr(data.draw(st.sampled_from(ts)))
+    h = data.draw(st.sampled_from([make_kernel("linear"), _kernel_zero_at(float(t)),
+                                   _unbuilt_kernel(f"1+0*ln(abs(t-{t}))")]))
+    for stats, fns in ((("u",), (pair.f,)), (("g", "gap"), pair),
+                       (("gap", "l", "k"), (*pair, *decompose(pair)))):
+        want = _first_fault(fns, h, phi, interval, plan)
+        # the loop forms g + f and g - f from f and g
+        lean, guarded = _lean_and_guarded(fns[:2], stats, h, phi, interval, plan)
+        if want is None:  # a report, or a check in which no sample compared
+            assert lean == guarded and lean[0] not in ("EvalError", "KernelError")
+        else:
+            assert lean == guarded == want
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_a_loop_without_rows_or_seeds_compiles_as_before():
-    # the sha256 of this source since each value's finiteness and sign take
-    # one comparison and abs and even powers are inline: sweeps that hand off
-    # no rows run the code they ran before rows came in chunks and seeds were
-    # picked in the loop
+    # the sha256 of this source since each grid axis has one loop that
+    # evaluates every function at each point: sweeps that hand off no rows
+    # run the code they ran before rows came in chunks and seeds were picked
+    # in the loop
     roots = {"f": parse("x^2").root, "g": parse("2*x^2").root}
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots())
     assert "emit" not in source.split("\n", 1)[1]
     assert _sha256(source) == (
-        "6b4ca64ace54d9bb9b495190503f91a87dd787e634d724459e2933d294fab980")
-    # the same loop's guarded form, and both forms of one body, as written
-    # when each form had an emitter of its own (the specialized body since
-    # abs and even powers are inline)
+        "3f5b11bc3841a473d1dc7a9d0b1e0fbfae42045c6382a31349e050334387101c")
+    # the same loop's guarded form, and both forms of one body, these as
+    # written when each form had an emitter of its own (the specialized body
+    # since abs and even powers are inline)
     source = _sweep_source(roots, parse("t^0.5").root, ("g", "gap"), True, False, _Slots(),
                            guarded=True)
     assert _sha256(source) == (
-        "66aa4d8332b386ea45c0c1c19630abc36397fb84a5711cedb47fbaf4fbc390d1")
+        "273df11861d87a1ea889fba690026c187750849b1e51522f2038c6571c298f07")
     root = parse(_EVERY_OP).root
     assert [_sha256(_emit(root, slots=slots, guarded=guarded))
             for guarded in (True, False) for slots in (_Slots(), None)] == [
