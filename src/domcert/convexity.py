@@ -143,32 +143,31 @@ class EquivalenceReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _defect_parts(ev, ht, h1t, t, omt, px, py, vpx, vpy):
-    rhs = ht * vpx + h1t * vpy
-    lhs = ev(t * px + omt * py)
-    return rhs - lhs, lhs, rhs
+def _defects(
+    fns: tuple[Expr, ...], h: Kernel, phi: AffineMap, x: float, y: float, t: float
+) -> list[float]:
+    """The defect of each of fns at (x, y, t) through phi, in the pass's
+    order: h(t) and h(1 - t), x and y mapped, every function at px and py,
+    then every function at p.  The first fault met is raised."""
+    omt = 1.0 - t
+    ht, h1t = h.value(t), h.value(omt)
+    px, py = phi.apply(x), phi.apply(y)
+    rhs = [ht * e.evaluate(px) + h1t * e.evaluate(py) for e in fns]
+    p = t * px + omt * py
+    return [r - e.evaluate(p) for e, r in zip(fns, rhs)]
 
 
 def phi_h_defect(
     f: Expr, h: Kernel, phi: AffineMap, x: float, y: float, t: float
 ) -> float:
     """Defect of f at (x, y, t) through the map phi."""
-    omt = 1.0 - t
-    ht, h1t = h.value(t), h.value(omt)
-    px, py = phi.apply(x), phi.apply(y)
-    ev = f.evaluate
-    return _defect_parts(ev, ht, h1t, t, omt, px, py, ev(px), ev(py))[0]
+    return _defects((f,), h, phi, x, y, t)[0]
 
 
 def _gap_parts(
     pair: FunctionPair, h: Kernel, phi: AffineMap, x: float, y: float, t: float
 ) -> tuple[float, float, float]:
-    omt = 1.0 - t
-    ht, h1t = h.value(t), h.value(omt)
-    px, py = phi.apply(x), phi.apply(y)
-    fe, ge = pair.f.evaluate, pair.g.evaluate
-    df = _defect_parts(fe, ht, h1t, t, omt, px, py, fe(px), fe(py))[0]
-    dg = _defect_parts(ge, ht, h1t, t, omt, px, py, ge(px), ge(py))[0]
+    df, dg = _defects(pair, h, phi, x, y, t)
     lhs = abs(df)
     return dg - lhs, lhs, dg
 
@@ -242,6 +241,11 @@ def grid_axes(
 # f's tree (expr.copies: the same ops, variable and constant bits), g reads
 # f's value at the same point.  f ran first and gave a finite value, so its
 # tree would give the same bits there without a fault.
+# An inline op (**, exp, sin, cos) faults as OverflowError or ValueError,
+# which names nothing.  The loop then raises what _plan_sweep's namer finds
+# where it stopped: at a grid point of an axis pass, Expr.evaluate of each
+# function or Kernel.value there; at a sample, the scalar forms (_defects).
+# They take the same values up to that op, fault there and name it.
 # A random plan draws x, y and t in the loop, in that order, each as
 # rng.uniform does (a + (b - a) * r()), and maps x and y as AffineMap.apply
 # does (alpha * x + beta, which raises outside the map's domain), so the loop
@@ -273,10 +277,6 @@ _INF = "1e309"
 _VIOLATES = "{v} < 0.0 and ({v} < -(atol + rtol * max(abs({lhs}), abs({rhs}))) or {v} == -INF)"
 
 
-class _Rerun(Exception):
-    """An inline op raised OverflowError or ValueError (args[0])."""
-
-
 def _sides(stat: str) -> tuple[str, str, str]:
     """Loop variables holding (value, lhs, rhs) of a statement."""
     if stat == "gap":
@@ -299,7 +299,6 @@ _SWEEP_ENV = {
     "ValueError": ValueError,
     "INF": math.inf,
     "NAN": math.nan,
-    "_Rerun": _Rerun,
     "_annotate": _annotate,
     "_least": _least,
     "_nonfinite": _nonfinite,
@@ -318,18 +317,14 @@ class _Body:
     statements in stats: the values of the functions at a point, their
     defects and the gap, in the op order of the scalar forms above.  At a
     point the functions run in the order of fns, g + f ("l") and g - f ("k")
-    after the roots, and each raises its fault there.  guarded=True writes
-    the bodies in the guarded form, with g reading nothing of f, and tests
-    each value's finiteness and sign in statements of their own: the
-    reference of the one-comparison tests.  The trees' constants are named
-    by slots."""
+    after the roots, and each raises its fault there.  The trees' constants
+    are named by slots."""
 
-    def __init__(self, roots: dict, kernel: Node, stats: tuple, slots: _Slots, guarded: bool):
-        self.roots, self.kernel, self.stats = roots, kernel, stats
-        self.slots, self.guarded = slots, guarded
+    def __init__(self, roots: dict, kernel: Node, stats: tuple, slots: _Slots):
+        self.roots, self.kernel, self.stats, self.slots = roots, kernel, stats, slots
         self.fns = list(roots) + [n for n in _DERIVED if n in stats]
         self.defects = [n for n in self.fns if n in stats or (n in "fg" and "gap" in stats)]
-        self.shared = copies(roots["g"], roots["f"]) if "g" in roots and not guarded else set()
+        self.shared = copies(roots["g"], roots["f"]) if "g" in roots else set()
         self.lines: list[str] = []
 
     def put(self, depth: int, *code: str) -> None:
@@ -347,33 +342,23 @@ class _Body:
         dst = n + at
         if n in self.roots:
             reads = dict.fromkeys(self.shared, "f" + at) if n == "g" else None
-            code = _emit(self.roots[n], p, self.slots, self.guarded, reads)
+            code = _emit(self.roots[n], p, self.slots, reads=reads)
         else:
             code = f"g{at} {_DERIVED[n]} f{at}"
         self.put(depth, f"{dst} = {code}")
         fault = f"if {dst} - {dst}: raise _nonfinite({p})"
-        if neg and not self.guarded:  # past the fault, a stopped value is negative
+        if neg:  # past the fault, a stopped value is negative
             self.put(depth, f"if not 0.0 <= {dst} < {_INF}:", f"    {fault}",
                      f"    neg_{n} = True")
         else:
             self.put(depth, fault)
 
-    def signs(self, depth: int, ats: tuple, neg: bool) -> None:
-        """The guarded form's sign tests of the values at each of ats."""
-        if neg and self.guarded:
-            for n in self.fns:
-                test = " or ".join(f"{n}{at} < 0.0" for at in ats)
-                self.put(depth, f"if {test}: neg_{n} = True")
-
     def kernel_at(self, dst: str, t: str) -> list[str]:
-        lines = [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
-                 f"{dst} = {_emit(self.kernel, t, self.slots, self.guarded)}"]
-        if self.guarded:
-            return lines + [f"if {dst} - {dst}: raise _nonfinite({t})",
-                            f"if {dst} <= 0.0: raise _nonpositive({dst}, {t})"]
-        return lines + [f"if not 0.0 < {dst} < {_INF}:",
-                        f"    if {dst} - {dst}: raise _nonfinite({t})",
-                        f"    raise _nonpositive({dst}, {t})"]
+        return [f"if not 0.0 < {t} < 1.0: raise _outside({t})",
+                f"{dst} = {_emit(self.kernel, t, self.slots)}",
+                f"if not 0.0 < {dst} < {_INF}:",
+                f"    if {dst} - {dst}: raise _nonfinite({t})",
+                f"    raise _nonpositive({dst}, {t})"]
 
     def drawn(self, depth: int, neg: bool) -> None:
         """From a random point x, y, t (and omt = 1 - t) to the statements'
@@ -384,7 +369,6 @@ class _Body:
         for n in self.fns:
             self.evaluate(depth, n, "px", "px", neg)
             self.evaluate(depth, n, "py", "py", neg)
-        self.signs(depth, ("px", "py"), neg)
         self.put(depth, "p = t * px + omt * py")
         self.values(depth, {n: f"ht * {n}px + h1t * {n}py" for n in self.defects}, neg)
 
@@ -393,12 +377,10 @@ class _Body:
         given by weighted."""
         for n in self.fns:
             self.evaluate(depth, n, "m", "p", neg)
-        self.signs(depth, ("m",), neg)
         for n in self.defects:
             self.put(depth, f"r_{n} = {weighted[n]}", f"d_{n} = r_{n} - {n}m")
         if "gap" in self.stats:  # abs(d_f), its zero and nan left to abs
-            self.put(depth, "a_f = " + ("abs(d_f)" if self.guarded else
-                                        "d_f if d_f > 0.0 else -d_f if d_f < 0.0 else abs(d_f)"),
+            self.put(depth, "a_f = d_f if d_f > 0.0 else -d_f if d_f < 0.0 else abs(d_f)",
                      "gap = d_g - a_f")
 
 
@@ -409,7 +391,6 @@ def _sweep_source(
     grid: bool,
     rows: bool,
     slots: _Slots,
-    guarded: bool = False,
     keep: bool = False,
     wide: bool = False,
     seeds: bool = False,
@@ -420,12 +401,12 @@ def _sweep_source(
     keep=True stores the rows that violate under their point (x, y, t) in
     the dict found; seeds=True leaves the REFINE_SEEDS least rows in _ORDER,
     none with a nan value, in the list seeds.
-    guarded=True writes the bodies in the guarded form, with g reading
-    nothing of f.  wide=True draws random x and y by weights, for an
-    interval whose width b - a overflows.  The trees' constants are named
-    by slots; _sweep takes them as parameters after atol and rtol.
+    wide=True draws random x and y by weights, for an interval whose width
+    b - a overflows.  An inline op's OverflowError or ValueError is raised
+    as the EvalError that _name returns for it.  The trees' constants are
+    named by slots; _sweep takes them as parameters after atol and rtol.
     """
-    src = _Body(roots, kernel, stats, slots, guarded)
+    src = _Body(roots, kernel, stats, slots)
     put, evaluate, kernel_at = src.put, src.evaluate, src.kernel_at
     fns, defects = src.fns, src.defects
 
@@ -513,9 +494,9 @@ def _sweep_source(
     if seeds:
         put(2, "seeds[:] = _least(seeds)")
     put(1, "except EvalError as exc:", "    raise _annotate(exc, x, y, t, axis, av) from exc")
-    if not guarded:  # an inline op's: the guarded form names it
-        put(1, "except (OverflowError, ValueError) as exc:",
-            *(["    if emitting: raise"] if rows else []), "    raise _Rerun(exc) from None")
+    put(1, "except (OverflowError, ValueError) as exc:",  # an inline op's, named by _name
+        *(["    if emitting: raise"] if rows else []),
+        "    raise _name(exc, x, y, t, axis, av) from None")
     put(1, "return {%s}, {%s}, {%s}" % (
         ", ".join(f"{s!r}: (w_{s}, wit_{s}, wl_{s}, wr_{s})" for s in stats),
         ", ".join(f"{n!r}: neg_{n}" for n in fns),
@@ -534,7 +515,7 @@ def _gap_source(roots: dict, kernel: Node, slots: _Slots) -> str:
     (x, y, t) as a function: the per-sample body of the random plan's loop,
     with its kernel, phi-domain and finiteness checks.  Where the body
     raises, the result is fallback's (_gap_parts, which names the fault)."""
-    src = _Body(roots, kernel, ("gap",), slots, False)
+    src = _Body(roots, kernel, ("gap",), slots)
     src.put(3, "omt = 1.0 - t")
     src.drawn(3, False)
     src.put(3, "return gap, a_f, d_g")
@@ -573,7 +554,9 @@ def _plan_sweep(
     dropped.  An OverflowError or ValueError of emit's own reaches the
     caller as it is.  A fault is raised where the pass meets it, in the
     loop's order (the notes above _DERIVED): of two faults in one plan, the
-    one the pass reaches first is named.
+    one the pass reaches first is named.  An inline op's fault is named by
+    the checked scalar forms at that grid point or sample; the plan is
+    swept once.
     found, when given, gets each row that violates the plan's tolerances
     (_violates) under its point (x, y, t), a later row replacing an equal
     point's.  seeds, when given, ends up holding the REFINE_SEEDS least rows
@@ -593,23 +576,33 @@ def _plan_sweep(
         args = (a, b, b - a, lo, (1.0 - lo) - lo, phi.domain.a, phi.domain.b, phi.alpha,
                 phi.beta, phi.apply)
 
-    def run(guarded: bool, emit, found, seeds):
-        env = {**_SWEEP_ENV, "_nonpositive": h.nonpositive_error}
-        slots = _Slots()
-        source = _sweep_source(roots, h.expr.root, stats, grid, emit is not None, slots,
-                               guarded, found is not None, wide, seeds is not None)
-        exec(_shape_code(source, "exec"), env)
-        # each run draws a random plan from the start
-        draws = () if grid else (samples, random.Random(plan.seed).random)
-        held = () if seeds is None else (seeds,)
-        return env["_sweep"](*draws, *args, emit, found, *held, plan.atol, plan.rtol,
-                             *slots.values)
+    def name(exc, x, y, t, axis, av):
+        """The EvalError of the inline op that raised exc where the pass
+        stopped, annotated as _annotate does: the checked scalar forms meet
+        the same fault at the same point and name its op."""
+        try:
+            if axis == "t":
+                h.value(av)
+                h.value(1.0 - av)
+            elif axis:
+                p = phi.apply(av)
+                for e in fns:
+                    e.evaluate(p)
+            else:
+                _defects(fns, h, phi, x, y, t)
+        except EvalError as fault:
+            return _annotate(fault, x, y, t, axis, av)
+        return exc
 
-    try:
-        worst, neg, nans = run(False, emit, found, seeds)
-    except _Rerun as rerun:
-        run(True, None, None, None)  # faults at the same op and sample, and names the op
-        raise rerun.args[0] from None
+    env = {**_SWEEP_ENV, "_nonpositive": h.nonpositive_error, "_name": name}
+    slots = _Slots()
+    source = _sweep_source(roots, h.expr.root, stats, grid, emit is not None, slots,
+                           found is not None, wide, seeds is not None)
+    exec(_shape_code(source, "exec"), env)
+    draws = () if grid else (samples, random.Random(plan.seed).random)
+    held = () if seeds is None else (seeds,)
+    worst, neg, nans = env["_sweep"](*draws, *args, emit, found, *held, plan.atol, plan.rtol,
+                                     *slots.values)
     return _SweepData(samples, worst, neg, nans)
 
 

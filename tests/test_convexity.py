@@ -11,6 +11,7 @@ from domcert.convexity import (
     FunctionPair,
     PreconditionError,
     SamplePlan,
+    _linspace,
     check_dominated,
     check_phi_h_convex,
     decompose,
@@ -125,6 +126,15 @@ class TestSamplePlan:
         xs, ys, ts = grid_axes(SamplePlan.grid(5, 5, 4), Interval(-1.0, 3.0))
         assert xs[0] == -1.0 and xs[-1] == 3.0
         assert len(xs) == 5 and len(ys) == 5
+
+    def test_an_axis_one_ulp_wide_stays_inside_its_interval(self):
+        # unclamped, a * (1 - u) + b * u rounds below a at the fourth point
+        a = -0.6865435650609695
+        b = math.nextafter(a, math.inf)
+        xs = _linspace(a, b, 42)
+        assert repr(a * (1.0 - 3 / 41) + b * (3 / 41)) == "-0.6865435650609696"
+        assert repr(xs[3]) == repr(a)
+        assert all(a <= x <= b for x in xs) and xs[0] == a and xs[-1] == b
 
     def test_t_axis_is_clamped_and_contains_half(self):
         _, _, ts = grid_axes(SamplePlan.grid(3, 3, 8), UNIT)

@@ -301,6 +301,14 @@ class TestReportMechanics:
         r = hh_midpoint_report(pair, make_kernel("linear"), IDENT)
         assert r.warnings == [hadamard.NEGATIVE_RHS_WARNING]
 
+    def test_a_right_side_just_below_zero_warns(self):
+        # rhs = -1e-301 * (2/3 - 1/2) = -8.33e-303: any negative right side
+        # warns, however small, and the tolerance keeps the bound holding
+        pair = FunctionPair(parse("0*x"), parse("-1e-301*x^2"))
+        r = hh_midpoint_report(pair, make_kernel("linear"), IDENT)
+        assert -1e-302 < r.rhs < -1e-303 and r.holds
+        assert hadamard.NEGATIVE_RHS_WARNING in r.warnings
+
     @pytest.mark.parametrize("f, g, warned", [
         # item 2's repro 1 scaled by 1e-4: margin -2.06e-10 holds by the tolerance
         ("1e-4*abs(x-0.5020147025901347)", "1e-4*2.9758476*x^2", True),
